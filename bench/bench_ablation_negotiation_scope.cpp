@@ -6,8 +6,6 @@
 // (Section 3.3's "AS B may ask AS C"). Expected shape: each step helps;
 // multi-hop adds a real but modest tail because "most paths in today's
 // Internet are short".
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -15,23 +13,15 @@
 #include "core/alternates.hpp"
 #include "eval/experiments.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  using namespace miro;
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  obs::ProfileRegistry prof;
-  obs::set_profile(&prof);
-  obs::MemoryRegistry mem;
-  obs::set_memory(&mem);
-  bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const eval::ExperimentPlan plan(args.config_for(profile));
-    bench::add_memory_rows(json, profile, plan);
+namespace miro::bench {
+
+void ablation_negotiation_scope(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    run.add_memory_rows(profile, plan);
+    const Stopwatch clock;
     const core::AlternatesEngine engine(plan.solver());
-    const auto tuples =
+    const auto& tuples =
         plan.sample_tuples(plan.config().sources_per_destination);
 
     TextTable table({"policy", "BGP only", "1-hop", "on-path",
@@ -72,25 +62,17 @@ int main(int argc, char** argv) {
                      TextTable::percent(multi_ok / n)});
       const std::string key =
           profile + "." + core::to_string(policy);
-      json.add(key + ".bgp", bgp_ok / n, "fraction");
-      json.add(key + ".onehop", onehop_ok / n, "fraction");
-      json.add(key + ".onpath", onpath_ok / n, "fraction");
-      json.add(key + ".multihop", multi_ok / n, "fraction");
+      run.add(key + ".bgp", bgp_ok / n, "fraction");
+      run.add(key + ".onehop", onehop_ok / n, "fraction");
+      run.add(key + ".onpath", onpath_ok / n, "fraction");
+      run.add(key + ".multihop", multi_ok / n, "fraction");
     }
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
+    run.add(profile + ".elapsed", clock.ms(), "ms");
     std::cout << "Negotiation-scope ablation [" << profile << ", "
               << tuples.size() << " tuples]\n";
     table.print(std::cout);
     std::cout << "\n";
   }
-  obs::set_memory(nullptr);
-  obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

@@ -6,44 +6,28 @@
 // (local preference is compared before AS-path length, so only same-class
 // ties budge) and barely improves with depth; MIRO moves a meaningful,
 // finely-negotiated share with state at just two ASes.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "eval/te_comparison.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const miro::eval::ExperimentPlan plan(args.config_for(profile));
-    miro::bench::add_memory_rows(json, profile, plan);
-    const auto result = miro::eval::run_te_comparison(plan);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    miro::eval::print(result, std::cout);
+namespace miro::bench {
+
+void ablation_te_mechanisms(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    run.add_memory_rows(profile, plan);
+    const Stopwatch clock;
+    const auto result = eval::run_te_comparison(plan);
+    const double elapsed = clock.ms();
+    eval::print(result, std::cout);
     std::cout << "\n";
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
+    run.add(profile + ".elapsed", elapsed, "ms");
     for (const auto& mechanism : result.mechanisms) {
-      json.add(profile + "." + mechanism.name + ".median_moved",
-               mechanism.median_moved, "fraction");
+      run.add(profile + "." + mechanism.name + ".median_moved",
+              mechanism.median_moved, "fraction");
     }
   }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

@@ -13,7 +13,6 @@
 // monitoring-overhead pair, which times the same mixed replay with the
 // route-event provenance recorder off vs on (wall-clock "ms" rows, gated by
 // the regression threshold like every other timing).
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 
@@ -22,8 +21,8 @@
 #include "common/table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ribmon.hpp"
-#include "topology/generator.hpp"
 
+namespace miro::bench {
 namespace {
 
 std::string fixed2(double value) {
@@ -34,32 +33,20 @@ std::string fixed2(double value) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-  using namespace miro;
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  bench::BenchJsonWriter json = args.json_writer();
-  obs::ProfileRegistry prof;
-  obs::set_profile(&prof);
-  obs::MemoryRegistry mem;
-  obs::set_memory(&mem);
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-
+void churn_convergence(Run& run) {
   TextTable table({"profile", "ASes", "bursts", "conv p50", "conv p90",
                    "msgs/burst", "flap msgs off", "flap msgs on",
                    "suppression", "rib records", "violations"});
-  for (const std::string& profile_name : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const topo::AsGraph graph =
-        topo::generate(topo::profile(profile_name, args.scale * 0.5));
+  for (const std::string& profile_name : run.args().profiles()) {
+    const topo::AsGraph& graph = run.half_scale_graph(profile_name);
     const topo::NodeId destination = 0;
-    bench::add_memory_rows(json, profile_name, graph);
+    run.add_memory_rows(profile_name, graph);
+    const Stopwatch clock;
 
     // Mixed churn: the seeded generator's workload, defenses off, with the
     // invariant checker auditing the whole replay.
     churn::ChurnTraceConfig trace_config;
-    trace_config.seed = args.config.seed;
+    trace_config.seed = run.args().seed;
     trace_config.duration = 12000;
     trace_config.episodes = 16;
     const churn::ChurnTrace mixed =
@@ -85,23 +72,17 @@ int main(int argc, char** argv) {
     // every protocol counter (zero-cost-when-disabled means zero behaviour
     // change when enabled), and its record stream must close the books
     // against those counters; either failure counts as a violation.
-    const auto off_t0 = std::chrono::steady_clock::now();
+    const Stopwatch off_clock;
     const churn::ReplayResult unmonitored =
         churn::replay_churn(graph, mixed, replay_config);
-    const double monitor_off_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - off_t0)
-            .count();
+    const double monitor_off_ms = off_clock.ms();
     obs::RibMonitor rib;
     churn::ReplayConfig monitored_config = replay_config;
     monitored_config.ribmon = &rib;
-    const auto on_t0 = std::chrono::steady_clock::now();
+    const Stopwatch on_clock;
     const churn::ReplayResult monitored =
         churn::replay_churn(graph, mixed, monitored_config);
-    const double monitor_on_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - on_t0)
-            .count();
+    const double monitor_on_ms = on_clock.ms();
     const obs::ProvenanceSummary provenance =
         obs::build_propagation_trees(rib.records());
     const bool monitor_ok =
@@ -142,37 +123,34 @@ int main(int argc, char** argv) {
                    std::to_string(on_msgs), fixed2(suppression) + "x",
                    std::to_string(rib.size()),
                    std::to_string(violations)});
-    json.add(profile_name + ".mixed.bursts",
-             static_cast<double>(base.convergence.size()), "bursts");
-    json.add(profile_name + ".mixed.convergence_p50", conv_p50, "ticks");
-    json.add(profile_name + ".mixed.convergence_p90", conv_p90, "ticks");
-    json.add(profile_name + ".mixed.msgs_per_burst", msgs_per_burst,
-             "messages");
-    json.add(profile_name + ".mixed.rib_bytes",
-             static_cast<double>(base.rib.rib_bytes), "bytes");
-    json.add(profile_name + ".mixed.bytes_per_route",
-             base.rib.bytes_per_route(), "bytes/route");
-    json.add(profile_name + ".mixed.checker_bytes",
-             static_cast<double>(base.checker_bytes), "bytes");
-    json.add(profile_name + ".flap.updates_off",
-             static_cast<double>(off_msgs), "messages");
-    json.add(profile_name + ".flap.updates_on",
-             static_cast<double>(on_msgs), "messages");
-    json.add(profile_name + ".flap.suppression_ratio", suppression, "x");
-    json.add(profile_name + ".flap.routes_damped",
-             static_cast<double>(on.bgp.routes_damped), "routes");
-    json.add(profile_name + ".monitor.replay_off_ms", monitor_off_ms, "ms");
-    json.add(profile_name + ".monitor.replay_on_ms", monitor_on_ms, "ms");
-    json.add(profile_name + ".monitor.records",
-             static_cast<double>(rib.size()), "records");
-    json.add(profile_name + ".monitor.trees",
-             static_cast<double>(provenance.trees.size()), "trees");
-    json.add(profile_name + ".violations",
-             static_cast<double>(violations), "violations");
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    json.add(profile_name + ".elapsed",
-             static_cast<double>(elapsed.count()), "ms");
+    run.add(profile_name + ".mixed.bursts",
+            static_cast<double>(base.convergence.size()), "bursts");
+    run.add(profile_name + ".mixed.convergence_p50", conv_p50, "ticks");
+    run.add(profile_name + ".mixed.convergence_p90", conv_p90, "ticks");
+    run.add(profile_name + ".mixed.msgs_per_burst", msgs_per_burst,
+            "messages");
+    run.add(profile_name + ".mixed.rib_bytes",
+            static_cast<double>(base.rib.rib_bytes), "bytes");
+    run.add(profile_name + ".mixed.bytes_per_route",
+            base.rib.bytes_per_route(), "bytes/route");
+    run.add(profile_name + ".mixed.checker_bytes",
+            static_cast<double>(base.checker_bytes), "bytes");
+    run.add(profile_name + ".flap.updates_off",
+            static_cast<double>(off_msgs), "messages");
+    run.add(profile_name + ".flap.updates_on",
+            static_cast<double>(on_msgs), "messages");
+    run.add(profile_name + ".flap.suppression_ratio", suppression, "x");
+    run.add(profile_name + ".flap.routes_damped",
+            static_cast<double>(on.bgp.routes_damped), "routes");
+    run.add(profile_name + ".monitor.replay_off_ms", monitor_off_ms, "ms");
+    run.add(profile_name + ".monitor.replay_on_ms", monitor_on_ms, "ms");
+    run.add(profile_name + ".monitor.records",
+            static_cast<double>(rib.size()), "records");
+    run.add(profile_name + ".monitor.trees",
+            static_cast<double>(provenance.trees.size()), "trees");
+    run.add(profile_name + ".violations",
+            static_cast<double>(violations), "violations");
+    run.add(profile_name + ".elapsed", clock.ms(), "ms");
   }
   std::cout << "Churn convergence: mixed-trace burst distribution and the "
                "MRAI+damping suppression ratio under a persistent flapper\n";
@@ -182,11 +160,6 @@ int main(int argc, char** argv) {
                "defenses on over the same 30-flap script; the violations "
                "column is the online invariant checker's verdict and must "
                "be 0)\n";
-  obs::set_memory(nullptr);
-  obs::set_profile(nullptr);
-  return json.write() ? 0 : 2;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

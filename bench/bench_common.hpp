@@ -1,306 +1,377 @@
-// Shared command-line handling for the reproduction benches.
+// The interface between the suite (bench_suite.cpp, driven by the
+// `run_suite` executable) and the reproduction benches it runs in-process:
+//   - SuiteArgs / parse_suite_args: the one flag parser;
+//   - SharedInputs: the graphs and ExperimentPlans run_suite builds once per
+//     profile, before any bench starts its clock;
+//   - Run: a bench's handle on those inputs and on the result rows it
+//     reports ({name, value, unit});
+//   - add_registry_sections: a bench's profile and memory sections;
+//   - Stopwatch: the only clock the bench code reads;
+//   - bench_table / select_benches / run_suite: the suite runner.
 //
-// Every bench accepts:
-//   --profile <name>   topology profile (default: all four paper profiles)
-//   --scale <x>        profile scale in (0,1], default 0.5
-//   --dests <n>        sampled destinations (default 80)
-//   --sources <n>      sampled sources per destination (default 40)
-//   --seed <n>         sampling seed (default 42)
-//   --threads <n>      eval worker threads (default: MIRO_THREADS env,
-//                      else hardware concurrency; 1 = fully serial)
-//   --json <path>      also write results as machine-readable JSON
-// so the paper tables regenerate quickly by default and at full scale on
-// request. The JSON snapshot carries each result as {name, value, unit}
-// plus the simulation config that produced it, for regression tracking
-// across runs / CI artifacts. The thread count is deliberately NOT part of
-// the JSON config: results are bit-identical at any thread count (the
-// determinism contract tests/parallel_test.cpp enforces), so snapshots from
-// different --threads runs must stay byte-comparable.
+//   run_suite [BENCH]... [--profile NAME] [--scale X] [--dests N]
+//             [--sources N] [--seed N] [--threads N] [--out PATH]
+//             [--save PATH] [--quick | --full]
+//
+// The defaults are the configuration EXPERIMENTS.md's numbers come from:
+// the four paper profiles at scale 0.5, 80 sampled destinations, 40 sources
+// per destination, seed 42. --threads is deliberately NOT part of any JSON
+// config: results are bit-identical at any thread count (the determinism
+// contract tests/parallel_test.cpp enforces), so documents from different
+// --threads runs must stay byte-comparable.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <map>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "eval/experiments.hpp"
 #include "obs/memstats.hpp"
 #include "obs/profile.hpp"
+#include "topology/generator.hpp"
 
 namespace miro::bench {
 
-/// Collects {name, value, unit} result rows plus the sim-config that
-/// produced them, and writes one JSON object:
-///   {"config":{...},"results":[{"name":...,"value":...,"unit":...},...]}
-/// plus an optional "profile" section with the run's wall-clock span
-/// summary. All strings go through the shared JSON escaper and non-finite
-/// values are emitted as `null` (bare nan/inf are not JSON).
-/// A writer with an empty path is inert — add()/write() cost nothing, so
-/// benches call them unconditionally.
-class BenchJsonWriter {
+struct SuiteArgs {
+  std::vector<std::string> benches;  ///< selected by name; empty = the tier
+  std::string profile;               ///< empty = the four paper profiles
+  double scale = 0.5;
+  std::size_t dests = 80;
+  std::size_t sources = 40;
+  std::uint64_t seed = 42;
+  std::size_t threads = 0;  ///< 0 = MIRO_THREADS, else hardware concurrency
+  bool full = false;        ///< --full: the full-tier benches by default
+  std::string out;          ///< merged document; empty = none written
+  std::string save;         ///< bench_internet_scale saves its graph here
+
+  std::vector<std::string> profiles() const {
+    if (!profile.empty()) return {profile};
+    return {"gao2000", "gao2003", "gao2005", "agarwal2004"};
+  }
+
+  eval::EvalConfig config_for(const std::string& name) const {
+    eval::EvalConfig config;
+    config.profile = name;
+    config.scale = scale;
+    config.destination_samples = dests;
+    config.sources_per_destination = sources;
+    config.seed = seed;
+    return config;
+  }
+};
+
+[[noreturn]] inline void usage_error(const char* argv0,
+                                     const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", argv0, message.c_str());
+  std::fprintf(stderr,
+               "usage: %s [BENCH]... [--profile NAME] [--scale X] "
+               "[--dests N] [--sources N] [--seed N] [--threads N] "
+               "[--out PATH] [--save PATH] [--quick | --full]\n",
+               argv0);
+  std::exit(2);
+}
+
+/// Strictly parses an unsigned decimal flag value: a sign, trailing
+/// garbage or overflow (or 0, when `positive`) is a usage error (exit 2),
+/// never a silent 0 or a wrapped-around huge value.
+inline std::uint64_t parse_count(const char* argv0, const std::string& flag,
+                                 const char* text, bool positive = false) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || (positive && value == 0)) {
+    usage_error(argv0, flag + " expects a " +
+                           (positive ? "positive" : "non-negative") +
+                           " integer, got '" + text + "'");
+  }
+  return value;
+}
+
+/// Parses the suite's flags. Usage errors — an unknown flag, a missing or
+/// malformed value, an unknown profile — exit 2. Bench names are returned
+/// unvalidated; bench_suite.cpp owns the bench table.
+inline SuiteArgs parse_suite_args(int argc, char** argv) {
+  SuiteArgs args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(argv[0], "missing value for " + flag);
+      return argv[++i];
+    };
+    if (flag.empty() || flag[0] != '-') {
+      args.benches.push_back(flag);
+    } else if (flag == "--profile") {
+      args.profile = value();
+      if (args.profile.empty()) usage_error(argv[0], "--profile needs a name");
+    } else if (flag == "--scale") {
+      const char* text = value();
+      char* end = nullptr;
+      args.scale = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(args.scale) ||
+          args.scale <= 0) {
+        usage_error(argv[0], std::string("--scale expects a positive number, "
+                                         "got '") + text + "'");
+      }
+    } else if (flag == "--dests") {
+      args.dests = parse_count(argv[0], flag, value());
+    } else if (flag == "--sources") {
+      args.sources = parse_count(argv[0], flag, value());
+    } else if (flag == "--seed") {
+      args.seed = parse_count(argv[0], flag, value());
+    } else if (flag == "--threads") {
+      args.threads = parse_count(argv[0], flag, value(), /*positive=*/true);
+    } else if (flag == "--out") {
+      args.out = value();
+    } else if (flag == "--save") {
+      args.save = value();
+    } else if (flag == "--quick") {
+      // CI scale: one profile, small samples, so the gate measures
+      // relative shape, not absolute scale.
+      args.profile = "gao2005";
+      args.scale = 0.15;
+      args.dests = 10;
+      args.sources = 8;
+    } else if (flag == "--full") {
+      // Measured-Internet scale: ~70k ASes. Sample counts stay small — the
+      // tier exists to exercise graph-size scaling, not sample breadth.
+      args.profile = "internet2006";
+      args.scale = 1.0;
+      args.dests = 6;
+      args.sources = 4;
+      args.full = true;
+    } else {
+      usage_error(argv[0], "unknown flag " + flag);
+    }
+  }
+  for (const std::string& name : args.profiles()) {
+    try {
+      topo::profile(name, args.scale);
+    } catch (const Error& error) {
+      usage_error(argv[0], error.what());
+    }
+  }
+  return args;
+}
+
+/// Wall-clock timer behind every timing row. The only clock the bench code
+/// reads (tools/determinism_allowlist.txt): timings are measured, never fed
+/// into a result.
+class Stopwatch {
  public:
-  explicit BenchJsonWriter(std::string path = {}) : path_(std::move(path)) {}
-
-  bool active() const { return !path_.empty(); }
-
-  void set_config(const std::string& key, const std::string& value) {
-    if (active()) config_.emplace_back(key, value);
-  }
-  void set_config(const std::string& key, double value) {
-    set_config(key, json_number(value));
-  }
-
-  void add(const std::string& name, double value, const std::string& unit) {
-    if (active()) rows_.push_back({name, value, unit});
-  }
-
-  /// Attaches (non-owning) a profiler whose per-span aggregates are written
-  /// as the snapshot's "profile" section; it must outlive write().
-  void set_profile(const obs::ProfileRegistry* profile) {
-    profile_ = profile;
-  }
-
-  /// Attaches (non-owning) a memory registry whose accounts are written as
-  /// the snapshot's "memory" section (current/peak bytes per account, plus
-  /// RSS when sampled); it must outlive write(). Informational context —
-  /// the regression gate reads the byte rows in "results", not this.
-  void set_memory(const obs::MemoryRegistry* memory) { memory_ = memory; }
-
-  /// Writes the snapshot; returns false (with a note on stderr) on I/O
-  /// failure so benches can surface a nonzero exit if they care.
-  bool write() const {
-    if (!active()) return true;
-    std::ofstream out(path_);
-    if (!out) {
-      std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
-      return false;
-    }
-    out << "{\"config\":{";
-    for (std::size_t i = 0; i < config_.size(); ++i) {
-      if (i != 0) out << ",";
-      out << "\"" << json_escape(config_[i].first) << "\":\""
-          << json_escape(config_[i].second) << "\"";
-    }
-    out << "},\"results\":[";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (i != 0) out << ",";
-      out << "{\"name\":\"" << json_escape(rows_[i].name)
-          << "\",\"value\":" << json_number(rows_[i].value)
-          << ",\"unit\":\"" << json_escape(rows_[i].unit) << "\"}";
-    }
-    out << "]";
-    if (profile_ != nullptr) {
-      out << ",\"profile\":{";
-      bool first = true;
-      for (const auto& [name, stats] : profile_->by_name()) {
-        if (!first) out << ",";
-        first = false;
-        out << "\"" << json_escape(name)
-            << "\":{\"count\":" << stats.count << ",\"total_ms\":"
-            << json_number(static_cast<double>(stats.total_ns) / 1e6)
-            << ",\"self_ms\":"
-            << json_number(static_cast<double>(stats.self_ns) / 1e6)
-            << ",\"max_ms\":"
-            << json_number(static_cast<double>(stats.max_ns) / 1e6) << "}";
-      }
-      out << "}";
-    }
-    if (memory_ != nullptr) {
-      out << ",\"memory\":{\"accounts\":{";
-      bool first = true;
-      for (const auto& [name, counters] : memory_->accounts()) {
-        if (!first) out << ",";
-        first = false;
-        out << "\"" << json_escape(name)
-            << "\":{\"bytes\":" << counters.current
-            << ",\"peak_bytes\":" << counters.peak << "}";
-      }
-      out << "}";
-      if (memory_->rss_samples() > 0) {
-        out << ",\"rss_bytes\":" << memory_->rss_bytes()
-            << ",\"rss_peak_bytes\":" << memory_->rss_peak_bytes();
-      }
-      out << "}";
-    }
-    out << "}\n";
-    return static_cast<bool>(out);
+  double ms() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
   }
 
  private:
-  struct Row {
-    std::string name;
-    double value;
-    std::string unit;
-  };
-  std::string path_;
-  std::vector<std::pair<std::string, std::string>> config_;
-  std::vector<Row> rows_;
-  const obs::ProfileRegistry* profile_ = nullptr;
-  const obs::MemoryRegistry* memory_ = nullptr;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 };
 
-/// Derived footprint rows for a graph-only bench: the graph's resident
-/// bytes and bytes-per-edge. Capacity walks, so the rows obey the suite's
-/// bit-identical determinism contract (unlike RSS, which never becomes a
-/// result row). Gated by bench_compare's memory thresholds.
-inline void add_memory_rows(BenchJsonWriter& json, const std::string& prefix,
-                            const topo::AsGraph& graph) {
-  const double bytes = static_cast<double>(graph.memory_bytes());
-  json.add(prefix + ".graph_bytes", bytes, "bytes");
-  if (graph.edge_count() > 0) {
-    json.add(prefix + ".bytes_per_edge",
-             bytes / static_cast<double>(graph.edge_count()), "bytes/edge");
-  }
-}
-
-/// Derived footprint rows for a plan-based bench: graph rows plus the
-/// solved routing state's bytes and bytes-per-route (routes = reachable
-/// (node, tree) pairs across the plan's trees).
-inline void add_memory_rows(BenchJsonWriter& json, const std::string& prefix,
-                            const eval::ExperimentPlan& plan) {
-  add_memory_rows(json, prefix, plan.graph());
-  const double tree_bytes = static_cast<double>(plan.trees_memory_bytes());
-  json.add(prefix + ".trees_bytes", tree_bytes, "bytes");
-  if (plan.route_count() > 0) {
-    json.add(prefix + ".bytes_per_route",
-             tree_bytes / static_cast<double>(plan.route_count()),
-             "bytes/route");
-  }
-}
-
-/// Pulls `--json <path>` out of argv (compacting it) and returns the path,
-/// or "" when absent. For benches whose remaining flags are parsed by
-/// another layer (google-benchmark's Initialize rejects unknown flags).
-/// A trailing `--json` with no value is an error, not a silent no-op.
-inline std::string take_json_flag(int& argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for --json\n", argv[0]);
-        std::exit(2);
-      }
-      path = argv[++i];
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return path;
-}
-
-/// Strictly parses a `--threads` value (matching the MIRO_THREADS
-/// validation in par::thread_count) and exits with usage status 2 on a
-/// non-numeric or non-positive value, so a typo never silently falls back
-/// to the automatic thread count.
-inline std::size_t parse_threads_value(const char* prog, const char* value) {
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed <= 0) {
-    std::fprintf(stderr, "%s: --threads expects a positive integer, got '%s'\n",
-                 prog, value);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-/// Pulls `--threads <n>` out of argv (compacting it) and applies it via
-/// par::set_thread_count. Companion to take_json_flag for benches whose
-/// remaining flags are parsed by another layer.
-inline void take_threads_flag(int& argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for --threads\n", argv[0]);
-        std::exit(2);
-      }
-      par::set_thread_count(parse_threads_value(argv[0], argv[++i]));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-}
-
-struct BenchArgs {
-  std::vector<std::string> profiles{"gao2000", "gao2003", "gao2005",
-                                    "agarwal2004"};
-  double scale = 0.5;
-  std::string json_path;    // empty = no JSON output
-  eval::EvalConfig config;  // profile filled per run
-
-  static BenchArgs parse(int argc, char** argv) {
-    BenchArgs args;
-    args.config.destination_samples = 80;
-    args.config.sources_per_destination = 40;
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      auto value = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (flag == "--profile") {
-        args.profiles = {value()};
-      } else if (flag == "--scale") {
-        args.scale = std::atof(value());
-      } else if (flag == "--dests") {
-        args.config.destination_samples =
-            static_cast<std::size_t>(std::atoll(value()));
-      } else if (flag == "--sources") {
-        args.config.sources_per_destination =
-            static_cast<std::size_t>(std::atoll(value()));
-      } else if (flag == "--seed") {
-        args.config.seed = static_cast<std::uint64_t>(std::atoll(value()));
-      } else if (flag == "--threads") {
-        par::set_thread_count(parse_threads_value(argv[0], value()));
-      } else if (flag == "--json") {
-        args.json_path = value();
-      } else {
-        std::fprintf(stderr,
-                     "usage: %s [--profile NAME] [--scale X] [--dests N] "
-                     "[--sources N] [--seed N] [--threads N] [--json PATH]\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    }
-    return args;
-  }
-
-  eval::EvalConfig config_for(const std::string& profile) const {
-    eval::EvalConfig config = this->config;
-    config.profile = profile;
-    config.scale = scale;
-    return config;
-  }
-
-  /// A JSON writer (inert without --json) prefilled with the sim-config
-  /// these args describe.
-  BenchJsonWriter json_writer() const {
-    BenchJsonWriter writer(json_path);
-    std::string profile_list;
-    for (const std::string& profile : profiles) {
-      if (!profile_list.empty()) profile_list += ",";
-      profile_list += profile;
-    }
-    writer.set_config("profiles", profile_list);
-    writer.set_config("scale", scale);
-    writer.set_config("dests",
-                      static_cast<double>(config.destination_samples));
-    writer.set_config("sources",
-                      static_cast<double>(config.sources_per_destination));
-    writer.set_config("seed", static_cast<double>(config.seed));
-    return writer;
-  }
+/// What shared input a bench reads. run_suite builds each input once per
+/// profile, before any bench starts its clock, and only when a selected
+/// bench reads it.
+enum class Input {
+  None,            ///< builds its own workload
+  Graph,           ///< the profile's graph at the suite scale
+  HalfScaleGraph,  ///< the profile's graph at half the suite scale
+  Plan,            ///< the profile's ExperimentPlan, tuples sampled
+  Avoidance,       ///< the plan with avoid-AS reachability precomputed
 };
+
+/// One profile's shared inputs. Its graph at the suite scale is the plan's
+/// graph whenever a plan was built, so no graph is generated twice.
+struct ProfileInputs {
+  std::unique_ptr<eval::ExperimentPlan> plan;
+  std::unique_ptr<topo::AsGraph> graph;  ///< only when no plan was built
+  std::unique_ptr<topo::AsGraph> half_scale_graph;
+};
+using SharedInputs = std::map<std::string, ProfileInputs>;
+
+/// A bench's handle on the suite run: the flags, the shared inputs, and the
+/// result rows it reports, in order.
+class Run {
+ public:
+  Run(const SuiteArgs& args, const SharedInputs& inputs)
+      : args_(args), inputs_(inputs) {}
+
+  const SuiteArgs& args() const { return args_; }
+
+  /// The shared inputs. Each accessor also sets the bench's memory accounts
+  /// for what it reads, as building the input inside the bench would.
+  const eval::ExperimentPlan& plan(const std::string& profile) const {
+    const eval::ExperimentPlan& plan = built(inputs_.at(profile).plan);
+    if (obs::MemoryRegistry* mem = obs::memory()) {
+      mem->account("topology/graph").set_current(plan.graph().memory_bytes());
+      mem->account("eval/trees").set_current(plan.trees_memory_bytes());
+    }
+    return plan;
+  }
+  const topo::AsGraph& graph(const std::string& profile) const {
+    const ProfileInputs& inputs = inputs_.at(profile);
+    return accounted(inputs.plan != nullptr ? inputs.plan->graph()
+                                            : built(inputs.graph));
+  }
+  const topo::AsGraph& half_scale_graph(const std::string& profile) const {
+    return accounted(built(inputs_.at(profile).half_scale_graph));
+  }
+
+  void add(const std::string& name, double value, const std::string& unit) {
+    JsonValue row = JsonValue::make_object();
+    row.set("name", JsonValue::make_string(name));
+    row.set("value", JsonValue::make_number(value));
+    row.set("unit", JsonValue::make_string(unit));
+    results_.push_back(std::move(row));
+  }
+
+  /// Footprint rows for a graph: resident bytes and bytes per edge.
+  /// Capacity walks, so the rows obey the bit-identical determinism
+  /// contract (unlike RSS, which never becomes a result row).
+  void add_memory_rows(const std::string& prefix, const topo::AsGraph& graph) {
+    const double bytes = static_cast<double>(graph.memory_bytes());
+    add(prefix + ".graph_bytes", bytes, "bytes");
+    if (graph.edge_count() > 0) {
+      add(prefix + ".bytes_per_edge",
+          bytes / static_cast<double>(graph.edge_count()), "bytes/edge");
+    }
+  }
+
+  /// Graph rows plus the solved routing state's bytes and bytes per route
+  /// (routes = reachable (node, tree) pairs across the plan's trees).
+  void add_memory_rows(const std::string& prefix,
+                       const eval::ExperimentPlan& plan) {
+    add_memory_rows(prefix, plan.graph());
+    const double tree_bytes = static_cast<double>(plan.trees_memory_bytes());
+    add(prefix + ".trees_bytes", tree_bytes, "bytes");
+    if (plan.route_count() > 0) {
+      add(prefix + ".bytes_per_route",
+          tree_bytes / static_cast<double>(plan.route_count()), "bytes/route");
+    }
+  }
+
+  const JsonValue& results() const { return results_; }
+
+ private:
+  template <typename T>
+  static const T& built(const std::unique_ptr<T>& input) {
+    require(input != nullptr,
+            "run_suite: a bench read an input its table entry does not name");
+    return *input;
+  }
+  static const topo::AsGraph& accounted(const topo::AsGraph& graph) {
+    if (obs::MemoryRegistry* mem = obs::memory())
+      mem->account("topology/graph").set_current(graph.memory_bytes());
+    return graph;
+  }
+
+  const SuiteArgs& args_;
+  const SharedInputs& inputs_;
+  JsonValue results_ = JsonValue::make_array();
+};
+
+/// Adds a phase's registry sections to its object in the merged document:
+/// "profile" (span aggregates) and "memory" (accounts, plus the RSS when
+/// sampled — process-wide, so informational and never a result row).
+inline void add_registry_sections(JsonValue& object,
+                                  const obs::ProfileRegistry& profile,
+                                  const obs::MemoryRegistry& memory) {
+  auto number = [](double value) { return JsonValue::make_number(value); };
+  JsonValue spans = JsonValue::make_object();
+  for (const auto& [name, stats] : profile.by_name()) {
+    JsonValue span = JsonValue::make_object();
+    span.set("count", number(static_cast<double>(stats.count)));
+    span.set("total_ms", number(static_cast<double>(stats.total_ns) / 1e6));
+    span.set("self_ms", number(static_cast<double>(stats.self_ns) / 1e6));
+    span.set("max_ms", number(static_cast<double>(stats.max_ns) / 1e6));
+    spans.set(name, std::move(span));
+  }
+  JsonValue accounts = JsonValue::make_object();
+  for (const auto& [name, counters] : memory.accounts()) {
+    JsonValue account = JsonValue::make_object();
+    account.set("bytes", number(static_cast<double>(counters.current)));
+    account.set("peak_bytes", number(static_cast<double>(counters.peak)));
+    accounts.set(name, std::move(account));
+  }
+  JsonValue mem = JsonValue::make_object();
+  mem.set("accounts", std::move(accounts));
+  if (memory.rss_samples() > 0) {
+    mem.set("rss_bytes", number(static_cast<double>(memory.rss_bytes())));
+    mem.set("rss_peak_bytes",
+            number(static_cast<double>(memory.rss_peak_bytes())));
+  }
+  object.set("profile", std::move(spans));
+  object.set("memory", std::move(mem));
+}
+
+// The reproduction benches, one per source file (DESIGN.md §4 maps each to
+// the table or figure it regenerates). Each reads its inputs and reports
+// its rows through `run`; a bench that throws is reported as failed.
+void table_5_1_datasets(Run& run);
+void fig_5_1_degree_distribution(Run& run);
+void fig_5_2_5_3_path_diversity(Run& run);
+void table_5_2_avoid_success(Run& run);
+void table_5_3_negotiation_state(Run& run);
+void fig_5_4_5_5_incremental(Run& run);
+void fig_5_6_5_7_traffic_control(Run& run);
+void convergence_lab(Run& run);
+void ablation_te_mechanisms(Run& run);
+void ablation_negotiation_scope(Run& run);
+void inference_accuracy(Run& run);
+void overhead_messages(Run& run);
+void churn_convergence(Run& run);
+void verify_fixpoint(Run& run);
+void internet_scale(Run& run);
+
+// The suite runner (bench_suite.cpp). run_suite.cpp is its command line;
+// tests/bench_suite_test.cpp drives it in-process.
+
+/// One row of the bench table: the bench's name (its key in the merged
+/// document and the positional argument that selects it), its function,
+/// the shared input it reads, and whether --full runs it.
+struct BenchSpec {
+  const char* name;
+  void (*run)(Run&);
+  Input input;
+  bool full_tier;  ///< affordable at internet scale (--full runs it)
+};
+
+/// Every reproduction bench, in run order.
+const std::vector<BenchSpec>& bench_table();
+
+/// The benches to run, in table order: the named ones, else the tier. An
+/// unknown name, or --save without bench_internet_scale, is a usage error.
+std::vector<const BenchSpec*> select_benches(const SuiteArgs& args,
+                                             const char* argv0);
+
+/// Builds every input a selected bench reads, once per profile.
+SharedInputs build_inputs(const SuiteArgs& args,
+                          const std::vector<const BenchSpec*>& benches);
+
+/// What a suite run produced: the merged document, in the format
+/// BENCH_PR3.json is checked in as, and how many benches ran and threw.
+struct SuiteResult {
+  JsonValue document;
+  std::size_t ran = 0;
+  std::size_t failed = 0;
+};
+
+/// Builds the shared inputs (profiled into the document's "setup" section),
+/// then runs each bench in order with a fresh profiler and memory registry.
+/// A bench that throws is reported on stderr and left out of the document.
+/// Throws when the shared inputs cannot be built.
+SuiteResult run_suite(const SuiteArgs& args,
+                      const std::vector<const BenchSpec*>& benches);
 
 }  // namespace miro::bench

@@ -5,19 +5,18 @@
 // strict-only, B, C, D, and E; Figure 7.2 oscillates under strict-only (its
 // whole point) and converges under B, C, D, and E; random guideline-
 // conforming instances always converge.
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
-
 #include "common/table.hpp"
 #include "convergence/gadgets.hpp"
 #include "topology/generator.hpp"
 
+namespace miro::bench {
 namespace {
 
-using namespace miro;
 using conv::Guideline;
 
 const char* verdict(const conv::MiroConvergenceModel::RunResult& result) {
@@ -28,17 +27,8 @@ const char* verdict(const conv::MiroConvergenceModel::RunResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-  bench::take_threads_flag(argc, argv);  // accepted for suite uniformity
-  bench::BenchJsonWriter json(bench::take_json_flag(argc, argv));
-  obs::ProfileRegistry prof;
-  obs::set_profile(&prof);
-  obs::MemoryRegistry mem;
-  obs::set_memory(&mem);
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  const auto bench_start = std::chrono::steady_clock::now();
+void convergence_lab(Run& run) {
+  const Stopwatch clock;
   TextTable table({"gadget", "guideline", "outcome", "activations"});
   const Guideline guidelines[] = {Guideline::None, Guideline::StrictOnly,
                                   Guideline::B, Guideline::C, Guideline::D,
@@ -50,9 +40,9 @@ int main(int argc, char** argv) {
       const auto result = model.run_round_robin();
       table.add_row({"figure-7.1", conv::to_string(guideline),
                      verdict(result), std::to_string(result.activations)});
-      json.add(std::string("figure-7.1.") + conv::to_string(guideline) +
-                   ".converged",
-               result.converged ? 1 : 0, "bool");
+      run.add(std::string("figure-7.1.") + conv::to_string(guideline) +
+                  ".converged",
+              result.converged ? 1 : 0, "bool");
     }
     {
       const conv::MiroGadget gadget = conv::make_figure_7_2(guideline);
@@ -60,9 +50,9 @@ int main(int argc, char** argv) {
       const auto result = model.run_round_robin();
       table.add_row({"figure-7.2", conv::to_string(guideline),
                      verdict(result), std::to_string(result.activations)});
-      json.add(std::string("figure-7.2.") + conv::to_string(guideline) +
-                   ".converged",
-               result.converged ? 1 : 0, "bool");
+      run.add(std::string("figure-7.2.") + conv::to_string(guideline) +
+                  ".converged",
+              result.converged ? 1 : 0, "bool");
     }
   }
   std::cout << "Chapter 7 convergence lab — gadgets under each guideline\n";
@@ -138,19 +128,11 @@ int main(int argc, char** argv) {
     }
     std::printf("  guideline %-11s %zu/%zu converged\n",
                 conv::to_string(guideline), converged, trials);
-    json.add(std::string("random.") + conv::to_string(guideline) +
-                 ".converged",
-             static_cast<double>(converged), "count");
+    run.add(std::string("random.") + conv::to_string(guideline) +
+                ".converged",
+            static_cast<double>(converged), "count");
   }
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - bench_start);
-  json.add("convergence_lab.elapsed", static_cast<double>(elapsed.count()),
-           "ms");
-  obs::set_memory(nullptr);
-  obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
+  run.add("convergence_lab.elapsed", clock.ms(), "ms");
 }
+
+}  // namespace miro::bench

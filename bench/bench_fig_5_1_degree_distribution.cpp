@@ -3,41 +3,22 @@
 // Paper shape: a heavy-tailed distribution where "only 0.2% of the ASes has
 // more than 200 neighbors, and less than 1% has more than 40"; the
 // high-degree nodes are the tier-1 core.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "eval/dataset_report.hpp"
-#include "topology/generator.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    miro::eval::print_degree_distribution(profile, args.scale, std::cout);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
+namespace miro::bench {
+
+void fig_5_1_degree_distribution(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const topo::AsGraph& graph = run.graph(profile);
+    const Stopwatch clock;
+    eval::print_degree_distribution(profile, graph, std::cout);
+    run.add(profile + ".elapsed", clock.ms(), "ms");
     std::cout << "\n";
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
-    const miro::topo::AsGraph graph =
-        miro::topo::generate(miro::topo::profile(profile, args.scale));
-    miro::bench::add_memory_rows(json, profile, graph);
-  }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
+    run.add_memory_rows(profile, graph);
   }
 }
+
+}  // namespace miro::bench

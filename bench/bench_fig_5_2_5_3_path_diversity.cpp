@@ -6,47 +6,31 @@
 // pairs can find at least tens of alternate paths"; the respect-export and
 // most-flexible curves nearly coincide; the "path" scope grows much faster
 // than "1-hop".
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/table.hpp"
 #include "eval/path_diversity.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const miro::eval::ExperimentPlan plan(args.config_for(profile));
-    miro::bench::add_memory_rows(json, profile, plan);
-    const auto result = miro::eval::run_path_diversity(plan);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    miro::eval::print(result, std::cout);
-    std::cout << "(computed in " << elapsed.count() << " ms)\n\n";
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
-    for (const miro::eval::DiversityRow& row : result.rows) {
-      const std::string key = profile + "." +
-                              miro::core::to_string(row.scope) + "." +
-                              miro::core::to_string(row.policy);
-      json.add(key + ".fraction_zero", row.fraction_zero, "fraction");
-      json.add(key + ".p50", row.p50, "paths");
+namespace miro::bench {
+
+void fig_5_2_5_3_path_diversity(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    run.add_memory_rows(profile, plan);
+    const Stopwatch clock;
+    const auto result = eval::run_path_diversity(plan);
+    const double elapsed = clock.ms();
+    eval::print(result, std::cout);
+    std::cout << "(computed in " << TextTable::num(elapsed, 1) << " ms)\n\n";
+    run.add(profile + ".elapsed", elapsed, "ms");
+    for (const eval::DiversityRow& row : result.rows) {
+      const std::string key = profile + "." + core::to_string(row.scope) +
+                              "." + core::to_string(row.policy);
+      run.add(key + ".fraction_zero", row.fraction_zero, "fraction");
+      run.add(key + ".p50", row.p50, "paths");
     }
   }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

@@ -4,47 +4,31 @@
 // system already achieves ~40-50% of the full-deployment gain; the top 1%
 // yields ~50-75%; deploying at the low-degree edge first achieves almost
 // nothing until nearly everyone has converted.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "eval/avoid_as.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const miro::eval::ExperimentPlan plan(args.config_for(profile));
-    miro::bench::add_memory_rows(json, profile, plan);
-    const auto result = miro::eval::run_incremental_deployment(plan);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    miro::eval::print(result, std::cout);
+namespace miro::bench {
+
+void fig_5_4_5_5_incremental(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    run.add_memory_rows(profile, plan);
+    const Stopwatch clock;
+    const auto result = eval::run_incremental_deployment(plan);
+    const double elapsed = clock.ms();
+    eval::print(result, std::cout);
     std::cout << "\n";
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
+    run.add(profile + ".elapsed", elapsed, "ms");
     if (!result.points.empty()) {
       const auto& half = result.points[result.points.size() / 2];
-      json.add(profile + ".mid_gain.flexible", half.relative_gain[2],
-               "fraction");
-      json.add(profile + ".mid_gain.low_degree_first",
-               half.low_degree_first_gain, "fraction");
+      run.add(profile + ".mid_gain.flexible", half.relative_gain[2],
+              "fraction");
+      run.add(profile + ".mid_gain.low_degree_first",
+              half.low_degree_first_gain, "fraction");
     }
   }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

@@ -7,52 +7,35 @@
 // independent_selection lower bound still moves >= 10% for ~64% (strict) to
 // ~77% (flexible) of stubs. Over 90% of power nodes are top-degree ASes,
 // only ~9% are immediate neighbors of the stub, ~68% sit two hops away.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/table.hpp"
 #include "eval/traffic_control.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const miro::eval::ExperimentPlan plan(args.config_for(profile));
-    miro::bench::add_memory_rows(json, profile, plan);
-    miro::eval::TrafficControlConfig config;
+namespace miro::bench {
+
+void fig_5_6_5_7_traffic_control(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    run.add_memory_rows(profile, plan);
+    eval::TrafficControlConfig config;
     config.stub_samples = 120;
-    const auto result = miro::eval::run_traffic_control(plan, config);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    miro::eval::print(result, std::cout);
-    std::cout << "(computed in " << elapsed.count() << " ms)\n\n";
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
-    json.add(profile + ".stubs_evaluated",
-             static_cast<double>(result.stubs_evaluated), "count");
+    const Stopwatch clock;
+    const auto result = eval::run_traffic_control(plan, config);
+    const double elapsed = clock.ms();
+    eval::print(result, std::cout);
+    std::cout << "(computed in " << TextTable::num(elapsed, 1) << " ms)\n\n";
+    run.add(profile + ".elapsed", elapsed, "ms");
+    run.add(profile + ".stubs_evaluated",
+            static_cast<double>(result.stubs_evaluated), "count");
     for (const auto& series : result.series) {
-      const std::string key = profile + "." +
-                              miro::core::to_string(series.policy) +
-                              (series.convert_all ? ".convert_all"
-                                                  : ".independent");
-      json.add(key + ".median_best_move", series.median_best_move,
-               "fraction");
+      const std::string key =
+          profile + "." + core::to_string(series.policy) +
+          (series.convert_all ? ".convert_all" : ".independent");
+      run.add(key + ".median_best_move", series.median_best_move, "fraction");
     }
   }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

@@ -7,8 +7,6 @@
 // truth is known, so the claim is directly measurable: generate a profile,
 // compute the stable BGP paths seen from a set of vantage points (what
 // RouteViews collects), run both inference algorithms, and score them.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -16,25 +14,15 @@
 #include "common/table.hpp"
 #include "topology/inference.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  using namespace miro;
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  obs::ProfileRegistry prof;
-  obs::set_profile(&prof);
-  obs::MemoryRegistry mem;
-  obs::set_memory(&mem);
-  bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
+namespace miro::bench {
 
+void inference_accuracy(Run& run) {
   TextTable table({"profile", "vantages", "paths", "algorithm",
                    "edges seen", "accuracy", "missing", "spurious"});
-  for (const std::string& profile_name : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const topo::AsGraph truth =
-        topo::generate(topo::profile(profile_name, args.scale));
-    bench::add_memory_rows(json, profile_name, truth);
+  for (const std::string& profile_name : run.args().profiles()) {
+    const topo::AsGraph& truth = run.graph(profile_name);
+    run.add_memory_rows(profile_name, truth);
+    const Stopwatch clock;
     bgp::StableRouteSolver solver(truth);
 
     // RouteViews-style observation: full tables from a few dozen vantages.
@@ -53,29 +41,27 @@ int main(int argc, char** argv) {
       }
     }
 
-    struct Run {
+    struct Inference {
       const char* name;
       topo::AsGraph inferred;
     };
-    Run runs[] = {{"gao", topo::infer_gao(paths)},
-                  {"rank", topo::infer_rank(paths)}};
-    for (const Run& run : runs) {
-      const auto accuracy = topo::compare_inference(truth, run.inferred);
+    const Inference inferences[] = {{"gao", topo::infer_gao(paths)},
+                                    {"rank", topo::infer_rank(paths)}};
+    for (const Inference& inference : inferences) {
+      const auto accuracy =
+          topo::compare_inference(truth, inference.inferred);
       table.add_row(
           {profile_name, std::to_string(vantage_count),
-           std::to_string(paths.size()), run.name,
+           std::to_string(paths.size()), inference.name,
            std::to_string(accuracy.classified_correct +
                           accuracy.classified_wrong),
            TextTable::percent(accuracy.accuracy()),
            std::to_string(accuracy.edges_missing),
            std::to_string(accuracy.edges_spurious)});
-      json.add(profile_name + "." + run.name + ".accuracy",
-               accuracy.accuracy(), "fraction");
+      run.add(profile_name + "." + inference.name + ".accuracy",
+              accuracy.accuracy(), "fraction");
     }
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    json.add(profile_name + ".elapsed",
-             static_cast<double>(elapsed.count()), "ms");
+    run.add(profile_name + ".elapsed", clock.ms(), "ms");
   }
   std::cout << "Relationship-inference accuracy against planted ground "
                "truth (Section 5.1 methodology)\n";
@@ -83,11 +69,6 @@ int main(int argc, char** argv) {
   std::cout << "(expected: Gao classifies most observed edges correctly and "
                "beats the rank algorithm, matching Mao et al.'s finding the "
                "dissertation cites)\n";
-  obs::set_memory(nullptr);
-  obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

@@ -13,13 +13,11 @@
 // threshold. Solves are intentionally serial so the per-destination number
 // is a clean single-core cost, not a parallel-speedup artifact.
 //
-// Extra flag (pulled out before the shared parser):
-//   --save <path>   also write the generated graph in CAIDA pipe format,
-//                   for downstream consumers (the CI smoke job feeds it to
-//                   miro_lint --topology).
+// With the suite's --save PATH it also writes the generated graph in CAIDA
+// pipe format, for downstream consumers (the CI smoke job feeds it to
+// miro_lint --topology). Unlike the other benches it reads no shared input:
+// the generation and the serial solves are what it measures.
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,137 +27,86 @@
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "topology/generator.hpp"
 #include "topology/serialization.hpp"
 
-namespace {
+namespace miro::bench {
 
-/// Pulls `--save <path>` out of argv (compacting it), mirroring
-/// take_json_flag; BenchArgs::parse rejects flags it does not know.
-std::string take_save_flag(int& argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--save") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for --save\n", argv[0]);
-        std::exit(2);
-      }
-      path = argv[++i];
-    } else {
-      argv[out++] = argv[i];
+void internet_scale(Run& run) {
+  const SuiteArgs& args = run.args();
+  std::cout << "Internet-scale topology: generation and solve cost\n";
+  TextTable table({"profile", "nodes", "edges", "gen ms", "solve ms/dest",
+                   "B/edge", "B/route"});
+
+  for (const std::string& name : args.profiles()) {
+    const topo::GeneratorParams params = topo::profile(name, args.scale);
+
+    const Stopwatch gen_clock;
+    const topo::AsGraph graph = topo::generate(params);
+    const double generate_ms = gen_clock.ms();
+
+    const std::size_t n = graph.node_count();
+    run.add(name + ".nodes", static_cast<double>(n), "count");
+    run.add(name + ".edges", static_cast<double>(graph.edge_count()), "count");
+    run.add(name + ".generate_ms", generate_ms, "ms");
+    run.add_memory_rows(name, graph);
+
+    // Destination sample drawn exactly like ExperimentPlan's, solved
+    // serially into one arena (the RouteStore layout).
+    Rng rng(args.seed);
+    const std::size_t samples = std::min(args.dests, n);
+    std::vector<topo::NodeId> destinations;
+    for (std::size_t index : rng.sample_indices(n, samples))
+      destinations.push_back(static_cast<topo::NodeId>(index));
+    std::sort(destinations.begin(), destinations.end());
+
+    const bgp::StableRouteSolver solver(graph);
+    Arena arena(n * bgp::RoutingTree::bytes_per_node());
+    std::vector<bgp::RoutingTree> trees;
+    trees.reserve(destinations.size());
+    const Stopwatch solve_clock;
+    for (topo::NodeId destination : destinations)
+      trees.push_back(solver.solve(destination, &arena));
+    const double solve_ms = solve_clock.ms();
+    const double solve_ms_per_dest =
+        destinations.empty()
+            ? 0.0
+            : solve_ms / static_cast<double>(destinations.size());
+    run.add(name + ".solve_ms_per_dest", solve_ms_per_dest, "ms");
+
+    std::uint64_t routes = 0;
+    std::uint64_t tree_bytes = 0;
+    for (const bgp::RoutingTree& tree : trees) {
+      routes += tree.reachable_count();
+      tree_bytes += tree.memory_bytes();
     }
-  }
-  argc = out;
-  return path;
-}
+    run.add(name + ".routes", static_cast<double>(routes), "count");
+    run.add(name + ".trees_bytes", static_cast<double>(tree_bytes), "bytes");
+    if (routes > 0) {
+      run.add(name + ".bytes_per_route",
+              static_cast<double>(tree_bytes) / static_cast<double>(routes),
+              "bytes/route");
+    }
+    if (obs::MemoryRegistry* mem = obs::memory()) {
+      mem->account("eval/trees").set_current(tree_bytes);
+      mem->sample_rss();
+    }
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    const std::string save_path = take_save_flag(argc, argv);
-    const auto args = miro::bench::BenchArgs::parse(argc, argv);
-    miro::obs::ProfileRegistry prof;
-    miro::obs::set_profile(&prof);
-    miro::obs::MemoryRegistry mem;
-    miro::obs::set_memory(&mem);
-    miro::bench::BenchJsonWriter json = args.json_writer();
-    json.set_profile(&prof);
-    json.set_memory(&mem);
-
-    std::cout << "Internet-scale topology: generation and solve cost\n";
-    miro::TextTable table({"profile", "nodes", "edges", "gen ms",
-                           "solve ms/dest", "B/edge", "B/route"});
-
-    for (const std::string& name : args.profiles) {
-      const miro::topo::GeneratorParams params =
-          miro::topo::profile(name, args.scale);
-
-      const auto gen_start = std::chrono::steady_clock::now();
-      const miro::topo::AsGraph graph = miro::topo::generate(params);
-      const double generate_ms = ms_since(gen_start);
-
-      const std::size_t n = graph.node_count();
-      json.add(name + ".nodes", static_cast<double>(n), "count");
-      json.add(name + ".edges", static_cast<double>(graph.edge_count()),
-               "count");
-      json.add(name + ".generate_ms", generate_ms, "ms");
-      miro::bench::add_memory_rows(json, name, graph);
-
-      // Destination sample drawn exactly like ExperimentPlan's, solved
-      // serially into one arena (the RouteStore layout).
-      miro::Rng rng(args.config.seed);
-      const std::size_t samples =
-          std::min(args.config.destination_samples, n);
-      std::vector<miro::topo::NodeId> destinations;
-      for (std::size_t index : rng.sample_indices(n, samples))
-        destinations.push_back(static_cast<miro::topo::NodeId>(index));
-      std::sort(destinations.begin(), destinations.end());
-
-      const miro::bgp::StableRouteSolver solver(graph);
-      miro::Arena arena(n * miro::bgp::RoutingTree::bytes_per_node());
-      std::vector<miro::bgp::RoutingTree> trees;
-      trees.reserve(destinations.size());
-      const auto solve_start = std::chrono::steady_clock::now();
-      for (miro::topo::NodeId destination : destinations)
-        trees.push_back(solver.solve(destination, &arena));
-      const double solve_ms = ms_since(solve_start);
-      const double solve_ms_per_dest =
-          destinations.empty() ? 0.0
-                               : solve_ms /
-                                     static_cast<double>(destinations.size());
-      json.add(name + ".solve_ms_per_dest", solve_ms_per_dest, "ms");
-
-      std::uint64_t routes = 0;
-      std::uint64_t tree_bytes = 0;
-      for (const miro::bgp::RoutingTree& tree : trees) {
-        routes += tree.reachable_count();
-        tree_bytes += tree.memory_bytes();
-      }
-      json.add(name + ".routes", static_cast<double>(routes), "count");
-      json.add(name + ".trees_bytes", static_cast<double>(tree_bytes),
-               "bytes");
-      if (routes > 0) {
-        json.add(name + ".bytes_per_route",
-                 static_cast<double>(tree_bytes) /
-                     static_cast<double>(routes),
-                 "bytes/route");
-      }
-      mem.account("eval/trees").set_current(tree_bytes);
-      mem.sample_rss();
-
-      table.add_row(
-          {name, std::to_string(n), std::to_string(graph.edge_count()),
-           miro::TextTable::num(generate_ms, 1),
-           miro::TextTable::num(solve_ms_per_dest, 2),
-           miro::TextTable::num(
-               static_cast<double>(graph.memory_bytes()) /
-               static_cast<double>(graph.edge_count())),
-           miro::TextTable::num(routes == 0
-                                    ? 0.0
+    table.add_row(
+        {name, std::to_string(n), std::to_string(graph.edge_count()),
+         TextTable::num(generate_ms, 1), TextTable::num(solve_ms_per_dest, 2),
+         TextTable::num(static_cast<double>(graph.memory_bytes()) /
+                        static_cast<double>(graph.edge_count())),
+         TextTable::num(routes == 0 ? 0.0
                                     : static_cast<double>(tree_bytes) /
                                           static_cast<double>(routes))});
 
-      if (!save_path.empty()) {
-        miro::topo::save_file(graph, save_path);
-        std::cout << "saved " << name << " topology to " << save_path
-                  << "\n";
-      }
+    if (!args.save.empty()) {
+      topo::save_file(graph, args.save);
+      std::cout << "saved " << name << " topology to " << args.save << "\n";
     }
-
-    table.print(std::cout);
-    miro::obs::set_memory(nullptr);
-    miro::obs::set_profile(nullptr);
-    return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
   }
+
+  table.print(std::cout);
 }
+
+}  // namespace miro::bench

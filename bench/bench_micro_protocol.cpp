@@ -4,15 +4,13 @@
 // plus the design-choice ablation DESIGN.md calls out for the three
 // Section 4.2 tunnel addressing schemes.
 //
-// In addition to google-benchmark's own flags, `--json <path>` writes every
-// per-iteration result as {name, value, unit} in the shared bench JSON
-// schema (see bench_common.hpp) for regression tracking.
+// Takes google-benchmark's own flags; for machine-readable results use
+//   bench_micro_protocol --benchmark_out=PATH --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "common/rng.hpp"
 #include "core/alternates.hpp"
 #include "core/protocol.hpp"
 #include "core/route_store.hpp"
@@ -171,37 +169,6 @@ void BM_AsPathRegexMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AsPathRegexMatch);
 
-/// Console reporter that additionally captures each measured run into the
-/// bench JSON writer (aggregates and errored runs excluded).
-class CapturingReporter : public benchmark::ConsoleReporter {
- public:
-  explicit CapturingReporter(bench::BenchJsonWriter& json) : json_(json) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      json_.add(run.benchmark_name(), run.GetAdjustedRealTime(),
-                benchmark::GetTimeUnitString(run.time_unit));
-    }
-  }
-
- private:
-  bench::BenchJsonWriter& json_;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  using miro::bench::BenchJsonWriter;
-  miro::bench::take_threads_flag(argc, argv);
-  BenchJsonWriter json(miro::bench::take_json_flag(argc, argv));
-  json.set_config("suite", "bench_micro_protocol");
-  json.set_config("topology", "gao2005 scale 0.25");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  CapturingReporter reporter(json);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  return json.write() ? 0 : 2;
-}
+BENCHMARK_MAIN();

@@ -7,36 +7,23 @@
 //   - what MIRO adds: four control messages per negotiation plus periodic
 //     keep-alives per active tunnel — independent of topology size, paid
 //     only by the two negotiating ASes.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "bgp/session_bgp.hpp"
 #include "common/table.hpp"
 #include "core/protocol.hpp"
-#include "topology/generator.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  using namespace miro;
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  bench::BenchJsonWriter json = args.json_writer();
-  obs::ProfileRegistry prof;
-  obs::set_profile(&prof);
-  obs::MemoryRegistry mem;
-  obs::set_memory(&mem);
-  json.set_profile(&prof);
-  json.set_memory(&mem);
+namespace miro::bench {
 
+void overhead_messages(Run& run) {
   TextTable table({"profile", "ASes", "links", "BGP msgs to converge",
                    "msgs per link failure", "MIRO msgs per negotiation",
                    "keepalives/tunnel/100t"});
-  for (const std::string& profile_name : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const topo::AsGraph graph =
-        topo::generate(topo::profile(profile_name, args.scale * 0.5));
-    bench::add_memory_rows(json, profile_name, graph);
+  for (const std::string& profile_name : run.args().profiles()) {
+    const topo::AsGraph& graph = run.half_scale_graph(profile_name);
+    run.add_memory_rows(profile_name, graph);
+    const Stopwatch clock;
 
     // BGP: converge one prefix, then fail one transit link.
     sim::Scheduler scheduler;
@@ -95,16 +82,13 @@ int main(int argc, char** argv) {
                    std::to_string(converge_msgs),
                    std::to_string(failure_msgs),
                    std::to_string(negotiation_msgs), "1"});
-    json.add(profile_name + ".bgp_converge",
-             static_cast<double>(converge_msgs), "messages");
-    json.add(profile_name + ".bgp_link_failure",
-             static_cast<double>(failure_msgs), "messages");
-    json.add(profile_name + ".miro_negotiation",
-             static_cast<double>(negotiation_msgs), "messages");
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    json.add(profile_name + ".elapsed",
-             static_cast<double>(elapsed.count()), "ms");
+    run.add(profile_name + ".bgp_converge",
+            static_cast<double>(converge_msgs), "messages");
+    run.add(profile_name + ".bgp_link_failure",
+            static_cast<double>(failure_msgs), "messages");
+    run.add(profile_name + ".miro_negotiation",
+            static_cast<double>(negotiation_msgs), "messages");
+    run.add(profile_name + ".elapsed", clock.ms(), "ms");
   }
   std::cout << "Control-plane message overhead: BGP baseline vs MIRO "
                "additions\n";
@@ -113,11 +97,6 @@ int main(int argc, char** argv) {
                "network; a MIRO negotiation costs a constant four messages "
                "between exactly two ASes, plus soft-state keep-alives on "
                "established tunnels)\n";
-  obs::set_memory(nullptr);
-  obs::set_profile(nullptr);
-  return json.write() ? 0 : 2;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

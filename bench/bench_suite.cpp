@@ -1,248 +1,213 @@
-// Unified bench driver: runs every reproduction bench with --json, merges
-// the per-bench snapshots (result rows + wall-clock profiler summaries)
-// into one top-level document — the format the perf-regression gate
-// (bench_compare, obs/regression.hpp) consumes and the BENCH_PR3.json
-// baseline is checked in as:
-//   {"suite":"miro-bench","schema":1,"config":{...},"benches":{...}}
-//
-//   ./run_suite [--out PATH] [--bin-dir DIR] [--scale X] [--dests N]
-//               [--sources N] [--seed N] [--threads N] [--profile NAME]
-//               [--skip NAME]... [--quick | --full]
-//
-// --quick shrinks every knob for CI (one profile, small samples) so the
-// gate measures relative shape, not absolute scale. --full is the other
-// end: the internet2006 profile at scale 1.0 (~70k ASes, ~142k edges) with
-// a small destination sample, restricted to the benches whose cost scales
-// with graph size rather than with (samples x solves per sample); its
-// snapshot defaults to BENCH_FULL.json so the two tiers' baselines live
-// side by side. Bench stdout goes to the console (it is the human-readable
-// reproduction); only the JSON snapshots are merged. --threads forwards to
-// every bench (default: the benches resolve MIRO_THREADS / hardware
-// concurrency themselves); it is excluded from the merged config section
-// because result rows are bit-identical at any thread count and snapshots
-// must stay comparable across thread counts.
-#include <chrono>
+// The suite runner behind `run_suite` (run_suite.cpp). It builds the
+// inputs the selected benches share — one ExperimentPlan per profile, one
+// graph per (profile, scale) for the graph-only benches — and then runs
+// each bench in-process with its own profiler and memory registries,
+// merging their rows into one document: the format the perf-regression gate
+// (bench_compare, obs/regression.hpp) consumes and BENCH_PR3.json /
+// BENCH_FULL.json are checked in as:
+//   {"suite":"miro-bench","schema":1,"config":{...},"setup":{...},
+//    "benches":{"<bench>":{"config":{...},"results":[...],
+//                          "profile":{...},"memory":{...}}}}
+// "setup" holds the span summary of the shared-input build, which runs
+// before any bench starts its clock. Bench tables go to stdout (they are
+// the human-readable reproduction).
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/json.hpp"
+#include "bench_common.hpp"
 
+namespace miro::bench {
 namespace {
 
-struct BenchSpec {
-  const char* name;
-  bool takes_eval_flags;  ///< accepts --profile/--scale/--dests/--sources
-  bool full_tier;         ///< affordable at internet scale (--full runs it)
+// Every reproduction bench. The full-tier mark admits a bench to --full:
+// those whose cost is dominated by the sampled work (per-destination
+// solves, per-tuple negotiations) stay affordable at 70k nodes, while the
+// ones that sweep every node or replay message-level churn do not.
+const std::vector<BenchSpec> kBenches = {
+    {"bench_table_5_1_datasets", table_5_1_datasets, Input::Graph, true},
+    {"bench_fig_5_1_degree_distribution", fig_5_1_degree_distribution,
+     Input::Graph, true},
+    {"bench_fig_5_2_5_3_path_diversity", fig_5_2_5_3_path_diversity,
+     Input::Plan, true},
+    {"bench_table_5_2_avoid_success", table_5_2_avoid_success,
+     Input::Avoidance, true},
+    {"bench_table_5_3_negotiation_state", table_5_3_negotiation_state,
+     Input::Avoidance, true},
+    {"bench_fig_5_4_5_5_incremental", fig_5_4_5_5_incremental, Input::Plan,
+     true},
+    {"bench_fig_5_6_5_7_traffic_control", fig_5_6_5_7_traffic_control,
+     Input::Plan, false},
+    {"bench_convergence_lab", convergence_lab, Input::None, false},
+    {"bench_ablation_te_mechanisms", ablation_te_mechanisms, Input::Plan,
+     false},
+    {"bench_ablation_negotiation_scope", ablation_negotiation_scope,
+     Input::Plan, false},
+    {"bench_inference_accuracy", inference_accuracy, Input::Graph, false},
+    {"bench_overhead_messages", overhead_messages, Input::HalfScaleGraph,
+     false},
+    {"bench_churn_convergence", churn_convergence, Input::HalfScaleGraph,
+     false},
+    {"bench_verify_fixpoint", verify_fixpoint, Input::Plan, true},
+    {"bench_internet_scale", internet_scale, Input::None, true},
 };
 
-// Every reproduction bench. bench_micro_protocol is google-benchmark based
-// and slow by design; it participates with its own flag set. The full-tier
-// mark admits a bench to --full: those whose cost is dominated by the
-// sampled work (per-destination solves, per-tuple negotiations) stay
-// affordable at 70k nodes, while the ones that sweep every node or replay
-// message-level churn do not.
-const BenchSpec kBenches[] = {
-    {"bench_table_5_1_datasets", true, true},
-    {"bench_fig_5_1_degree_distribution", true, true},
-    {"bench_fig_5_2_5_3_path_diversity", true, true},
-    {"bench_table_5_2_avoid_success", true, true},
-    {"bench_table_5_3_negotiation_state", true, true},
-    {"bench_fig_5_4_5_5_incremental", true, true},
-    {"bench_fig_5_6_5_7_traffic_control", true, false},
-    {"bench_convergence_lab", false, false},
-    {"bench_ablation_te_mechanisms", true, false},
-    {"bench_ablation_negotiation_scope", true, false},
-    {"bench_inference_accuracy", true, false},
-    {"bench_overhead_messages", true, false},
-    {"bench_churn_convergence", true, false},
-    {"bench_verify_fixpoint", true, true},
-    {"bench_internet_scale", true, true},
-};
-
-struct SuiteArgs {
-  std::string out = "BENCH_PR3.json";
-  std::string bin_dir;
-  std::string profile;  // empty = every paper profile
-  double scale = 0.25;
-  std::size_t dests = 20;
-  std::size_t sources = 10;
-  std::uint64_t seed = 42;
-  long threads = 0;  // 0 = let each bench resolve MIRO_THREADS / hardware
-  bool full = false;  // --full: internet scale, full-tier benches only
-  std::set<std::string> skip;
-};
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--out PATH] [--bin-dir DIR] [--scale X] "
-               "[--dests N] [--sources N] [--seed N] [--threads N] "
-               "[--profile NAME] [--skip NAME]... [--quick | --full]\n",
-               argv0);
-  std::exit(2);
+/// The sim config every bench ran under; values are JSON number tokens
+/// stored as strings, as the checked-in baselines have them.
+JsonValue bench_config(const SuiteArgs& args) {
+  std::string profiles;
+  for (const std::string& profile : args.profiles())
+    profiles += (profiles.empty() ? "" : ",") + profile;
+  auto text = [](double value) {
+    return JsonValue::make_string(json_number(value));
+  };
+  JsonValue config = JsonValue::make_object();
+  config.set("profiles", JsonValue::make_string(profiles));
+  config.set("scale", text(args.scale));
+  config.set("dests", text(static_cast<double>(args.dests)));
+  config.set("sources", text(static_cast<double>(args.sources)));
+  config.set("seed", text(static_cast<double>(args.seed)));
+  return config;
 }
 
-SuiteArgs parse(int argc, char** argv) {
-  SuiteArgs args;
-  bool out_explicit = false;
-  // Default bin dir: wherever this driver lives (all benches are siblings).
-  const std::string self = argv[0];
-  const std::size_t slash = self.find_last_of('/');
-  args.bin_dir = slash == std::string::npos ? "." : self.substr(0, slash);
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      args.out = value();
-      out_explicit = true;
-    }
-    else if (flag == "--bin-dir") args.bin_dir = value();
-    else if (flag == "--scale") args.scale = std::atof(value());
-    else if (flag == "--dests")
-      args.dests = static_cast<std::size_t>(std::atoll(value()));
-    else if (flag == "--sources")
-      args.sources = static_cast<std::size_t>(std::atoll(value()));
-    else if (flag == "--seed")
-      args.seed = static_cast<std::uint64_t>(std::atoll(value()));
-    else if (flag == "--threads") {
-      const char* text = value();
-      char* end = nullptr;
-      args.threads = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || args.threads <= 0) {
-        std::fprintf(stderr,
-                     "%s: --threads expects a positive integer, got '%s'\n",
-                     argv[0], text);
-        std::exit(2);
-      }
-    }
-    else if (flag == "--profile") args.profile = value();
-    else if (flag == "--skip") args.skip.insert(value());
-    else if (flag == "--quick") {
-      args.profile = "gao2005";
-      args.scale = 0.15;
-      args.dests = 10;
-      args.sources = 8;
-    } else if (flag == "--full") {
-      // Measured-Internet scale: ~70k ASes. Sample counts stay small — the
-      // tier exists to exercise graph-size scaling, not sample breadth.
-      args.profile = "internet2006";
-      args.scale = 1.0;
-      args.dests = 6;
-      args.sources = 4;
-      args.full = true;
-    } else {
-      usage(argv[0]);
-    }
+JsonValue suite_config(const SuiteArgs& args) {
+  auto number = [](double value) { return JsonValue::make_number(value); };
+  JsonValue config = JsonValue::make_object();
+  config.set("scale", number(args.scale));
+  config.set("dests", number(static_cast<double>(args.dests)));
+  config.set("sources", number(static_cast<double>(args.sources)));
+  config.set("seed", number(static_cast<double>(args.seed)));
+  config.set("profile", JsonValue::make_string(
+                            args.profile.empty() ? "all" : args.profile));
+  return config;
+}
+
+/// Attaches a fresh profiler and memory registry for one phase (the setup
+/// or one bench) and detaches them on scope exit.
+struct PhaseRegistries {
+  obs::ProfileRegistry profile;
+  obs::MemoryRegistry memory;
+  PhaseRegistries() {
+    obs::set_profile(&profile);
+    obs::set_memory(&memory);
   }
-  // The two tiers keep separate checked-in baselines; --out still wins.
-  if (args.full && !out_explicit) args.out = "BENCH_FULL.json";
-  return args;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+  ~PhaseRegistries() {
+    obs::set_memory(nullptr);
+    obs::set_profile(nullptr);
+  }
+  PhaseRegistries(const PhaseRegistries&) = delete;
+  PhaseRegistries& operator=(const PhaseRegistries&) = delete;
+};
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const SuiteArgs args = parse(argc, argv);
+const std::vector<BenchSpec>& bench_table() { return kBenches; }
 
-  const auto suite_start = std::chrono::steady_clock::now();
-  miro::JsonValue benches = miro::JsonValue::make_object();
-  std::size_t failures = 0;
+std::vector<const BenchSpec*> select_benches(const SuiteArgs& args,
+                                             const char* argv0) {
+  auto named = [&](const std::string& name) {
+    return std::find(args.benches.begin(), args.benches.end(), name) !=
+           args.benches.end();
+  };
+  std::vector<const BenchSpec*> selected;
   for (const BenchSpec& spec : kBenches) {
-    if (args.full && !spec.full_tier) continue;
-    if (args.skip.count(spec.name) != 0) {
-      std::printf("== %s (skipped)\n", spec.name);
-      continue;
-    }
-    const std::string snapshot_path =
-        args.out + "." + spec.name + ".part.json";
-    std::string command = args.bin_dir + "/" + spec.name;
-    if (spec.takes_eval_flags) {
-      command += " --scale " + std::to_string(args.scale);
-      command += " --dests " + std::to_string(args.dests);
-      command += " --sources " + std::to_string(args.sources);
-      command += " --seed " + std::to_string(args.seed);
-      if (!args.profile.empty()) command += " --profile " + args.profile;
-    }
-    if (args.threads > 0)
-      command += " --threads " + std::to_string(args.threads);
-    command += " --json " + snapshot_path;
-    std::printf("== %s\n", spec.name);
-    std::fflush(stdout);
-    const auto bench_start = std::chrono::steady_clock::now();
-    const int status = std::system(command.c_str());
-    const double bench_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      bench_start)
-            .count();
-    std::printf("== %s: %.1f s%s\n", spec.name, bench_seconds,
-                status != 0 ? " (FAILED)" : "");
-    std::fflush(stdout);
-    const std::string text = read_file(snapshot_path);
-    std::remove(snapshot_path.c_str());
-    if (status != 0 || text.empty()) {
-      std::fprintf(stderr, "run_suite: %s failed (exit %d)\n", spec.name,
-                   status);
-      ++failures;
-      continue;
-    }
-    try {
-      benches.set(spec.name, miro::JsonValue::parse(text));
-    } catch (const miro::Error& error) {
-      std::fprintf(stderr, "run_suite: %s wrote invalid JSON: %s\n",
-                   spec.name, error.what());
-      ++failures;
-    }
+    if (args.benches.empty() ? !args.full || spec.full_tier : named(spec.name))
+      selected.push_back(&spec);
   }
-
-  miro::JsonValue config = miro::JsonValue::make_object();
-  config.set("scale", miro::JsonValue::make_number(args.scale));
-  config.set("dests",
-             miro::JsonValue::make_number(static_cast<double>(args.dests)));
-  config.set("sources",
-             miro::JsonValue::make_number(static_cast<double>(args.sources)));
-  config.set("seed",
-             miro::JsonValue::make_number(static_cast<double>(args.seed)));
-  config.set("profile", miro::JsonValue::make_string(
-                            args.profile.empty() ? "all" : args.profile));
-
-  miro::JsonValue doc = miro::JsonValue::make_object();
-  doc.set("suite", miro::JsonValue::make_string("miro-bench"));
-  doc.set("schema", miro::JsonValue::make_number(1));
-  doc.set("config", std::move(config));
-  doc.set("benches", std::move(benches));
-
-  std::ofstream out(args.out);
-  if (!out) {
-    std::fprintf(stderr, "run_suite: cannot write %s\n", args.out.c_str());
-    return 2;
+  auto chosen = [&](const std::string& name) {
+    return std::any_of(selected.begin(), selected.end(),
+                       [&](const BenchSpec* spec) { return name == spec->name; });
+  };
+  for (const std::string& name : args.benches) {
+    if (!chosen(name)) usage_error(argv0, "unknown bench " + name);
   }
-  out << doc.dump() << "\n";
-  const double suite_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    suite_start)
-          .count();
-  std::printf("\nrun_suite: merged %zu bench snapshot(s) into %s (%zu "
-              "failed, %.1f s total)\n",
-              doc.at("benches").size(), args.out.c_str(), failures,
-              suite_seconds);
-  return failures == 0 ? 0 : 1;
+  if (!args.save.empty() && !chosen("bench_internet_scale"))
+    usage_error(argv0, "--save needs bench_internet_scale");
+  return selected;
 }
+
+/// Beyond the plan itself, the tuple sample and (for the avoid-AS tables)
+/// the reachability sets are memoized here, so no bench's clock pays for
+/// work a sibling bench also reads, whatever the run order.
+SharedInputs build_inputs(const SuiteArgs& args,
+                          const std::vector<const BenchSpec*>& benches) {
+  auto reads = [&](Input input) {
+    return std::any_of(
+        benches.begin(), benches.end(),
+        [&](const BenchSpec* spec) { return spec->input == input; });
+  };
+  const bool plan = reads(Input::Plan) || reads(Input::Avoidance);
+  SharedInputs inputs;
+  for (const std::string& profile : args.profiles()) {
+    ProfileInputs& in = inputs[profile];
+    if (plan) {
+      in.plan = std::make_unique<eval::ExperimentPlan>(
+          args.config_for(profile));
+      const auto& tuples = in.plan->sample_tuples(args.sources);
+      if (reads(Input::Avoidance)) in.plan->precompute_avoidance(tuples);
+    } else if (reads(Input::Graph)) {
+      in.graph = std::make_unique<topo::AsGraph>(
+          topo::generate(topo::profile(profile, args.scale)));
+    }
+    if (reads(Input::HalfScaleGraph)) {
+      in.half_scale_graph = std::make_unique<topo::AsGraph>(
+          topo::generate(topo::profile(profile, args.scale * 0.5)));
+    }
+  }
+  return inputs;
+}
+
+SuiteResult run_suite(const SuiteArgs& args,
+                      const std::vector<const BenchSpec*>& benches) {
+  const Stopwatch setup_clock;
+  SharedInputs inputs;
+  JsonValue setup = JsonValue::make_object();
+  {
+    PhaseRegistries registries;
+    inputs = build_inputs(args, benches);
+    add_registry_sections(setup, registries.profile, registries.memory);
+  }
+  std::printf("== shared inputs: %.1f s\n", setup_clock.ms() / 1000.0);
+
+  SuiteResult result;
+  const JsonValue config = bench_config(args);
+  JsonValue sections = JsonValue::make_object();
+  for (const BenchSpec* spec : benches) {
+    std::printf("== %s\n", spec->name);
+    std::fflush(stdout);
+    const Stopwatch clock;
+    PhaseRegistries registries;
+    Run run(args, inputs);
+    bool ok = true;
+    try {
+      spec->run(run);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "run_suite: %s failed: %s\n", spec->name,
+                   error.what());
+      ok = false;
+    }
+    std::printf("== %s: %.1f s%s\n", spec->name, clock.ms() / 1000.0,
+                ok ? "" : " (FAILED)");
+    if (!ok) {
+      ++result.failed;
+      continue;
+    }
+    ++result.ran;
+    JsonValue snapshot = JsonValue::make_object();
+    snapshot.set("config", config);
+    snapshot.set("results", run.results());
+    add_registry_sections(snapshot, registries.profile, registries.memory);
+    sections.set(spec->name, std::move(snapshot));
+  }
+
+  result.document = JsonValue::make_object();
+  result.document.set("suite", JsonValue::make_string("miro-bench"));
+  result.document.set("schema", JsonValue::make_number(1));
+  result.document.set("config", suite_config(args));
+  result.document.set("setup", std::move(setup));
+  result.document.set("benches", std::move(sections));
+  return result;
+}
+
+}  // namespace miro::bench

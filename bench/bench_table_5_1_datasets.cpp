@@ -7,40 +7,24 @@
 //   Agarwal 2004: 16921 / 38282 / 34552 / 3553 / 177
 // The synthetic profiles reproduce the edge-per-node density and the
 // relationship mix at the requested scale.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "eval/dataset_report.hpp"
-#include "topology/generator.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  const auto start = std::chrono::steady_clock::now();
-  miro::eval::print_dataset_table(args.profiles, args.scale, std::cout);
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  json.add("dataset_table.elapsed", static_cast<double>(elapsed.count()),
-           "ms");
-  for (const std::string& profile : args.profiles) {
-    const miro::topo::AsGraph graph =
-        miro::topo::generate(miro::topo::profile(profile, args.scale));
-    miro::bench::add_memory_rows(json, profile, graph);
-  }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
+namespace miro::bench {
+
+void table_5_1_datasets(Run& run) {
+  std::vector<std::pair<std::string, const topo::AsGraph*>> graphs;
+  for (const std::string& profile : run.args().profiles())
+    graphs.emplace_back(profile, &run.graph(profile));
+  const Stopwatch clock;
+  eval::print_dataset_table(graphs, run.args().scale, std::cout);
+  run.add("dataset_table.elapsed", clock.ms(), "ms");
+  for (const auto& [profile, graph] : graphs)
+    run.add_memory_rows(profile, *graph);
 }
+
+}  // namespace miro::bench

@@ -8,13 +8,12 @@
 //   Sharad 2004  34.6%   56.7%    62.0%    68.1%    86.3%
 // The ordering Single < Multi/s < Multi/e < Multi/a < Source and the rough
 // magnitudes are the reproduction target.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <map>
 
 #include "analysis/symbolic_routes.hpp"
 #include "bench_common.hpp"
+#include "common/table.hpp"
 #include "eval/avoid_as.hpp"
 
 namespace {
@@ -62,42 +61,28 @@ double static_agreement(const miro::eval::ExperimentPlan& plan) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const miro::eval::ExperimentPlan plan(args.config_for(profile));
-    miro::bench::add_memory_rows(json, profile, plan);
-    const auto result = miro::eval::run_avoid_as(plan);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    miro::eval::print_table_5_2(result, std::cout);
-    std::cout << "(computed in " << elapsed.count() << " ms)\n\n";
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
-    json.add(profile + ".single_rate", result.single_rate, "fraction");
-    json.add(profile + ".source_rate", result.source_rate, "fraction");
+namespace miro::bench {
+
+void table_5_2_avoid_success(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    run.add_memory_rows(profile, plan);
+    const Stopwatch clock;
+    const auto result = eval::run_avoid_as(plan);
+    const double elapsed = clock.ms();
+    eval::print_table_5_2(result, std::cout);
+    std::cout << "(computed in " << TextTable::num(elapsed, 1) << " ms)\n\n";
+    run.add(profile + ".elapsed", elapsed, "ms");
+    run.add(profile + ".single_rate", result.single_rate, "fraction");
+    run.add(profile + ".source_rate", result.source_rate, "fraction");
     for (int p = 0; p < 3; ++p) {
-      json.add(profile + ".multi_rate." + std::to_string(p),
-               result.multi_rate[p], "fraction");
+      run.add(profile + ".multi_rate." + std::to_string(p),
+              result.multi_rate[p], "fraction");
     }
     const double agree = static_agreement(plan);
     std::cout << "static/simulated agreement: " << agree << "\n\n";
-    json.add(profile + ".static_agree", agree, "fraction");
-  }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
+    run.add(profile + ".static_agree", agree, "fraction");
   }
 }
+
+}  // namespace miro::bench

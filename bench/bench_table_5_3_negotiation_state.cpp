@@ -6,46 +6,29 @@
 // candidate paths (Gao 2005: strict 2.80 ASes / 36.6 paths vs flexible
 // 2.38 ASes / 139.0 paths); later-year topologies yield more paths per
 // tuple.
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "eval/avoid_as.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const auto start = std::chrono::steady_clock::now();
-    const miro::eval::ExperimentPlan plan(args.config_for(profile));
-    miro::bench::add_memory_rows(json, profile, plan);
-    const auto result = miro::eval::run_avoid_as(plan);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    miro::eval::print_table_5_3(result, std::cout);
+namespace miro::bench {
+
+void table_5_3_negotiation_state(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    run.add_memory_rows(profile, plan);
+    const Stopwatch clock;
+    const auto result = eval::run_avoid_as(plan);
+    const double elapsed = clock.ms();
+    eval::print_table_5_3(result, std::cout);
     std::cout << "\n";
-    json.add(profile + ".elapsed", static_cast<double>(elapsed.count()),
-             "ms");
+    run.add(profile + ".elapsed", elapsed, "ms");
     for (const auto& row : result.state_rows) {
-      const std::string key =
-          profile + "." + miro::core::to_string(row.policy);
-      json.add(key + ".success_rate", row.success_rate, "fraction");
-      json.add(key + ".avg_ases_contacted", row.avg_ases_contacted, "count");
+      const std::string key = profile + "." + core::to_string(row.policy);
+      run.add(key + ".success_rate", row.success_rate, "fraction");
+      run.add(key + ".avg_ases_contacted", row.avg_ases_contacted, "count");
     }
   }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
 }
+
+}  // namespace miro::bench

@@ -12,75 +12,60 @@
 //                             agree — must be 1.0
 //   <p>.verify.avoid_agree    fraction of avoid tuples where the planes
 //                             agree — must be 1.0
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "analysis/symbolic_routes.hpp"
 #include "bench_common.hpp"
-#include "eval/experiments.hpp"
 
-int main(int argc, char** argv) {
-  try {
-  const auto args = miro::bench::BenchArgs::parse(argc, argv);
-  miro::obs::ProfileRegistry prof;
-  miro::obs::set_profile(&prof);
-  miro::obs::MemoryRegistry mem;
-  miro::obs::set_memory(&mem);
-  miro::bench::BenchJsonWriter json = args.json_writer();
-  json.set_profile(&prof);
-  json.set_memory(&mem);
-  for (const std::string& profile : args.profiles) {
-    const miro::eval::EvalConfig config = args.config_for(profile);
-    const miro::eval::ExperimentPlan plan(config);
-    miro::bench::add_memory_rows(json, profile, plan);
-    const miro::analysis::SymbolicRouteEngine engine(plan.graph());
+namespace miro::bench {
+
+void verify_fixpoint(Run& run) {
+  for (const std::string& profile : run.args().profiles()) {
+    const eval::ExperimentPlan& plan = run.plan(profile);
+    const eval::EvalConfig& config = plan.config();
+    run.add_memory_rows(profile, plan);
+    const analysis::SymbolicRouteEngine engine(plan.graph());
 
     // Timed region: one fixpoint per sampled destination (the same
     // destinations the simulator plane solved), state bytes accumulated.
-    const auto start = std::chrono::steady_clock::now();
+    const Stopwatch clock;
     std::uint64_t state_bytes = 0;
     std::size_t sweeps = 0;
-    for (const miro::bgp::RoutingTree& tree : plan.trees()) {
-      const miro::analysis::SymbolicRouteMap map =
-          engine.solve(tree.destination());
+    for (const bgp::RoutingTree& tree : plan.trees()) {
+      const analysis::SymbolicRouteMap map = engine.solve(tree.destination());
       state_bytes += map.memory_bytes();
       sweeps += map.sweeps();
     }
-    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - start);
-    mem.account("analysis/symbolic").set_current(state_bytes);
+    const double ms = clock.ms();
+    if (obs::MemoryRegistry* mem = obs::memory())
+      mem->account("analysis/symbolic").set_current(state_bytes);
 
-    // The correctness gate: the differential oracle on the same config.
-    miro::analysis::DifferentialOptions diff;
+    // The correctness gate: the differential oracle on the same config. It
+    // solves its own trees from the graph — the independent reference
+    // check, so it does not read the plan's.
+    analysis::DifferentialOptions diff;
     diff.seed = config.seed;
     diff.destination_samples = config.destination_samples;
     diff.sources_per_destination = config.sources_per_destination;
-    const miro::analysis::DifferentialOutcome outcome =
-        miro::analysis::differential_check(plan.graph(), diff, profile);
+    const analysis::DifferentialOutcome outcome =
+        analysis::differential_check(plan.graph(), diff, profile);
 
-    const double ms = static_cast<double>(elapsed.count()) / 1000.0;
-    std::cout << profile << ": " << plan.trees().size()
-              << " fixpoints in " << ms << " ms (" << sweeps
-              << " sweeps), " << state_bytes << " state bytes; differential: "
-              << outcome.entries << " entries, " << outcome.tuples
-              << " avoid tuples, " << outcome.entry_mismatches << "+"
-              << outcome.avoid_mismatches << " divergences\n";
+    std::cout << profile << ": " << plan.trees().size() << " fixpoints in "
+              << ms << " ms (" << sweeps << " sweeps), " << state_bytes
+              << " state bytes; differential: " << outcome.entries
+              << " entries, " << outcome.tuples << " avoid tuples, "
+              << outcome.entry_mismatches << "+" << outcome.avoid_mismatches
+              << " divergences\n";
     if (!outcome.ok()) outcome.report.render_text(std::cerr);
 
-    json.add(profile + ".verify.fixpoint_ms", ms, "ms");
-    json.add(profile + ".verify.state_bytes",
-             static_cast<double>(state_bytes), "bytes");
-    json.add(profile + ".verify.entry_agree", outcome.entry_agree(),
-             "fraction");
-    json.add(profile + ".verify.avoid_agree", outcome.avoid_agree(),
-             "fraction");
-  }
-  miro::obs::set_memory(nullptr);
-  miro::obs::set_profile(nullptr);
-  return json.write() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
+    run.add(profile + ".verify.fixpoint_ms", ms, "ms");
+    run.add(profile + ".verify.state_bytes", static_cast<double>(state_bytes),
+            "bytes");
+    run.add(profile + ".verify.entry_agree", outcome.entry_agree(),
+            "fraction");
+    run.add(profile + ".verify.avoid_agree", outcome.avoid_agree(),
+            "fraction");
   }
 }
+
+}  // namespace miro::bench

@@ -4,21 +4,19 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "topology/generator.hpp"
 
 namespace miro::eval {
 
-void print_dataset_table(const std::vector<std::string>& profiles,
-                         double scale, std::ostream& out) {
+void print_dataset_table(
+    const std::vector<std::pair<std::string, const topo::AsGraph*>>& graphs,
+    double scale, std::ostream& out) {
   out << "Table 5.1 — attributes of the (synthetic) data sets, scale="
       << scale << "\n";
   TextTable table({"Name", "# of Nodes", "# of Edges", "P/C links",
                    "Peering links", "Sibling links", "Stubs",
                    "Multi-homed stubs"});
-  for (const std::string& profile : profiles) {
-    const topo::AsGraph graph =
-        topo::generate(topo::profile(profile, scale));
-    const topo::TopologySummary summary = topo::summarize(graph);
+  for (const auto& [profile, graph] : graphs) {
+    const topo::TopologySummary summary = topo::summarize(*graph);
     table.add_row({profile, std::to_string(summary.nodes),
                    std::to_string(summary.edges),
                    std::to_string(summary.customer_provider_links),
@@ -30,9 +28,8 @@ void print_dataset_table(const std::vector<std::string>& profiles,
   table.print(out);
 }
 
-void print_degree_distribution(const std::string& profile, double scale,
-                               std::ostream& out) {
-  const topo::AsGraph graph = topo::generate(topo::profile(profile, scale));
+void print_degree_distribution(const std::string& profile,
+                               const topo::AsGraph& graph, std::ostream& out) {
   out << "Figure 5.1 — node degree distribution [" << profile
       << ", n=" << graph.node_count() << "]\n";
 

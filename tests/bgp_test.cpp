@@ -3,13 +3,11 @@
 #include <span>
 #include <vector>
 
-#include "bgp/decision_process.hpp"
 #include "bgp/path_table.hpp"
 #include "common/error.hpp"
 #include "bgp/path_vector_engine.hpp"
 #include "bgp/route.hpp"
 #include "bgp/route_solver.hpp"
-#include "bgp/router_level.hpp"
 #include "scenarios.hpp"
 #include "topology/generator.hpp"
 
@@ -341,186 +339,6 @@ TEST(PathVectorEngine, CandidatesMatchSolver) {
   ASSERT_EQ(engine_candidates.size(), solver_candidates.size());
   for (std::size_t i = 0; i < engine_candidates.size(); ++i)
     EXPECT_EQ(engine_candidates[i].path, solver_candidates[i].path);
-}
-
-// --------------------------------------------------- decision process
-
-RouterRoute make_route(std::initializer_list<topo::AsNumber> as_path) {
-  RouterRoute route;
-  route.as_path = as_path;
-  return route;
-}
-
-TEST(DecisionProcess, LocalPreferenceWinsFirst) {
-  auto low = make_route({10, 20});
-  low.local_pref = 100;
-  auto high = make_route({10, 20, 30});  // longer but preferred
-  high.local_pref = 400;
-  const std::vector<RouterRoute> candidates{low, high};
-  const auto result = decide(candidates);
-  EXPECT_EQ(result.best_index, 1u);
-  EXPECT_EQ(result.deciding_step, 1);
-}
-
-TEST(DecisionProcess, ShorterAsPathBreaksTie) {
-  auto a = make_route({10, 20, 30});
-  auto b = make_route({10, 20});
-  const std::vector<RouterRoute> candidates{a, b};
-  const auto result = decide(candidates);
-  EXPECT_EQ(result.best_index, 1u);
-  EXPECT_EQ(result.deciding_step, 2);
-}
-
-TEST(DecisionProcess, OriginOrdering) {
-  auto igp = make_route({10});
-  igp.origin = Origin::Igp;
-  auto incomplete = make_route({10});
-  incomplete.origin = Origin::Incomplete;
-  const std::vector<RouterRoute> candidates{incomplete, igp};
-  const auto result = decide(candidates);
-  EXPECT_EQ(result.best_index, 1u);
-  EXPECT_EQ(result.deciding_step, 3);
-}
-
-TEST(DecisionProcess, MedComparedOnlyWithinSameNextHopAs) {
-  auto a = make_route({10, 99});
-  a.med = 50;
-  auto b = make_route({10, 99});
-  b.med = 10;                    // same neighbor AS: b wins on MED
-  auto c = make_route({20, 99});
-  c.med = 100;                   // different neighbor AS: MED not compared
-  c.learned_via_ebgp = false;    // loses step 5 instead
-  const std::vector<RouterRoute> candidates{a, b, c};
-  const auto result = decide(candidates);
-  EXPECT_EQ(result.best_index, 1u);
-}
-
-TEST(DecisionProcess, EbgpPreferredOverIbgp) {
-  auto ibgp = make_route({10});
-  ibgp.learned_via_ebgp = false;
-  auto ebgp = make_route({10});
-  ebgp.learned_via_ebgp = true;
-  const std::vector<RouterRoute> candidates{ibgp, ebgp};
-  const auto result = decide(candidates);
-  EXPECT_EQ(result.best_index, 1u);
-  EXPECT_EQ(result.deciding_step, 5);
-}
-
-TEST(DecisionProcess, IgpDistanceThenRouterIdThenPeerAddress) {
-  auto far = make_route({10});
-  far.learned_via_ebgp = false;
-  far.igp_distance_to_egress = 20;
-  auto near = make_route({10});
-  near.learned_via_ebgp = false;
-  near.igp_distance_to_egress = 5;
-  {
-    const std::vector<RouterRoute> candidates{far, near};
-    const auto result = decide(candidates);
-    EXPECT_EQ(result.best_index, 1u);
-    EXPECT_EQ(result.deciding_step, 6);
-  }
-  auto rid_high = make_route({10});
-  rid_high.advertising_router_id = 9;
-  auto rid_low = make_route({10});
-  rid_low.advertising_router_id = 3;
-  {
-    const std::vector<RouterRoute> candidates{rid_high, rid_low};
-    const auto result = decide(candidates);
-    EXPECT_EQ(result.best_index, 1u);
-    EXPECT_EQ(result.deciding_step, 7);
-  }
-  auto addr_high = make_route({10});
-  addr_high.peer_address = net::Ipv4Address(10, 0, 0, 9);
-  auto addr_low = make_route({10});
-  addr_low.peer_address = net::Ipv4Address(10, 0, 0, 2);
-  {
-    const std::vector<RouterRoute> candidates{addr_high, addr_low};
-    const auto result = decide(candidates);
-    EXPECT_EQ(result.best_index, 1u);
-    EXPECT_EQ(result.deciding_step, 8);
-  }
-}
-
-TEST(DecisionProcess, EmptyCandidateSetThrows) {
-  std::vector<RouterRoute> none;
-  EXPECT_THROW(decide(none), Error);
-}
-
-// ------------------------------------------------------- router level
-
-TEST(RouterLevel, Figure41Scenario) {
-  // Figure 4.1: R1 internal; R2 learns VU (from AS V) and WU (from AS W);
-  // R3 learns WU (from AS W). All attributes equal through step 4.
-  RouterLevelAs as_x;
-  const auto r1 = as_x.add_router(net::Ipv4Address(12, 34, 56, 1));
-  const auto r2 = as_x.add_router(net::Ipv4Address(12, 34, 56, 2));
-  const auto r3 = as_x.add_router(net::Ipv4Address(12, 34, 56, 3));
-  as_x.add_internal_link(r1, r2, 5);
-  as_x.add_internal_link(r1, r3, 10);
-  as_x.add_internal_link(r2, r3, 4);
-
-  const topo::AsNumber v = 100, w = 200, u = 300;
-  as_x.inject_ebgp_route(r2, v, net::Ipv4Address(9, 0, 0, 1), {v, u}, 100);
-  as_x.inject_ebgp_route(r2, w, net::Ipv4Address(9, 0, 0, 2), {w, u}, 100);
-  as_x.inject_ebgp_route(r3, w, net::Ipv4Address(9, 0, 0, 3), {w, u}, 100);
-  as_x.converge();
-
-  // R2 keeps an eBGP route; with equal attributes the lower peer address
-  // wins locally, so R2 selects (V U).
-  const auto sel2 = as_x.selected(r2);
-  ASSERT_TRUE(sel2);
-  EXPECT_EQ(sel2->as_path, (std::vector<topo::AsNumber>{v, u}));
-  // R3 prefers its own eBGP-learned (W U) over R2's iBGP routes (step 5).
-  const auto sel3 = as_x.selected(r3);
-  ASSERT_TRUE(sel3);
-  EXPECT_EQ(sel3->as_path, (std::vector<topo::AsNumber>{w, u}));
-  EXPECT_EQ(sel3->egress_router, r3);
-  // R1 hears both via iBGP and picks the IGP-closer egress: R2 (distance 5
-  // vs 10 for R3... R3 is at distance min(10, 5+4)=9): R2 wins.
-  const auto sel1 = as_x.selected(r1);
-  ASSERT_TRUE(sel1);
-  EXPECT_EQ(sel1->egress_router, r2);
-  EXPECT_FALSE(sel1->learned_via_ebgp);
-
-  // MIRO's intra-AS extension: the AS as a whole can offer both VU and WU.
-  const auto all = as_x.all_valid_paths();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].as_path, (std::vector<topo::AsNumber>{v, u}));
-  EXPECT_EQ(all[1].as_path, (std::vector<topo::AsNumber>{w, u}));
-}
-
-TEST(RouterLevel, IgpDistanceDijkstra) {
-  RouterLevelAs as_x;
-  const auto r0 = as_x.add_router(net::Ipv4Address(1, 0, 0, 0));
-  const auto r1 = as_x.add_router(net::Ipv4Address(1, 0, 0, 1));
-  const auto r2 = as_x.add_router(net::Ipv4Address(1, 0, 0, 2));
-  as_x.add_internal_link(r0, r1, 3);
-  as_x.add_internal_link(r1, r2, 4);
-  as_x.add_internal_link(r0, r2, 10);
-  EXPECT_EQ(as_x.igp_distance(r0, r2), 7);  // through r1
-  EXPECT_EQ(as_x.igp_distance(r2, r0), 7);
-  EXPECT_EQ(as_x.igp_distance(r0, r0), 0);
-}
-
-TEST(RouterLevel, DisconnectedRouterIsUnreachable) {
-  RouterLevelAs as_x;
-  const auto r0 = as_x.add_router(net::Ipv4Address(1, 0, 0, 0));
-  const auto r1 = as_x.add_router(net::Ipv4Address(1, 0, 0, 1));
-  EXPECT_EQ(as_x.igp_distance(r0, r1), RouterLevelAs::kUnreachable);
-  // An iBGP route from an unreachable egress must not be used.
-  as_x.inject_ebgp_route(r1, 100, net::Ipv4Address(9, 0, 0, 1), {100}, 100);
-  as_x.converge();
-  EXPECT_FALSE(as_x.selected(r0).has_value());
-  EXPECT_TRUE(as_x.selected(r1).has_value());
-}
-
-TEST(RouterLevel, InjectValidatesInput) {
-  RouterLevelAs as_x;
-  const auto r0 = as_x.add_router(net::Ipv4Address(1, 0, 0, 0));
-  EXPECT_THROW(as_x.inject_ebgp_route(r0, 100, net::Ipv4Address(9, 0, 0, 1),
-                                      {200}, 100),
-               Error);  // path must start with the neighbor AS
-  EXPECT_THROW(as_x.add_internal_link(r0, r0, 1), Error);
 }
 
 TEST(PathTable, InternDedupsAndSharesSuffixes) {

@@ -202,9 +202,10 @@ TEST(TrafficControl, PrintsFigures) {
 }
 
 TEST(DatasetReport, PrintsTableAndDistribution) {
+  const topo::AsGraph graph = topo::generate(topo::profile("tiny"));
   std::ostringstream out;
-  print_dataset_table({"tiny"}, 1.0, out);
-  print_degree_distribution("tiny", 1.0, out);
+  print_dataset_table({{"tiny", &graph}}, 1.0, out);
+  print_degree_distribution("tiny", graph, out);
   EXPECT_NE(out.str().find("Peering links"), std::string::npos);
   EXPECT_NE(out.str().find("degree bucket"), std::string::npos);
 }

@@ -6,8 +6,9 @@
 //     wall-clock plane);
 //   - the Chrome-trace exporter emits valid JSON that round-trips through
 //     the in-repo parser with both track types present;
-//   - BenchJsonWriter output is always valid JSON: strings escaped,
-//     non-finite values emitted as null;
+//   - bench suite rows are always valid JSON: strings escaped, non-finite
+//     values emitted as null; the suite's flag parser rejects malformed
+//     values with usage status 2;
 //   - the gate fails on an injected >25% slowdown and only then.
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -29,6 +31,7 @@
 #include "core/route_store.hpp"
 #include "netsim/fault_injection.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/memstats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/regression.hpp"
@@ -380,36 +383,28 @@ TEST(ChromeTrace, EmptySourcesStillProduceAValidFile) {
   EXPECT_TRUE(doc.at("traceEvents").is_array());
 }
 
-// --------------------------------------------------------- BenchJsonWriter
+// ------------------------------------------------------ bench suite plumbing
 
-TEST(BenchJsonWriter, EscapesStringsAndNullsNonFiniteValues) {
-  const std::string path = ::testing::TempDir() + "bench_writer_test.json";
-  bench::BenchJsonWriter writer(path);
-  writer.set_config("profiles", "gao\"2000\"\\agarwal");
-  writer.set_config("scale", 0.5);
-  writer.add("ok_row", 1.5, "ms");
-  writer.add("nan_row", std::nan(""), "fraction");
-  writer.add("inf_row", std::numeric_limits<double>::infinity(), "x\ny");
-  ASSERT_TRUE(writer.write());
-
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  // The whole point: the document parses even with hostile strings and
-  // non-finite values (the seed wrote bare `nan`, which no parser accepts).
-  const JsonValue doc = JsonValue::parse(buffer.str());
-  EXPECT_EQ(doc.at("config").at("profiles").as_string(),
-            "gao\"2000\"\\agarwal");
-  ASSERT_EQ(doc.at("results").size(), 3u);
-  EXPECT_EQ(doc.at("results").at(1).at("value").kind(),
-            JsonValue::Kind::Null);
-  EXPECT_EQ(doc.at("results").at(2).at("value").kind(),
-            JsonValue::Kind::Null);
-  EXPECT_EQ(doc.at("results").at(2).at("unit").as_string(), "x\ny");
+TEST(BenchSuite, RowsWithHostileNamesAndNonFiniteValuesStayValidJson) {
+  const bench::SuiteArgs args;
+  const bench::SharedInputs inputs;
+  bench::Run run(args, inputs);
+  run.add("ok_row", 1.5, "ms");
+  run.add("nan_row", std::nan(""), "fraction");
+  run.add("gao\"2000\"\\agarwal", std::numeric_limits<double>::infinity(),
+          "x\ny");
+  // The rows parse back even with hostile strings and non-finite values
+  // (bare nan/inf are not JSON; they must become null).
+  const JsonValue doc = JsonValue::parse(run.results().dump());
+  ASSERT_EQ(doc.size(), 3u);
+  EXPECT_EQ(doc.at(std::size_t{0}).at("value").as_number(), 1.5);
+  EXPECT_EQ(doc.at(1).at("value").kind(), JsonValue::Kind::Null);
+  EXPECT_EQ(doc.at(2).at("value").kind(), JsonValue::Kind::Null);
+  EXPECT_EQ(doc.at(2).at("name").as_string(), "gao\"2000\"\\agarwal");
+  EXPECT_EQ(doc.at(2).at("unit").as_string(), "x\ny");
 }
 
-TEST(BenchJsonWriter, AttachedProfilerWritesSpanSection) {
+TEST(BenchSuite, RegistrySectionsCarrySpanTotalsAndAccounts) {
   ProfileRegistry registry;
   std::uint64_t now = 0;
   registry.set_clock([&now]() { return now; });
@@ -417,40 +412,83 @@ TEST(BenchJsonWriter, AttachedProfilerWritesSpanSection) {
     ScopedSpan span(&registry, "eval/plan", "eval");
     now += 1'500'000;
   }
-  const std::string path = ::testing::TempDir() + "bench_profile_test.json";
-  bench::BenchJsonWriter writer(path);
-  writer.set_profile(&registry);
-  ASSERT_TRUE(writer.write());
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  const JsonValue doc = JsonValue::parse(buffer.str());
-  EXPECT_DOUBLE_EQ(doc.at("profile").at("eval/plan").at("total_ms")
-                       .as_number(),
-                   1.5);
+  MemoryRegistry memory;
+  memory.account("topology/graph").set_current(4096);
+  JsonValue object = JsonValue::make_object();
+  bench::add_registry_sections(object, registry, memory);
+  const JsonValue doc = JsonValue::parse(object.dump());
+  EXPECT_DOUBLE_EQ(
+      doc.at("profile").at("eval/plan").at("total_ms").as_number(), 1.5);
   EXPECT_EQ(doc.at("profile").at("eval/plan").at("count").as_number(), 1.0);
+  EXPECT_EQ(doc.at("memory")
+                .at("accounts")
+                .at("topology/graph")
+                .at("bytes")
+                .as_number(),
+            4096.0);
+  // RSS is reported only once sampled.
+  EXPECT_FALSE(doc.at("memory").contains("rss_bytes"));
 }
 
-TEST(BenchJsonWriter, TakeJsonFlagExtractsPathAndRejectsTrailingFlag) {
-  char prog[] = "bench", a[] = "--foo", b[] = "--json", c[] = "out.json",
-       d[] = "--bar";
-  {
-    char* argv[] = {prog, a, b, c, d};
-    int argc = 5;
-    EXPECT_EQ(bench::take_json_flag(argc, argv), "out.json");
-    ASSERT_EQ(argc, 3);  // compacted around the consumed pair
-    EXPECT_STREQ(argv[1], "--foo");
-    EXPECT_STREQ(argv[2], "--bar");
+TEST(BenchSuite, ParsesPresetsOverridesAndBenchNames) {
+  char prog[] = "run_suite", quick[] = "--quick", dests[] = "--dests",
+       twelve[] = "12", name[] = "bench_x", seed[] = "--seed", seven[] = "7";
+  char* argv[] = {prog, quick, dests, twelve, name, seed, seven};
+  const bench::SuiteArgs args = bench::parse_suite_args(7, argv);
+  EXPECT_EQ(args.profiles(), std::vector<std::string>{"gao2005"});
+  EXPECT_EQ(args.scale, 0.15);
+  EXPECT_EQ(args.dests, 12u);  // a later flag overrides the preset
+  EXPECT_EQ(args.sources, 8u);
+  EXPECT_EQ(args.seed, 7u);
+  EXPECT_EQ(args.benches, std::vector<std::string>{"bench_x"});
+  EXPECT_TRUE(args.out.empty());  // no --out, no document written
+
+  // Bare defaults: the configuration EXPERIMENTS.md's numbers come from.
+  char* bare[] = {prog};
+  const bench::SuiteArgs defaults = bench::parse_suite_args(1, bare);
+  EXPECT_EQ(defaults.profiles().size(), 4u);
+  EXPECT_EQ(defaults.scale, 0.5);
+  EXPECT_EQ(defaults.dests, 80u);
+  EXPECT_EQ(defaults.sources, 40u);
+  EXPECT_EQ(defaults.seed, 42u);
+}
+
+TEST(BenchSuiteArgsDeathTest, TrailingFlagWithoutValueIsAUsageError) {
+  char prog[] = "run_suite", quick[] = "--quick", out[] = "--out";
+  char* argv[] = {prog, quick, out};
+  EXPECT_EXIT(bench::parse_suite_args(3, argv), ::testing::ExitedWithCode(2),
+              "missing value for --out");
+}
+
+TEST(BenchSuiteArgsDeathTest, MalformedNumbersAreUsageErrors) {
+  // `--dests abc` used to run with 0 destinations (an all-0.0% Table 5.2,
+  // exit 0) and `--seed -3` wrapped around to a huge unsigned seed.
+  const std::pair<std::string, std::string> cases[] = {
+      {"--dests", "abc"},   {"--dests", "12x"},  {"--dests", ""},
+      {"--sources", "-1"},  {"--seed", "-3"},    {"--seed", "+3"},
+      {"--seed", "99999999999999999999999"},     {"--scale", "0"},
+      {"--scale", "-0.5"},  {"--scale", "0.5x"}, {"--scale", "nan"},
+      {"--threads", "0"},   {"--threads", "2 "}};
+  for (const auto& [flag, value] : cases) {
+    std::string flag_text = flag;
+    std::string value_text = value;
+    char prog[] = "run_suite";
+    char* argv[] = {prog, flag_text.data(), value_text.data()};
+    EXPECT_EXIT(bench::parse_suite_args(3, argv),
+                ::testing::ExitedWithCode(2), flag + " expects")
+        << flag << " '" << value << "'";
   }
-  {
-    // Satellite fix: a trailing --json with no value used to be silently
-    // ignored; it must be a hard usage error.
-    char* argv[] = {prog, a, b};
-    int argc = 3;
-    EXPECT_EXIT(bench::take_json_flag(argc, argv),
-                ::testing::ExitedWithCode(2), "missing value for --json");
-  }
+}
+
+TEST(BenchSuiteArgsDeathTest, UnknownProfileOrFlagIsAUsageError) {
+  char prog[] = "run_suite", profile[] = "--profile", bogus[] = "bogus",
+       skip[] = "--skip";
+  char* bad_profile[] = {prog, profile, bogus};
+  EXPECT_EXIT(bench::parse_suite_args(3, bad_profile),
+              ::testing::ExitedWithCode(2), "bogus");
+  char* bad_flag[] = {prog, skip, bogus};
+  EXPECT_EXIT(bench::parse_suite_args(3, bad_flag),
+              ::testing::ExitedWithCode(2), "unknown flag --skip");
 }
 
 // --------------------------------------------------------- regression gate
