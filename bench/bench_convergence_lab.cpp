@@ -4,7 +4,8 @@
 // Expected: Figure 7.1 oscillates with no guideline and converges under
 // strict-only, B, C, D, and E; Figure 7.2 oscillates under strict-only (its
 // whole point) and converges under B, C, D, and E; random guideline-
-// conforming instances always converge.
+// conforming instances always converge, as do the same instances' BGP
+// layers under the Section 7.2 relaxed-peering and backup-link policies.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -61,77 +62,88 @@ void convergence_lab(Run& run) {
   // Plain-BGP gadgets for reference.
   {
     std::cout << "\nPlain BGP gadgets (Griffin et al.):\n";
-    const auto disagree = conv::make_disagree();
-    bgp::PathVectorEngine sync_engine(disagree.graph, disagree.destination,
-                                      disagree.hooks);
-    int changes = 0;
-    for (int i = 0; i < 50; ++i)
-      if (sync_engine.step_synchronous()) ++changes;
-    std::cout << "  DISAGREE synchronous: " << changes
-              << "/50 steps changed state (oscillation)\n";
-    bgp::PathVectorEngine seq_engine(disagree.graph, disagree.destination,
-                                     disagree.hooks);
-    std::cout << "  DISAGREE sequential: "
-              << (seq_engine.run_to_stable().has_value() ? "converged"
-                                                          : "diverged")
-              << "\n";
-    const auto bad = conv::make_bad_gadget();
-    bgp::PathVectorEngine bad_engine(bad.graph, bad.destination, bad.hooks);
-    std::cout << "  BAD GADGET: "
-              << (bad_engine.run_to_stable(300).has_value()
-                      ? "converged (unexpected!)"
-                      : "no stable state (as proven)")
-              << "\n";
+    const conv::MiroGadget disagree = conv::make_disagree();
+    conv::MiroConvergenceModel sync_model = disagree.build();
+    std::cout << "  DISAGREE synchronous: "
+              << verdict(sync_model.run_synchronous()) << "\n";
+    conv::MiroConvergenceModel seq_model = disagree.build();
+    std::cout << "  DISAGREE round-robin: "
+              << verdict(seq_model.run_round_robin()) << "\n";
+    const conv::MiroGadget bad = conv::make_bad_gadget();
+    conv::MiroConvergenceModel bad_model = bad.build();
+    std::cout << "  BAD GADGET round-robin: "
+              << verdict(bad_model.run_round_robin()) << "\n";
   }
 
-  // Random conforming instances: all must converge.
+  // Random instances: every seed's graph, prefixes and tunnel wishes run
+  // under each tunnel guideline, and its BGP layer (no tunnels) under the
+  // Section 7.2 policies with 8 random backup links. All must converge.
   std::cout << "\nRandom guideline-conforming instances (72 ASes, 12 tunnel "
                "wishes each):\n";
-  for (Guideline guideline : {Guideline::B, Guideline::C, Guideline::D,
-                              Guideline::E}) {
-    std::size_t converged = 0;
-    const std::size_t trials = 20;
-    for (std::uint64_t seed = 1; seed <= trials; ++seed) {
-      topo::GeneratorParams params = topo::profile("tiny");
-      params.node_count = 72;
-      params.seed = seed;
-      const topo::AsGraph graph = topo::generate(params);
-      Rng rng(seed * 31 + 7);
-      std::vector<topo::NodeId> destinations;
-      for (int i = 0; i < 4; ++i)
-        destinations.push_back(
-            static_cast<topo::NodeId>(rng.next_below(graph.node_count())));
-      std::sort(destinations.begin(), destinations.end());
-      destinations.erase(
-          std::unique(destinations.begin(), destinations.end()),
-          destinations.end());
+  const Guideline random_guidelines[] = {Guideline::B, Guideline::C,
+                                         Guideline::D, Guideline::E};
+  std::size_t converged[4] = {};
+  std::size_t relaxed_converged = 0;
+  std::size_t backup_converged = 0;
+  const std::size_t trials = 20;
+  for (std::uint64_t seed = 1; seed <= trials; ++seed) {
+    topo::GeneratorParams params = topo::profile("tiny");
+    params.node_count = 72;
+    params.seed = seed;
+    const topo::AsGraph graph = topo::generate(params);
+    Rng rng(seed * 31 + 7);
+    std::vector<topo::NodeId> destinations;
+    for (int i = 0; i < 4; ++i)
+      destinations.push_back(
+          static_cast<topo::NodeId>(rng.next_below(graph.node_count())));
+    std::sort(destinations.begin(), destinations.end());
+    destinations.erase(
+        std::unique(destinations.begin(), destinations.end()),
+        destinations.end());
+    std::vector<conv::TunnelSpec> tunnels;
+    for (int i = 0; i < 12; ++i) {
+      conv::TunnelSpec spec;
+      spec.requester =
+          static_cast<topo::NodeId>(rng.next_below(graph.node_count()));
+      spec.responder =
+          static_cast<topo::NodeId>(rng.next_below(graph.node_count()));
+      spec.destination = destinations[rng.next_below(destinations.size())];
+      if (spec.requester == spec.responder ||
+          spec.responder == spec.destination)
+        continue;
+      tunnels.push_back(spec);
+    }
+    for (std::size_t g = 0; g < std::size(random_guidelines); ++g) {
       conv::ModelOptions options;
-      options.guideline = guideline;
-      for (int i = 0; i < 12; ++i) {
-        conv::TunnelSpec spec;
-        spec.requester =
-            static_cast<topo::NodeId>(rng.next_below(graph.node_count()));
-        spec.responder =
-            static_cast<topo::NodeId>(rng.next_below(graph.node_count()));
-        spec.destination = destinations[rng.next_below(destinations.size())];
-        if (spec.requester == spec.responder ||
-            spec.responder == spec.destination)
-          continue;
-        options.tunnels.push_back(spec);
-      }
-      if (guideline == Guideline::D) {
+      options.guideline = random_guidelines[g];
+      options.tunnels = tunnels;
+      if (options.guideline == Guideline::D) {
         options.partial_order = [](topo::NodeId, topo::NodeId fd,
                                    topo::NodeId dest) { return fd < dest; };
       }
       conv::MiroConvergenceModel model(graph, destinations, options);
-      if (model.run_round_robin(512).converged) ++converged;
+      if (model.run_round_robin(512).converged) ++converged[g];
     }
-    std::printf("  guideline %-11s %zu/%zu converged\n",
-                conv::to_string(guideline), converged, trials);
-    run.add(std::string("random.") + conv::to_string(guideline) +
-                ".converged",
-            static_cast<double>(converged), "count");
+    conv::MiroConvergenceModel relaxed(
+        graph, destinations, conv::relaxed_peering_options(graph));
+    if (relaxed.run_round_robin(512).converged) ++relaxed_converged;
+    const conv::BackupLinks backups = conv::random_backup_links(graph, rng, 8);
+    conv::MiroConvergenceModel backup(
+        graph, destinations, conv::backup_link_options(graph, backups));
+    if (backup.run_round_robin(512).converged) ++backup_converged;
   }
+  auto report = [&](const std::string& label, const std::string& row,
+                    std::size_t count) {
+    std::printf("  %-21s %zu/%zu converged\n", label.c_str(), count, trials);
+    run.add("random." + row + ".converged", static_cast<double>(count),
+            "count");
+  };
+  for (std::size_t g = 0; g < std::size(random_guidelines); ++g) {
+    const std::string name = conv::to_string(random_guidelines[g]);
+    report("guideline " + name, name, converged[g]);
+  }
+  report("relaxed peering (7.2)", "relaxed-peering", relaxed_converged);
+  report("backup links (7.2)", "backup-links", backup_converged);
   run.add("convergence_lab.elapsed", clock.ms(), "ms");
 }
 

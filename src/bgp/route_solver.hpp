@@ -8,8 +8,8 @@
 // (class rank, AS-path length, next-hop AS number), which is monotone along
 // every legal export step, so a Dijkstra-style greedy pass yields exactly the
 // stable routes. Sibling links are handled transparently (a route keeps the
-// class it had before the sibling chain). The asynchronous path-vector engine
-// cross-checks this solver in the test suite.
+// class it had before the sibling chain). The tunnel-free activation model
+// (conv::MiroConvergenceModel) cross-checks this solver in the test suite.
 #pragma once
 
 #include <cstdint>

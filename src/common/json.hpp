@@ -1,9 +1,9 @@
 // Minimal JSON: escaping helpers for the hand-rolled writers scattered
-// through the repo (obs::to_json, MetricsRegistry::write_json,
-// bench::BenchJsonWriter, the Chrome-trace exporter), plus a small
-// parse/serialize value type for the tools that must *read* JSON back —
-// the bench-suite merger, the perf-regression gate, and the round-trip
-// tests that prove the writers emit valid documents.
+// through the repo (obs::to_json, MetricsRegistry::write_json, the
+// Chrome-trace exporter), plus a small parse/serialize value type that
+// builds the bench suite's document and serves the tools that must *read*
+// JSON back — the perf-regression gate and the round-trip tests that prove
+// the writers emit valid documents.
 //
 // Deliberately tiny: strict UTF-8 passthrough (no \uXXXX decoding beyond
 // ASCII), numbers are doubles, object key order is preserved so dumps are

@@ -70,11 +70,15 @@ MiroGadget make_figure_7_2(Guideline guideline) {
 
 namespace {
 
-/// Shared scaffold: `spokes` nodes around a destination hub, every spoke
-/// linked to the hub and to the next spoke (peer links everywhere; the hooks
-/// override all policy anyway).
-BgpGadget make_ring(std::size_t spokes) {
-  BgpGadget gadget;
+/// Shared scaffold: `spokes` nodes around the destination hub (node 0),
+/// every spoke linked to the hub and to the next spoke. The links are all
+/// peerings, but the hooks override all policy: everything is exported,
+/// and each spoke ranks the path through its clockwise ring neighbor above
+/// the direct path and every other path below it. The original gadgets
+/// permit only those two paths; ranking the rest last is equivalent,
+/// because the hub always offers the direct path.
+MiroGadget make_ring(std::size_t spokes) {
+  MiroGadget gadget;
   const NodeId hub = gadget.graph.add_as(100);
   gadget.nodes.emplace("0", hub);
   std::vector<NodeId> ring;
@@ -89,53 +93,100 @@ BgpGadget make_ring(std::size_t spokes) {
   const std::size_t ring_links = spokes == 2 ? 1 : spokes;
   for (std::size_t i = 0; i < ring_links; ++i)
     gadget.graph.add_peer(ring[i], ring[(i + 1) % spokes]);
-  gadget.destination = hub;
-  return gadget;
-}
+  gadget.destinations = {hub};
 
-/// Preference: each spoke ranks the path through its clockwise ring
-/// neighbor above the direct path; every other path is ranked worst.
-bgp::PolicyHooks ring_hooks(const BgpGadget& gadget, std::size_t spokes) {
-  const topo::AsGraph* graph = &gadget.graph;
-  const NodeId hub = gadget.destination;
-  auto rank_of = [graph, hub, spokes](const bgp::Route& route) {
-    const NodeId owner = route.owner();
-    if (owner == hub) return 0;
-    // owner is spoke index (owner - 1) since the hub is node 0.
+  // Spoke k is node k, so its clockwise neighbor is node 1 + k % spokes.
+  auto rank_of = [spokes](const bgp::Route& route) {
     const NodeId next_spoke =
-        static_cast<NodeId>(1 + (owner - 1 + 1) % spokes);
+        static_cast<NodeId>(1 + route.owner() % spokes);
     if (route.path.size() == 3 && route.path[1] == next_spoke) return 1;
     if (route.path.size() == 2) return 2;  // direct
     return 3;
   };
-  bgp::PolicyHooks hooks;
-  hooks.exports = [](NodeId, const bgp::Route&, NodeId) { return true; };
-  // Only the direct path and the path through the clockwise neighbor are
-  // permitted (the SPP path sets of the original gadgets).
-  hooks.imports = [rank_of](const bgp::Route& candidate) {
-    return rank_of(candidate) < 3;
+  gadget.options.exports = [](NodeId, const bgp::Route&, NodeId) {
+    return true;
   };
-  hooks.prefers = [rank_of](const bgp::Route& a, const bgp::Route& b) {
+  gadget.options.prefers = [rank_of](const bgp::Route& a,
+                                     const bgp::Route& b) {
     const int ra = rank_of(a);
     const int rb = rank_of(b);
     if (ra != rb) return ra < rb;
     return a.path < b.path;
   };
-  return hooks;
+  return gadget;
 }
 
 }  // namespace
 
-BgpGadget make_disagree() {
-  BgpGadget gadget = make_ring(2);
-  gadget.hooks = ring_hooks(gadget, 2);
-  return gadget;
+MiroGadget make_disagree() { return make_ring(2); }
+
+MiroGadget make_bad_gadget() { return make_ring(3); }
+
+ModelOptions relaxed_peering_options(const AsGraph& graph) {
+  ModelOptions options;
+  const AsGraph* g = &graph;
+  options.prefers = [g](const bgp::Route& a, const bgp::Route& b) {
+    // Customer and peer routes share the top band.
+    auto band = [](RouteClass cls) {
+      switch (cls) {
+        case RouteClass::Self: return 0;
+        case RouteClass::Customer:
+        case RouteClass::Peer: return 1;
+        case RouteClass::Provider: return 2;
+      }
+      return 2;
+    };
+    if (band(a.route_class) != band(b.route_class))
+      return band(a.route_class) < band(b.route_class);
+    if (a.length() != b.length()) return a.length() < b.length();
+    const topo::AsNumber next_a = g->as_number(a.next_hop());
+    const topo::AsNumber next_b = g->as_number(b.next_hop());
+    if (next_a != next_b) return next_a < next_b;
+    return a.path < b.path;
+  };
+  return options;
 }
 
-BgpGadget make_bad_gadget() {
-  BgpGadget gadget = make_ring(3);
-  gadget.hooks = ring_hooks(gadget, 3);
-  return gadget;
+std::size_t BackupLinks::count_on_path(const Path& path) const {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i)
+    if (contains(path[i], path[i + 1])) ++count;
+  return count;
+}
+
+BackupLinks random_backup_links(const AsGraph& graph, Rng& rng, int count) {
+  BackupLinks backups;
+  for (int i = 0; i < count; ++i) {
+    const auto node =
+        static_cast<NodeId>(rng.next_below(graph.node_count()));
+    if (graph.degree(node) == 0) continue;
+    backups.add(node,
+                graph.neighbors(node)[rng.next_below(graph.degree(node))].node);
+  }
+  return backups;
+}
+
+ModelOptions backup_link_options(const AsGraph& graph,
+                                 const BackupLinks& backups) {
+  ModelOptions options;
+  const AsGraph* g = &graph;
+  const BackupLinks* b = &backups;
+  options.exports = [g, b](NodeId owner, const bgp::Route& route,
+                           NodeId neighbor) {
+    // Backup routes propagate everywhere: "backup links ... normally carry
+    // no traffic unless there is a link failure", so reachability through
+    // them must not be filtered away by the conventional rules.
+    if (b->count_on_path(route.path) > 0) return true;
+    return bgp::conventional_export_allows(route.route_class,
+                                           g->relationship(owner, neighbor));
+  };
+  options.prefers = [g, b](const bgp::Route& x, const bgp::Route& y) {
+    const std::size_t bx = b->count_on_path(x.path);
+    const std::size_t by = b->count_on_path(y.path);
+    if (bx != by) return bx < by;  // fewest backup links wins outright
+    return bgp::prefer(x, y, *g);
+  };
+  return options;
 }
 
 }  // namespace miro::conv

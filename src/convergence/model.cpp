@@ -34,6 +34,19 @@ MiroConvergenceModel::MiroConvergenceModel(const AsGraph& graph,
             "MiroConvergenceModel: Guideline D needs a partial order");
   for (std::size_t i = 0; i < destinations_.size(); ++i)
     destination_index_.emplace(destinations_[i], i);
+  const AsGraph* g = graph_;
+  if (!options_.prefers) {
+    options_.prefers = [g](const bgp::Route& a, const bgp::Route& b) {
+      return bgp::prefer(a, b, *g);
+    };
+  }
+  if (!options_.exports) {
+    options_.exports = [g](NodeId owner, const bgp::Route& route,
+                           NodeId neighbor) {
+      return bgp::conventional_export_allows(
+          route.route_class, g->relationship(owner, neighbor));
+    };
+  }
   state_.resize(graph.node_count() * destinations_.size());
   // Each destination originates its own prefix with the null AS path.
   for (NodeId dest : destinations_)
@@ -42,6 +55,8 @@ MiroConvergenceModel::MiroConvergenceModel(const AsGraph& graph,
 
 std::size_t MiroConvergenceModel::index_of(NodeId node,
                                            NodeId destination) const {
+  require(node < graph_->node_count(),
+          "MiroConvergenceModel: node out of range");
   auto it = destination_index_.find(destination);
   require(it != destination_index_.end(),
           "MiroConvergenceModel: unknown destination");
@@ -100,51 +115,49 @@ std::optional<Path> MiroConvergenceModel::advertised(NodeId owner,
       break;
   }
   if (!exported) return std::nullopt;
-  // Conventional export rule, on the class of the exported route at `owner`.
+  // The export hook sees the exported route classed at `owner`.
   const RouteClass cls = class_of(*exported);
-  if (!bgp::conventional_export_allows(cls, graph_->relationship(owner, to)))
-    return std::nullopt;
-  return exported;
+  bgp::Route route{std::move(*exported), cls};
+  if (!options_.exports(owner, route, to)) return std::nullopt;
+  return std::move(route.path);
+}
+
+std::optional<bgp::Route> MiroConvergenceModel::learned(
+    NodeId node, NodeId from, NodeId destination) const {
+  std::optional<Path> offered = advertised(from, destination, node);
+  if (!offered ||
+      std::find(offered->begin(), offered->end(), node) != offered->end())
+    return std::nullopt;  // nothing advertised, or loop rejection
+  Path path;
+  path.reserve(offered->size() + 1);
+  path.push_back(node);
+  path.insert(path.end(), offered->begin(), offered->end());
+  const RouteClass cls = class_of(path);
+  return bgp::Route{std::move(path), cls};
 }
 
 std::optional<Path> MiroConvergenceModel::select_bgp(
     NodeId node, NodeId destination) const {
   if (node == destination) return Path{destination};
-  std::optional<Path> best;
-  std::optional<RouteClass> best_class;
+  std::optional<bgp::Route> best;
   for (const topo::Neighbor& n : graph_->neighbors(node)) {
-    std::optional<Path> offered = advertised(n.node, destination, node);
-    if (!offered) continue;
-    if (std::find(offered->begin(), offered->end(), node) != offered->end())
-      continue;  // loop rejection
-    Path candidate;
-    candidate.reserve(offered->size() + 1);
-    candidate.push_back(node);
-    candidate.insert(candidate.end(), offered->begin(), offered->end());
-    const RouteClass cls = class_of(candidate);
-    if (!best) {
+    std::optional<bgp::Route> candidate = learned(node, n.node, destination);
+    if (candidate && (!best || options_.prefers(*candidate, *best)))
       best = std::move(candidate);
-      best_class = cls;
-      continue;
-    }
-    // Guideline A preference: class rank, then length, then next-hop ASN.
-    const int r_new = bgp::rank(cls);
-    const int r_old = bgp::rank(*best_class);
-    bool better = false;
-    if (r_new != r_old) {
-      better = r_new < r_old;
-    } else if (candidate.size() != best->size()) {
-      better = candidate.size() < best->size();
-    } else {
-      better = graph_->as_number(candidate[1]) <
-               graph_->as_number((*best)[1]);
-    }
-    if (better) {
-      best = std::move(candidate);
-      best_class = cls;
-    }
   }
-  return best;
+  if (!best) return std::nullopt;
+  return std::move(best->path);
+}
+
+std::vector<bgp::Route> MiroConvergenceModel::candidates(
+    NodeId node, NodeId destination) const {
+  std::vector<bgp::Route> out;
+  for (const topo::Neighbor& n : graph_->neighbors(node))
+    if (std::optional<bgp::Route> candidate =
+            learned(node, n.node, destination))
+      out.push_back(std::move(*candidate));
+  std::sort(out.begin(), out.end(), options_.prefers);
+  return out;
 }
 
 std::optional<Path> MiroConvergenceModel::select_tunnel(
@@ -248,13 +261,11 @@ std::optional<Path> MiroConvergenceModel::select_tunnel(
 }
 
 bool MiroConvergenceModel::activate(NodeId node, NodeId destination) {
-  LayeredRoute next;
-  next.bgp = select_bgp(node, destination);
-  next.tunnel = select_tunnel(node, destination);
   LayeredRoute& current = state_[index_of(node, destination)];
-  const bool changed = next.bgp != current.bgp || next.tunnel != current.tunnel;
-  if (changed) current = std::move(next);
-  return changed;
+  LayeredRoute next = select(node, destination);
+  if (next == current) return false;
+  current = std::move(next);
+  return true;
 }
 
 bool MiroConvergenceModel::activate(NodeId node) {
@@ -267,13 +278,9 @@ bool MiroConvergenceModel::activate(NodeId node) {
 bool MiroConvergenceModel::is_stable() {
   // A state is stable iff activating any speaker is a no-op; probing must
   // not mutate, so compute selections without applying.
-  for (NodeId node = 0; node < graph_->node_count(); ++node) {
-    for (NodeId dest : destinations_) {
-      const LayeredRoute& current = state_[index_of(node, dest)];
-      if (select_bgp(node, dest) != current.bgp) return false;
-      if (select_tunnel(node, dest) != current.tunnel) return false;
-    }
-  }
+  for (NodeId node = 0; node < graph_->node_count(); ++node)
+    for (NodeId dest : destinations_)
+      if (select(node, dest) != state_[index_of(node, dest)]) return false;
   return true;
 }
 
@@ -290,17 +297,14 @@ std::uint64_t MiroConvergenceModel::fingerprint() const {
   return h;
 }
 
-MiroConvergenceModel::RunResult MiroConvergenceModel::run_round_robin(
-    std::size_t max_sweeps) {
+MiroConvergenceModel::RunResult MiroConvergenceModel::run_rounds(
+    std::size_t max_rounds, const std::function<bool()>& round) {
   RunResult result;
   std::unordered_set<std::uint64_t> seen;
   seen.insert(fingerprint());
-  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool changed = false;
-    for (NodeId node = 0; node < graph_->node_count(); ++node) {
-      changed = activate(node) || changed;
-      ++result.activations;
-    }
+  for (std::size_t i = 0; i < max_rounds; ++i) {
+    const bool changed = round();
+    result.activations += graph_->node_count();
     if (!changed) {
       result.converged = true;
       return result;
@@ -313,6 +317,29 @@ MiroConvergenceModel::RunResult MiroConvergenceModel::run_round_robin(
     }
   }
   return result;
+}
+
+MiroConvergenceModel::RunResult MiroConvergenceModel::run_round_robin(
+    std::size_t max_sweeps) {
+  return run_rounds(max_sweeps, [this] {
+    bool changed = false;
+    for (NodeId node = 0; node < graph_->node_count(); ++node)
+      changed = activate(node) || changed;
+    return changed;
+  });
+}
+
+MiroConvergenceModel::RunResult MiroConvergenceModel::run_synchronous(
+    std::size_t max_steps) {
+  return run_rounds(max_steps, [this] {
+    std::vector<LayeredRoute> next(state_.size());
+    for (NodeId node = 0; node < graph_->node_count(); ++node)
+      for (NodeId dest : destinations_)
+        next[index_of(node, dest)] = select(node, dest);
+    const bool changed = next != state_;
+    state_ = std::move(next);
+    return changed;
+  });
 }
 
 MiroConvergenceModel::RunResult MiroConvergenceModel::run_random(
@@ -331,29 +358,6 @@ MiroConvergenceModel::RunResult MiroConvergenceModel::run_random(
     }
   }
   result.converged = is_stable();
-  return result;
-}
-
-MiroConvergenceModel::RunResult MiroConvergenceModel::run_schedule(
-    std::span<const NodeId> schedule, std::size_t rounds) {
-  RunResult result;
-  std::unordered_set<std::uint64_t> seen;
-  seen.insert(fingerprint());
-  for (std::size_t round = 0; round < rounds; ++round) {
-    bool changed = false;
-    for (NodeId node : schedule) {
-      changed = activate(node) || changed;
-      ++result.activations;
-    }
-    if (!changed) {
-      result.converged = true;
-      return result;
-    }
-    if (!seen.insert(fingerprint()).second) {
-      result.cycle_detected = true;
-      return result;
-    }
-  }
   return result;
 }
 

@@ -10,6 +10,11 @@
 // activation changes anything; divergence is demonstrated by revisiting a
 // global state fingerprint under a deterministic schedule.
 //
+// This is the repository's one activation model (Sections 2.2.3, 7.1): with
+// no tunnels it is plain BGP, whose stable state under the default policy
+// hooks equals StableRouteSolver's, and custom `prefers`/`exports` hooks
+// express the Griffin gadgets and the Section 7.2 guideline variants.
+//
 // Guidelines (Section 7.3, 7.4):
 //   None       — tunnels freely replace BGP routes, are advertised onward,
 //                and ride on whatever route currently reaches the responder.
@@ -36,7 +41,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -77,6 +81,14 @@ struct ModelOptions {
   /// ASes conforming to C while others conform to D or E, convergence is
   /// still guaranteed). When unset, every AS follows `guideline`.
   std::function<Guideline(NodeId node)> guideline_of;
+  /// Strict BGP preference between two candidate routes at the same owner.
+  /// Default: bgp::prefer (class rank, then length, then next-hop AS).
+  std::function<bool(const bgp::Route& better, const bgp::Route& worse)>
+      prefers;
+  /// May `owner` advertise `route` (its chosen route, classed at `owner`)
+  /// to `neighbor`? Default: the conventional export rule on its class.
+  std::function<bool(NodeId owner, const bgp::Route& route, NodeId neighbor)>
+      exports;
 };
 
 /// Per-(speaker, prefix) state: the BGP layer and the tunnel layer.
@@ -87,10 +99,14 @@ struct LayeredRoute {
   const std::optional<Path>& effective() const {
     return tunnel ? tunnel : bgp;
   }
+  bool operator==(const LayeredRoute&) const = default;
 };
 
 class MiroConvergenceModel {
  public:
+  /// Unset `prefers`/`exports` hooks get their defaults here. Throws
+  /// miro::Error when `destinations` is empty or names a node outside
+  /// `graph`, or when Guideline D is used without a partial order.
   MiroConvergenceModel(const AsGraph& graph, std::vector<NodeId> destinations,
                        ModelOptions options);
 
@@ -114,15 +130,22 @@ class MiroConvergenceModel {
   /// proves the system oscillates forever on it.
   RunResult run_round_robin(std::size_t max_sweeps = 256);
 
+  /// Synchronous steps: every speaker re-selects simultaneously from the
+  /// previous state (the schedule under which DISAGREE oscillates), with
+  /// the same cycle detection as run_round_robin. Each step counts one
+  /// activation per speaker.
+  RunResult run_synchronous(std::size_t max_steps = 256);
+
   /// Random fair schedule (for property tests).
   RunResult run_random(Rng& rng, std::size_t max_activations);
 
-  /// Runs an explicit schedule of speaker activations, repeated `rounds`
-  /// times, with cycle detection between rounds.
-  RunResult run_schedule(std::span<const NodeId> schedule,
-                         std::size_t rounds = 64);
-
+  /// Throws miro::Error when `node` is out of range or `destination` is not
+  /// one of the model's destinations.
   const LayeredRoute& route(NodeId node, NodeId destination) const;
+
+  /// The BGP routes `node` would choose from if activated now (one per
+  /// advertising neighbor, loops rejected), most preferred first.
+  std::vector<bgp::Route> candidates(NodeId node, NodeId destination) const;
 
   /// Hash of the entire system state.
   std::uint64_t fingerprint() const;
@@ -142,8 +165,19 @@ class MiroConvergenceModel {
   /// guideline's advertisement rules; nullopt when nothing is exported.
   std::optional<Path> advertised(NodeId owner, NodeId destination,
                                  NodeId to) const;
+  /// The route `node` learns from neighbor `from`: its advertisement with
+  /// `node` prepended; nullopt when nothing is advertised or it would loop.
+  std::optional<bgp::Route> learned(NodeId node, NodeId from,
+                                    NodeId destination) const;
   std::optional<Path> select_bgp(NodeId node, NodeId destination) const;
   std::optional<Path> select_tunnel(NodeId node, NodeId destination) const;
+  LayeredRoute select(NodeId node, NodeId destination) const {
+    return {select_bgp(node, destination), select_tunnel(node, destination)};
+  }
+  /// Repeats `round` (which returns whether it changed anything) until a
+  /// round changes nothing or the global state recurs.
+  RunResult run_rounds(std::size_t max_rounds,
+                       const std::function<bool()>& round);
 
   std::size_t index_of(NodeId node, NodeId destination) const;
 

@@ -1,7 +1,7 @@
 // Perf-regression gate over merged bench-suite JSON snapshots.
 //
-// The unified bench driver (bench/run_suite) merges every bench's --json
-// output into one document:
+// The bench suite (bench/run_suite) runs every bench in one process and
+// writes their rows into one document:
 //   {"suite":"miro-bench","schema":1,"config":{...},
 //    "benches":{"<bench>":{"config":{...},
 //               "results":[{"name":...,"value":...,"unit":...},...],

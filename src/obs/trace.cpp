@@ -36,8 +36,6 @@ const char* to_string(EventType type) {
     case EventType::TimerScheduled: return "timer_scheduled";
     case EventType::TimerFired: return "timer_fired";
     case EventType::TimerCancelled: return "timer_cancelled";
-    case EventType::BgpRouteSelected: return "bgp_route_selected";
-    case EventType::BgpRouteWithdrawn: return "bgp_route_withdrawn";
     case EventType::RibRootCause: return "rib_root_cause";
     case EventType::RibAnnounce: return "rib_announce";
     case EventType::RibImplicitWithdraw: return "rib_implicit_withdraw";

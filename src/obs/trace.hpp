@@ -6,7 +6,7 @@
 // tables) are likewise per-event measurements. This layer records typed,
 // sim-timestamped events — negotiation phase transitions, retransmissions,
 // tunnel mint/confirm/teardown/failover, keep-alive loss, bus
-// send/deliver/drop with reason, BGP selection changes, scheduler timer
+// send/deliver/drop with reason, BGP RIB changes, scheduler timer
 // fire/cancel — into a fixed-capacity ring buffer with pluggable sinks.
 //
 // Zero cost when disabled: every instrumented component holds a nullable
@@ -60,9 +60,6 @@ enum class EventType : std::uint8_t {
   TimerScheduled,         ///< value = absolute fire time
   TimerFired,
   TimerCancelled,         ///< observed when the cancelled event is popped
-  // ---- BGP update propagation (bgp/path_vector_engine) ----
-  BgpRouteSelected,       ///< value = AS-path length
-  BgpRouteWithdrawn,
   // ---- RIB monitoring (obs/ribmon over bgp/session_bgp) ----
   // Rendered forms of RibEventRecord for the Chrome-trace per-AS instant
   // tracks; `value` carries the record id so a track entry cross-references

@@ -5,7 +5,6 @@
 
 #include "bgp/path_table.hpp"
 #include "common/error.hpp"
-#include "bgp/path_vector_engine.hpp"
 #include "bgp/route.hpp"
 #include "bgp/route_solver.hpp"
 #include "scenarios.hpp"
@@ -201,31 +200,6 @@ TEST(StableRouteSolver, ValleyFreePaths) {
   }
 }
 
-TEST(StableRouteSolver, AgreesWithPathVectorEngineOnRandomTopologies) {
-  // The closed-form solver must compute exactly the stable state the
-  // asynchronous protocol converges to.
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    topo::GeneratorParams params = topo::profile("tiny");
-    params.seed = seed;
-    params.node_count = 120;
-    const topo::AsGraph graph = topo::generate(params);
-    StableRouteSolver solver(graph);
-    for (topo::NodeId dest : {topo::NodeId{0}, topo::NodeId{60}}) {
-      const RoutingTree tree = solver.solve(dest);
-      PathVectorEngine engine(graph, dest);
-      ASSERT_TRUE(engine.run_to_stable().has_value());
-      for (topo::NodeId node = 0; node < graph.node_count(); ++node) {
-        ASSERT_EQ(tree.reachable(node), engine.has_route(node))
-            << "node " << node << " dest " << dest << " seed " << seed;
-        if (tree.reachable(node)) {
-          EXPECT_EQ(tree.path_of(node), engine.best(node).path)
-              << "node " << node << " dest " << dest << " seed " << seed;
-        }
-      }
-    }
-  }
-}
-
 TEST(StableRouteSolver, SiblingLinksAreTransparent) {
   // s1 - s2 are siblings; dest hangs off s2 as a customer; x is a peer of
   // s1. The route x-s1-s2-dest must classify as a peer route at x and be
@@ -280,65 +254,6 @@ TEST(StableRouteSolver, PinnedRouteRequiresAdjacency) {
   Figure31Topology fig;
   StableRouteSolver solver(fig.graph);
   EXPECT_THROW(solver.solve_pinned(fig.f, PinnedRoute{fig.a, fig.f}), Error);
-}
-
-// ------------------------------------------------------------- engine
-
-TEST(PathVectorEngine, ActivationReachesStability) {
-  Figure31Topology fig;
-  PathVectorEngine engine(fig.graph, fig.f);
-  EXPECT_FALSE(engine.is_stable());  // nothing propagated yet
-  auto activations = engine.run_to_stable();
-  ASSERT_TRUE(activations.has_value());
-  EXPECT_TRUE(engine.is_stable());
-  EXPECT_EQ(engine.best(fig.a).path,
-            (std::vector<topo::NodeId>{fig.a, fig.b, fig.e, fig.f}));
-}
-
-TEST(PathVectorEngine, RandomFairScheduleConverges) {
-  Figure31Topology fig;
-  PathVectorEngine engine(fig.graph, fig.f);
-  Rng rng(5);
-  auto activations = engine.run_random(rng, 100000);
-  ASSERT_TRUE(activations.has_value());
-  EXPECT_EQ(engine.best(fig.a).path,
-            (std::vector<topo::NodeId>{fig.a, fig.b, fig.e, fig.f}));
-}
-
-TEST(PathVectorEngine, TraceRecordsSelectionChanges) {
-  Figure31Topology fig;
-  PathVectorEngine engine(fig.graph, fig.f);
-  obs::TraceRecorder trace(1 << 10);
-  engine.set_trace(&trace);
-  ASSERT_TRUE(engine.run_to_stable().has_value());
-  // Every node that ends up with a route selected one at least once.
-  EXPECT_GE(trace.count(obs::EventType::BgpRouteSelected), 5u);
-  // A's final selection is traced with its path length as the value.
-  bool saw_a = false;
-  for (const obs::TraceEvent& event : trace.snapshot()) {
-    if (event.type == obs::EventType::BgpRouteSelected &&
-        event.actor == fig.a) {
-      saw_a = true;
-      EXPECT_EQ(event.peer, fig.f);  // peer carries the destination
-    }
-  }
-  EXPECT_TRUE(saw_a);
-  EXPECT_EQ(trace.events_recorded(), trace.count(obs::EventType::BgpRouteSelected) +
-                                         trace.count(obs::EventType::BgpRouteWithdrawn));
-  EXPECT_GT(engine.activations(), 0u);
-}
-
-TEST(PathVectorEngine, CandidatesMatchSolver) {
-  Figure31Topology fig;
-  StableRouteSolver solver(fig.graph);
-  const RoutingTree tree = solver.solve(fig.f);
-  PathVectorEngine engine(fig.graph, fig.f);
-  ASSERT_TRUE(engine.run_to_stable().has_value());
-  const auto engine_candidates = engine.candidates(fig.b);
-  const auto solver_candidates = solver.candidates_at(tree, fig.b);
-  ASSERT_EQ(engine_candidates.size(), solver_candidates.size());
-  for (std::size_t i = 0; i < engine_candidates.size(); ++i)
-    EXPECT_EQ(engine_candidates[i].path, solver_candidates[i].path);
 }
 
 TEST(PathTable, InternDedupsAndSharesSuffixes) {

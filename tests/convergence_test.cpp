@@ -1,53 +1,262 @@
 #include <gtest/gtest.h>
 
+#include "bgp/route_solver.hpp"
+#include "common/error.hpp"
 #include "convergence/gadgets.hpp"
 #include "convergence/model.hpp"
+#include "scenarios.hpp"
 #include "topology/generator.hpp"
 
 namespace miro::conv {
 namespace {
 
-// --------------------------------------------------------- plain BGP gadgets
+using test::Figure31Topology;
 
-TEST(BgpGadgets, DisagreeOscillatesSynchronouslyButHasStableStates) {
-  const BgpGadget gadget = make_disagree();
+// ------------------------------------------------------- tunnel-free BGP
+
+TEST(StableRouteSolver, AgreesWithTunnelFreeModelOnRandomTopologies) {
+  // The closed-form solver must compute exactly the stable state the
+  // asynchronous activation model converges to.
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    topo::GeneratorParams params = topo::profile("tiny");
+    params.seed = seed;
+    params.node_count = 120;
+    const topo::AsGraph graph = topo::generate(params);
+    bgp::StableRouteSolver solver(graph);
+    for (NodeId dest : {NodeId{0}, NodeId{60}}) {
+      const bgp::RoutingTree tree = solver.solve(dest);
+      MiroConvergenceModel model(graph, {dest}, {});
+      ASSERT_TRUE(model.run_round_robin().converged);
+      for (NodeId node = 0; node < graph.node_count(); ++node) {
+        const std::optional<Path>& bgp = model.route(node, dest).bgp;
+        ASSERT_EQ(tree.reachable(node), bgp.has_value())
+            << "node " << node << " dest " << dest << " seed " << seed;
+        if (bgp) {
+          EXPECT_EQ(tree.path_of(node), *bgp)
+              << "node " << node << " dest " << dest << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(TunnelFreeModel, ActivationReachesStability) {
+  Figure31Topology fig;
+  MiroConvergenceModel model(fig.graph, {fig.f}, {});
+  EXPECT_FALSE(model.is_stable());  // nothing propagated yet
+  ASSERT_TRUE(model.run_round_robin().converged);
+  EXPECT_TRUE(model.is_stable());
+  EXPECT_EQ(model.route(fig.a, fig.f).bgp, (Path{fig.a, fig.b, fig.e, fig.f}));
+}
+
+TEST(TunnelFreeModel, RandomFairScheduleConverges) {
+  Figure31Topology fig;
+  MiroConvergenceModel model(fig.graph, {fig.f}, {});
+  Rng rng(5);
+  ASSERT_TRUE(model.run_random(rng, 100000).converged);
+  EXPECT_EQ(model.route(fig.a, fig.f).bgp, (Path{fig.a, fig.b, fig.e, fig.f}));
+}
+
+TEST(TunnelFreeModel, CandidatesMatchSolver) {
+  Figure31Topology fig;
+  bgp::StableRouteSolver solver(fig.graph);
+  const bgp::RoutingTree tree = solver.solve(fig.f);
+  MiroConvergenceModel model(fig.graph, {fig.f}, {});
+  ASSERT_TRUE(model.run_round_robin().converged);
+  // Every AS, so that C (whose neighbors F, B, E are not listed in
+  // preference order) checks the ordering too.
+  for (NodeId node = 0; node < fig.graph.node_count(); ++node) {
+    const auto model_candidates = model.candidates(node, fig.f);
+    const auto solver_candidates = solver.candidates_at(tree, node);
+    ASSERT_EQ(model_candidates.size(), solver_candidates.size())
+        << "node " << node;
+    for (std::size_t i = 0; i < model_candidates.size(); ++i)
+      EXPECT_EQ(model_candidates[i].path, solver_candidates[i].path)
+          << "node " << node;
+  }
+}
+
+// ---------------------------------------------- Griffin et al.'s gadgets
+
+TEST(GriffinGadgets, DisagreeOscillatesSynchronouslyButHasStableStates) {
+  const MiroGadget gadget = make_disagree();
   // Synchronous (simultaneous) activation oscillates forever.
   {
-    bgp::PathVectorEngine engine(gadget.graph, gadget.destination,
-                                 gadget.hooks);
-    bool saw_change_late = false;
-    for (int step = 0; step < 64; ++step) {
-      const bool changed = engine.step_synchronous();
-      if (step > 8 && changed) saw_change_late = true;
-    }
-    EXPECT_TRUE(saw_change_late) << "DISAGREE settled synchronously?";
+    MiroConvergenceModel model = gadget.build();
+    const auto result = model.run_synchronous();
+    EXPECT_FALSE(result.converged);
+    EXPECT_TRUE(result.cycle_detected) << "DISAGREE settled synchronously?";
   }
   // Sequential round-robin reaches one of the two stable states.
   {
-    bgp::PathVectorEngine engine(gadget.graph, gadget.destination,
-                                 gadget.hooks);
-    EXPECT_TRUE(engine.run_to_stable().has_value());
-    EXPECT_TRUE(engine.is_stable());
+    MiroConvergenceModel model = gadget.build();
+    EXPECT_TRUE(model.run_round_robin().converged);
+    EXPECT_TRUE(model.is_stable());
   }
 }
 
-TEST(BgpGadgets, BadGadgetNeverStabilizes) {
-  const BgpGadget gadget = make_bad_gadget();
-  bgp::PathVectorEngine engine(gadget.graph, gadget.destination,
-                               gadget.hooks);
-  EXPECT_FALSE(engine.run_to_stable(300).has_value());
+TEST(GriffinGadgets, BadGadgetNeverStabilizes) {
+  const MiroGadget gadget = make_bad_gadget();
+  MiroConvergenceModel model = gadget.build();
+  const auto result = model.run_round_robin();
+  EXPECT_FALSE(result.converged);
+  EXPECT_TRUE(result.cycle_detected);
   Rng rng(3);
-  bgp::PathVectorEngine random_engine(gadget.graph, gadget.destination,
-                                      gadget.hooks);
-  EXPECT_FALSE(random_engine.run_random(rng, 50000).has_value());
+  MiroConvergenceModel random_model = gadget.build();
+  EXPECT_FALSE(random_model.run_random(rng, 50000).converged);
 }
 
-TEST(BgpGadgets, GuidelineAPoliciesFixBadGadget) {
+TEST(GriffinGadgets, GuidelineAPoliciesFixBadGadget) {
   // The same topology under conventional Gao-Rexford policies converges:
   // violating the customer>peer>provider preference is what broke it.
-  const BgpGadget gadget = make_bad_gadget();
-  bgp::PathVectorEngine engine(gadget.graph, gadget.destination);
-  EXPECT_TRUE(engine.run_to_stable().has_value());
+  const MiroGadget gadget = make_bad_gadget();
+  MiroConvergenceModel model(gadget.graph, gadget.destinations, {});
+  EXPECT_TRUE(model.run_round_robin().converged);
+}
+
+// ------------------------------------------ Gao-Rexford variants (§7.2)
+
+TEST(RelaxedPeering, PeerRouteCanBeatLongerCustomerRoute) {
+  // x has a 3-hop customer route and a 2-hop peer route to d. Under
+  // Guideline A the customer route wins; under the relaxed band the shorter
+  // peer route does.
+  topo::AsGraph graph;
+  const auto x = graph.add_as(1);
+  const auto c = graph.add_as(2);
+  const auto c2 = graph.add_as(5);
+  const auto p = graph.add_as(3);
+  const auto d = graph.add_as(4);
+  graph.add_customer_provider(/*provider=*/x, /*customer=*/c);
+  graph.add_customer_provider(c, c2);
+  graph.add_customer_provider(c2, d);  // customer chain x -> c -> c2 -> d
+  graph.add_peer(x, p);
+  graph.add_sibling(p, d);  // p reaches d via sibling => customer class at p
+  // Conventional: the (longer) customer route wins.
+  {
+    MiroConvergenceModel model(graph, {d}, {});
+    ASSERT_TRUE(model.run_round_robin().converged);
+    EXPECT_EQ(model.route(x, d).bgp, (Path{x, c, c2, d}));
+  }
+  // Relaxed: the peer-learned route x-p-d is shorter within the shared band.
+  {
+    MiroConvergenceModel model(graph, {d}, relaxed_peering_options(graph));
+    ASSERT_TRUE(model.run_round_robin().converged);
+    EXPECT_EQ(model.route(x, d).bgp, (Path{x, p, d}));
+  }
+}
+
+TEST(RelaxedPeering, ConvergesOnGeneratedTopologies) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    topo::GeneratorParams params = topo::profile("tiny");
+    params.seed = seed;
+    params.node_count = 120;
+    const topo::AsGraph graph = topo::generate(params);
+    for (NodeId dest : {NodeId{0}, NodeId{60}}) {
+      MiroConvergenceModel model(graph, {dest},
+                                 relaxed_peering_options(graph));
+      EXPECT_TRUE(model.run_round_robin().converged)
+          << "seed " << seed << " dest " << dest;
+    }
+  }
+}
+
+TEST(BackupLinks, CountOnPath) {
+  BackupLinks backups;
+  backups.add(1, 2);
+  backups.add(3, 4);
+  EXPECT_EQ(backups.count_on_path({0, 1, 2, 3}), 1u);
+  EXPECT_EQ(backups.count_on_path({2, 1, 4, 3}), 2u);  // order-insensitive
+  EXPECT_EQ(backups.count_on_path({0, 5, 6}), 0u);
+  EXPECT_TRUE(backups.contains(2, 1));
+}
+
+TEST(BackupLinks, UnusedWhilePrimaryExists) {
+  // s is dual-homed: primary provider p1, backup provider p2.
+  topo::AsGraph graph;
+  const auto core = graph.add_as(1);
+  const auto p1 = graph.add_as(3);
+  const auto p2 = graph.add_as(2);
+  const auto s = graph.add_as(4);
+  const auto d = graph.add_as(5);
+  graph.add_customer_provider(core, p1);
+  graph.add_customer_provider(core, p2);
+  graph.add_customer_provider(p1, s);
+  graph.add_customer_provider(p2, s);  // the backup homing
+  graph.add_customer_provider(core, d);
+  BackupLinks backups;
+  backups.add(p2, s);
+
+  MiroConvergenceModel model(graph, {d}, backup_link_options(graph, backups));
+  ASSERT_TRUE(model.run_round_robin().converged);
+  // s routes via the primary even though p2's lower AS number would win
+  // the conventional tie-break.
+  EXPECT_EQ(model.route(s, d).bgp, (Path{s, p1, core, d}));
+}
+
+TEST(BackupLinks, CarryTrafficAfterPrimaryFailure) {
+  // Same scenario with the primary homing removed: the backup link must
+  // restore connectivity.
+  topo::AsGraph graph;
+  const auto core = graph.add_as(1);
+  const auto p2 = graph.add_as(3);
+  const auto s = graph.add_as(4);
+  const auto d = graph.add_as(5);
+  graph.add_customer_provider(core, p2);
+  graph.add_customer_provider(p2, s);
+  graph.add_customer_provider(core, d);
+  BackupLinks backups;
+  backups.add(p2, s);
+  MiroConvergenceModel model(graph, {d}, backup_link_options(graph, backups));
+  ASSERT_TRUE(model.run_round_robin().converged);
+  EXPECT_EQ(model.route(s, d).bgp, (Path{s, p2, core, d}));
+}
+
+TEST(BackupLinks, BackupPeeringRestoresPartitionedCustomerCone) {
+  // Two providers with a backup peer link between them; d hangs off p2,
+  // x's only provider is p1 and y's only link is a peering with p1. x
+  // reaches d over the backup peering as over any peering. y does too, but
+  // only because p1's route crosses a backup link: such routes go to every
+  // neighbor, while the conventional rules keep a peer route from a peer.
+  topo::AsGraph graph;
+  const auto p1 = graph.add_as(1);
+  const auto p2 = graph.add_as(2);
+  const auto x = graph.add_as(3);
+  const auto d = graph.add_as(4);
+  const auto y = graph.add_as(5);
+  graph.add_customer_provider(p1, x);
+  graph.add_customer_provider(p2, d);
+  graph.add_peer(p1, p2);
+  graph.add_peer(p1, y);
+  BackupLinks backups;
+  backups.add(p1, p2);
+  MiroConvergenceModel model(graph, {d}, backup_link_options(graph, backups));
+  ASSERT_TRUE(model.run_round_robin().converged);
+  EXPECT_EQ(model.route(x, d).bgp, (Path{x, p1, p2, d}));
+  EXPECT_EQ(model.route(y, d).bgp, (Path{y, p1, p2, d}));
+}
+
+TEST(BackupLinks, ConvergesOnGeneratedTopologiesWithRandomBackups) {
+  for (std::uint64_t seed : {4ull, 5ull, 6ull}) {
+    topo::GeneratorParams params = topo::profile("tiny");
+    params.seed = seed;
+    params.node_count = 120;
+    const topo::AsGraph graph = topo::generate(params);
+    Rng rng(seed);
+    const BackupLinks backups = random_backup_links(graph, rng, 8);
+    for (NodeId dest : {NodeId{0}, NodeId{60}}) {
+      MiroConvergenceModel model(graph, {dest},
+                                 backup_link_options(graph, backups));
+      EXPECT_TRUE(model.run_round_robin().converged)
+          << "seed " << seed << " dest " << dest;
+      // Backup preference never reduces reachability.
+      MiroConvergenceModel plain(graph, {dest}, {});
+      ASSERT_TRUE(plain.run_round_robin().converged);
+      for (NodeId node = 0; node < graph.node_count(); ++node)
+        EXPECT_GE(model.route(node, dest).bgp.has_value(),
+                  plain.route(node, dest).bgp.has_value())
+            << "node " << node;
+    }
+  }
 }
 
 // ------------------------------------------------------------- Figure 7.1
@@ -237,13 +446,20 @@ TEST(Model, GuidelineDRequiresPartialOrder) {
   EXPECT_THROW(gadget.build(), Error);
 }
 
-TEST(Model, ScheduleRunnerDetectsCycles) {
+TEST(Model, SynchronousRunnerDetectsCycles) {
   const MiroGadget gadget = make_figure_7_1(Guideline::None);
   MiroConvergenceModel model = gadget.build();
-  const std::vector<NodeId> everyone{0, 1, 2, 3};
-  const auto result = model.run_schedule(everyone, 128);
+  const auto result = model.run_synchronous();
   EXPECT_FALSE(result.converged);
   EXPECT_TRUE(result.cycle_detected);
+}
+
+TEST(Model, RejectsOutOfRangeNodes) {
+  const MiroGadget gadget = make_figure_7_1(Guideline::None);
+  const auto past_end = static_cast<NodeId>(gadget.graph.node_count());
+  EXPECT_THROW(MiroConvergenceModel(gadget.graph, {past_end}, {}), Error);
+  const MiroConvergenceModel model = gadget.build();
+  EXPECT_THROW(model.route(past_end, gadget.nodes.at("D")), Error);
 }
 
 }  // namespace

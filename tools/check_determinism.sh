@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Determinism lint: greps the result-producing code (src/eval, src/analysis,
-# bench) for nondeterminism hazards that have bitten simulation repos before:
+# src/convergence, src/bgp, src/core, src/churn, src/topology, bench) for
+# nondeterminism hazards that have bitten simulation repos before:
 #
 #   random-device        unseeded randomness — std::random_device, rand(),
 #                        srand(). Everything must draw from the seeded
@@ -20,7 +21,7 @@ set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 allowlist="$root/tools/determinism_allowlist.txt"
-scope="src/eval src/analysis bench"
+scope="src/eval src/analysis src/convergence src/bgp src/core src/churn src/topology bench"
 
 fail=0
 report() { # kind file line text
