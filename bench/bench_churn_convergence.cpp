@@ -76,15 +76,15 @@ void churn_convergence(Run& run) {
     const churn::ReplayResult unmonitored =
         churn::replay_churn(graph, mixed, replay_config);
     const double monitor_off_ms = off_clock.ms();
-    obs::RibMonitor rib;
+    obs::EventLog rib;
     churn::ReplayConfig monitored_config = replay_config;
-    monitored_config.ribmon = &rib;
+    monitored_config.log = &rib;
     const Stopwatch on_clock;
     const churn::ReplayResult monitored =
         churn::replay_churn(graph, mixed, monitored_config);
     const double monitor_on_ms = on_clock.ms();
     const obs::ProvenanceSummary provenance =
-        obs::build_propagation_trees(rib.records());
+        obs::build_propagation_trees(rib.events());
     const bool monitor_ok =
         monitored.bgp.updates_sent == unmonitored.bgp.updates_sent &&
         monitored.bgp.withdrawals_sent == unmonitored.bgp.withdrawals_sent &&

@@ -9,10 +9,11 @@
 // With --metrics-json the final (worst drop rate) run's metrics registry —
 // agent counters, bus delivery accounting — is written as a JSON snapshot,
 // suitable for a CI artifact. With --chrome-trace the final run is executed
-// with both observability planes on — the sim-time TraceRecorder and the
+// with both observability planes on — the sim-time event log and the
 // wall-clock span profiler — and merged into one Chrome trace-event file
-// (load it in chrome://tracing or https://ui.perfetto.dev). Every run is
-// deterministic for a given seed.
+// (load it in chrome://tracing or https://ui.perfetto.dev). Exit status 2
+// means an output file could not be written. Every run is deterministic for
+// a given seed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +30,6 @@
 #include "obs/memstats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "topology/as_graph.hpp"
 
 namespace {
@@ -71,7 +71,7 @@ struct SweepRow {
 
 SweepRow run_one(double drop, std::size_t negotiations, std::uint64_t seed,
                  miro::obs::MetricsRegistry* metrics = nullptr,
-                 miro::obs::TraceRecorder* trace = nullptr,
+                 miro::obs::EventLog* log = nullptr,
                  miro::obs::MemoryRegistry* memstats = nullptr) {
   using namespace miro;
   Figure31 fig;
@@ -91,12 +91,10 @@ SweepRow run_one(double drop, std::size_t negotiations, std::uint64_t seed,
   ss.rng_seed = seed;
   core::MiroAgent requester(fig.a, store, bus, {}, ss);
   core::MiroAgent responder(fig.b, store, bus, {}, ss);
-  if (trace != nullptr) {
-    scheduler.set_trace(trace);
-    bus.set_trace(trace);
-    requester.set_trace(trace);
-    responder.set_trace(trace);
-  }
+  scheduler.set_event_log(log);
+  bus.set_event_log(log);
+  requester.set_event_log(log);
+  responder.set_event_log(log);
 
   SweepRow row;
   row.drop = drop;
@@ -173,9 +171,7 @@ int main(int argc, char** argv) {
               "estab", "aband", "retx", "dups", "fover", "msgsent",
               "msgdrop", "rate%");
   miro::obs::MetricsRegistry metrics;
-  miro::obs::TraceRecorder recorder;
-  miro::obs::MemorySink sink;  // full history even past ring wraparound
-  recorder.add_sink(&sink);
+  miro::obs::EventLog log;
   miro::obs::ProfileRegistry profiler;
   miro::obs::MemoryRegistry memstats;
   const std::vector<double> drops{0.0, 0.05, 0.10, 0.15, 0.20, 0.30};
@@ -188,7 +184,7 @@ int main(int argc, char** argv) {
     const SweepRow row = run_one(drop, negotiations, seed,
                                  last && !metrics_path.empty() ? &metrics
                                                                : nullptr,
-                                 trace_this ? &recorder : nullptr,
+                                 trace_this ? &log : nullptr,
                                  last && memory_report ? &memstats : nullptr);
     if (trace_this) miro::obs::set_profile(nullptr);
     std::printf(
@@ -212,20 +208,24 @@ int main(int argc, char** argv) {
     std::ofstream out(metrics_path);
     metrics.write_json(out);
     out << "\n";
+    out.flush();
+    if (!out) {
+      std::fprintf(stderr, "chaos_sweep: cannot write %s\n",
+                   metrics_path.c_str());
+      return 2;
+    }
     std::printf("Metrics snapshot (drop=%.0f%%) written to %s\n",
                 drops.back() * 100, metrics_path.c_str());
   }
   if (!chrome_trace_path.empty()) {
     if (!miro::obs::write_chrome_trace_file(chrome_trace_path, &profiler,
-                                            sink.events(), {})) {
-      std::fprintf(stderr, "chaos_sweep: cannot write %s\n",
-                   chrome_trace_path.c_str());
-      return 1;
+                                            log.events(), {})) {
+      return 2;  // the exporter already said why on stderr
     }
     std::printf("Chrome trace (drop=%.0f%%: %zu sim events, %zu wall spans)"
                 " written to %s -- open in chrome://tracing or Perfetto\n",
-                drops.back() * 100, sink.events().size(),
-                profiler.spans().size(), chrome_trace_path.c_str());
+                drops.back() * 100, log.size(), profiler.spans().size(),
+                chrome_trace_path.c_str());
   }
   return 0;
 }

@@ -12,13 +12,15 @@
 // is re-validated against it first); --save writes the generated trace so a
 // failing script can be checked in and replayed forever. --defend switches
 // on the MRAI + flap-damping defenses (both off by default, like real
-// deployments start). Every run is bit-deterministic for a given seed.
+// deployments start). Every run is bit-deterministic for a given seed. A
+// malformed numeric flag is a usage error (exit 2).
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "churn/replayer.hpp"
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "topology/generator.hpp"
 
@@ -56,6 +58,13 @@ struct Figure31 {
   std::exit(2);
 }
 
+[[noreturn]] void bad_value(const std::string& flag, const char* text,
+                            const char* expected) {
+  std::fprintf(stderr, "churn_replay: %s expects %s, got '%s'\n",
+               flag.c_str(), expected, text);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,22 +86,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&]() -> std::uint64_t {
+      const char* text = value();
+      const std::optional<std::uint64_t> parsed = parse_u64(text);
+      if (!parsed) bad_value(flag, text, "a non-negative integer");
+      return *parsed;
+    };
     if (flag == "--topo") topo_name = value();
-    else if (flag == "--scale") scale = std::atof(value());
-    else if (flag == "--seed")
-      trace_config.seed = static_cast<std::uint64_t>(std::atoll(value()));
-    else if (flag == "--episodes")
-      trace_config.episodes = static_cast<std::size_t>(std::atoll(value()));
-    else if (flag == "--duration")
-      trace_config.duration = static_cast<sim::Time>(std::atoll(value()));
+    else if (flag == "--scale") {
+      const char* text = value();
+      char* end = nullptr;
+      scale = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(scale) || scale <= 0)
+        bad_value(flag, text, "a positive number");
+    } else if (flag == "--seed") trace_config.seed = count();
+    else if (flag == "--episodes") trace_config.episodes = count();
+    else if (flag == "--duration") trace_config.duration = count();
     else if (flag == "--defend") {
       replay_config.defense.mrai = 60;
       replay_config.defense.damping_enabled = true;
-    } else if (flag == "--mrai")
-      replay_config.defense.mrai = static_cast<sim::Time>(std::atoll(value()));
+    } else if (flag == "--mrai") replay_config.defense.mrai = count();
     else if (flag == "--checkpoint")
-      replay_config.checkpoint_interval =
-          static_cast<sim::Time>(std::atoll(value()));
+      replay_config.checkpoint_interval = count();
     else if (flag == "--save") save_path = value();
     else if (flag == "--load") load_path = value();
     else usage(argv[0]);

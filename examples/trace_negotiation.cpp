@@ -1,5 +1,5 @@
 // Trace one MIRO negotiation over a lossy control plane and reconstruct its
-// causal timeline from the structured trace (see src/obs/ and DESIGN.md §8).
+// causal timeline from the event log (see src/obs/ and DESIGN.md §8).
 //
 //   ./trace_negotiation [drop] [seed] [trace.jsonl] [metrics.json]
 //
@@ -8,10 +8,11 @@
 // tunnel through a few keep-alive rounds, tears it down, and then:
 //   - prints the reconstructed per-negotiation timeline (every traced event,
 //     plus the compact arrow-form summary),
-//   - streams the full event history to a JSONL file,
+//   - writes the full event log to a JSONL file,
 //   - writes a metrics-registry JSON snapshot next to it.
-// Both files are what the CI workflow uploads as artifacts. Every run is
-// deterministic for a given seed.
+// Both files are what the CI workflow uploads as artifacts; exit status 2
+// means one of them could not be written. Every run is deterministic for a
+// given seed.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,8 +24,8 @@
 #include "core/protocol.hpp"
 #include "core/route_store.hpp"
 #include "netsim/fault_injection.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "topology/as_graph.hpp"
 
 namespace {
@@ -73,19 +74,16 @@ int main(int argc, char** argv) {
   plane.set_default_profile({drop, /*duplicate=*/0.10, /*jitter_max=*/25});
   bus.set_fault_plane(&plane);
 
-  // One recorder observes the bus and both agents; the JSONL sink captures
-  // the full history even if the ring wraps.
-  obs::TraceRecorder trace(1 << 14);
-  obs::JsonlFileSink jsonl(trace_path);
-  trace.add_sink(&jsonl);
-  bus.set_trace(&trace);
+  // One log observes the bus and both agents.
+  obs::EventLog log;
+  bus.set_event_log(&log);
 
   core::SoftStateConfig ss;
   ss.rng_seed = seed;
   core::MiroAgent requester(fig.a, store, bus, {}, ss);
   core::MiroAgent responder(fig.b, store, bus, {}, ss);
-  requester.set_trace(&trace);
-  responder.set_trace(&trace);
+  requester.set_event_log(&log);
+  responder.set_event_log(&log);
 
   std::printf("One negotiation, drop=%.0f%%, 10%% duplication, jitter <= 25"
               " ticks, seed %llu\n\n",
@@ -108,20 +106,19 @@ int main(int argc, char** argv) {
     held.push_back(id);
   for (net::TunnelId id : held) requester.teardown(id);
   scheduler.run_until(4500);  // quiescent period: soft state drains
-  jsonl.flush();
 
   const obs::NegotiationTimeline timeline =
-      obs::reconstruct_negotiation(trace, negotiation_id);
+      obs::reconstruct_negotiation(log, negotiation_id);
   std::printf("negotiation %llu reconstructed (%zu events, tunnel %llu):\n",
               static_cast<unsigned long long>(timeline.negotiation_id),
               timeline.events.size(),
               static_cast<unsigned long long>(timeline.tunnel_id));
   std::printf("%8s  %-24s %5s %5s %7s  %s\n", "t", "event", "actor", "peer",
               "value", "detail");
-  for (const obs::TraceEvent& event : timeline.events) {
+  for (const obs::Event& event : timeline.events) {
     std::printf("%8llu  %-24s %5u %5u %7lld  %s\n",
                 static_cast<unsigned long long>(event.time),
-                obs::to_string(event.type), event.actor, event.peer,
+                obs::to_string(event.kind), event.actor, event.peer,
                 static_cast<long long>(event.value), event.detail);
   }
   std::printf("\nsummary: %s\n\n", timeline.summary().c_str());
@@ -134,10 +131,17 @@ int main(int argc, char** argv) {
   std::ofstream metrics_out(metrics_path);
   metrics.write_json(metrics_out);
   metrics_out << "\n";
+  metrics_out.flush();
+  const auto cannot_write = [](const std::string& path) {
+    std::fprintf(stderr, "trace_negotiation: cannot write %s\n",
+                 path.c_str());
+    return 2;
+  };
+  if (!metrics_out) return cannot_write(metrics_path);
+  if (!obs::write_jsonl_file(trace_path, log)) return cannot_write(trace_path);
 
-  std::printf("\nwrote %llu trace events to %s and a metrics snapshot to"
+  std::printf("\nwrote %zu trace events to %s and a metrics snapshot to"
               " %s\n",
-              static_cast<unsigned long long>(trace.events_recorded()),
-              trace_path.c_str(), metrics_path.c_str());
+              log.size(), trace_path.c_str(), metrics_path.c_str());
   return 0;
 }

@@ -48,11 +48,11 @@ std::vector<NodeId> SessionedBgpNetwork::path_of(NodeId node) const {
 void SessionedBgpNetwork::start() {
   require(!started_, "SessionedBgpNetwork::start: already started");
   started_ = true;
-  obs::RibEventId root = 0;
-  if (ribmon_ != nullptr) {
-    root = ribmon_->record_root(scheduler_->now(), destination_, "start");
+  obs::EventId root = 0;
+  if (log_ != nullptr) {
+    root = log_->record_root(scheduler_->now(), destination_, "start");
   }
-  obs::RibMonitor::CauseScope scope(ribmon_, root);
+  obs::EventLog::CauseScope scope(log_, root);
   reselect(destination_);  // announces to every neighbor
 }
 
@@ -64,16 +64,14 @@ void SessionedBgpNetwork::send(NodeId from, NodeId to,
   } else {
     ++stats_.updates_sent;
   }
-  obs::RibEventId sent_id = 0;
-  if (ribmon_ != nullptr) {
-    const obs::RibEventKind kind =
+  obs::EventId sent_id = 0;
+  if (log_ != nullptr) {
+    const obs::EventKind kind =
         path_at_sender.empty()
-            ? obs::RibEventKind::Withdraw
-            : (replaces ? obs::RibEventKind::ImplicitWithdraw
-                        : obs::RibEventKind::Announce);
-    sent_id = ribmon_->record(
-        scheduler_->now(), kind, from, to, destination_,
-        static_cast<std::uint32_t>(path_at_sender.size()));
+            ? obs::EventKind::Withdraw
+            : (replaces ? obs::EventKind::ImplicitWithdraw
+                        : obs::EventKind::Announce);
+    sent_id = record(kind, from, to, path_at_sender.size());
   }
   ++messages_in_flight_;
   scheduler_->after(link_delay_, [this, from, to, sent_id,
@@ -83,11 +81,9 @@ void SessionedBgpNetwork::send(NodeId from, NodeId to,
     // session-down handling already flushed the receiver's state.
     if (!link_up(from, to)) {
       ++stats_.lost_in_flight;
-      if (ribmon_ != nullptr) {
-        obs::RibMonitor::CauseScope loss_scope(ribmon_, sent_id);
-        ribmon_->record(scheduler_->now(), obs::RibEventKind::Loss, to, from,
-                        destination_,
-                        static_cast<std::uint32_t>(path.size()));
+      if (log_ != nullptr) {
+        obs::EventLog::CauseScope loss_scope(log_, sent_id);
+        record(obs::EventKind::Loss, to, from, path.size());
       }
       return;
     }
@@ -96,16 +92,14 @@ void SessionedBgpNetwork::send(NodeId from, NodeId to,
     } else {
       ++stats_.delivered_updates;
     }
-    obs::RibEventId deliver_id = 0;
-    if (ribmon_ != nullptr) {
-      obs::RibMonitor::CauseScope deliver_scope(ribmon_, sent_id);
-      deliver_id = ribmon_->record(
-          scheduler_->now(), obs::RibEventKind::Deliver, to, from,
-          destination_, static_cast<std::uint32_t>(path.size()));
+    obs::EventId deliver_id = 0;
+    if (log_ != nullptr) {
+      obs::EventLog::CauseScope deliver_scope(log_, sent_id);
+      deliver_id = record(obs::EventKind::Deliver, to, from, path.size());
     }
     // Everything the receiver does in reaction — damping, reselect, further
     // sends — descends causally from this delivery.
-    obs::RibMonitor::CauseScope scope(ribmon_, deliver_id);
+    obs::EventLog::CauseScope scope(log_, deliver_id);
     if (message_observer_) message_observer_(from, to, path);
     receive(to, from, path);
   });
@@ -136,13 +130,11 @@ void SessionedBgpNetwork::enqueue(NodeId from, NodeId to,
   // cancelling back to what the wire already carries, both elide a send.
   if (out.has_pending) {
     ++stats_.coalesced;
-    if (ribmon_ != nullptr) {
+    if (log_ != nullptr) {
       // The elided message is the one parked earlier; attribute the
       // coalesce to the cause that parked it, not the superseding cause.
-      obs::RibMonitor::CauseScope scope(ribmon_, out.pending_cause);
-      ribmon_->record(scheduler_->now(), obs::RibEventKind::MraiCoalesce,
-                      from, to, destination_,
-                      static_cast<std::uint32_t>(out.pending.size()));
+      obs::EventLog::CauseScope scope(log_, out.pending_cause);
+      record(obs::EventKind::MraiCoalesce, from, to, out.pending.size());
     }
   }
   if (path_at_sender == out.last_sent) {
@@ -155,7 +147,7 @@ void SessionedBgpNetwork::enqueue(NodeId from, NodeId to,
   if (!out.has_pending) ++mrai_parked_;
   out.has_pending = true;
   out.pending = std::move(path_at_sender);
-  out.pending_cause = ribmon_ != nullptr ? ribmon_->current_cause() : 0;
+  out.pending_cause = current_cause();
 }
 
 void SessionedBgpNetwork::arm_mrai(NodeId from, NodeId to) {
@@ -168,17 +160,29 @@ void SessionedBgpNetwork::arm_mrai(NodeId from, NodeId to) {
     std::vector<NodeId> path = std::move(session.pending);
     session.pending.clear();
     session.has_pending = false;
-    const obs::RibEventId cause = session.pending_cause;
+    const obs::EventId cause = session.pending_cause;
     session.pending_cause = 0;
     --mrai_parked_;
     if (!link_up(from, to)) return;  // session died while parked
     const bool replaces = !session.last_sent.empty() && !path.empty();
     session.last_sent = path;
     // The delayed send still belongs to the cause that parked the message.
-    obs::RibMonitor::CauseScope scope(ribmon_, cause);
+    obs::EventLog::CauseScope scope(log_, cause);
     send(from, to, std::move(path), replaces);
     arm_mrai(from, to);
   });
+}
+
+obs::EventId SessionedBgpNetwork::record(obs::EventKind kind, NodeId actor,
+                                         NodeId peer, std::size_t path_len,
+                                         std::uint64_t path_hash) {
+  return log_->record({.time = scheduler_->now(),
+                       .kind = kind,
+                       .actor = actor,
+                       .peer = peer,
+                       .prefix = destination_,
+                       .path_len = static_cast<std::uint32_t>(path_len),
+                       .path_hash = path_hash});
 }
 
 void SessionedBgpNetwork::decay_penalty(DampingState& state,
@@ -224,11 +228,10 @@ void SessionedBgpNetwork::schedule_reuse(NodeId node, NodeId from) {
                           std::log2(ratio)));
   // The reuse timer (and any release reselect it runs) descends causally
   // from whatever triggered the suppression or its extension.
-  const obs::RibEventId cause =
-      ribmon_ != nullptr ? ribmon_->current_cause() : 0;
   state.reuse_timer = scheduler_->after(
-      std::max<sim::Time>(dt, 1), [this, node, from, cause]() {
-        obs::RibMonitor::CauseScope scope(ribmon_, cause);
+      std::max<sim::Time>(dt, 1),
+      [this, node, from, cause = current_cause()]() {
+        obs::EventLog::CauseScope scope(log_, cause);
         DampingState& s = speakers_[node].damping[from];
         if (!s.suppressed) return;
         decay_penalty(s, scheduler_->now());
@@ -292,11 +295,8 @@ void SessionedBgpNetwork::receive(NodeId node, NodeId from,
     if (!just_suppressed && speaker.damping[from].suppressed) {
       // Absorbed: the pair is quarantined, nothing propagates.
       ++stats_.updates_suppressed;
-      if (ribmon_ != nullptr) {
-        ribmon_->record(scheduler_->now(),
-                        obs::RibEventKind::DampingSuppress, node, from,
-                        destination_, 0);
-      }
+      if (log_ != nullptr)
+        record(obs::EventKind::DampingSuppress, node, from, 0);
       return;
     }
     // On the suppression edge fall through: one reselect expels the route.
@@ -349,17 +349,18 @@ void SessionedBgpNetwork::reselect(NodeId node) {
                        (next && next->path != speaker.best->path);
   if (changed) {
     speaker.best = std::move(next);
-    if (ribmon_ != nullptr) {
-      const std::uint32_t len =
-          speaker.best
-              ? static_cast<std::uint32_t>(speaker.best->path.size())
-              : 0;
+    obs::EventId changed_id = 0;
+    if (log_ != nullptr) {
+      const std::size_t len = speaker.best ? speaker.best->path.size() : 0;
       const std::uint64_t hash =
           speaker.best ? obs::hash_path(speaker.best->path) : 0;
-      ribmon_->record(scheduler_->now(), obs::RibEventKind::BestChanged,
-                      node, 0, destination_, len, hash);
+      changed_id = record(obs::EventKind::BestChanged, node, 0, len, hash);
     }
-    if (observer_) observer_(node, speaker.best);
+    if (observer_) {
+      // A tunnel the observer tears down descends from this route change.
+      obs::EventLog::CauseScope scope(log_, changed_id);
+      observer_(node, speaker.best);
+    }
   }
 
   // Export processing: advertise on change or on a fresh session; withdraw
@@ -403,10 +404,8 @@ void SessionedBgpNetwork::fail_link(NodeId a, NodeId b) {
     if (defense_.damping_enabled && held) penalize(self, other);
     // Process asynchronously so failure handling interleaves with traffic;
     // the deferred reselect keeps the failure's causal context.
-    const obs::RibEventId cause =
-        ribmon_ != nullptr ? ribmon_->current_cause() : 0;
-    scheduler_->after(0, [this, self = self, cause]() {
-      obs::RibMonitor::CauseScope scope(ribmon_, cause);
+    scheduler_->after(0, [this, self = self, cause = current_cause()]() {
+      obs::EventLog::CauseScope scope(log_, cause);
       reselect(self);
     });
   }
@@ -416,11 +415,9 @@ void SessionedBgpNetwork::restore_link(NodeId a, NodeId b) {
   if (failed_links_.erase(link_key(a, b)) == 0) return;  // was not down
   // Fresh session: both ends retransmit their current table (here: the one
   // prefix) if export policy allows.
-  const obs::RibEventId cause =
-      ribmon_ != nullptr ? ribmon_->current_cause() : 0;
   for (auto [self, other] : {std::pair{a, b}, std::pair{b, a}}) {
-    scheduler_->after(0, [this, self = self, cause]() {
-      obs::RibMonitor::CauseScope scope(ribmon_, cause);
+    scheduler_->after(0, [this, self = self, cause = current_cause()]() {
+      obs::EventLog::CauseScope scope(log_, cause);
       reselect(self);
     });
   }

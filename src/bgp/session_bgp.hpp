@@ -39,8 +39,8 @@
 #include "bgp/path_table.hpp"
 #include "bgp/route.hpp"
 #include "netsim/scheduler.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/ribmon.hpp"
 
 namespace miro::bgp {
 
@@ -116,14 +116,15 @@ class SessionedBgpNetwork {
     message_observer_ = std::move(observer);
   }
 
-  /// Attaches (or clears, with nullptr) the route-event provenance monitor.
+  /// Attaches (or clears, with nullptr) the event log that receives one
+  /// RIB event per RIB-changing occurrence, each carrying its causal parent.
   /// Null by default and zero-cost when absent: every emission site guards
-  /// with one branch, and monitored vs unmonitored runs of the same script
-  /// are bit-identical in protocol behaviour (asserted in ribmon_test).
+  /// with one branch, and logged vs unlogged runs of the same script are
+  /// bit-identical in protocol behaviour (asserted in ribmon_test).
   /// Callers establishing external root causes (churn replay, tests) wrap
-  /// the triggering API call in an obs::RibMonitor::CauseScope.
-  void set_rib_monitor(obs::RibMonitor* monitor) { ribmon_ = monitor; }
-  obs::RibMonitor* rib_monitor() const { return ribmon_; }
+  /// the triggering API call in an obs::EventLog::CauseScope. The route
+  /// observer runs inside the scope of the best_changed event it reports.
+  void set_event_log(obs::EventLog* log) { log_ = log; }
 
   struct Stats {
     std::size_t updates_sent = 0;
@@ -232,7 +233,7 @@ class SessionedBgpNetwork {
     std::vector<NodeId> last_sent;  ///< wire truth (empty = withdrawn/none)
     /// Provenance of the parked message (the cause that last superseded),
     /// re-established when the MRAI timer finally sends it.
-    obs::RibEventId pending_cause = 0;
+    obs::EventId pending_cause = 0;
     sim::Scheduler::TimerToken timer;
   };
 
@@ -282,6 +283,15 @@ class SessionedBgpNetwork {
   /// Re-selects at `node`; on change, propagates updates/withdrawals.
   void reselect(NodeId node);
 
+  /// Records one RIB event about the monitored prefix; the log must be
+  /// attached.
+  obs::EventId record(obs::EventKind kind, NodeId actor, NodeId peer,
+                      std::size_t path_len, std::uint64_t path_hash = 0);
+  /// The log's ambient cause, or 0 without a log.
+  obs::EventId current_cause() const {
+    return log_ != nullptr ? log_->current_cause() : 0;
+  }
+
   /// Decays `state`'s penalty to `now` (exponential, damping_half_life).
   void decay_penalty(DampingState& state, sim::Time now) const;
   /// Books one flap against (node, from); returns true when the pair just
@@ -303,7 +313,7 @@ class SessionedBgpNetwork {
   std::set<NodeId> origins_;
   RouteChangeObserver observer_;
   MessageObserver message_observer_;
-  obs::RibMonitor* ribmon_ = nullptr;
+  obs::EventLog* log_ = nullptr;
   Stats stats_;
   std::size_t messages_in_flight_ = 0;
   std::size_t mrai_parked_ = 0;

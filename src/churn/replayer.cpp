@@ -50,11 +50,12 @@ ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
   sim::Scheduler scheduler;
   bgp::SessionedBgpNetwork network(graph, trace.destination, scheduler,
                                    config.link_delay, config.defense);
-  network.set_rib_monitor(config.ribmon);
+  network.set_event_log(config.log);
   ReplayResult result;
 
   core::TunnelMonitor monitor;
   for (const auto& tunnel : config.tunnels) monitor.watch(tunnel);
+  monitor.set_event_log(config.log, [&scheduler] { return scheduler.now(); });
   if (!config.tunnels.empty()) {
     network.set_observer([&](NodeId node,
                              const std::optional<bgp::Route>& best) {
@@ -143,19 +144,18 @@ ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
       messages_at_start = messages_now();
     }
     sample.last_event = i;
-    if (config.ribmon != nullptr) {
+    obs::EventId root = 0;
+    if (config.log != nullptr) {
       // Every trace event roots its own propagation tree; prefix events
       // happen at the origin (their a/b slots carry kInvalidNode).
       const bool at_origin = event.a == topo::kInvalidNode;
-      const obs::RibEventId root = config.ribmon->record_root(
+      root = config.log->record_root(
           scheduler.now(), at_origin ? trace.destination : event.a,
           to_string(event.kind),
           event.b == topo::kInvalidNode ? 0 : event.b);
-      obs::RibMonitor::CauseScope scope(config.ribmon, root);
-      apply_event(network, checker, event);
-    } else {
-      apply_event(network, checker, event);
     }
+    obs::EventLog::CauseScope scope(config.log, root);
+    apply_event(network, checker, event);
   }
 
   // Drain everything left (reconvergence, MRAI windows, damping reuse

@@ -38,11 +38,12 @@ struct ReplayConfig {
   /// Runaway guard over the whole replay (damping misconfiguration could
   /// otherwise oscillate forever).
   std::size_t max_scheduler_events = 20'000'000;
-  /// Optional route-event provenance monitor. When set, the network emits
-  /// one RibEventRecord per RIB-changing occurrence, and the replayer
-  /// records every trace event as a root cause so reactions chain to it.
-  /// Null (the default) costs nothing and leaves the replay byte-identical.
-  obs::RibMonitor* ribmon = nullptr;
+  /// Optional event log. When set, the network records one RIB event per
+  /// RIB-changing occurrence, the tunnel monitor records its invalidations,
+  /// and the replayer records every trace event as a root cause so
+  /// reactions chain to it. Null (the default) costs nothing and leaves the
+  /// replay byte-identical.
+  obs::EventLog* log = nullptr;
 };
 
 /// One churn burst timed to quiescence. A burst opens at the first trace

@@ -45,12 +45,18 @@ MiroAgent::MiroAgent(NodeId self, RouteStore& store, Bus& bus,
   schedule_sweep();
 }
 
-void MiroAgent::trace(obs::EventType type, NodeId peer,
-                      std::uint64_t negotiation, TunnelId tunnel,
-                      std::int64_t value, const char* detail) {
-  if (trace_ == nullptr) return;
-  trace_->record({bus_->scheduler().now(), type, self_, peer, negotiation,
-                  tunnel, value, detail});
+void MiroAgent::record(obs::EventKind kind, NodeId peer,
+                       std::uint64_t negotiation, TunnelId tunnel,
+                       std::int64_t value, const char* detail) {
+  if (log_ == nullptr) return;
+  log_->record({.time = bus_->scheduler().now(),
+                .kind = kind,
+                .actor = self_,
+                .peer = peer,
+                .negotiation = negotiation,
+                .tunnel = tunnel,
+                .value = value,
+                .detail = detail});
 }
 
 void MiroAgent::export_metrics(obs::MetricsRegistry& registry,
@@ -111,11 +117,11 @@ void MiroAgent::arm_retry(std::uint64_t id) {
         if (it == pending_.end()) return;  // completed meanwhile
         ++it->second.attempts;
         ++stats_.retransmissions;
-        trace(obs::EventType::Retransmit, it->second.responder, id, 0,
-              it->second.attempts,
-              it->second.phase == PendingRequest::Phase::AwaitingOffers
-                  ? "route_request"
-                  : "tunnel_accept");
+        record(obs::EventKind::Retransmit, it->second.responder, id, 0,
+               it->second.attempts,
+               it->second.phase == PendingRequest::Phase::AwaitingOffers
+                   ? "route_request"
+                   : "tunnel_accept");
         send_handshake(id);
         arm_retry(id);
       });
@@ -137,7 +143,7 @@ void MiroAgent::complete(std::uint64_t id, const NegotiationOutcome& outcome) {
 
 void MiroAgent::send_teardown(NodeId responder, TunnelId tunnel_id,
                               std::uint32_t attempt) {
-  trace(obs::EventType::TunnelTeardownSent, responder, 0, tunnel_id, attempt);
+  record(obs::EventKind::TunnelTeardownSent, responder, 0, tunnel_id, attempt);
   bus_->send(self_, responder, TunnelTeardown{tunnel_id});
   if (attempt >= soft_state_.teardown_retransmits) return;
   // Teardown carries no acknowledgment, so the extra copies are sent blind;
@@ -145,8 +151,8 @@ void MiroAgent::send_teardown(NodeId responder, TunnelId tunnel_id,
   bus_->scheduler().after(retry_delay(attempt),
                           [this, responder, tunnel_id, attempt]() {
                             ++stats_.retransmissions;
-                            trace(obs::EventType::Retransmit, responder, 0,
-                                  tunnel_id, attempt + 1, "teardown");
+                            record(obs::EventKind::Retransmit, responder, 0,
+                                   tunnel_id, attempt + 1, "teardown");
                             send_teardown(responder, tunnel_id, attempt + 1);
                           });
 }
@@ -157,10 +163,10 @@ void MiroAgent::fail_over(TunnelId tunnel_id, TunnelLostEvent::Reason reason) {
   const UpstreamTunnel lost = it->second;
   upstream_.erase(it);
   ++stats_.tunnels_failed_over;
-  trace(obs::EventType::TunnelFailedOver, lost.responder, 0, tunnel_id, 0,
-        reason == TunnelLostEvent::Reason::MissedKeepAlives
-            ? "missed_keepalives"
-            : "responder_reset");
+  record(obs::EventKind::TunnelFailedOver, lost.responder, 0, tunnel_id, 0,
+         reason == TunnelLostEvent::Reason::MissedKeepAlives
+             ? "missed_keepalives"
+             : "responder_reset");
 
   // From here traffic to `lost.destination` rides the BGP default path
   // again; re-negotiation (if enabled) is rate-limited per
@@ -175,9 +181,9 @@ void MiroAgent::fail_over(TunnelId tunnel_id, TunnelLostEvent::Reason reason) {
     if (now >= until) {
       until = now + soft_state_.renegotiate_hold_down;
       will_renegotiate = true;
-      trace(obs::EventType::RenegotiationScheduled, lost.responder, 0,
-            tunnel_id,
-            static_cast<std::int64_t>(soft_state_.renegotiate_hold_down));
+      record(obs::EventKind::RenegotiationScheduled, lost.responder, 0,
+             tunnel_id,
+             static_cast<std::int64_t>(soft_state_.renegotiate_hold_down));
       bus_->scheduler().after(soft_state_.renegotiate_hold_down,
                               [this, lost]() {
                                 ++stats_.renegotiations;
@@ -228,7 +234,7 @@ std::uint64_t MiroAgent::request(NodeId responder, NodeId arrival_neighbor,
                                       Route{}, 0, 0, {}, {}})
           .first->second;
   ++stats_.requests_sent;
-  trace(obs::EventType::NegotiationRequested, responder, id);
+  record(obs::EventKind::NegotiationRequested, responder, id);
   send_handshake(id);
   arm_retry(id);
   // Fail locally if the responder stays silent past every retransmission
@@ -240,8 +246,8 @@ std::uint64_t MiroAgent::request(NodeId responder, NodeId arrival_neighbor,
         auto it = pending_.find(id);
         if (it == pending_.end()) return;  // completed in time
         ++stats_.negotiations_abandoned;
-        trace(obs::EventType::NegotiationFailed, it->second.responder, id, 0,
-              0, "timeout");
+        record(obs::EventKind::NegotiationFailed, it->second.responder, id, 0,
+               0, "timeout");
         NegotiationOutcome outcome;
         outcome.responder = it->second.responder;
         outcome.offers_received = it->second.offers_received;
@@ -315,13 +321,13 @@ void MiroAgent::handle(NodeId from, const RouteOffers& offers) {
     // A duplicated or retransmission-induced second batch of offers after
     // the accept went out; the accept has its own retransmission timer.
     ++stats_.duplicates_suppressed;
-    trace(obs::EventType::DuplicateSuppressed, from, offers.negotiation_id, 0,
-          0, "route_offers");
+    record(obs::EventKind::DuplicateSuppressed, from, offers.negotiation_id, 0,
+           0, "route_offers");
     return;
   }
   pending.offers_received = offers.offers.size();
-  trace(obs::EventType::OffersReceived, from, offers.negotiation_id, 0,
-        static_cast<std::int64_t>(offers.offers.size()));
+  record(obs::EventKind::OffersReceived, from, offers.negotiation_id, 0,
+         static_cast<std::int64_t>(offers.offers.size()));
 
   // Pick the cheapest acceptable offer; break price ties with the standard
   // route preference order.
@@ -336,8 +342,8 @@ void MiroAgent::handle(NodeId from, const RouteOffers& offers) {
     }
   }
   if (best == nullptr) {
-    trace(obs::EventType::NegotiationFailed, from, offers.negotiation_id, 0,
-          0, "no_acceptable_offer");
+    record(obs::EventKind::NegotiationFailed, from, offers.negotiation_id, 0,
+           0, "no_acceptable_offer");
     NegotiationOutcome outcome;
     outcome.responder = from;
     outcome.offers_received = pending.offers_received;
@@ -349,8 +355,8 @@ void MiroAgent::handle(NodeId from, const RouteOffers& offers) {
   pending.chosen = best->route;
   pending.chosen_cost = best->cost;
   pending.attempts = 0;
-  trace(obs::EventType::AcceptSent, from, offers.negotiation_id, 0,
-        best->cost);
+  record(obs::EventKind::AcceptSent, from, offers.negotiation_id, 0,
+         best->cost);
   send_handshake(offers.negotiation_id);
   arm_retry(offers.negotiation_id);
 }
@@ -364,8 +370,8 @@ void MiroAgent::handle(NodeId from, const TunnelAccept& accept) {
   if (it != minted_.end() && it->second.requester == from &&
       it->second.negotiation_id == accept.negotiation_id) {
     ++stats_.duplicates_suppressed;
-    trace(obs::EventType::DuplicateSuppressed, from, accept.negotiation_id,
-          it->second.tunnel_id, 0, "tunnel_accept");
+    record(obs::EventKind::DuplicateSuppressed, from, accept.negotiation_id,
+           it->second.tunnel_id, 0, "tunnel_accept");
     bus_->send(self_, from,
                TunnelConfirm{accept.negotiation_id, it->second.tunnel_id});
     return;
@@ -373,8 +379,8 @@ void MiroAgent::handle(NodeId from, const TunnelAccept& accept) {
   const sim::Time now = bus_->scheduler().now();
   const TunnelId id = tunnels_.create(from, accept.chosen, accept.cost, now);
   ++stats_.tunnels_established;
-  trace(obs::EventType::TunnelMinted, from, accept.negotiation_id, id,
-        accept.cost);
+  record(obs::EventKind::TunnelMinted, from, accept.negotiation_id, id,
+         accept.cost);
   minted_[key] = MintedTunnel{from, accept.negotiation_id, id, now};
   bus_->send(self_, from, TunnelConfirm{accept.negotiation_id, id});
 }
@@ -388,10 +394,10 @@ void MiroAgent::handle(NodeId from, const TunnelConfirm& confirm) {
                                      pending.destination, pending.avoid,
                                      pending.max_cost, 0});
     schedule_keepalive(confirm.tunnel_id);
-    trace(obs::EventType::TunnelConfirmed, from, confirm.negotiation_id,
-          confirm.tunnel_id);
-    trace(obs::EventType::NegotiationEstablished, from,
-          confirm.negotiation_id, confirm.tunnel_id, pending.chosen_cost);
+    record(obs::EventKind::TunnelConfirmed, from, confirm.negotiation_id,
+           confirm.tunnel_id);
+    record(obs::EventKind::NegotiationEstablished, from,
+           confirm.negotiation_id, confirm.tunnel_id, pending.chosen_cost);
 
     NegotiationOutcome outcome;
     outcome.established = true;
@@ -411,8 +417,8 @@ void MiroAgent::handle(NodeId from, const TunnelConfirm& confirm) {
   if (done != completed_.end() && done->second.responder == from &&
       done->second.tunnel_id == confirm.tunnel_id) {
     ++stats_.duplicates_suppressed;
-    trace(obs::EventType::DuplicateSuppressed, from, confirm.negotiation_id,
-          confirm.tunnel_id, 0, "tunnel_confirm");
+    record(obs::EventKind::DuplicateSuppressed, from, confirm.negotiation_id,
+           confirm.tunnel_id, 0, "tunnel_confirm");
     return;
   }
   // Retention may have forgotten the completion, but a live upstream tunnel
@@ -420,8 +426,8 @@ void MiroAgent::handle(NodeId from, const TunnelConfirm& confirm) {
   auto up = upstream_.find(confirm.tunnel_id);
   if (up != upstream_.end() && up->second.responder == from) {
     ++stats_.duplicates_suppressed;
-    trace(obs::EventType::DuplicateSuppressed, from, confirm.negotiation_id,
-          confirm.tunnel_id, 0, "tunnel_confirm");
+    record(obs::EventKind::DuplicateSuppressed, from, confirm.negotiation_id,
+           confirm.tunnel_id, 0, "tunnel_confirm");
     return;
   }
 
@@ -430,8 +436,8 @@ void MiroAgent::handle(NodeId from, const TunnelConfirm& confirm) {
   // the responder would hold the orphan until soft-state expiry; answer
   // with a teardown to reclaim it promptly.
   ++stats_.stale_confirms_reclaimed;
-  trace(obs::EventType::StaleConfirmReclaimed, from, confirm.negotiation_id,
-        confirm.tunnel_id);
+  record(obs::EventKind::StaleConfirmReclaimed, from, confirm.negotiation_id,
+         confirm.tunnel_id);
   send_teardown(from, confirm.tunnel_id, 0);
 }
 
@@ -456,7 +462,7 @@ void MiroAgent::handle(NodeId from, const TunnelKeepAliveAck& ack) {
 void MiroAgent::handle(NodeId from, const TunnelTeardown& teardown) {
   if (tunnels_.remove(teardown.tunnel_id)) {
     ++stats_.tunnels_torn_down;
-    trace(obs::EventType::TunnelTornDown, from, 0, teardown.tunnel_id);
+    record(obs::EventKind::TunnelTornDown, from, 0, teardown.tunnel_id);
   }
 }
 
@@ -533,8 +539,8 @@ void MiroAgent::schedule_keepalive(TunnelId tunnel_id) {
     }
     if (it->second.unacked_keepalives > 0) {
       // The previous keep-alive (or its ack) was lost in flight.
-      trace(obs::EventType::KeepAliveMissed, it->second.responder, 0,
-            tunnel_id, it->second.unacked_keepalives);
+      record(obs::EventKind::KeepAliveMissed, it->second.responder, 0,
+             tunnel_id, it->second.unacked_keepalives);
     }
     ++it->second.unacked_keepalives;
     bus_->send(self_, it->second.responder, TunnelKeepAlive{tunnel_id});
@@ -548,7 +554,7 @@ void MiroAgent::schedule_sweep() {
     const auto expired = tunnels_.expire(now, soft_state_.expiry_timeout);
     stats_.tunnels_expired += expired.size();
     for (net::TunnelId id : expired)
-      trace(obs::EventType::TunnelExpired, /*peer=*/0, 0, id);
+      record(obs::EventKind::TunnelExpired, /*peer=*/0, 0, id);
     purge_dedup(now);
     schedule_sweep();
   });

@@ -51,7 +51,7 @@
 #include "core/tunnel.hpp"
 #include "netsim/message_bus.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/event_log.hpp"
 
 namespace miro::core {
 
@@ -302,11 +302,11 @@ class MiroAgent {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Attaches (or clears, with nullptr) a trace recorder observing this
+  /// Attaches (or clears, with nullptr) an event log observing this
   /// agent's negotiation phase transitions, retransmissions, and tunnel
-  /// lifecycle. Null recorder costs one branch per event and allocates
-  /// nothing (see obs/trace.hpp).
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  /// lifecycle. A null log costs one branch per event and allocates nothing
+  /// (see obs/event_log.hpp).
+  void set_event_log(obs::EventLog* log) { log_ = log; }
 
   /// Snapshots this agent's counters into `registry` as
   /// `<prefix>.requests_sent`, `<prefix>.retransmissions`, ... (safe to call
@@ -364,11 +364,11 @@ class MiroAgent {
   void fail_over(TunnelId tunnel_id, TunnelLostEvent::Reason reason);
   /// Forgets completed-negotiation dedup records older than the retention.
   void purge_dedup(sim::Time now);
-  /// Records one trace event stamped with the current sim time; no-op (one
-  /// branch, zero allocation) when no recorder is attached.
-  void trace(obs::EventType type, NodeId peer, std::uint64_t negotiation = 0,
-             TunnelId tunnel = 0, std::int64_t value = 0,
-             const char* detail = "");
+  /// Records one event stamped with the current sim time; no-op (one
+  /// branch, zero allocation) when no log is attached.
+  void record(obs::EventKind kind, NodeId peer, std::uint64_t negotiation = 0,
+              TunnelId tunnel = 0, std::int64_t value = 0,
+              const char* detail = "");
 
   NodeId self_;
   RouteStore* store_;
@@ -411,7 +411,7 @@ class MiroAgent {
   TunnelLostCallback on_tunnel_lost_;
   CompletionCallback on_renegotiated_;
   Stats stats_;
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::EventLog* log_ = nullptr;
 };
 
 }  // namespace miro::core

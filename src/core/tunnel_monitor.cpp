@@ -6,7 +6,7 @@ bool TunnelMonitor::unwatch(NodeId responder, TunnelId id) {
   const auto before = watched_.size();
   for (const WatchedTunnel& t : watched_) {
     if (t.responder == responder && t.id == id)
-      trace(obs::EventType::TunnelUnwatched, t, "teardown");
+      record(obs::EventKind::TunnelUnwatched, t, "teardown");
   }
   watched_.erase(std::remove_if(watched_.begin(), watched_.end(),
                                 [&](const WatchedTunnel& t) {
@@ -26,7 +26,7 @@ std::optional<TunnelMonitor::WatchedTunnel> TunnelMonitor::on_tunnel_lost(
   if (it == watched_.end()) return std::nullopt;
   WatchedTunnel lost = std::move(*it);
   watched_.erase(it);
-  trace(obs::EventType::TunnelUnwatched, lost, "tunnel_lost");
+  record(obs::EventKind::TunnelUnwatched, lost, "tunnel_lost");
   return lost;
 }
 
@@ -37,7 +37,7 @@ std::vector<TunnelMonitor::WatchedTunnel> TunnelMonitor::tear_down_if(
   auto it = watched_.begin();
   while (it != watched_.end()) {
     if (dead(*it)) {
-      trace(obs::EventType::TunnelInvalidated, *it, reason);
+      record(obs::EventKind::TunnelInvalidated, *it, reason);
       torn.push_back(std::move(*it));
       it = watched_.erase(it);
     } else {

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/tunnel.hpp"
-#include "obs/trace.hpp"
+#include "obs/event_log.hpp"
 
 namespace miro::core {
 
@@ -41,7 +41,7 @@ class TunnelMonitor {
   };
 
   void watch(WatchedTunnel tunnel) {
-    trace(obs::EventType::TunnelWatched, tunnel, "");
+    record(obs::EventKind::TunnelWatched, tunnel, "");
     watched_.push_back(std::move(tunnel));
   }
 
@@ -76,14 +76,16 @@ class TunnelMonitor {
       NodeId hop, NodeId destination,
       const std::optional<std::vector<NodeId>>& new_path);
 
-  /// Attaches (or clears, with nullptr) a trace recorder observing
+  /// Attaches (or clears, with nullptr) an event log observing
   /// watch/unwatch and route-change invalidations. The monitor has no time
   /// source of its own, so an optional `clock` (typically
   /// `[&s]{ return s.now(); }` over the simulation scheduler) stamps the
-  /// events; without one they carry time 0.
-  void set_trace(obs::TraceRecorder* trace,
-                 std::function<obs::Time()> clock = {}) {
-    trace_ = trace;
+  /// events; without one they carry time 0. An invalidation's causal parent
+  /// is the log's ambient cause — the BGP route change that killed the
+  /// tunnel when the monitor is fed from SessionedBgpNetwork's observer.
+  void set_event_log(obs::EventLog* log,
+                     std::function<obs::Time()> clock = {}) {
+    log_ = log;
     clock_ = std::move(clock);
   }
 
@@ -92,15 +94,19 @@ class TunnelMonitor {
   std::vector<WatchedTunnel> tear_down_if(Predicate&& dead,
                                           const char* reason);
 
-  void trace(obs::EventType type, const WatchedTunnel& tunnel,
-             const char* detail) {
-    if (trace_ == nullptr) return;
-    trace_->record({clock_ ? clock_() : 0, type, tunnel.upstream,
-                    tunnel.responder, 0, tunnel.id, 0, detail});
+  void record(obs::EventKind kind, const WatchedTunnel& tunnel,
+              const char* detail) {
+    if (log_ == nullptr) return;
+    log_->record({.time = clock_ ? clock_() : 0,
+                  .kind = kind,
+                  .actor = tunnel.upstream,
+                  .peer = tunnel.responder,
+                  .tunnel = tunnel.id,
+                  .detail = detail});
   }
 
   std::vector<WatchedTunnel> watched_;
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::EventLog* log_ = nullptr;
   std::function<obs::Time()> clock_;
 };
 

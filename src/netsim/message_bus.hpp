@@ -21,8 +21,8 @@
 #include "common/error.hpp"
 #include "netsim/fault_injection.hpp"
 #include "netsim/scheduler.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace miro::sim {
 
@@ -60,8 +60,7 @@ class MessageBus {
   /// unattached endpoints are dropped (and counted).
   void send(EndpointId from, EndpointId to, Message message) {
     ++stats_.sent;
-    if (trace_ != nullptr)
-      trace_->record({scheduler_->now(), obs::EventType::BusSend, from, to});
+    if (log_ != nullptr) record(obs::EventKind::BusSend, from, to);
     if (is_down(from, to)) {  // lost: the link is partitioned
       drop(from, to, stats_.dropped_link_down, "link_down");
       return;
@@ -75,10 +74,9 @@ class MessageBus {
       }
       if (copies.size() > 1) {
         stats_.duplicates_scheduled += copies.size() - 1;
-        if (trace_ != nullptr) {
-          trace_->record({scheduler_->now(), obs::EventType::BusDuplicate,
-                          from, to, 0, 0,
-                          static_cast<std::int64_t>(copies.size()), ""});
+        if (log_ != nullptr) {
+          record(obs::EventKind::BusDuplicate, from, to,
+                 static_cast<std::int64_t>(copies.size()));
         }
       }
     }
@@ -111,10 +109,10 @@ class MessageBus {
   void set_fault_plane(FaultPlane* plane) { fault_plane_ = plane; }
   FaultPlane* fault_plane() const { return fault_plane_; }
 
-  /// Attaches (or clears, with nullptr) a trace recorder observing every
-  /// send/deliver/drop/duplicate on this bus. Null recorder costs one
-  /// branch per event and allocates nothing.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  /// Attaches (or clears, with nullptr) an event log observing every
+  /// send/deliver/drop/duplicate on this bus. A null log costs one branch
+  /// per event and allocates nothing.
+  void set_event_log(obs::EventLog* log) { log_ = log; }
 
   const BusStats& stats() const { return stats_; }
 
@@ -140,10 +138,17 @@ class MessageBus {
   void drop(EndpointId from, EndpointId to, std::uint64_t& bucket,
             const char* reason) {
     ++bucket;
-    if (trace_ != nullptr) {
-      trace_->record({scheduler_->now(), obs::EventType::BusDrop, from, to, 0,
-                      0, 0, reason});
-    }
+    if (log_ != nullptr) record(obs::EventKind::BusDrop, from, to, 0, reason);
+  }
+
+  void record(obs::EventKind kind, EndpointId from, EndpointId to,
+              std::int64_t value = 0, const char* detail = "") {
+    log_->record({.time = scheduler_->now(),
+                  .kind = kind,
+                  .actor = from,
+                  .peer = to,
+                  .value = value,
+                  .detail = detail});
   }
 
   void schedule_delivery(EndpointId from, EndpointId to, Time delay,
@@ -159,10 +164,7 @@ class MessageBus {
         return;
       }
       ++stats_.delivered;
-      if (trace_ != nullptr) {
-        trace_->record(
-            {scheduler_->now(), obs::EventType::BusDeliver, from, to});
-      }
+      if (log_ != nullptr) record(obs::EventKind::BusDeliver, from, to);
       if (fault_plane_ != nullptr) fault_plane_->note_delivered(from, to);
       it->second(from, msg);
     });
@@ -181,7 +183,7 @@ class MessageBus {
   Scheduler* scheduler_;
   Time default_delay_;
   FaultPlane* fault_plane_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::EventLog* log_ = nullptr;
   std::unordered_map<EndpointId, Handler> handlers_;
   std::unordered_map<std::uint64_t, Time> delays_;
   std::unordered_set<std::uint64_t> down_;

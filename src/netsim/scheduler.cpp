@@ -12,9 +12,10 @@ Scheduler::TimerToken Scheduler::at(Time t, Callback callback) {
   require(static_cast<bool>(callback), "Scheduler::at: empty callback");
   auto alive = std::make_shared<bool>(true);
   queue_.push(Event{t, next_sequence_++, std::move(callback), alive});
-  if (trace_ != nullptr) {
-    trace_->record({now_, obs::EventType::TimerScheduled, 0, 0, 0, 0,
-                    static_cast<std::int64_t>(t), ""});
+  if (log_ != nullptr) {
+    log_->record({.time = now_,
+                  .kind = obs::EventKind::TimerScheduled,
+                  .value = static_cast<std::int64_t>(t)});
   }
   return TimerToken(std::move(alive));
 }
@@ -29,9 +30,10 @@ bool Scheduler::next_live_event(bool bounded, Time limit) {
     if (*top.alive) return true;
     // Cancelled: discard, observing its originally scheduled time.
     now_ = top.time;
-    if (trace_ != nullptr) {
-      trace_->record({top.time, obs::EventType::TimerCancelled, 0, 0, 0, 0,
-                      static_cast<std::int64_t>(top.sequence), ""});
+    if (log_ != nullptr) {
+      log_->record({.time = top.time,
+                    .kind = obs::EventKind::TimerCancelled,
+                    .value = static_cast<std::int64_t>(top.sequence)});
     }
     queue_.pop();
   }
@@ -43,9 +45,10 @@ void Scheduler::fire_top() {
   queue_.pop();
   now_ = event.time;
   *event.alive = false;  // mark fired
-  if (trace_ != nullptr) {
-    trace_->record({event.time, obs::EventType::TimerFired, 0, 0, 0, 0,
-                    static_cast<std::int64_t>(event.sequence), ""});
+  if (log_ != nullptr) {
+    log_->record({.time = event.time,
+                  .kind = obs::EventKind::TimerFired,
+                  .value = static_cast<std::int64_t>(event.sequence)});
   }
   event.callback();
 }

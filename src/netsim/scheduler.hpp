@@ -13,7 +13,7 @@
 #include <queue>
 #include <vector>
 
-#include "obs/trace.hpp"
+#include "obs/event_log.hpp"
 
 namespace miro::sim {
 
@@ -76,11 +76,11 @@ class Scheduler {
 
   std::size_t pending_events() const { return queue_.size(); }
 
-  /// Attaches (or clears, with nullptr) a trace recorder observing timer
+  /// Attaches (or clears, with nullptr) an event log observing timer
   /// schedule/fire/cancel events. A cancellation is observed when the dead
-  /// event is popped, carrying its originally scheduled time. Null recorder
+  /// event is popped, carrying its originally scheduled time. A null log
   /// costs one branch per operation and allocates nothing.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  void set_event_log(obs::EventLog* log) { log_ = log; }
 
  private:
   /// Discards cancelled events at the head of the queue (observing their
@@ -106,7 +106,7 @@ class Scheduler {
   Time now_ = 0;
   std::uint64_t next_sequence_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::EventLog* log_ = nullptr;
 };
 
 }  // namespace miro::sim

@@ -77,23 +77,25 @@ void write_spans(EventList& list, const ProfileRegistry& profile,
   }
 }
 
-void write_sim_events(EventList& list, const std::vector<TraceEvent>& events,
+void write_sim_events(EventList& list, const std::vector<Event>& events,
                       const ChromeTraceOptions& options) {
   write_metadata(list, options.sim_pid, 0, "process_name",
-                 "sim time (trace events)");
+                 "sim time (event log)");
   std::set<std::uint32_t> actors;
-  for (const TraceEvent& event : events) actors.insert(event.actor);
+  for (const Event& event : events) actors.insert(event.actor);
   for (std::uint32_t actor : actors) {
     write_metadata(list, options.sim_pid, actor, "thread_name",
                    "AS " + std::to_string(actor));
   }
-  for (const TraceEvent& event : events) {
+  for (const Event& event : events) {
     std::ostream& out = list.next();
     out << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << options.sim_pid
         << ",\"tid\":" << event.actor << ",\"ts\":"
         << json_number(static_cast<double>(event.time) * options.sim_tick_us)
-        << ",\"name\":\"" << to_string(event.type)
+        << ",\"name\":\"" << to_string(event.kind)
         << "\",\"cat\":\"sim\",\"args\":{\"sim_time\":" << event.time;
+    if (event.id != 0) out << ",\"id\":" << event.id;
+    if (event.parent != 0) out << ",\"parent\":" << event.parent;
     if (event.peer != 0) out << ",\"peer\":" << event.peer;
     if (event.negotiation != 0)
       out << ",\"negotiation\":" << event.negotiation;
@@ -108,7 +110,7 @@ void write_sim_events(EventList& list, const std::vector<TraceEvent>& events,
 }  // namespace
 
 void write_chrome_trace(std::ostream& out, const ProfileRegistry* profile,
-                        const std::vector<TraceEvent>& sim_events,
+                        const std::vector<Event>& sim_events,
                         const ChromeTraceOptions& options) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   EventList list(out);
@@ -119,15 +121,18 @@ void write_chrome_trace(std::ostream& out, const ProfileRegistry* profile,
 
 bool write_chrome_trace_file(const std::string& path,
                              const ProfileRegistry* profile,
-                             const std::vector<TraceEvent>& sim_events,
+                             const std::vector<Event>& sim_events,
                              const ChromeTraceOptions& options) {
   std::ofstream out(path);
+  if (out) {
+    write_chrome_trace(out, profile, sim_events, options);
+    out.flush();
+  }
   if (!out) {
     std::fprintf(stderr, "chrome_trace: cannot write %s\n", path.c_str());
     return false;
   }
-  write_chrome_trace(out, profile, sim_events, options);
-  return static_cast<bool>(out);
+  return true;
 }
 
 }  // namespace miro::obs

@@ -4,8 +4,9 @@
 //   - ProfileRegistry wall-clock spans become "B"/"E" duration events on a
 //     dedicated "wall clock" process, one track per nesting depth — *what
 //     it cost*;
-//   - TraceRecorder sim-time events become instant events on a "sim time"
-//     process with one track per AS (tid = actor) — *what happened*.
+//   - EventLog sim-time events become instant events on a "sim time"
+//     process with one track per AS (tid = actor) — *what happened*, with
+//     each event's id and causal parent in its args.
 // The two processes carry independent clocks (nanoseconds vs sim ticks);
 // `sim_tick_us` scales ticks onto the microsecond timeline Perfetto
 // expects (the protocol code treats one tick as a millisecond, hence the
@@ -19,8 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace.hpp"
 
 namespace miro::obs {
 
@@ -30,17 +31,18 @@ struct ChromeTraceOptions {
   std::uint32_t sim_pid = 2;    ///< pid of the sim-time event process
 };
 
-/// Writes the merged trace. Either source may be null/empty — a
-/// profiler-only or sim-only trace is still a valid file.
+/// Writes the merged trace (`sim_events` is typically `log.events()`).
+/// Either source may be null/empty — a profiler-only or sim-only trace is
+/// still a valid file.
 void write_chrome_trace(std::ostream& out, const ProfileRegistry* profile,
-                        const std::vector<TraceEvent>& sim_events,
+                        const std::vector<Event>& sim_events,
                         const ChromeTraceOptions& options = {});
 
 /// File convenience wrapper; returns false (with a note on stderr) when the
-/// path cannot be opened or the stream fails.
+/// path cannot be opened or a write or the final flush fails.
 bool write_chrome_trace_file(const std::string& path,
                              const ProfileRegistry* profile,
-                             const std::vector<TraceEvent>& sim_events,
+                             const std::vector<Event>& sim_events,
                              const ChromeTraceOptions& options = {});
 
 }  // namespace miro::obs

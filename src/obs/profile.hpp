@@ -1,15 +1,15 @@
 // Wall-clock span profiler for the MIRO control plane.
 //
-// PR 2's TraceRecorder answers *what the control plane did* in simulated
-// time; this layer answers *where real time goes*. Instrumented phases —
-// topology generation/inference, BGP propagation rounds, scheduler run
-// loops, negotiation handling, the eval pipelines — open a RAII ScopedSpan
-// that records nested begin/end wall-clock intervals into a ProfileRegistry.
-// The registry aggregates per-name and per-category statistics with
-// *self-time* attribution (a parent's self time excludes its children), and
-// keeps the raw span log for the Chrome-trace exporter.
+// The event log (obs/event_log.hpp) answers *what the control plane did*
+// in simulated time; this layer answers *where real time goes*.
+// Instrumented phases — topology generation/inference, BGP propagation
+// rounds, scheduler run loops, negotiation handling, the eval pipelines —
+// open a RAII ScopedSpan that records nested begin/end wall-clock intervals
+// into a ProfileRegistry. The registry aggregates per-name and per-category
+// statistics with *self-time* attribution (a parent's self time excludes its
+// children), and keeps the raw span log for the Chrome-trace exporter.
 //
-// Zero cost when disabled, on the same contract as TraceRecorder: every
+// Zero cost when disabled, on the same contract as the event log: every
 // instrumentation site goes through a nullable `ProfileRegistry*` (null by
 // default) and pays a single branch; no clock is read and nothing is
 // allocated unless a registry is attached. The profiler only *reads* the

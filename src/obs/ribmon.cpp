@@ -1,186 +1,38 @@
 #include "obs/ribmon.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <unordered_map>
-
-#include "common/hash.hpp"
-#include "common/json.hpp"
 
 namespace miro::obs {
 
-const char* to_string(RibEventKind kind) {
-  switch (kind) {
-    case RibEventKind::RootCause: return "root_cause";
-    case RibEventKind::Announce: return "announce";
-    case RibEventKind::ImplicitWithdraw: return "implicit_withdraw";
-    case RibEventKind::Withdraw: return "withdraw";
-    case RibEventKind::Deliver: return "deliver";
-    case RibEventKind::Loss: return "loss";
-    case RibEventKind::DampingSuppress: return "damping_suppress";
-    case RibEventKind::MraiCoalesce: return "mrai_coalesce";
-    case RibEventKind::BestChanged: return "best_changed";
-  }
-  return "unknown";
-}
-
-std::string to_json(const RibEventRecord& record) {
-  std::string line;
-  line.reserve(192);
-  line += "{\"id\":";
-  line += std::to_string(record.id);
-  if (record.parent != 0) {
-    line += ",\"parent\":";
-    line += std::to_string(record.parent);
-  }
-  line += ",\"t\":";
-  line += std::to_string(record.time);
-  line += ",\"kind\":\"";
-  line += to_string(record.kind);
-  line += "\",\"actor\":";
-  line += std::to_string(record.actor);
-  if (record.peer != 0) {
-    line += ",\"peer\":";
-    line += std::to_string(record.peer);
-  }
-  line += ",\"prefix\":";
-  line += std::to_string(record.prefix);
-  if (record.path_len != 0) {
-    line += ",\"path_len\":";
-    line += std::to_string(record.path_len);
-  }
-  if (record.path_hash != 0) {
-    line += ",\"path_hash\":";
-    line += std::to_string(record.path_hash);
-  }
-  if (record.detail[0] != '\0') {
-    line += ",\"detail\":\"";
-    line += json_escape(record.detail);
-    line += "\"";
-  }
-  line += "}";
-  return line;
-}
-
-std::uint64_t hash_path(const std::vector<std::uint32_t>& path) {
-  std::uint64_t hash = kFnvOffset;
-  for (const std::uint32_t node : path) hash = hash_combine(hash, node);
-  // Reserve 0 for "no route" so a valid path never collides with it.
-  return hash == 0 ? 1 : hash;
-}
-
-// ----------------------------------------------------------------- monitor
-
-RibEventId RibMonitor::record_root(Time time, std::uint32_t actor,
-                                   const char* detail, std::uint32_t peer) {
-  RibEventRecord record;
-  record.id = next_id_++;
-  record.parent = 0;
-  record.time = time;
-  record.kind = RibEventKind::RootCause;
-  record.actor = actor;
-  record.peer = peer;
-  record.detail = detail;
-  ++by_kind_[static_cast<std::size_t>(record.kind)];
-  records_.push_back(record);
-  return record.id;
-}
-
-RibEventId RibMonitor::record(Time time, RibEventKind kind,
-                              std::uint32_t actor, std::uint32_t peer,
-                              std::uint32_t prefix, std::uint32_t path_len,
-                              std::uint64_t path_hash, const char* detail) {
-  RibEventRecord record;
-  record.id = next_id_++;
-  record.parent = cause_;
-  record.time = time;
-  record.kind = kind;
-  record.actor = actor;
-  record.peer = peer;
-  record.prefix = prefix;
-  record.path_len = path_len;
-  record.path_hash = path_hash;
-  record.detail = detail;
-  ++by_kind_[static_cast<std::size_t>(kind)];
-  records_.push_back(record);
-  return record.id;
-}
-
-std::uint64_t RibMonitor::wire_messages() const {
-  return count(RibEventKind::Announce) +
-         count(RibEventKind::ImplicitWithdraw) +
-         count(RibEventKind::Withdraw);
-}
-
-void RibMonitor::write_jsonl(std::ostream& out) const {
-  for (const RibEventRecord& record : records_) {
-    out << to_json(record) << '\n';
-  }
-}
-
-std::vector<TraceEvent> RibMonitor::as_trace_events() const {
-  std::vector<TraceEvent> events;
-  events.reserve(records_.size());
-  for (const RibEventRecord& record : records_) {
-    TraceEvent event;
-    event.time = record.time;
-    switch (record.kind) {
-      case RibEventKind::RootCause: event.type = EventType::RibRootCause; break;
-      case RibEventKind::Announce: event.type = EventType::RibAnnounce; break;
-      case RibEventKind::ImplicitWithdraw:
-        event.type = EventType::RibImplicitWithdraw;
-        break;
-      case RibEventKind::Withdraw: event.type = EventType::RibWithdraw; break;
-      case RibEventKind::Deliver: event.type = EventType::RibDeliver; break;
-      case RibEventKind::Loss: event.type = EventType::RibLoss; break;
-      case RibEventKind::DampingSuppress:
-        event.type = EventType::RibDampingSuppress;
-        break;
-      case RibEventKind::MraiCoalesce:
-        event.type = EventType::RibMraiCoalesce;
-        break;
-      case RibEventKind::BestChanged:
-        event.type = EventType::RibBestChanged;
-        break;
-    }
-    event.actor = record.actor;
-    event.peer = record.peer;
-    event.value = static_cast<std::int64_t>(record.id);
-    event.detail = record.detail;
-    events.push_back(event);
-  }
-  return events;
-}
-
 // ------------------------------------------------------- propagation trees
 
-ProvenanceSummary build_propagation_trees(
-    const std::vector<RibEventRecord>& records) {
+ProvenanceSummary build_propagation_trees(const std::vector<Event>& events) {
   ProvenanceSummary summary;
   struct Placement {
     std::size_t tree = 0;
     std::size_t depth = 0;
     std::size_t children = 0;
   };
-  std::unordered_map<RibEventId, Placement> placed;
-  placed.reserve(records.size());
+  std::unordered_map<EventId, Placement> placed;
+  placed.reserve(events.size());
 
-  for (const RibEventRecord& record : records) {
+  for (const Event& event : events) {
     std::size_t tree_index = 0;
     std::size_t depth = 0;
-    const auto parent_it = record.parent == 0
+    const auto parent_it = event.parent == 0
                                ? placed.end()
-                               : placed.find(record.parent);
-    if (record.parent != 0 && parent_it == placed.end()) ++summary.orphans;
-    if (record.parent == 0 || parent_it == placed.end()) {
+                               : placed.find(event.parent);
+    if (event.parent != 0 && parent_it == placed.end()) ++summary.orphans;
+    if (event.parent == 0 || parent_it == placed.end()) {
       tree_index = summary.trees.size();
       PropagationTree tree;
-      tree.root = record.id;
-      tree.root_actor = record.actor;
-      tree.root_detail = record.detail;
-      tree.root_kind = record.kind;
-      tree.start = record.time;
-      tree.settled = record.time;
+      tree.root = event.id;
+      tree.root_actor = event.actor;
+      tree.root_detail = event.detail;
+      tree.root_kind = event.kind;
+      tree.start = event.time;
+      tree.settled = event.time;
       summary.trees.push_back(tree);
     } else {
       tree_index = parent_it->second.tree;
@@ -189,41 +41,41 @@ ProvenanceSummary build_propagation_trees(
       const std::size_t fanout = ++parent_it->second.children;
       tree.max_fanout = std::max(tree.max_fanout, fanout);
     }
-    placed.emplace(record.id, Placement{tree_index, depth, 0});
+    placed.emplace(event.id, Placement{tree_index, depth, 0});
 
     PropagationTree& tree = summary.trees[tree_index];
     ++tree.nodes;
-    tree.settled = std::max(tree.settled, record.time);
+    tree.settled = std::max(tree.settled, event.time);
     tree.depth = std::max(tree.depth, depth);
-    switch (record.kind) {
-      case RibEventKind::Announce:
-      case RibEventKind::ImplicitWithdraw:
-      case RibEventKind::Withdraw:
+    switch (event.kind) {
+      case EventKind::Announce:
+      case EventKind::ImplicitWithdraw:
+      case EventKind::Withdraw:
         ++tree.updates;
         ++summary.total_updates;
         break;
-      case RibEventKind::Deliver:
+      case EventKind::Deliver:
         ++tree.delivered;
         ++summary.total_delivered;
         break;
-      case RibEventKind::Loss:
+      case EventKind::Loss:
         ++tree.losses;
         ++summary.total_losses;
         break;
-      case RibEventKind::DampingSuppress:
+      case EventKind::DampingSuppress:
         ++tree.suppressed;
         ++summary.total_suppressed;
         break;
-      case RibEventKind::MraiCoalesce:
+      case EventKind::MraiCoalesce:
         ++tree.coalesced;
         ++summary.total_coalesced;
         break;
-      case RibEventKind::BestChanged:
+      case EventKind::BestChanged:
         ++tree.best_changes;
         ++summary.total_best_changes;
         break;
-      case RibEventKind::RootCause:
-        break;
+      default:
+        break;  // roots and control-plane events only count as nodes
     }
   }
   return summary;
@@ -231,26 +83,25 @@ ProvenanceSummary build_propagation_trees(
 
 // -------------------------------------------------- convergence observables
 
-ConvergenceReport summarize_convergence(
-    const std::vector<RibEventRecord>& records) {
+ConvergenceReport summarize_convergence(const std::vector<Event>& events) {
   ConvergenceReport report;
-  if (records.empty()) return report;
-  report.first_time = records.front().time;
-  report.last_time = records.back().time;
+  if (events.empty()) return report;
+  report.first_time = events.front().time;
+  report.last_time = events.back().time;
 
   struct ActorState {
     std::size_t best_changes = 0;
     std::vector<std::uint64_t> hashes;  // distinct best-path fingerprints
   };
   std::unordered_map<std::uint32_t, ActorState> actors;
-  for (const RibEventRecord& record : records) {
-    if (record.kind != RibEventKind::BestChanged) continue;
-    ActorState& state = actors[record.actor];
+  for (const Event& event : events) {
+    if (event.kind != EventKind::BestChanged) continue;
+    ActorState& state = actors[event.actor];
     ++state.best_changes;
     ++report.total_best_changes;
     if (std::find(state.hashes.begin(), state.hashes.end(),
-                  record.path_hash) == state.hashes.end()) {
-      state.hashes.push_back(record.path_hash);
+                  event.path_hash) == state.hashes.end()) {
+      state.hashes.push_back(event.path_hash);
     }
   }
   report.actors.reserve(actors.size());
@@ -265,15 +116,12 @@ ConvergenceReport summarize_convergence(
   return report;
 }
 
-void export_ribmon_metrics(const RibMonitor& monitor,
-                           MetricsRegistry& registry,
+void export_ribmon_metrics(const EventLog& log, MetricsRegistry& registry,
                            const std::string& prefix) {
-  const ProvenanceSummary summary =
-      build_propagation_trees(monitor.records());
-  const ConvergenceReport convergence =
-      summarize_convergence(monitor.records());
+  const ProvenanceSummary summary = build_propagation_trees(log.events());
+  const ConvergenceReport convergence = summarize_convergence(log.events());
 
-  registry.counter(prefix + ".records").set(monitor.size());
+  registry.counter(prefix + ".records").set(log.size());
   registry.counter(prefix + ".updates").set(summary.total_updates);
   registry.counter(prefix + ".delivered").set(summary.total_delivered);
   registry.counter(prefix + ".losses").set(summary.total_losses);

@@ -1,170 +1,48 @@
-// Route-event provenance: BMP-style RIB monitoring for the sessioned BGP
-// plane.
+// Route-event provenance: propagation trees and convergence observables over
+// the RIB events of the one event log (obs/event_log.hpp).
 //
 // PR 6's churn lab measures burst convergence and suppression ratios as
 // opaque aggregates; this layer answers *why* the control plane sent each
 // update. A production router exports the same observables over BMP route
-// monitoring — here the simulator emits one structured record per
-// RIB-changing occurrence (announce / implicit-withdraw / withdraw on the
-// wire, delivery, in-flight loss, damping suppression, MRAI coalescing,
-// best-route change), and every record carries a *causal parent id*: the
-// delivered message or external root cause (churn-trace event, start())
-// that triggered it. Chaining parents yields per-root-cause propagation
-// trees — depth, fan-out, and amplification (wire messages per root cause)
-// — plus per-prefix convergence observables (convergence time,
-// path-exploration count, RIB-churn rate).
-//
-// Zero cost when disabled, like TraceRecorder: the instrumented network
-// holds a nullable `RibMonitor*` (null by default) and guards every
-// emission with one branch. A RibEventRecord is a flat POD; `detail` only
-// ever points at a static string literal. Record ids are assigned in the
-// deterministic scheduler's execution order, so a monitored replay is
-// byte-identical across runs and thread counts.
+// monitoring — here every RIB-changing occurrence the sessioned BGP plane
+// records carries the causal parent id of the delivered message or external
+// root cause (churn-trace event, start()) that triggered it. Chaining
+// parents yields per-root-cause propagation trees — depth, fan-out, and
+// amplification (wire messages per root cause) — plus per-prefix
+// convergence observables (convergence time, path-exploration count,
+// RIB-churn rate).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace miro::obs {
 
-/// Monotonic record id, unique within one RibMonitor. 0 = "no record" (the
-/// parent of a root).
-using RibEventId = std::uint64_t;
-
-enum class RibEventKind : std::uint8_t {
-  RootCause,         ///< external cause: churn-trace event, start(), API call
-  Announce,          ///< UPDATE to a peer that held nothing from the sender
-  ImplicitWithdraw,  ///< UPDATE replacing a path the peer already held
-  Withdraw,          ///< explicit WITHDRAW on the wire
-  Deliver,           ///< a wire message arrived at its receiver
-  Loss,              ///< a wire message died with its failed link
-  DampingSuppress,   ///< inbound absorbed by flap damping, not propagated
-  MraiCoalesce,      ///< outbound elided by a newer message in an MRAI window
-  BestChanged,       ///< a speaker's best route changed
-};
-
-/// Short stable name ("root_cause", "announce", ...) used by the exporters.
-const char* to_string(RibEventKind kind);
-
-/// One provenance record. Flat POD: recording allocates only the growable
-/// history slot; nothing is formatted until export.
-struct RibEventRecord {
-  RibEventId id = 0;
-  RibEventId parent = 0;         ///< causal parent record; 0 = root
-  Time time = 0;                 ///< sim ticks when the event happened
-  RibEventKind kind = RibEventKind::RootCause;
-  std::uint32_t actor = 0;       ///< speaker where it happened / sender
-  std::uint32_t peer = 0;        ///< other endpoint, when there is one
-  std::uint32_t prefix = 0;      ///< destination AS of the monitored prefix
-  std::uint32_t path_len = 0;    ///< AS-path length carried (0 = none)
-  std::uint64_t path_hash = 0;   ///< FNV-1a of the best path (BestChanged)
-  const char* detail = "";       ///< static literal; never owned
-
-  /// True for the kinds that put an UPDATE/WITHDRAW on the wire.
-  bool is_wire_message() const {
-    return kind == RibEventKind::Announce ||
-           kind == RibEventKind::ImplicitWithdraw ||
-           kind == RibEventKind::Withdraw;
-  }
-};
-
-/// Serializes one record as a single-line JSON object (the JSONL row
-/// format). Zero-valued optional fields are omitted.
-std::string to_json(const RibEventRecord& record);
-
-/// FNV-1a over a node-id path — the fingerprint BestChanged records carry so
-/// distinct best paths can be counted without storing the paths.
-std::uint64_t hash_path(const std::vector<std::uint32_t>& path);
-
-/// Collects the full record history and maintains the ambient causal
-/// context. Single-threaded, like the simulation that feeds it.
-class RibMonitor {
- public:
-  /// The causal parent new records are born with; 0 when no cause is active.
-  RibEventId current_cause() const { return cause_; }
-
-  /// Records an external root cause (parent forced to 0 regardless of the
-  /// ambient cause) and returns its id — establish it with a CauseScope to
-  /// attribute the reaction.
-  RibEventId record_root(Time time, std::uint32_t actor, const char* detail,
-                         std::uint32_t peer = 0);
-
-  /// Records one event with parent = current_cause() and returns its id.
-  RibEventId record(Time time, RibEventKind kind, std::uint32_t actor,
-                    std::uint32_t peer, std::uint32_t prefix,
-                    std::uint32_t path_len, std::uint64_t path_hash = 0,
-                    const char* detail = "");
-
-  /// RAII causal context. A null monitor makes every operation a no-op, so
-  /// instrumented code can construct one unconditionally.
-  class CauseScope {
-   public:
-    CauseScope(RibMonitor* monitor, RibEventId cause) : monitor_(monitor) {
-      if (monitor_ != nullptr) {
-        previous_ = monitor_->cause_;
-        monitor_->cause_ = cause;
-      }
-    }
-    ~CauseScope() {
-      if (monitor_ != nullptr) monitor_->cause_ = previous_;
-    }
-    CauseScope(const CauseScope&) = delete;
-    CauseScope& operator=(const CauseScope&) = delete;
-
-   private:
-    RibMonitor* monitor_;
-    RibEventId previous_ = 0;
-  };
-
-  const std::vector<RibEventRecord>& records() const { return records_; }
-  std::size_t size() const { return records_.size(); }
-  std::uint64_t count(RibEventKind kind) const {
-    return by_kind_[static_cast<std::size_t>(kind)];
-  }
-  /// Announce + implicit-withdraw + withdraw records (wire emissions).
-  std::uint64_t wire_messages() const;
-
-  /// One JSON object per line, in record order (the miro_ribmon stream).
-  void write_jsonl(std::ostream& out) const;
-
-  /// Renders the history as sim-time TraceEvents (per-AS instant tracks)
-  /// for obs/chrome_trace. `value` carries the record id so a Perfetto
-  /// track cross-references the JSONL stream.
-  std::vector<TraceEvent> as_trace_events() const;
-
- private:
-  std::vector<RibEventRecord> records_;
-  std::uint64_t by_kind_[9] = {};
-  RibEventId next_id_ = 1;
-  RibEventId cause_ = 0;
-};
-
 // -------------------------------------------- propagation-graph analysis
 
-/// One per-root-cause causal tree: the root record plus everything whose
+/// One per-root-cause causal tree: the root event plus everything whose
 /// parent chain reaches it.
 struct PropagationTree {
-  RibEventId root = 0;
+  EventId root = 0;
   std::uint32_t root_actor = 0;
   const char* root_detail = "";    ///< root-cause name ("link_down", ...)
-  RibEventKind root_kind = RibEventKind::RootCause;
-  Time start = 0;                  ///< root record's sim time
-  Time settled = 0;                ///< sim time of the last record in the tree
-  std::size_t nodes = 0;           ///< records in the tree, root included
+  EventKind root_kind = EventKind::RootCause;
+  Time start = 0;                  ///< root event's sim time
+  Time settled = 0;                ///< sim time of the last event in the tree
+  std::size_t nodes = 0;           ///< events in the tree, root included
   std::size_t updates = 0;         ///< wire messages (announce/implicit/withdraw)
-  std::size_t delivered = 0;       ///< Deliver records
-  std::size_t losses = 0;          ///< Loss records
-  std::size_t suppressed = 0;      ///< DampingSuppress records
-  std::size_t coalesced = 0;       ///< MraiCoalesce records
-  std::size_t best_changes = 0;    ///< BestChanged records
+  std::size_t delivered = 0;       ///< Deliver events
+  std::size_t losses = 0;          ///< Loss events
+  std::size_t suppressed = 0;      ///< DampingSuppress events
+  std::size_t coalesced = 0;       ///< MraiCoalesce events
+  std::size_t best_changes = 0;    ///< BestChanged events
   std::size_t depth = 0;           ///< max causal depth (root = 0)
-  std::size_t max_fanout = 0;      ///< max children under any one record
+  std::size_t max_fanout = 0;      ///< max children under any one event
 
   /// Convergence time of this root cause: first event to last reaction.
   Time convergence() const { return settled - start; }
@@ -173,11 +51,11 @@ struct PropagationTree {
 };
 
 /// The reconstructed propagation graph plus closed-accounting totals: every
-/// record lands in exactly one tree, so the per-tree sums equal the stream
-/// totals by construction; `orphans` counts records whose parent id is
-/// unknown (always 0 for a stream produced by one RibMonitor).
+/// event lands in exactly one tree, so the per-tree sums equal the stream
+/// totals by construction; `orphans` counts events whose parent id is
+/// unknown (always 0 for a stream produced by one EventLog).
 struct ProvenanceSummary {
-  std::vector<PropagationTree> trees;  ///< in root-record order
+  std::vector<PropagationTree> trees;  ///< in root-event order
   std::size_t orphans = 0;
   std::size_t total_updates = 0;
   std::size_t total_delivered = 0;
@@ -187,15 +65,14 @@ struct ProvenanceSummary {
   std::size_t total_best_changes = 0;
 };
 
-/// Groups `records` into per-root-cause trees. Records with parent 0 (or an
+/// Groups `events` into per-root-cause trees. Events with parent 0 (or an
 /// unknown parent, counted as an orphan) root their own tree; ids are
 /// monotonic so parents always precede children in the stream.
-ProvenanceSummary build_propagation_trees(
-    const std::vector<RibEventRecord>& records);
+ProvenanceSummary build_propagation_trees(const std::vector<Event>& events);
 
 // -------------------------------------------- convergence observables
 
-/// Per-prefix convergence observables distilled from one record stream.
+/// Per-prefix convergence observables distilled from one event stream.
 struct ConvergenceReport {
   struct PerActor {
     std::uint32_t actor = 0;
@@ -215,16 +92,15 @@ struct ConvergenceReport {
   }
 };
 
-ConvergenceReport summarize_convergence(
-    const std::vector<RibEventRecord>& records);
+ConvergenceReport summarize_convergence(const std::vector<Event>& events);
 
 /// Exports the propagation-tree and convergence observables into `registry`
-/// under `<prefix>.`: counters (records, updates, delivered, losses,
-/// suppressed, coalesced, roots, orphans), histograms (convergence_ticks,
-/// amplification, tree_depth, fanout, path_exploration), and the churn_rate
-/// gauge. Safe to call repeatedly; counters are snapshot-overwritten.
-void export_ribmon_metrics(const RibMonitor& monitor,
-                           MetricsRegistry& registry,
+/// under `<prefix>.`: counters (records = events in the log, updates,
+/// delivered, losses, suppressed, coalesced, roots, orphans), histograms
+/// (convergence_ticks, amplification, tree_depth, fanout, path_exploration),
+/// and the churn_rate gauge. Safe to call repeatedly; counters are
+/// snapshot-overwritten.
+void export_ribmon_metrics(const EventLog& log, MetricsRegistry& registry,
                            const std::string& prefix = "ribmon");
 
 }  // namespace miro::obs

@@ -9,11 +9,12 @@
 //   - with drop <= 10%, retransmission keeps the establishment rate >= 90%
 //     (vs. timeout-only failure without it).
 // Observability is part of the bar: the retransmission/drop assertions read
-// the structured trace and the metrics registry (the external surfaces a
+// the event log and the metrics registry (the external surfaces a
 // production operator would see), not the agents' internal structs, and every
-// negotiation's causal history must reconstruct cleanly from the trace.
+// negotiation's causal history must reconstruct cleanly from the log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -24,8 +25,8 @@
 #include "core/protocol.hpp"
 #include "core/route_store.hpp"
 #include "netsim/fault_injection.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "scenarios.hpp"
 
 namespace miro::core {
@@ -50,11 +51,11 @@ struct ChaosResult {
 
 /// Runs `negotiations` staggered avoid-E requests from A to B under the
 /// given fault profile, then tears everything down (faults still on) and
-/// lets the system quiesce. When `trace` is non-null the bus and both
-/// agents record into it.
+/// lets the system quiesce. When `log` is non-null the bus and both agents
+/// record into it.
 ChaosResult run_chaos(const sim::LinkFaultProfile& faults, std::uint64_t seed,
                       std::size_t negotiations, std::uint32_t max_retries,
-                      obs::TraceRecorder* trace = nullptr) {
+                      obs::EventLog* log = nullptr) {
   Figure31Topology fig;
   RouteStore store(fig.graph);
   sim::Scheduler scheduler;
@@ -62,15 +63,15 @@ ChaosResult run_chaos(const sim::LinkFaultProfile& faults, std::uint64_t seed,
   sim::FaultPlane plane(seed);
   plane.set_default_profile(faults);
   bus.set_fault_plane(&plane);
-  bus.set_trace(trace);
+  bus.set_event_log(log);
 
   SoftStateConfig ss;
   ss.max_retries = max_retries;
   ss.rng_seed = seed;
   MiroAgent a(fig.a, store, bus, {}, ss);
   MiroAgent b(fig.b, store, bus, {}, ss);
-  a.set_trace(trace);
-  b.set_trace(trace);
+  a.set_event_log(log);
+  b.set_event_log(log);
 
   ChaosResult result;
   result.initiated = negotiations;
@@ -112,14 +113,22 @@ ChaosResult run_chaos(const sim::LinkFaultProfile& faults, std::uint64_t seed,
 
 constexpr std::size_t kNegotiations = 30;
 
+/// Events of `kind` observed at `actor`.
+std::size_t count_at(const obs::EventLog& log, obs::EventKind kind,
+                     topo::NodeId actor) {
+  return static_cast<std::size_t>(std::count_if(
+      log.events().begin(), log.events().end(),
+      [&](const obs::Event& e) { return e.kind == kind && e.actor == actor; }));
+}
+
 TEST(ChaosSweep, EveryNegotiationTerminatesAndNoSoftStateLeaks) {
   for (double drop : {0.05, 0.10, 0.20, 0.30}) {
     for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
       const sim::LinkFaultProfile faults{drop, /*duplicate=*/0.10,
                                          /*jitter_max=*/25};
-      obs::TraceRecorder trace(1 << 16);
+      obs::EventLog log;
       const ChaosResult r =
-          run_chaos(faults, seed, kNegotiations, /*max_retries=*/5, &trace);
+          run_chaos(faults, seed, kNegotiations, /*max_retries=*/5, &log);
       SCOPED_TRACE(::testing::Message()
                    << "drop=" << drop << " seed=" << seed);
       // Termination: the completion callback fired exactly once per request.
@@ -135,13 +144,13 @@ TEST(ChaosSweep, EveryNegotiationTerminatesAndNoSoftStateLeaks) {
       EXPECT_EQ(r.leaked_downstream, 0u);
       EXPECT_EQ(r.responder.tunnels_established,
                 r.responder.tunnels_torn_down + r.responder.tunnels_expired);
-      // The chaos actually bit — asserted on the traced bus drops and
+      // The chaos actually bit — asserted on the logged bus drops and
       // retransmissions rather than the agents' internals.
-      EXPECT_GT(trace.count(obs::EventType::BusDrop), 0u);
-      EXPECT_GT(trace.count(obs::EventType::Retransmit, r.requester_node),
+      EXPECT_GT(log.count(obs::EventKind::BusDrop), 0u);
+      EXPECT_GT(count_at(log, obs::EventKind::Retransmit, r.requester_node),
                 0u);
-      // The trace agrees with the delivery accounting.
-      EXPECT_EQ(trace.count(obs::EventType::BusDrop),
+      // The log agrees with the delivery accounting.
+      EXPECT_EQ(log.count(obs::EventKind::BusDrop),
                 r.bus.dropped_link_down + r.bus.dropped_faults +
                     r.bus.dropped_unattached);
       if (drop <= 0.10) {
@@ -172,15 +181,12 @@ TEST(ChaosSweep, TraceReconstructsEveryNegotiationAndMatchesMetrics) {
                                      /*jitter_max=*/25};
   const std::string jsonl_path =
       ::testing::TempDir() + "chaos_sweep_trace.jsonl";
-  obs::TraceRecorder trace(1 << 16);
-  obs::JsonlFileSink jsonl(jsonl_path);
-  trace.add_sink(&jsonl);
+  obs::EventLog log;
   const ChaosResult r =
-      run_chaos(faults, /*seed=*/7, kNegotiations, /*max_retries=*/5, &trace);
-  jsonl.flush();
+      run_chaos(faults, /*seed=*/7, kNegotiations, /*max_retries=*/5, &log);
+  ASSERT_TRUE(obs::write_jsonl_file(jsonl_path, log));
 
   // The JSONL file holds one line per recorded event.
-  EXPECT_EQ(jsonl.lines_written(), trace.events_recorded());
   std::ifstream in(jsonl_path);
   std::string line;
   std::uint64_t lines = 0;
@@ -189,9 +195,9 @@ TEST(ChaosSweep, TraceReconstructsEveryNegotiationAndMatchesMetrics) {
     ASSERT_FALSE(line.empty());
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"type\":\""), std::string::npos);
+    EXPECT_NE(line.find("\"kind\":\""), std::string::npos);
   }
-  EXPECT_EQ(lines, jsonl.lines_written());
+  EXPECT_EQ(lines, log.size());
   std::remove(jsonl_path.c_str());
 
   // Per-negotiation causal reconstruction: each history begins with the
@@ -202,28 +208,28 @@ TEST(ChaosSweep, TraceReconstructsEveryNegotiationAndMatchesMetrics) {
   std::size_t established = 0;
   for (std::uint64_t id : r.negotiation_ids) {
     const obs::NegotiationTimeline timeline =
-        obs::reconstruct_negotiation(trace, id);
+        obs::reconstruct_negotiation(log, id);
     SCOPED_TRACE(::testing::Message()
                  << "negotiation " << id << ": " << timeline.summary());
     ASSERT_FALSE(timeline.events.empty());
-    EXPECT_EQ(timeline.events.front().type,
-              obs::EventType::NegotiationRequested);
+    EXPECT_EQ(timeline.events.front().kind,
+              obs::EventKind::NegotiationRequested);
     EXPECT_NE(timeline.established, timeline.failed);
     if (timeline.established) ++established;
     // Phase order: request < offers < accept < established, by sim time.
     obs::Time requested = 0, offers = 0, accepted = 0, done = 0;
-    for (const obs::TraceEvent& event : timeline.events) {
-      switch (event.type) {
-        case obs::EventType::NegotiationRequested:
+    for (const obs::Event& event : timeline.events) {
+      switch (event.kind) {
+        case obs::EventKind::NegotiationRequested:
           requested = event.time;
           break;
-        case obs::EventType::OffersReceived:
+        case obs::EventKind::OffersReceived:
           if (offers == 0) offers = event.time;
           break;
-        case obs::EventType::AcceptSent:
+        case obs::EventKind::AcceptSent:
           if (accepted == 0) accepted = event.time;
           break;
-        case obs::EventType::NegotiationEstablished:
+        case obs::EventKind::NegotiationEstablished:
           done = event.time;
           break;
         default: break;
@@ -238,13 +244,13 @@ TEST(ChaosSweep, TraceReconstructsEveryNegotiationAndMatchesMetrics) {
   }
   EXPECT_EQ(established, r.established);
 
-  // The trace's retransmission story matches the metrics registry: handshake
+  // The log's retransmission story matches the metrics registry: handshake
   // retransmits are tied to negotiation ids; the remainder are blind
-  // teardown re-sends (traced with a tunnel id but no negotiation id).
+  // teardown re-sends (logged with a tunnel id but no negotiation id).
   const std::uint64_t metric_retransmissions =
       r.metrics.counter("requester.retransmissions").value();
   const std::size_t traced_retransmits =
-      trace.count(obs::EventType::Retransmit, r.requester_node);
+      count_at(log, obs::EventKind::Retransmit, r.requester_node);
   EXPECT_EQ(traced_retransmits, metric_retransmissions);
   EXPECT_LE(reconstructed_retransmits, traced_retransmits);
   EXPECT_GT(reconstructed_retransmits, 0u);
@@ -252,22 +258,19 @@ TEST(ChaosSweep, TraceReconstructsEveryNegotiationAndMatchesMetrics) {
 
 TEST(ChaosSweep, DisabledTracingRecordsAndAllocatesNothing) {
   const sim::LinkFaultProfile faults{0.10, 0.10, 25};
-  // A recorder + counting sink exist but are never attached to the system
-  // under test — the null-recorder fast path must record zero events.
-  obs::TraceRecorder idle_recorder(16);
-  obs::CountingSink idle_sink;
-  idle_recorder.add_sink(&idle_sink);
+  // A log exists but is never attached to the system under test — the
+  // null-log fast path must record zero events.
+  obs::EventLog idle_log;
   const ChaosResult r =
       run_chaos(faults, /*seed=*/7, kNegotiations, /*max_retries=*/5,
-                /*trace=*/nullptr);
+                /*log=*/nullptr);
   EXPECT_EQ(r.callbacks, r.initiated);
-  EXPECT_EQ(idle_recorder.events_recorded(), 0u);
-  EXPECT_EQ(idle_sink.count(), 0u);
-  // And the disabled run behaves identically to a traced run with the same
-  // seed — tracing is observation, never behavior.
-  obs::TraceRecorder trace(1 << 16);
+  EXPECT_EQ(idle_log.size(), 0u);
+  // And the disabled run behaves identically to a logged run with the same
+  // seed — logging is observation, never behavior.
+  obs::EventLog log;
   const ChaosResult traced =
-      run_chaos(faults, /*seed=*/7, kNegotiations, /*max_retries=*/5, &trace);
+      run_chaos(faults, /*seed=*/7, kNegotiations, /*max_retries=*/5, &log);
   EXPECT_EQ(traced.established, r.established);
   EXPECT_EQ(traced.requester.retransmissions, r.requester.retransmissions);
   EXPECT_EQ(traced.plane.sent, r.plane.sent);

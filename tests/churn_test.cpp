@@ -6,6 +6,7 @@
 #include "churn/invariant_checker.hpp"
 #include "churn/replayer.hpp"
 #include "common/error.hpp"
+#include "obs/ribmon.hpp"
 #include "scenarios.hpp"
 #include "topology/generator.hpp"
 
@@ -214,6 +215,8 @@ TEST(ChurnReplay, WatchedTunnelsAreTornDownWithinHoldDown) {
   tunnel.bound_path = {fig.b, fig.e, fig.f};
   tunnel.strict_binding = true;
   config.tunnels.push_back(tunnel);
+  obs::EventLog log;
+  config.log = &log;
   const ReplayResult result = replay_churn(fig.graph, trace, config);
   for (const ChurnViolation& v : result.violations) {
     ADD_FAILURE() << v.property << " at t=" << v.time << " (event "
@@ -221,6 +224,27 @@ TEST(ChurnReplay, WatchedTunnelsAreTornDownWithinHoldDown) {
   }
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.tunnels_torn, 1u);
+
+  // The §4.3 teardown is on the log and explains itself: its parent chain
+  // (ids are 1-based positions) runs back to the t=300 link failure.
+  ASSERT_EQ(log.count(obs::EventKind::TunnelInvalidated), 1u);
+  const auto& events = log.events();
+  const auto invalidated =
+      std::find_if(events.begin(), events.end(), [](const obs::Event& e) {
+        return e.kind == obs::EventKind::TunnelInvalidated;
+      });
+  EXPECT_EQ(invalidated->actor, fig.a);
+  EXPECT_EQ(invalidated->peer, fig.b);
+  EXPECT_EQ(invalidated->tunnel, 1u);
+  ASSERT_NE(invalidated->parent, 0u);
+  EXPECT_EQ(events[invalidated->parent - 1].kind,
+            obs::EventKind::BestChanged);
+  const obs::Event* root = &*invalidated;
+  while (root->parent != 0) root = &events[root->parent - 1];
+  EXPECT_EQ(root->kind, obs::EventKind::RootCause);
+  EXPECT_STREQ(root->detail, "link_down");
+  EXPECT_EQ(root->time, 300u);
+  EXPECT_EQ(obs::build_propagation_trees(events).orphans, 0u);
 }
 
 TEST(InvariantChecker, CatchesTunnelOutlivingItsRoute) {

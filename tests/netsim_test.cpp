@@ -387,15 +387,15 @@ TEST(Scheduler, RunAllRunawayErrorReportsSimulationState) {
 
 TEST(Scheduler, TraceRecordsScheduleFireAndCancel) {
   Scheduler scheduler;
-  obs::TraceRecorder trace(64);
-  scheduler.set_trace(&trace);
+  obs::EventLog log;
+  scheduler.set_event_log(&log);
   scheduler.at(10, [] {});
   auto cancelled = scheduler.at(20, [] {});
   cancelled.cancel();
   scheduler.run_all();
-  EXPECT_EQ(trace.count(obs::EventType::TimerScheduled), 2u);
-  EXPECT_EQ(trace.count(obs::EventType::TimerFired), 1u);
-  EXPECT_EQ(trace.count(obs::EventType::TimerCancelled), 1u);
+  EXPECT_EQ(log.count(obs::EventKind::TimerScheduled), 2u);
+  EXPECT_EQ(log.count(obs::EventKind::TimerFired), 1u);
+  EXPECT_EQ(log.count(obs::EventKind::TimerCancelled), 1u);
 }
 
 TEST(MessageBus, DuplicatedCopyLostToInFlightPartitionKeepsInvariant) {
@@ -443,24 +443,24 @@ TEST(MessageBus, DuplicatedCopyToUnattachedEndpointKeepsInvariant) {
 TEST(MessageBus, TraceRecordsSendDeliverDropAndDuplicate) {
   Scheduler scheduler;
   MessageBus<int> bus(scheduler, 10);
-  obs::TraceRecorder trace(128);
-  bus.set_trace(&trace);
+  obs::EventLog log;
+  bus.set_event_log(&log);
   FaultPlane plane(7);
   bus.attach(2, [](EndpointId, int) {});
 
   bus.send(1, 2, 1);  // clean delivery
   scheduler.run_all();
-  EXPECT_EQ(trace.count(obs::EventType::BusSend), 1u);
-  EXPECT_EQ(trace.count(obs::EventType::BusDeliver), 1u);
+  EXPECT_EQ(log.count(obs::EventKind::BusSend), 1u);
+  EXPECT_EQ(log.count(obs::EventKind::BusDeliver), 1u);
 
   bus.set_link_down(1, 2, true);
   bus.send(1, 2, 2);  // dropped at send time
   scheduler.run_all();
   bus.set_link_down(1, 2, false);
   const auto drops = [&] {
-    std::vector<obs::TraceEvent> out;
-    for (const obs::TraceEvent& e : trace.snapshot())
-      if (e.type == obs::EventType::BusDrop) out.push_back(e);
+    std::vector<obs::Event> out;
+    for (const obs::Event& e : log.events())
+      if (e.kind == obs::EventKind::BusDrop) out.push_back(e);
     return out;
   }();
   ASSERT_EQ(drops.size(), 1u);
@@ -473,10 +473,10 @@ TEST(MessageBus, TraceRecordsSendDeliverDropAndDuplicate) {
   plane.set_default_profile({0.0, /*duplicate=*/1.0, 0});
   bus.send(1, 2, 4);
   scheduler.run_all();
-  EXPECT_EQ(trace.count(obs::EventType::BusDuplicate), 1u);
+  EXPECT_EQ(log.count(obs::EventKind::BusDuplicate), 1u);
   std::size_t fault_drops = 0;
-  for (const obs::TraceEvent& e : trace.snapshot())
-    if (e.type == obs::EventType::BusDrop &&
+  for (const obs::Event& e : log.events())
+    if (e.kind == obs::EventKind::BusDrop &&
         std::string(e.detail) == "faults")
       ++fault_drops;
   EXPECT_EQ(fault_drops, 1u);

@@ -1,5 +1,6 @@
-// The observability substrate: trace recorder ring semantics, sinks, causal
-// reconstruction, and the metrics registry with its two exporters.
+// The observability substrate: the event log (ids, causal parents, per-kind
+// counts, JSONL export), negotiation reconstruction, and the metrics
+// registry with its two exporters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,195 +9,139 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace miro::obs {
 namespace {
 
-TraceEvent event_at(Time t, EventType type, std::uint64_t negotiation = 0) {
-  TraceEvent event;
+Event event_at(Time t, EventKind kind, std::uint64_t negotiation = 0) {
+  Event event;
   event.time = t;
-  event.type = type;
+  event.kind = kind;
   event.actor = 1;
   event.negotiation = negotiation;
   return event;
 }
 
-TEST(TraceRecorder, KeepsEventsInOrder) {
-  TraceRecorder recorder(16);
-  recorder.record(event_at(5, EventType::NegotiationRequested, 1));
-  recorder.record(event_at(7, EventType::OffersReceived, 1));
-  recorder.record(event_at(9, EventType::AcceptSent, 1));
-  const auto events = recorder.snapshot();
+TEST(EventLog, KeepsEventsInOrderWithSequentialIds) {
+  EventLog log;
+  EXPECT_EQ(log.record(event_at(5, EventKind::NegotiationRequested, 1)), 1u);
+  EXPECT_EQ(log.record(event_at(7, EventKind::OffersReceived, 1)), 2u);
+  EXPECT_EQ(log.record(event_at(9, EventKind::AcceptSent, 1)), 3u);
+  const auto& events = log.events();
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].type, EventType::NegotiationRequested);
-  EXPECT_EQ(events[1].type, EventType::OffersReceived);
-  EXPECT_EQ(events[2].type, EventType::AcceptSent);
-  EXPECT_EQ(recorder.events_recorded(), 3u);
-}
-
-TEST(TraceRecorder, RingOverwritesOldestButCountsEverything) {
-  TraceRecorder recorder(4);
-  for (Time t = 0; t < 10; ++t)
-    recorder.record(event_at(t, EventType::BusSend));
-  EXPECT_EQ(recorder.events_recorded(), 10u);
-  const auto events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 4u);  // capacity bound the ring
-  EXPECT_EQ(events.front().time, 6u);
-  EXPECT_EQ(events.back().time, 9u);
-}
-
-TEST(TraceRecorder, SinksSeeEveryEventDespiteRingWrap) {
-  TraceRecorder recorder(2);
-  MemorySink memory;
-  CountingSink counting;
-  recorder.add_sink(&memory);
-  recorder.add_sink(&counting);
-  for (Time t = 0; t < 8; ++t)
-    recorder.record(event_at(t, EventType::BusDeliver));
-  EXPECT_EQ(memory.events().size(), 8u);
-  EXPECT_EQ(counting.count(), 8u);
-  // The sink preserved arrival order even though the ring wrapped 3 times.
-  for (Time t = 0; t < 8; ++t) EXPECT_EQ(memory.events()[t].time, t);
-}
-
-TEST(TraceRecorder, DroppedEventAccountingAtAndPastCapacity) {
-  TraceRecorder recorder(4);
-  EXPECT_EQ(recorder.events_dropped(), 0u);
-  for (Time t = 0; t < 4; ++t)
-    recorder.record(event_at(t, EventType::BusSend));
-  // Exactly at capacity: the ring is full but nothing fell out yet.
-  EXPECT_EQ(recorder.events_recorded(), 4u);
-  EXPECT_EQ(recorder.events_dropped(), 0u);
-  EXPECT_EQ(recorder.snapshot().size(), 4u);
-
-  recorder.record(event_at(4, EventType::BusSend));
-  EXPECT_EQ(recorder.events_dropped(), 1u);  // the t=0 event fell out
-  EXPECT_EQ(recorder.snapshot().front().time, 1u);
-
-  for (Time t = 5; t < 11; ++t)
-    recorder.record(event_at(t, EventType::BusSend));
-  EXPECT_EQ(recorder.events_recorded(), 11u);
-  EXPECT_EQ(recorder.events_dropped(), 7u);  // recorded minus live
-  const auto events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i)
-    EXPECT_EQ(events[i].time, 7u + i);  // oldest-to-newest across the wrap
-}
-
-TEST(TraceRecorder, FiltersByNegotiationTunnelAndType) {
-  TraceRecorder recorder(16);
-  recorder.record(event_at(1, EventType::NegotiationRequested, 10));
-  recorder.record(event_at(2, EventType::NegotiationRequested, 11));
-  recorder.record(event_at(3, EventType::Retransmit, 10));
-  TraceEvent tunnel_event = event_at(4, EventType::TunnelExpired);
-  tunnel_event.tunnel = 77;
-  recorder.record(tunnel_event);
-  EXPECT_EQ(recorder.for_negotiation(10).size(), 2u);
-  EXPECT_EQ(recorder.for_negotiation(11).size(), 1u);
-  EXPECT_EQ(recorder.for_tunnel(77).size(), 1u);
-  EXPECT_EQ(recorder.count(EventType::NegotiationRequested), 2u);
-  EXPECT_EQ(recorder.count(EventType::Retransmit, /*actor=*/1), 1u);
-  EXPECT_EQ(recorder.count(EventType::Retransmit, /*actor=*/9), 0u);
-}
-
-TEST(TraceRecorder, JsonlSinkWritesOneParseableLinePerEvent) {
-  const std::string path =
-      ::testing::TempDir() + "obs_test_trace.jsonl";
-  {
-    TraceRecorder recorder(8);
-    JsonlFileSink sink(path);
-    recorder.add_sink(&sink);
-    TraceEvent event = event_at(42, EventType::BusDrop, 3);
-    event.peer = 9;
-    event.detail = "faults";
-    recorder.record(event);
-    recorder.record(event_at(43, EventType::BusSend));
-    EXPECT_EQ(sink.lines_written(), 2u);
+  EXPECT_EQ(events[0].kind, EventKind::NegotiationRequested);
+  EXPECT_EQ(events[1].kind, EventKind::OffersReceived);
+  EXPECT_EQ(events[2].kind, EventKind::AcceptSent);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].id, i + 1);  // ids are 1-based positions
+    EXPECT_EQ(events[i].parent, 0u);  // no cause was active
   }
+}
+
+TEST(EventLog, CountsPerKind) {
+  EventLog log;
+  log.record(event_at(1, EventKind::NegotiationRequested, 10));
+  log.record(event_at(2, EventKind::NegotiationRequested, 11));
+  log.record(event_at(3, EventKind::Retransmit, 10));
+  log.record_root(4, 2, "start");
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.count(EventKind::NegotiationRequested), 2u);
+  EXPECT_EQ(log.count(EventKind::Retransmit), 1u);
+  EXPECT_EQ(log.count(EventKind::RootCause), 1u);
+  EXPECT_EQ(log.count(EventKind::TunnelExpired), 0u);
+}
+
+TEST(EventLog, WriteJsonlFileWritesOneLinePerEvent) {
+  const std::string path = ::testing::TempDir() + "obs_test_log.jsonl";
+  EventLog log;
+  Event event = event_at(42, EventKind::BusDrop, 3);
+  event.peer = 9;
+  event.detail = "faults";
+  log.record(event);
+  log.record(event_at(43, EventKind::BusSend));
+  ASSERT_TRUE(write_jsonl_file(path, log));
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line,
-            "{\"t\":42,\"type\":\"bus_drop\",\"actor\":1,\"peer\":9,"
-            "\"negotiation\":3,\"detail\":\"faults\"}");
+            "{\"id\":1,\"t\":42,\"kind\":\"bus_drop\",\"actor\":1,\"peer\":9,"
+            "\"prefix\":0,\"negotiation\":3,\"detail\":\"faults\"}");
   ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "{\"t\":43,\"type\":\"bus_send\",\"actor\":1}");
+  EXPECT_EQ(line,
+            "{\"id\":2,\"t\":43,\"kind\":\"bus_send\",\"actor\":1,"
+            "\"prefix\":0}");
   EXPECT_FALSE(std::getline(in, line));
   std::remove(path.c_str());
 }
 
-TEST(JsonlFileSink, UnwritablePathThrows) {
-  EXPECT_THROW(JsonlFileSink("/nonexistent-dir/obs_test/trace.jsonl"), Error);
+TEST(WriteJsonlFile, UnopenablePathReturnsFalse) {
+  EventLog log;
+  log.record(event_at(1, EventKind::BusSend));
+  EXPECT_FALSE(write_jsonl_file("/nonexistent-dir/obs_test/log.jsonl", log));
 }
 
-TEST(JsonlFileSink, SurfacesWriteFailuresStickily) {
+TEST(WriteJsonlFile, FullDeviceReturnsFalse) {
   // /dev/full accepts the open but fails every flush with ENOSPC — the
   // canonical full-disk simulation. Skip where the device is absent.
   std::ifstream probe("/dev/full");
   if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
-  JsonlFileSink sink("/dev/full");
-  TraceEvent event = event_at(1, EventType::BusSend);
-  // Push enough lines to overflow the stream buffer and force real writes;
-  // once the stream fails it must stay failed and count every further loss.
-  for (int i = 0; i < 100000 && sink.ok(); ++i) sink.on_event(event);
-  ASSERT_FALSE(sink.ok());
-  const std::uint64_t failures = sink.write_failures();
-  EXPECT_GT(failures, 0u);
-  sink.on_event(event);
-  EXPECT_EQ(sink.write_failures(), failures + 1);  // sticky failure
-  EXPECT_FALSE(sink.flush());
+  EventLog log;
+  log.record(event_at(1, EventKind::BusSend));
+  // A single buffered line still fails: the final flush is checked.
+  EXPECT_FALSE(write_jsonl_file("/dev/full", log));
+  for (int i = 0; i < 100000; ++i) log.record(event_at(1, EventKind::BusSend));
+  EXPECT_FALSE(write_jsonl_file("/dev/full", log));
 }
 
-TEST(JsonlFileSink, HealthyStreamReportsOk) {
+TEST(WriteJsonlFile, HealthyFileReturnsTrue) {
   const std::string path = ::testing::TempDir() + "obs_test_ok.jsonl";
-  JsonlFileSink sink(path);
-  sink.on_event(event_at(1, EventType::BusSend));
-  EXPECT_TRUE(sink.ok());
-  EXPECT_TRUE(sink.flush());
-  EXPECT_EQ(sink.write_failures(), 0u);
+  EventLog log;
+  log.record(event_at(1, EventKind::BusSend));
+  EXPECT_TRUE(write_jsonl_file(path, log));
+  EXPECT_TRUE(write_jsonl_file(path, EventLog{}));  // empty log, empty file
   std::remove(path.c_str());
 }
 
 TEST(Reconstruction, OrdersPhasesAndJoinsTunnelLifetime) {
-  TraceRecorder recorder(32);
-  recorder.record(event_at(10, EventType::NegotiationRequested, 5));
-  recorder.record(event_at(50, EventType::Retransmit, 5));
-  recorder.record(event_at(90, EventType::Retransmit, 5));
-  recorder.record(event_at(120, EventType::OffersReceived, 5));
-  recorder.record(event_at(130, EventType::AcceptSent, 5));
-  TraceEvent established = event_at(160, EventType::NegotiationEstablished, 5);
+  EventLog log;
+  log.record(event_at(10, EventKind::NegotiationRequested, 5));
+  log.record(event_at(50, EventKind::Retransmit, 5));
+  log.record(event_at(90, EventKind::Retransmit, 5));
+  log.record(event_at(120, EventKind::OffersReceived, 5));
+  log.record(event_at(130, EventKind::AcceptSent, 5));
+  Event established = event_at(160, EventKind::NegotiationEstablished, 5);
   established.tunnel = 3;
-  recorder.record(established);
+  log.record(established);
   // Tunnel-scoped follow-up: carries only the tunnel id.
-  TraceEvent expired = event_at(900, EventType::TunnelExpired);
+  Event expired = event_at(900, EventKind::TunnelExpired);
   expired.tunnel = 3;
-  recorder.record(expired);
+  log.record(expired);
   // Noise from a different negotiation must not leak in.
-  recorder.record(event_at(15, EventType::NegotiationRequested, 6));
+  log.record(event_at(15, EventKind::NegotiationRequested, 6));
 
-  const NegotiationTimeline timeline = reconstruct_negotiation(recorder, 5);
+  const NegotiationTimeline timeline = reconstruct_negotiation(log, 5);
   EXPECT_EQ(timeline.negotiation_id, 5u);
   EXPECT_EQ(timeline.tunnel_id, 3u);
   EXPECT_TRUE(timeline.established);
   EXPECT_FALSE(timeline.failed);
   EXPECT_EQ(timeline.retransmits, 2u);
   ASSERT_EQ(timeline.events.size(), 7u);
-  EXPECT_EQ(timeline.events.front().type, EventType::NegotiationRequested);
-  EXPECT_EQ(timeline.events.back().type, EventType::TunnelExpired);
+  EXPECT_EQ(timeline.events.front().kind, EventKind::NegotiationRequested);
+  EXPECT_EQ(timeline.events.back().kind, EventKind::TunnelExpired);
   EXPECT_EQ(timeline.summary(),
             "negotiation_requested → retransmit ×2 → offers_received → "
             "accept_sent → established → tunnel_expired");
 }
 
 TEST(Reconstruction, FailedNegotiationIsMarked) {
-  TraceRecorder recorder(8);
-  recorder.record(event_at(10, EventType::NegotiationRequested, 9));
-  TraceEvent failed = event_at(2010, EventType::NegotiationFailed, 9);
+  EventLog log;
+  log.record(event_at(10, EventKind::NegotiationRequested, 9));
+  Event failed = event_at(2010, EventKind::NegotiationFailed, 9);
   failed.detail = "timeout";
-  recorder.record(failed);
-  const NegotiationTimeline timeline = reconstruct_negotiation(recorder, 9);
+  log.record(failed);
+  const NegotiationTimeline timeline = reconstruct_negotiation(log, 9);
   EXPECT_TRUE(timeline.failed);
   EXPECT_FALSE(timeline.established);
   EXPECT_EQ(timeline.summary(), "negotiation_requested → failed");

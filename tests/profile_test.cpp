@@ -2,7 +2,7 @@
 // gate (PR 3). The load-bearing claims:
 //   - nested spans account self vs total time exactly (fake clock);
 //   - disabled profiling records nothing and leaves sim behaviour
-//     bit-identical (the TraceRecorder zero-cost proof, repeated for the
+//     bit-identical (the event log's zero-cost proof, repeated for the
 //     wall-clock plane);
 //   - the Chrome-trace exporter emits valid JSON that round-trips through
 //     the in-repo parser with both track types present;
@@ -35,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/regression.hpp"
-#include "obs/trace.hpp"
 #include "scenarios.hpp"
 
 namespace miro::obs {
@@ -199,7 +198,7 @@ TEST(ProfileRegistry, ExportsMetricsAndWritesTextTable) {
 /// The instrumented negotiation sim from the chaos tests, parameterized on
 /// whether the process-wide profiler is attached.
 core::MiroAgent::Stats run_negotiations(ProfileRegistry* registry,
-                                        obs::TraceRecorder* trace,
+                                        obs::EventLog* log,
                                         std::size_t* established) {
   set_profile(registry);
   test::Figure31Topology fig;
@@ -209,13 +208,13 @@ core::MiroAgent::Stats run_negotiations(ProfileRegistry* registry,
   sim::FaultPlane plane(7);
   plane.set_default_profile({0.10, 0.10, 25});
   bus.set_fault_plane(&plane);
-  bus.set_trace(trace);
+  bus.set_event_log(log);
   core::SoftStateConfig ss;
   ss.rng_seed = 7;
   core::MiroAgent a(fig.a, store, bus, {}, ss);
   core::MiroAgent b(fig.b, store, bus, {}, ss);
-  a.set_trace(trace);
-  b.set_trace(trace);
+  a.set_event_log(log);
+  b.set_event_log(log);
   for (std::size_t i = 0; i < 20; ++i) {
     scheduler.at(i * 250, [&]() {
       a.request(fig.b, fig.a, fig.f, fig.e, std::nullopt,
@@ -236,7 +235,7 @@ TEST(ProfileZeroCost, DisabledProfilingRecordsNothing) {
   // instrumented run must never reach it.
   ProfileRegistry idle;
   std::size_t established = 0;
-  run_negotiations(/*registry=*/nullptr, /*trace=*/nullptr, &established);
+  run_negotiations(/*registry=*/nullptr, /*log=*/nullptr, &established);
   EXPECT_GT(established, 0u);
   EXPECT_EQ(idle.spans_recorded(), 0u);
   EXPECT_EQ(idle.spans_dropped(), 0u);
@@ -247,24 +246,24 @@ TEST(ProfileZeroCost, DisabledProfilingRecordsNothing) {
 TEST(ProfileZeroCost, ProfiledRunIsBitIdenticalToUnprofiledRun) {
   // The profiler only reads the wall clock; the sim-time event stream and
   // every protocol counter must match event-for-event with it on or off.
-  obs::TraceRecorder plain_trace(1 << 16);
+  EventLog plain_log;
   std::size_t plain_established = 0;
   const core::MiroAgent::Stats plain =
-      run_negotiations(nullptr, &plain_trace, &plain_established);
+      run_negotiations(nullptr, &plain_log, &plain_established);
 
   ProfileRegistry registry;
-  obs::TraceRecorder profiled_trace(1 << 16);
+  EventLog profiled_log;
   std::size_t profiled_established = 0;
   const core::MiroAgent::Stats profiled =
-      run_negotiations(&registry, &profiled_trace, &profiled_established);
+      run_negotiations(&registry, &profiled_log, &profiled_established);
 
   EXPECT_GT(registry.spans_recorded(), 0u);  // the profiler did observe
   EXPECT_EQ(profiled_established, plain_established);
   EXPECT_EQ(profiled.retransmissions, plain.retransmissions);
   EXPECT_EQ(profiled.negotiations_abandoned, plain.negotiations_abandoned);
   EXPECT_EQ(profiled.duplicates_suppressed, plain.duplicates_suppressed);
-  const std::vector<TraceEvent> a = plain_trace.snapshot();
-  const std::vector<TraceEvent> b = profiled_trace.snapshot();
+  const std::vector<Event>& a = plain_log.events();
+  const std::vector<Event>& b = profiled_log.events();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     ASSERT_EQ(to_json(a[i]), to_json(b[i])) << "event " << i;
@@ -285,17 +284,17 @@ TEST(ChromeTrace, GoldenExportRoundTripsThroughParser) {
     }
     now = 5000;
   }
-  std::vector<TraceEvent> sim_events;
-  TraceEvent sent;
+  std::vector<Event> sim_events;
+  Event sent;
   sent.time = 3;
-  sent.type = EventType::BusSend;
+  sent.kind = EventKind::BusSend;
   sent.actor = 1;
   sent.peer = 2;
   sent.negotiation = 9;
   sim_events.push_back(sent);
-  TraceEvent dropped;
+  Event dropped;
   dropped.time = 5;
-  dropped.type = EventType::BusDrop;
+  dropped.kind = EventKind::BusDrop;
   dropped.actor = 2;
   dropped.detail = "faults";
   sim_events.push_back(dropped);

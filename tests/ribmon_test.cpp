@@ -1,8 +1,8 @@
-// Route-event provenance: RibMonitor mechanics (causal scoping, JSONL),
+// Route-event provenance: the event log's causal mechanics (scoping, JSONL),
 // propagation-tree reconstruction, convergence observables, and — the load-
-// bearing property — closed accounting of a monitored churn replay against
-// the BGP plane's own counters, with the monitored run bit-identical to the
-// unmonitored one.
+// bearing property — closed accounting of a logged churn replay against the
+// BGP plane's own counters, with the logged run bit-identical to the
+// unlogged one.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,6 +11,7 @@
 
 #include "churn/replayer.hpp"
 #include "common/json.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ribmon.hpp"
 #include "topology/as_graph.hpp"
@@ -18,8 +19,22 @@
 namespace miro {
 namespace {
 
-using obs::RibEventKind;
-using obs::RibMonitor;
+using obs::EventKind;
+using obs::EventLog;
+
+/// A RIB event as SessionedBgpNetwork records it.
+obs::EventId record(EventLog& log, obs::Time time, EventKind kind,
+                    std::uint32_t actor, std::uint32_t peer,
+                    std::uint32_t prefix, std::uint32_t path_len,
+                    std::uint64_t path_hash = 0) {
+  return log.record({.time = time,
+                     .kind = kind,
+                     .actor = actor,
+                     .peer = peer,
+                     .prefix = prefix,
+                     .path_len = path_len,
+                     .path_hash = path_hash});
+}
 
 // The dissertation's six-AS running example (Figure 3.1); destination f.
 struct Figure31 {
@@ -52,56 +67,54 @@ churn::ChurnTrace mixed_trace(const Figure31& fig) {
   return churn::generate_churn_trace(fig.graph, fig.f, config);
 }
 
-TEST(RibMonitor, RecordsCarryCausalParents) {
-  RibMonitor monitor;
-  EXPECT_EQ(monitor.current_cause(), 0u);
+TEST(EventLog, RecordsCarryCausalParents) {
+  EventLog log;
+  EXPECT_EQ(log.current_cause(), 0u);
 
-  const auto root = monitor.record_root(10, 3, "link_down", 4);
+  const auto root = log.record_root(10, 3, "link_down", 4);
   EXPECT_EQ(root, 1u);
-  EXPECT_EQ(monitor.current_cause(), 0u);  // record_root does not establish
+  EXPECT_EQ(log.current_cause(), 0u);  // record_root does not establish
 
-  obs::RibEventId sent = 0;
+  obs::EventId sent = 0;
   {
-    RibMonitor::CauseScope scope(&monitor, root);
-    EXPECT_EQ(monitor.current_cause(), root);
-    sent = monitor.record(11, RibEventKind::Announce, 3, 5, 9, 2);
+    EventLog::CauseScope scope(&log, root);
+    EXPECT_EQ(log.current_cause(), root);
+    sent = record(log, 11, EventKind::Announce, 3, 5, 9, 2);
     {
-      RibMonitor::CauseScope nested(&monitor, sent);
-      monitor.record(21, RibEventKind::Deliver, 5, 3, 9, 2);
+      EventLog::CauseScope nested(&log, sent);
+      record(log, 21, EventKind::Deliver, 5, 3, 9, 2);
     }
-    EXPECT_EQ(monitor.current_cause(), root);  // nesting restores
+    EXPECT_EQ(log.current_cause(), root);  // nesting restores
   }
-  EXPECT_EQ(monitor.current_cause(), 0u);
+  EXPECT_EQ(log.current_cause(), 0u);
 
-  ASSERT_EQ(monitor.size(), 3u);
-  const auto& records = monitor.records();
+  ASSERT_EQ(log.size(), 3u);
+  const auto& records = log.events();
   EXPECT_EQ(records[0].parent, 0u);
   EXPECT_EQ(records[1].parent, root);
   EXPECT_EQ(records[2].parent, sent);
-  EXPECT_EQ(monitor.count(RibEventKind::Announce), 1u);
-  EXPECT_EQ(monitor.count(RibEventKind::Deliver), 1u);
-  EXPECT_EQ(monitor.wire_messages(), 1u);
-  EXPECT_TRUE(records[1].is_wire_message());
-  EXPECT_FALSE(records[2].is_wire_message());
+  EXPECT_EQ(log.count(EventKind::Announce), 1u);
+  EXPECT_EQ(log.count(EventKind::Deliver), 1u);
+  EXPECT_EQ(log.wire_messages(), 1u);
 }
 
-TEST(RibMonitor, NullMonitorScopeIsANoOp) {
-  // Instrumented code constructs scopes unconditionally; a null monitor must
+TEST(EventLog, NullLogScopeIsANoOp) {
+  // Instrumented code constructs scopes unconditionally; a null log must
   // cost nothing and crash nothing.
-  RibMonitor::CauseScope outer(nullptr, 17);
-  RibMonitor::CauseScope inner(nullptr, 0);
+  EventLog::CauseScope outer(nullptr, 17);
+  EventLog::CauseScope inner(nullptr, 0);
 }
 
-TEST(RibMonitor, JsonlLinesParseAndRoundTripTheFields) {
-  RibMonitor monitor;
-  const auto root = monitor.record_root(5, 2, "session_reset", 3);
-  RibMonitor::CauseScope scope(&monitor, root);
-  monitor.record(6, RibEventKind::Withdraw, 2, 3, 7, 0);
-  monitor.record(16, RibEventKind::BestChanged, 3, 0, 7, 4,
-                 obs::hash_path({3, 1, 0, 7}));
+TEST(EventLog, JsonlLinesParseAndRoundTripTheFields) {
+  EventLog log;
+  const auto root = log.record_root(5, 2, "session_reset", 3);
+  EventLog::CauseScope scope(&log, root);
+  record(log, 6, EventKind::Withdraw, 2, 3, 7, 0);
+  record(log, 16, EventKind::BestChanged, 3, 0, 7, 4,
+         obs::hash_path({3, 1, 0, 7}));
 
   std::ostringstream out;
-  monitor.write_jsonl(out);
+  log.write_jsonl(out);
   std::istringstream in(out.str());
   std::string line;
   std::vector<JsonValue> parsed;
@@ -118,40 +131,40 @@ TEST(RibMonitor, JsonlLinesParseAndRoundTripTheFields) {
   EXPECT_TRUE(parsed[2].contains("path_hash"));
 }
 
-TEST(RibMonitor, HashPathNeverCollidesWithTheNoRouteSentinel) {
+TEST(EventLog, HashPathNeverCollidesWithTheNoRouteSentinel) {
   EXPECT_NE(obs::hash_path({}), 0u);
   EXPECT_NE(obs::hash_path({1, 2, 3}), 0u);
   EXPECT_NE(obs::hash_path({1, 2, 3}), obs::hash_path({3, 2, 1}));
 }
 
 TEST(PropagationTrees, GroupsByRootWithDepthAndFanout) {
-  RibMonitor monitor;
-  const auto root = monitor.record_root(100, 1, "link_down", 2);
-  obs::RibEventId a = 0, b = 0;
+  EventLog log;
+  const auto root = log.record_root(100, 1, "link_down", 2);
+  obs::EventId a = 0, b = 0;
   {
-    RibMonitor::CauseScope scope(&monitor, root);
-    a = monitor.record(101, RibEventKind::Announce, 1, 2, 9, 2);
-    b = monitor.record(101, RibEventKind::Withdraw, 1, 3, 9, 0);
-    monitor.record(101, RibEventKind::BestChanged, 1, 0, 9, 2, 55);
+    EventLog::CauseScope scope(&log, root);
+    a = record(log, 101, EventKind::Announce, 1, 2, 9, 2);
+    b = record(log, 101, EventKind::Withdraw, 1, 3, 9, 0);
+    record(log, 101, EventKind::BestChanged, 1, 0, 9, 2, 55);
   }
   {
-    RibMonitor::CauseScope scope(&monitor, a);
-    const auto deliver = monitor.record(111, RibEventKind::Deliver, 2, 1, 9, 2);
-    RibMonitor::CauseScope nested(&monitor, deliver);
-    monitor.record(111, RibEventKind::BestChanged, 2, 0, 9, 3, 56);
+    EventLog::CauseScope scope(&log, a);
+    const auto deliver = record(log, 111, EventKind::Deliver, 2, 1, 9, 2);
+    EventLog::CauseScope nested(&log, deliver);
+    record(log, 111, EventKind::BestChanged, 2, 0, 9, 3, 56);
   }
   {
-    RibMonitor::CauseScope scope(&monitor, b);
-    monitor.record(111, RibEventKind::Loss, 3, 1, 9, 0);
+    EventLog::CauseScope scope(&log, b);
+    record(log, 111, EventKind::Loss, 3, 1, 9, 0);
   }
-  const auto second = monitor.record_root(500, 4, "link_up", 5);
+  const auto second = log.record_root(500, 4, "link_up", 5);
   {
-    RibMonitor::CauseScope scope(&monitor, second);
-    monitor.record(501, RibEventKind::Announce, 4, 5, 9, 1);
+    EventLog::CauseScope scope(&log, second);
+    record(log, 501, EventKind::Announce, 4, 5, 9, 1);
   }
 
   const obs::ProvenanceSummary summary =
-      build_propagation_trees(monitor.records());
+      build_propagation_trees(log.events());
   EXPECT_EQ(summary.orphans, 0u);
   ASSERT_EQ(summary.trees.size(), 2u);
 
@@ -178,12 +191,12 @@ TEST(PropagationTrees, GroupsByRootWithDepthAndFanout) {
 }
 
 TEST(PropagationTrees, UnknownParentCountsAsOrphanAndRootsItsOwnTree) {
-  std::vector<obs::RibEventRecord> records(2);
+  std::vector<obs::Event> records(2);
   records[0].id = 10;
-  records[0].kind = RibEventKind::RootCause;
+  records[0].kind = EventKind::RootCause;
   records[1].id = 11;
   records[1].parent = 999;  // not in the stream
-  records[1].kind = RibEventKind::Announce;
+  records[1].kind = EventKind::Announce;
   const obs::ProvenanceSummary summary = build_propagation_trees(records);
   EXPECT_EQ(summary.orphans, 1u);
   ASSERT_EQ(summary.trees.size(), 2u);
@@ -192,16 +205,16 @@ TEST(PropagationTrees, UnknownParentCountsAsOrphanAndRootsItsOwnTree) {
 }
 
 TEST(Convergence, CountsBestChangesAndDistinctPaths) {
-  RibMonitor monitor;
-  const auto root = monitor.record_root(0, 9, "start");
-  RibMonitor::CauseScope scope(&monitor, root);
-  monitor.record(10, RibEventKind::BestChanged, 1, 0, 9, 2, 100);
-  monitor.record(20, RibEventKind::BestChanged, 1, 0, 9, 3, 200);
-  monitor.record(30, RibEventKind::BestChanged, 1, 0, 9, 2, 100);  // revisit
-  monitor.record(40, RibEventKind::BestChanged, 2, 0, 9, 0, 0);    // no route
+  EventLog log;
+  const auto root = log.record_root(0, 9, "start");
+  EventLog::CauseScope scope(&log, root);
+  record(log, 10, EventKind::BestChanged, 1, 0, 9, 2, 100);
+  record(log, 20, EventKind::BestChanged, 1, 0, 9, 3, 200);
+  record(log, 30, EventKind::BestChanged, 1, 0, 9, 2, 100);  // revisit
+  record(log, 40, EventKind::BestChanged, 2, 0, 9, 0, 0);    // no route
 
   const obs::ConvergenceReport report =
-      summarize_convergence(monitor.records());
+      summarize_convergence(log.events());
   EXPECT_EQ(report.total_best_changes, 4u);
   ASSERT_EQ(report.actors.size(), 2u);
   EXPECT_EQ(report.actors[0].actor, 1u);
@@ -221,21 +234,21 @@ TEST(RibmonReplay, ClosedAccountingAgainstTheBgpCounters) {
   const churn::ChurnTrace trace = mixed_trace(fig);
   ASSERT_FALSE(trace.events.empty());
 
-  obs::RibMonitor monitor;
+  obs::EventLog log;
   churn::ReplayConfig config;
-  config.ribmon = &monitor;
+  config.log = &log;
   const churn::ReplayResult result =
       churn::replay_churn(fig.graph, trace, config);
   ASSERT_TRUE(result.ok());
 
   const auto& bgp = result.bgp;
-  EXPECT_EQ(monitor.wire_messages(),
+  EXPECT_EQ(log.wire_messages(),
             bgp.updates_sent + bgp.withdrawals_sent);
-  EXPECT_EQ(monitor.count(RibEventKind::Deliver),
+  EXPECT_EQ(log.count(EventKind::Deliver),
             bgp.delivered_updates + bgp.delivered_withdrawals);
-  EXPECT_EQ(monitor.count(RibEventKind::Loss), bgp.lost_in_flight);
-  EXPECT_EQ(monitor.count(RibEventKind::MraiCoalesce), bgp.coalesced);
-  EXPECT_EQ(monitor.count(RibEventKind::DampingSuppress),
+  EXPECT_EQ(log.count(EventKind::Loss), bgp.lost_in_flight);
+  EXPECT_EQ(log.count(EventKind::MraiCoalesce), bgp.coalesced);
+  EXPECT_EQ(log.count(EventKind::DampingSuppress),
             bgp.updates_suppressed);
   // Every wire message either arrived or died with its link.
   EXPECT_EQ(bgp.updates_sent + bgp.withdrawals_sent,
@@ -245,7 +258,7 @@ TEST(RibmonReplay, ClosedAccountingAgainstTheBgpCounters) {
   // Every record lands in exactly one tree, rooted at start() or at a trace
   // event; the per-tree sums therefore cover the stream totals exactly.
   const obs::ProvenanceSummary summary =
-      build_propagation_trees(monitor.records());
+      build_propagation_trees(log.events());
   EXPECT_EQ(summary.orphans, 0u);
   EXPECT_EQ(summary.trees.size(), trace.events.size() + 1);
   EXPECT_EQ(summary.total_updates, bgp.updates_sent + bgp.withdrawals_sent);
@@ -254,7 +267,7 @@ TEST(RibmonReplay, ClosedAccountingAgainstTheBgpCounters) {
   EXPECT_EQ(summary.total_losses, bgp.lost_in_flight);
   std::size_t nodes = 0;
   for (const obs::PropagationTree& tree : summary.trees) nodes += tree.nodes;
-  EXPECT_EQ(nodes, monitor.size());
+  EXPECT_EQ(nodes, log.size());
 }
 
 TEST(RibmonReplay, MonitoredRunIsBitIdenticalToUnmonitored) {
@@ -267,12 +280,12 @@ TEST(RibmonReplay, MonitoredRunIsBitIdenticalToUnmonitored) {
   const churn::ReplayResult unmonitored =
       churn::replay_churn(fig.graph, trace, plain);
 
-  obs::RibMonitor monitor;
+  obs::EventLog log;
   churn::ReplayConfig instrumented = plain;
-  instrumented.ribmon = &monitor;
+  instrumented.log = &log;
   const churn::ReplayResult monitored =
       churn::replay_churn(fig.graph, trace, instrumented);
-  EXPECT_GT(monitor.size(), 0u);
+  EXPECT_GT(log.size(), 0u);
 
   EXPECT_EQ(monitored.bgp.updates_sent, unmonitored.bgp.updates_sent);
   EXPECT_EQ(monitored.bgp.withdrawals_sent,
@@ -301,20 +314,20 @@ TEST(RibmonReplay, DefensesEmitSuppressRecordsWithProvenance) {
   const churn::ChurnTrace trace = churn::make_persistent_flap_trace(
       fig.graph, fig.f, fig.e, fig.f, /*flaps=*/20, /*period=*/100);
 
-  obs::RibMonitor monitor;
+  obs::EventLog log;
   churn::ReplayConfig config;
   config.defense.mrai = 60;
   config.defense.damping_enabled = true;
-  config.ribmon = &monitor;
+  config.log = &log;
   const churn::ReplayResult result =
       churn::replay_churn(fig.graph, trace, config);
 
   EXPECT_GT(result.bgp.updates_suppressed, 0u);
-  EXPECT_EQ(monitor.count(RibEventKind::DampingSuppress),
+  EXPECT_EQ(log.count(EventKind::DampingSuppress),
             result.bgp.updates_suppressed);
   // Suppress records chain back to a root cause like everything else.
   const obs::ProvenanceSummary summary =
-      build_propagation_trees(monitor.records());
+      build_propagation_trees(log.events());
   EXPECT_EQ(summary.orphans, 0u);
   EXPECT_EQ(summary.total_suppressed, result.bgp.updates_suppressed);
 }
@@ -322,15 +335,15 @@ TEST(RibmonReplay, DefensesEmitSuppressRecordsWithProvenance) {
 TEST(RibmonReplay, ExportedMetricsAndTraceEvents) {
   const Figure31 fig;
   const churn::ChurnTrace trace = mixed_trace(fig);
-  obs::RibMonitor monitor;
+  obs::EventLog log;
   churn::ReplayConfig config;
-  config.ribmon = &monitor;
+  config.log = &log;
   const churn::ReplayResult result =
       churn::replay_churn(fig.graph, trace, config);
 
   obs::MetricsRegistry registry;
-  obs::export_ribmon_metrics(monitor, registry);
-  EXPECT_EQ(registry.counter("ribmon.records").value(), monitor.size());
+  obs::export_ribmon_metrics(log, registry);
+  EXPECT_EQ(registry.counter("ribmon.records").value(), log.size());
   EXPECT_EQ(registry.counter("ribmon.updates").value(),
             result.bgp.updates_sent + result.bgp.withdrawals_sent);
   EXPECT_EQ(registry.counter("ribmon.roots").value(),
@@ -341,15 +354,24 @@ TEST(RibmonReplay, ExportedMetricsAndTraceEvents) {
   EXPECT_GT(registry.histogram("ribmon.path_exploration").count(), 0u);
   EXPECT_GT(registry.gauge("ribmon.churn_rate").value(), 0.0);
 
-  // The Perfetto rendering keeps one instant event per record, with the
-  // record id in `value` so tracks cross-reference the JSONL stream.
-  const std::vector<obs::TraceEvent> events = monitor.as_trace_events();
-  ASSERT_EQ(events.size(), monitor.size());
-  EXPECT_EQ(events.front().type, obs::EventType::RibRootCause);
-  EXPECT_STREQ(events.front().detail, "start");
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].value,
-              static_cast<std::int64_t>(monitor.records()[i].id));
+  // The Perfetto rendering keeps one instant event per event, with its id
+  // and causal parent in the args so tracks cross-reference the JSONL.
+  std::ostringstream chrome;
+  obs::write_chrome_trace(chrome, nullptr, log.events());
+  const JsonValue doc = JsonValue::parse(chrome.str());
+  std::vector<const JsonValue*> instants;
+  for (std::size_t i = 0; i < doc.at("traceEvents").size(); ++i) {
+    const JsonValue& event = doc.at("traceEvents").at(i);
+    if (event.at("ph").as_string() == "i") instants.push_back(&event);
+  }
+  ASSERT_EQ(instants.size(), log.size());
+  EXPECT_EQ(instants.front()->at("name").as_string(), "root_cause");
+  EXPECT_EQ(instants.front()->at("args").at("detail").as_string(), "start");
+  for (std::size_t i = 0; i < instants.size(); ++i) {
+    const JsonValue& args = instants[i]->at("args");
+    EXPECT_EQ(args.at("id").as_number(),
+              static_cast<double>(log.events()[i].id));
+    EXPECT_EQ(args.contains("parent"), log.events()[i].parent != 0);
   }
 }
 

@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
-# Determinism lint: greps the result-producing code (src/eval, src/analysis,
-# src/convergence, src/bgp, src/core, src/churn, src/topology, bench) for
+# Determinism lint: greps every C++ tree (src, tools, examples, bench) for
 # nondeterminism hazards that have bitten simulation repos before:
 #
 #   random-device        unseeded randomness — std::random_device, rand(),
 #                        srand(). Everything must draw from the seeded
 #                        common/rng.hpp Rng.
 #   wall-clock           system/steady/high-resolution clocks or
-#                        gettimeofday in code that computes results. Benches
-#                        legitimately time themselves; each such file is
-#                        allowlisted below, one line per file.
+#                        gettimeofday in code that computes results. The
+#                        bench stopwatch and the span profiler legitimately
+#                        read the clock; each such file is allowlisted, one
+#                        line per file.
 #   unordered-iteration  a range-for directly over an unordered container:
 #                        iteration order is implementation-defined, so any
 #                        result assembled that way is nondeterministic.
@@ -21,7 +21,7 @@ set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 allowlist="$root/tools/determinism_allowlist.txt"
-scope="src/eval src/analysis src/convergence src/bgp src/core src/churn src/topology bench"
+scope="src tools examples bench"
 
 fail=0
 report() { # kind file line text

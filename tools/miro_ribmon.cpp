@@ -6,7 +6,7 @@
 //               [--chrome-trace PATH] [--json] [--memory]
 //
 // Replays a churn trace (generated from the seed, or --load'ed from a saved
-// JSON script) with a RibMonitor attached to the sessioned BGP plane, then:
+// JSON script) with an event log attached to the sessioned BGP plane, then:
 //   - writes the raw record stream as JSONL (--events), one provenance
 //     record per line with its causal parent id;
 //   - reconstructs the per-root-cause propagation trees and prints one row
@@ -20,7 +20,9 @@
 //     (--chrome-trace).
 //
 // Exit status: 0 when accounting closes and no invariant was violated, 1 on
-// an accounting mismatch or replay violation, 2 on usage or I/O failure.
+// an accounting mismatch or replay violation, 2 on usage (a malformed
+// numeric flag included) or I/O failure.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,6 +32,7 @@
 
 #include "churn/replayer.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/memstats.hpp"
@@ -72,6 +75,13 @@ struct Figure31 {
   std::exit(2);
 }
 
+[[noreturn]] void bad_value(const std::string& flag, const char* text,
+                            const char* expected) {
+  std::fprintf(stderr, "miro_ribmon: %s expects %s, got '%s'\n",
+               flag.c_str(), expected, text);
+  std::exit(2);
+}
+
 /// One closed-accounting check: a stream total against the replay counter it
 /// must equal. A mismatch means an emission site lost or double-counted a
 /// record — the exact failure the provenance layer exists to rule out.
@@ -106,19 +116,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&]() -> std::uint64_t {
+      const char* text = value();
+      const std::optional<std::uint64_t> parsed = parse_u64(text);
+      if (!parsed) bad_value(flag, text, "a non-negative integer");
+      return *parsed;
+    };
     if (flag == "--topo") topo_name = value();
-    else if (flag == "--scale") scale = std::atof(value());
-    else if (flag == "--seed")
-      trace_config.seed = static_cast<std::uint64_t>(std::atoll(value()));
-    else if (flag == "--episodes")
-      trace_config.episodes = static_cast<std::size_t>(std::atoll(value()));
-    else if (flag == "--duration")
-      trace_config.duration = static_cast<sim::Time>(std::atoll(value()));
+    else if (flag == "--scale") {
+      const char* text = value();
+      char* end = nullptr;
+      scale = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(scale) || scale <= 0)
+        bad_value(flag, text, "a positive number");
+    } else if (flag == "--seed") trace_config.seed = count();
+    else if (flag == "--episodes") trace_config.episodes = count();
+    else if (flag == "--duration") trace_config.duration = count();
     else if (flag == "--defend") {
       replay_config.defense.mrai = 60;
       replay_config.defense.damping_enabled = true;
-    } else if (flag == "--mrai")
-      replay_config.defense.mrai = static_cast<sim::Time>(std::atoll(value()));
+    } else if (flag == "--mrai") replay_config.defense.mrai = count();
     else if (flag == "--load") load_path = value();
     else if (flag == "--events") events_path = value();
     else if (flag == "--summary") summary_path = value();
@@ -154,8 +171,8 @@ int main(int argc, char** argv) {
       obs::set_memory(&memstats);
       memstats.account("topology/graph").set_current(graph->memory_bytes());
     }
-    obs::RibMonitor monitor;
-    replay_config.ribmon = &monitor;
+    obs::EventLog log;
+    replay_config.log = &log;
     const churn::ReplayResult result =
         churn::replay_churn(*graph, trace, replay_config);
     if (memory_report) {
@@ -163,54 +180,43 @@ int main(int argc, char** argv) {
       obs::set_memory(nullptr);
     }
 
-    if (!events_path.empty()) {
-      std::ofstream out(events_path);
-      if (!out) {
-        std::fprintf(stderr, "miro_ribmon: cannot open %s\n",
-                     events_path.c_str());
-        return 2;
-      }
-      monitor.write_jsonl(out);
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "miro_ribmon: write failed on %s\n",
-                     events_path.c_str());
-        return 2;
-      }
+    if (!events_path.empty() && !obs::write_jsonl_file(events_path, log)) {
+      std::fprintf(stderr, "miro_ribmon: cannot write %s\n",
+                   events_path.c_str());
+      return 2;
     }
     if (!chrome_path.empty() &&
-        !obs::write_chrome_trace_file(chrome_path, nullptr,
-                                      monitor.as_trace_events())) {
+        !obs::write_chrome_trace_file(chrome_path, nullptr, log.events())) {
       return 2;
     }
 
     const obs::ProvenanceSummary provenance =
-        build_propagation_trees(monitor.records());
+        build_propagation_trees(log.events());
     const obs::ConvergenceReport convergence =
-        summarize_convergence(monitor.records());
+        summarize_convergence(log.events());
 
     // Closed accounting: every stream total must match the replay's own
     // counters, and every record must land in a tree (no orphans).
     const auto& bgp = result.bgp;
     const AccountingRow accounting[] = {
         {"wire_records == updates_sent + withdrawals_sent",
-         monitor.wire_messages(),
+         log.wire_messages(),
          static_cast<std::uint64_t>(bgp.updates_sent + bgp.withdrawals_sent)},
         {"tree update sums == updates_sent + withdrawals_sent",
          static_cast<std::uint64_t>(provenance.total_updates),
          static_cast<std::uint64_t>(bgp.updates_sent + bgp.withdrawals_sent)},
         {"deliver records == delivered updates + withdrawals",
-         monitor.count(obs::RibEventKind::Deliver),
+         log.count(obs::EventKind::Deliver),
          static_cast<std::uint64_t>(bgp.delivered_updates +
                                     bgp.delivered_withdrawals)},
         {"loss records == lost_in_flight",
-         monitor.count(obs::RibEventKind::Loss),
+         log.count(obs::EventKind::Loss),
          static_cast<std::uint64_t>(bgp.lost_in_flight)},
         {"coalesce records == coalesced",
-         monitor.count(obs::RibEventKind::MraiCoalesce),
+         log.count(obs::EventKind::MraiCoalesce),
          static_cast<std::uint64_t>(bgp.coalesced)},
         {"suppress records == updates_suppressed",
-         monitor.count(obs::RibEventKind::DampingSuppress),
+         log.count(obs::EventKind::DampingSuppress),
          static_cast<std::uint64_t>(bgp.updates_suppressed)},
         {"orphan records == 0",
          static_cast<std::uint64_t>(provenance.orphans), 0},
@@ -221,7 +227,7 @@ int main(int argc, char** argv) {
     }
 
     obs::MetricsRegistry registry;
-    obs::export_ribmon_metrics(monitor, registry);
+    obs::export_ribmon_metrics(log, registry);
     if (memory_report) memstats.export_metrics(registry);
 
     if (!summary_path.empty() || json) {
@@ -275,7 +281,7 @@ int main(int argc, char** argv) {
                           replay_config.defense.damping_enabled
                       ? "ON"
                       : "off");
-      std::printf("%zu provenance records in %zu trees\n\n", monitor.size(),
+      std::printf("%zu provenance records in %zu trees\n\n", log.size(),
                   provenance.trees.size());
 
       TextTable table({"root", "cause", "actor", "start", "conv", "nodes",
