@@ -24,7 +24,6 @@
 
 #include "bench_common.hpp"
 #include "bgp/route_solver.hpp"
-#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "topology/serialization.hpp"
@@ -51,7 +50,7 @@ void internet_scale(Run& run) {
     run.add_memory_rows(name, graph);
 
     // Destination sample drawn exactly like ExperimentPlan's, solved
-    // serially into one arena (the RouteStore layout).
+    // serially.
     Rng rng(args.seed);
     const std::size_t samples = std::min(args.dests, n);
     std::vector<topo::NodeId> destinations;
@@ -60,12 +59,11 @@ void internet_scale(Run& run) {
     std::sort(destinations.begin(), destinations.end());
 
     const bgp::StableRouteSolver solver(graph);
-    Arena arena(n * bgp::RoutingTree::bytes_per_node());
     std::vector<bgp::RoutingTree> trees;
     trees.reserve(destinations.size());
     const Stopwatch solve_clock;
     for (topo::NodeId destination : destinations)
-      trees.push_back(solver.solve(destination, &arena));
+      trees.push_back(solver.solve(destination));
     const double solve_ms = solve_clock.ms();
     const double solve_ms_per_dest =
         destinations.empty()

@@ -11,7 +11,9 @@
 // suitable for a CI artifact. With --chrome-trace the final run is executed
 // with both observability planes on — the sim-time event log and the
 // wall-clock span profiler — and merged into one Chrome trace-event file
-// (load it in chrome://tracing or https://ui.perfetto.dev). Exit status 2
+// (load it in chrome://tracing or https://ui.perfetto.dev). With --memory
+// the final run's memory accounts (graph, route store, RSS) are printed,
+// walked while the run's objects are still alive. Exit status 2
 // means an output file could not be written. Every run is deterministic for
 // a given seed.
 #include <cstdio>
@@ -75,12 +77,7 @@ SweepRow run_one(double drop, std::size_t negotiations, std::uint64_t seed,
                  miro::obs::MemoryRegistry* memstats = nullptr) {
   using namespace miro;
   Figure31 fig;
-  // With --memory the store's tree map allocates through a counting
-  // allocator, so the account tracks live bytes (and the high-water peak).
-  core::RouteStore store(fig.graph,
-                         memstats != nullptr
-                             ? &memstats->account("core/route_store")
-                             : nullptr);
+  core::RouteStore store(fig.graph);
   sim::Scheduler scheduler;
   core::Bus bus(scheduler);
   sim::FaultPlane plane(seed);
@@ -123,6 +120,7 @@ SweepRow run_one(double drop, std::size_t negotiations, std::uint64_t seed,
   row.plane = plane.totals();
   if (memstats != nullptr) {
     memstats->account("topology/graph").set_current(fig.graph.memory_bytes());
+    memstats->account("core/route_store").set_current(store.memory_bytes());
     memstats->sample_rss();
   }
   if (metrics != nullptr) {

@@ -8,10 +8,9 @@
 
 namespace miro::bgp {
 
-RoutingTree::RoutingTree(const AsGraph& graph, NodeId destination,
-                         Arena* arena)
+RoutingTree::RoutingTree(const AsGraph& graph, NodeId destination)
     : graph_(&graph), destination_(destination),
-      entries_(graph.node_count(), Entry{}, ArenaAllocator<Entry>(arena)) {}
+      entries_(graph.node_count()) {}
 
 std::vector<NodeId> RoutingTree::path_of(NodeId node) const {
   std::vector<NodeId> path;
@@ -52,6 +51,12 @@ std::size_t RoutingTree::reachable_count() const {
 
 namespace {
 
+/// Order-free key of the undirected link a-b.
+std::uint64_t link_key(NodeId a, NodeId b) {
+  if (a > b) std::swap(a, b);
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
 /// Priority-queue item; ordered so that the globally most-preferred
 /// tentative route pops first. For equal (class, length) the lowest
 /// next-hop AS number wins, making the stable state deterministic.
@@ -76,12 +81,13 @@ struct QueueItem {
 
 RoutingTree StableRouteSolver::run(NodeId destination, const PinnedRoute* pin,
                                    const OriginPrepend* prepend,
-                                   NodeId exclude, Arena* arena) const {
+                                   NodeId exclude,
+                                   std::span<const std::uint64_t> down) const {
   obs::ScopedSpan span(obs::profile(), "bgp/solve_tree", "bgp");
   const AsGraph& graph = *graph_;
   require(destination < graph.node_count(),
           "StableRouteSolver: destination out of range");
-  RoutingTree tree(graph, destination, arena);
+  RoutingTree tree(graph, destination);
 
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
       queue;
@@ -106,6 +112,9 @@ RoutingTree StableRouteSolver::run(NodeId destination, const PinnedRoute* pin,
     // policy permits; the neighbor classifies it by the link it arrives on.
     for (const topo::Neighbor& n : graph.neighbors(item.node)) {
       if (n.node == exclude) continue;  // the excised AS never selects
+      if (!down.empty() && std::binary_search(down.begin(), down.end(),
+                                              link_key(item.node, n.node)))
+        continue;  // a failed link carries no advertisement
       if (tree.entries_[n.node].reachable) continue;
       // n.rel: what the neighbor is *to item.node* — exactly the argument
       // the export rule takes.
@@ -127,8 +136,8 @@ RoutingTree StableRouteSolver::run(NodeId destination, const PinnedRoute* pin,
   return tree;
 }
 
-RoutingTree StableRouteSolver::solve(NodeId destination, Arena* arena) const {
-  return run(destination, nullptr, nullptr, topo::kInvalidNode, arena);
+RoutingTree StableRouteSolver::solve(NodeId destination) const {
+  return run(destination, nullptr, nullptr);
 }
 
 RoutingTree StableRouteSolver::solve_pinned(NodeId destination,
@@ -153,6 +162,19 @@ RoutingTree StableRouteSolver::solve_avoiding(NodeId destination,
   require(avoid != topo::kInvalidNode && avoid != destination,
           "solve_avoiding: cannot avoid the destination");
   return run(destination, nullptr, nullptr, avoid);
+}
+
+RoutingTree StableRouteSolver::solve_without_links(
+    NodeId destination,
+    const std::vector<std::pair<NodeId, NodeId>>& down) const {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(down.size());
+  for (const auto& [a, b] : down) {
+    require(graph_->has_edge(a, b), "solve_without_links: not a link");
+    keys.push_back(link_key(a, b));
+  }
+  std::sort(keys.begin(), keys.end());
+  return run(destination, nullptr, nullptr, topo::kInvalidNode, keys);
 }
 
 std::vector<Route> StableRouteSolver::candidates_at(const RoutingTree& tree,

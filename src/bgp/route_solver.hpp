@@ -8,16 +8,19 @@
 // (class rank, AS-path length, next-hop AS number), which is monotone along
 // every legal export step, so a Dijkstra-style greedy pass yields exactly the
 // stable routes. Sibling links are handled transparently (a route keeps the
-// class it had before the sibling chain). The tunnel-free activation model
+// class it had before the sibling chain). Every variant below — pinned,
+// prepended, avoiding an AS, without failed links — is one pass of the same
+// kernel, and a tree is one plain vector of per-node entries. The tunnel-free activation model
 // (conv::MiroConvergenceModel) cross-checks this solver in the test suite.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bgp/route.hpp"
-#include "common/arena.hpp"
 #include "common/memtrack.hpp"
 
 namespace miro::bgp {
@@ -25,13 +28,8 @@ namespace miro::bgp {
 /// The stable best route of every AS toward one destination.
 class RoutingTree {
  public:
-  /// With a non-null `arena`, the per-node entry array lives in the arena
-  /// (the tree must not outlive it); null keeps it on the global heap. The
-  /// array is sized once here and never reallocated, the lifetime pattern
-  /// bump arenas serve best — RouteStore caches hundreds of trees and pays
-  /// one malloc per slab instead of one per destination.
-  RoutingTree(const AsGraph& graph, NodeId destination,
-              Arena* arena = nullptr);
+  /// Sizes the per-node entry array once; it is never reallocated.
+  RoutingTree(const AsGraph& graph, NodeId destination);
 
   NodeId destination() const { return destination_; }
   bool reachable(NodeId node) const { return entries_[node].reachable; }
@@ -53,12 +51,7 @@ class RoutingTree {
 
   /// Resident byte footprint of the per-node entry array (capacity-based,
   /// deterministic): the denominator side of bytes_per_route bench rows.
-  /// When the array lives in an arena these bytes are part of the arena's
-  /// reserved_bytes() — count one or the other, not both.
   std::uint64_t memory_bytes() const { return vector_bytes(entries_); }
-
-  /// Arena sizing helper: bytes one tree's entry array needs per graph node.
-  static constexpr std::size_t bytes_per_node() { return sizeof(Entry); }
 
  private:
   friend class StableRouteSolver;
@@ -72,7 +65,7 @@ class RoutingTree {
   };
   const AsGraph* graph_;
   NodeId destination_;
-  std::vector<Entry, ArenaAllocator<Entry>> entries_;
+  std::vector<Entry> entries_;
 };
 
 /// Overrides one AS's route selection: the AS must route via
@@ -98,9 +91,8 @@ class StableRouteSolver {
  public:
   explicit StableRouteSolver(const AsGraph& graph) : graph_(&graph) {}
 
-  /// Stable routes of every AS toward `destination`. A non-null `arena`
-  /// receives the tree's entry array (see RoutingTree's constructor).
-  RoutingTree solve(NodeId destination, Arena* arena = nullptr) const;
+  /// Stable routes of every AS toward `destination`.
+  RoutingTree solve(NodeId destination) const;
 
   /// Stable routes with one AS's selection pinned. If the pin is infeasible
   /// (the forced neighbor never offers a route) the pinned AS ends up
@@ -119,6 +111,15 @@ class StableRouteSolver {
   /// poisoned fixpoint is differential-tested against.
   RoutingTree solve_avoiding(NodeId destination, NodeId avoid) const;
 
+  /// Stable routes toward `destination` with the links in `down` failed:
+  /// neither end advertises across a failed link. Each pair names a link in
+  /// either order; a pair that is not a link throws. This is the state the
+  /// churn invariant checker holds a converged network to while links are
+  /// down.
+  RoutingTree solve_without_links(
+      NodeId destination,
+      const std::vector<std::pair<NodeId, NodeId>>& down) const;
+
   /// The candidate routes `node` learns from its neighbors under plain BGP in
   /// the stable state: each neighbor's best route, where the neighbor's
   /// conventional export policy allows it and the path is loop-free. This is
@@ -128,10 +129,13 @@ class StableRouteSolver {
   const AsGraph& graph() const { return *graph_; }
 
  private:
+  /// The one kernel behind every solve variant. `exclude` is an excised AS
+  /// and `down` holds the failed links as sorted (low id << 32 | high id)
+  /// keys; the greedy pass never exports to the one or across the other.
   RoutingTree run(NodeId destination, const PinnedRoute* pin,
                   const OriginPrepend* prepend,
                   NodeId exclude = topo::kInvalidNode,
-                  Arena* arena = nullptr) const;
+                  std::span<const std::uint64_t> down = {}) const;
 
   const AsGraph* graph_;
 };

@@ -461,22 +461,6 @@ std::vector<std::pair<NodeId, NodeId>> SessionedBgpNetwork::failed_links()
   return links;
 }
 
-void SessionedBgpNetwork::export_metrics(obs::MetricsRegistry& registry,
-                                         const std::string& prefix) const {
-  registry.counter(prefix + ".updates_sent").set(stats_.updates_sent);
-  registry.counter(prefix + ".withdrawals_sent").set(stats_.withdrawals_sent);
-  registry.counter(prefix + ".selections").set(stats_.selections);
-  registry.counter(prefix + ".coalesced").set(stats_.coalesced);
-  registry.counter(prefix + ".updates_suppressed")
-      .set(stats_.updates_suppressed);
-  registry.counter(prefix + ".routes_damped").set(stats_.routes_damped);
-  registry.counter(prefix + ".delivered_updates")
-      .set(stats_.delivered_updates);
-  registry.counter(prefix + ".delivered_withdrawals")
-      .set(stats_.delivered_withdrawals);
-  registry.counter(prefix + ".lost_in_flight").set(stats_.lost_in_flight);
-}
-
 SessionedBgpNetwork::RibFootprint SessionedBgpNetwork::rib_footprint() const {
   // Red-black tree node: three child/parent pointers plus the color word,
   // preceding the value (libstdc++ _Rb_tree_node layout).

@@ -40,7 +40,6 @@
 #include "bgp/route.hpp"
 #include "netsim/scheduler.hpp"
 #include "obs/event_log.hpp"
-#include "obs/metrics.hpp"
 
 namespace miro::bgp {
 
@@ -145,12 +144,6 @@ class SessionedBgpNetwork {
     std::size_t routes_damped = 0;
   };
   const Stats& stats() const { return stats_; }
-
-  /// Snapshots the stats into `registry` as counters named
-  /// `<prefix>.updates_sent`, `<prefix>.coalesced`, ... (values overwritten
-  /// on repeated calls, next to the bus/agent counters).
-  void export_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix = "bgp") const;
 
   NodeId destination() const { return destination_; }
   const AsGraph& graph() const { return *graph_; }

@@ -26,38 +26,6 @@ std::string path_string(const std::vector<NodeId>& path) {
   return out.str();
 }
 
-/// The surviving topology: the reference graph minus the failed links, with
-/// identical dense node ids (same add_as order) so paths compare directly.
-topo::AsGraph surviving_subgraph(
-    const topo::AsGraph& graph,
-    const std::vector<std::pair<NodeId, NodeId>>& failed) {
-  topo::AsGraph sub;
-  for (NodeId n = 0; n < graph.node_count(); ++n) sub.add_as(graph.as_number(n));
-  std::set<std::uint64_t> dead;
-  for (const auto& [a, b] : failed) dead.insert(pair_key(std::min(a, b), std::max(a, b)));
-  for (NodeId n = 0; n < graph.node_count(); ++n) {
-    for (const topo::Neighbor& nb : graph.neighbors(n)) {
-      if (nb.node < n) continue;  // each undirected link once
-      if (dead.count(pair_key(n, nb.node)) != 0) continue;
-      switch (nb.rel) {  // nb.rel = what nb is *to n*
-        case topo::Relationship::Customer:
-          sub.add_customer_provider(/*provider=*/n, /*customer=*/nb.node);
-          break;
-        case topo::Relationship::Provider:
-          sub.add_customer_provider(/*provider=*/nb.node, /*customer=*/n);
-          break;
-        case topo::Relationship::Peer:
-          sub.add_peer(n, nb.node);
-          break;
-        case topo::Relationship::Sibling:
-          sub.add_sibling(n, nb.node);
-          break;
-      }
-    }
-  }
-  return sub;
-}
-
 }  // namespace
 
 InvariantChecker::InvariantChecker(bgp::SessionedBgpNetwork& network,
@@ -312,13 +280,9 @@ void InvariantChecker::check_export_consistency(sim::Time now) {
 
 void InvariantChecker::check_solver(sim::Time now) {
   const topo::AsGraph& graph = network_->graph();
-  const auto failed = network_->failed_links();
-  // Rebuilding the graph is O(E); only bother when links are actually down.
-  const topo::AsGraph sub =
-      failed.empty() ? topo::AsGraph{} : surviving_subgraph(graph, failed);
-  const topo::AsGraph& effective = failed.empty() ? graph : sub;
   const bgp::RoutingTree tree =
-      bgp::StableRouteSolver(effective).solve(network_->destination());
+      bgp::StableRouteSolver(graph).solve_without_links(
+          network_->destination(), network_->failed_links());
   for (NodeId n = 0; n < graph.node_count(); ++n) {
     const bool reachable = tree.reachable(n);
     if (reachable != network_->has_route(n)) {

@@ -22,7 +22,7 @@
 //       neighbor's export policy says it should currently advertise;
 //     - solver-agreement: with nominal origins and no active damping
 //       suppression, every best path equals StableRouteSolver's unique
-//       stable answer on the surviving subgraph.
+//       stable answer with the failed links down (solve_without_links).
 //
 // Violations carry the sim time and the index of the last applied trace
 // event — the witness that makes a failing seed debuggable.

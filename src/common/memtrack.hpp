@@ -1,120 +1,38 @@
 // Byte-accounting primitives shared by every subsystem.
 //
 // The memory observability layer (obs/memstats.hpp) keeps a registry of
-// named per-subsystem accounts; this header holds the allocation-side
-// plumbing those accounts are fed through, deliberately placed in `common`
-// so containers in topology/bgp/churn can be tagged without an obs
-// dependency:
+// named per-subsystem accounts; this header holds what those accounts are
+// fed with, deliberately placed in `common` so owners in topology/bgp/churn
+// can report their footprint without an obs dependency:
 //
-//   - MemCounters: one account's raw tallies (current/peak bytes,
-//     allocation/deallocation counts). Plain member arithmetic, no locking —
-//     an account belongs to one thread, matching ProfileRegistry.
-//   - CountingAllocator<T>: a std::allocator shim charging every
-//     allocate/deallocate against a nullable MemCounters*. With a null
-//     counter the only cost is one pointer branch per allocation — the same
-//     zero-cost-when-disabled contract as the trace and profile planes. The
-//     counter pointer propagates on container copy/move/swap so bytes always
-//     land in the account that owns the container.
-//   - Arena hook: an arena (or any custom pool) charges the same MemCounters
-//     via add()/sub() at its block granularity; MemCounters is the interface,
-//     not the mechanism.
+//   - MemCounters: one account's current and peak bytes. Plain member
+//     arithmetic, no locking — an account belongs to one thread, matching
+//     ProfileRegistry.
+//   - vector_bytes / hash_map_bytes: the capacity-walk helpers owners use
+//     to compute their exact footprint.
 //
-// Two feeding styles coexist, and both update the same counters:
-//   live accounting  — CountingAllocator / ScopedAccount add() and sub() as
-//                      memory comes and goes (tracks peaks between samples);
-//   walk accounting  — an owner computes its exact footprint from container
-//                      capacities and set_current()s it at a sample point
-//                      (deterministic across thread counts, which is what
-//                      lets bytes rows into the bit-identical bench gate).
+// Accounts are fed one way, by walks: an owner computes its footprint from
+// container capacities and set_current()s it at a sample point. A walk is
+// deterministic across thread counts, which is what lets bytes rows into
+// the bit-identical bench gate.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace miro {
 
-/// One byte account. `current`/`peak` are bytes; `allocations` and
-/// `deallocations` count add()/sub() calls (one per container allocation
-/// when fed by CountingAllocator). sub() saturates at zero so a mis-paired
-/// release can never wrap the account.
+/// One byte account: the last walked footprint and its high-water mark.
 struct MemCounters {
   std::uint64_t current = 0;
   std::uint64_t peak = 0;
-  std::uint64_t allocations = 0;
-  std::uint64_t deallocations = 0;
 
-  void add(std::uint64_t bytes) {
-    current += bytes;
-    ++allocations;
-    if (current > peak) peak = current;
-  }
-  void sub(std::uint64_t bytes) {
-    current -= bytes < current ? bytes : current;
-    ++deallocations;
-  }
-  /// Snapshot-style update for walk accounting: replaces `current` with an
-  /// exact measured footprint (peak keeps the high-water mark). Does not
-  /// count as an allocation.
+  /// Replaces `current` with an exact measured footprint (peak keeps the
+  /// high-water mark).
   void set_current(std::uint64_t bytes) {
     current = bytes;
     if (current > peak) peak = current;
   }
 };
-
-/// Standard-allocator shim charging a nullable MemCounters. All rebound
-/// copies of one allocator share the counter, and the counter pointer
-/// propagates on container copy-assign, move-assign, and swap (so the
-/// account follows the storage, never the destination container's old
-/// tag). select_on_container_copy_construction keeps the counter: a copied
-/// container's bytes belong to the same subsystem as the original.
-template <typename T>
-class CountingAllocator {
- public:
-  using value_type = T;
-  using propagate_on_container_copy_assignment = std::true_type;
-  using propagate_on_container_move_assignment = std::true_type;
-  using propagate_on_container_swap = std::true_type;
-  using is_always_equal = std::false_type;
-
-  CountingAllocator() noexcept = default;
-  explicit CountingAllocator(MemCounters* counters) noexcept
-      : counters_(counters) {}
-  template <typename U>
-  CountingAllocator(const CountingAllocator<U>& other) noexcept  // NOLINT
-      : counters_(other.counters()) {}
-
-  T* allocate(std::size_t n) {
-    if (counters_ != nullptr)
-      counters_->add(static_cast<std::uint64_t>(n) * sizeof(T));
-    return std::allocator<T>{}.allocate(n);
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (counters_ != nullptr)
-      counters_->sub(static_cast<std::uint64_t>(n) * sizeof(T));
-    std::allocator<T>{}.deallocate(p, n);
-  }
-
-  CountingAllocator select_on_container_copy_construction() const noexcept {
-    return *this;
-  }
-
-  MemCounters* counters() const noexcept { return counters_; }
-
- private:
-  MemCounters* counters_ = nullptr;
-};
-
-template <typename A, typename B>
-bool operator==(const CountingAllocator<A>& a,
-                const CountingAllocator<B>& b) noexcept {
-  return a.counters() == b.counters();
-}
-template <typename A, typename B>
-bool operator!=(const CountingAllocator<A>& a,
-                const CountingAllocator<B>& b) noexcept {
-  return !(a == b);
-}
 
 /// Exact byte footprint of a std::vector-shaped buffer: capacity, not size —
 /// reserved-but-unused storage is still resident. The helper keeps every

@@ -98,16 +98,14 @@ void MemoryRegistry::sample_rss() {
 }
 
 void MemoryRegistry::write_text(std::ostream& out) const {
-  TextTable table({"account", "bytes", "peak bytes", "allocs", "frees", ""});
+  TextTable table({"account", "bytes", "peak bytes", ""});
   for (const auto& [name, counters] : accounts_) {
     table.add_row({name, std::to_string(counters.current),
                    std::to_string(counters.peak),
-                   std::to_string(counters.allocations),
-                   std::to_string(counters.deallocations),
                    human_bytes(counters.current)});
   }
   const std::uint64_t total = tracked_bytes();
-  table.add_row({"[tracked total]", std::to_string(total), "", "", "",
+  table.add_row({"[tracked total]", std::to_string(total), "",
                  human_bytes(total)});
   table.print(out);
   if (rss_samples_ > 0) {
@@ -126,7 +124,6 @@ void MemoryRegistry::export_metrics(MetricsRegistry& registry,
         .set(static_cast<double>(counters.current));
     registry.gauge(base + ".peak_bytes")
         .set(static_cast<double>(counters.peak));
-    registry.counter(base + ".allocations").set(counters.allocations);
   }
   registry.gauge(prefix + ".tracked_bytes")
       .set(static_cast<double>(tracked_bytes()));

@@ -3,10 +3,9 @@
 // The profile plane (obs/profile.hpp) answers *where wall-clock time goes*;
 // this layer answers *where the bytes live*. A MemoryRegistry holds named
 // per-subsystem accounts (common/memtrack.hpp MemCounters: current/peak
-// bytes plus allocation counts) fed by the memory-dominant owners —
-// topology::AsGraph, the bgp::RouteStore tree cache, sessioned BGP
-// Adj-RIB-In, churn replay state — and a process-level RSS sampler read at
-// profiler span boundaries.
+// bytes) fed by the memory-dominant owners — topology::AsGraph, the
+// core::RouteStore tree cache, sessioned BGP Adj-RIB-In, churn replay
+// state — and a process-level RSS sampler read at profiler span boundaries.
 //
 // Zero cost when disabled, on the same contract as ProfileRegistry: every
 // instrumentation site goes through a nullable `MemoryRegistry*` (null by
@@ -15,13 +14,11 @@
 // never feeds back into simulation behaviour, so accounted and unaccounted
 // runs are bit-identical (asserted in tests/memstats_test.cpp).
 //
-// Two account-feeding styles (see common/memtrack.hpp):
-//   - live: ScopedAccount / CountingAllocator charge and credit as memory
-//     comes and goes; `peak` is meaningful between samples.
-//   - walk: owners expose footprint() methods computed from container
-//     capacities and set_current() the result at sample points. Walks are
-//     deterministic at any thread count, which is why bench JSON byte rows
-//     come from walks and never from RSS or live peaks.
+// Accounts are fed by walks (see common/memtrack.hpp): owners expose
+// memory_bytes() methods computed from container capacities and
+// set_current() the result at sample points. Walks are deterministic at any
+// thread count, which is why bench JSON byte rows come from walks and never
+// from RSS.
 //
 // RSS is the one account that is *not* deterministic: it reflects the whole
 // process (allocator slack, code pages, whatever the OS maps), so it is
@@ -48,7 +45,7 @@ class MemoryRegistry {
  public:
   /// Returns the account named `name`, creating it on first use. The
   /// reference is stable for the registry's lifetime (node-based map), so
-  /// owners and CountingAllocators may hold it across calls.
+  /// owners may hold it across calls.
   MemCounters& account(const std::string& name) { return accounts_[name]; }
 
   /// All accounts, sorted by name.
@@ -70,13 +67,12 @@ class MemoryRegistry {
   std::uint64_t rss_peak_bytes() const { return rss_peak_bytes_; }
   std::uint64_t rss_samples() const { return rss_samples_; }
 
-  /// Fixed-width account table: account / current / peak / allocs / frees,
-  /// sorted by name, with a tracked-total row and (when sampled) the RSS
+  /// Fixed-width account table: account / current / peak, sorted by name, with a tracked-total row and (when sampled) the RSS
   /// current/peak lines.
   void write_text(std::ostream& out) const;
 
   /// Exports accounts into a MetricsRegistry: `<prefix>.<name>.bytes` /
-  /// `.peak_bytes` gauges and `.allocations` counter per account, plus
+  /// `.peak_bytes` gauges per account, plus
   /// `<prefix>.tracked_bytes`, and `<prefix>.rss_bytes` /
   /// `.rss_peak_bytes` gauges with an `.rss_samples` counter when the
   /// sampler has run.
@@ -91,39 +87,6 @@ class MemoryRegistry {
   std::uint64_t rss_bytes_ = 0;
   std::uint64_t rss_peak_bytes_ = 0;
   std::uint64_t rss_samples_ = 0;
-};
-
-/// RAII byte charge against a named account: charges on construction,
-/// credits the full accumulated charge on destruction. Nested scopes on the
-/// same account sum, so the account's `peak` captures the deepest
-/// concurrently-live charge. With a null registry every operation is a
-/// single branch — the instrumentation idiom is
-///   obs::ScopedAccount mem(obs::memory(), "eval/plan", initial_bytes);
-///   ...
-///   mem.charge(more_bytes);  // as the phase's working set grows
-class ScopedAccount {
- public:
-  ScopedAccount(MemoryRegistry* registry, const char* name,
-                std::uint64_t bytes = 0)
-      : counters_(registry != nullptr ? &registry->account(name) : nullptr) {
-    if (counters_ != nullptr && bytes > 0) charge(bytes);
-  }
-  ~ScopedAccount() {
-    if (counters_ != nullptr) counters_->sub(charged_);
-  }
-  ScopedAccount(const ScopedAccount&) = delete;
-  ScopedAccount& operator=(const ScopedAccount&) = delete;
-
-  /// Adds `bytes` to the scope's charge (credited in full at scope exit).
-  void charge(std::uint64_t bytes) {
-    if (counters_ == nullptr) return;
-    counters_->add(bytes);
-    charged_ += bytes;
-  }
-
- private:
-  MemCounters* counters_;
-  std::uint64_t charged_ = 0;
 };
 
 /// The registry instrumentation sites consult on this thread. Null (memory

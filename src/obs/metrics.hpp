@@ -10,12 +10,9 @@
 //
 // References returned by counter()/gauge()/histogram() stay valid for the
 // registry's lifetime (node-based storage), so callers may cache them.
-// Callback gauges sample live values at export time; the callback's
-// captures must outlive the registry or be removed first.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -35,22 +32,14 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Point-in-time scalar; either set directly or backed by a callback that
-/// samples the live value when the registry exports.
+/// Point-in-time scalar.
 class Gauge {
  public:
-  void set(double value) {
-    value_ = value;
-    source_ = nullptr;
-  }
-  void set_source(std::function<double()> source) {
-    source_ = std::move(source);
-  }
-  double value() const { return source_ ? source_() : value_; }
+  void set(double value) { value_ = value; }
+  double value() const { return value_; }
 
  private:
   double value_ = 0;
-  std::function<double()> source_;
 };
 
 /// Sample distribution with power-of-two buckets (matching the repo's
@@ -106,11 +95,6 @@ class MetricsRegistry {
   const Counter& counter(const std::string& name) const;
   const Gauge& gauge(const std::string& name) const;
   const Histogram& histogram(const std::string& name) const;
-
-  /// Registers (or rebinds) a callback gauge sampled at export time.
-  void gauge_source(const std::string& name, std::function<double()> source) {
-    gauge(name).set_source(std::move(source));
-  }
 
   bool contains(const std::string& name) const;
   std::size_t size() const;

@@ -160,20 +160,6 @@ void ProfileRegistry::write_text(std::ostream& out) const {
   }
 }
 
-void ProfileRegistry::export_metrics(MetricsRegistry& registry,
-                                     const std::string& prefix) const {
-  for (const auto& [name, stats] : by_name_) {
-    const std::string base = prefix + "." + name;
-    registry.counter(base + ".count").set(stats.count);
-    registry.gauge(base + ".total_ms")
-        .set(static_cast<double>(stats.total_ns) / 1e6);
-    registry.gauge(base + ".self_ms")
-        .set(static_cast<double>(stats.self_ns) / 1e6);
-    registry.gauge(base + ".max_ms")
-        .set(static_cast<double>(stats.max_ns) / 1e6);
-  }
-}
-
 void ProfileRegistry::merge_from(const ProfileRegistry& other) {
   require(other.stack_.empty(),
           "ProfileRegistry::merge_from: other registry has open spans");

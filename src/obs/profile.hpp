@@ -41,8 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace miro::obs {
 
 class ProfileRegistry {
@@ -89,12 +87,6 @@ class ProfileRegistry {
   /// Fixed-width summary table: name / count / total / self / mean / max
   /// (milliseconds), one section per category, sorted by name.
   void write_text(std::ostream& out) const;
-
-  /// Exports the per-name aggregates into a MetricsRegistry:
-  /// `<prefix>.<name>.count` (counter) and `.total_ms` / `.self_ms` /
-  /// `.max_ms` (gauges).
-  void export_metrics(MetricsRegistry& registry,
-                      const std::string& prefix = "profile") const;
 
   /// Drops all recorded spans and aggregates (open spans survive).
   void reset();

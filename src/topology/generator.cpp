@@ -177,11 +177,16 @@ AsGraph generate(const GeneratorParams& params) {
 }
 
 GeneratorParams profile(std::string_view name, double scale) {
-  require(scale > 0, "profile: scale must be positive");
+  // Checked before the cast below: converting an infinite or out-of-range
+  // double to an integer is undefined behaviour.
+  require(std::isfinite(scale) && scale > 0,
+          "profile: scale must be finite and positive");
   GeneratorParams p;
   auto scaled = [&](std::size_t n) {
-    return std::max<std::size_t>(
-        64, static_cast<std::size_t>(static_cast<double>(n) * scale));
+    const double nodes = static_cast<double>(n) * scale;
+    require(nodes < static_cast<double>(kInvalidNode),
+            "profile: scale too large for 32-bit node ids");
+    return std::max<std::size_t>(64, static_cast<std::size_t>(nodes));
   };
   if (name == "gao2000") {
     p.node_count = scaled(2200);
@@ -228,8 +233,7 @@ GeneratorParams profile(std::string_view name, double scale) {
     p.sibling_link_fraction = 0.005;
     p.seed = 2004;
   } else if (name == "tiny") {
-    p.node_count = std::max<std::size_t>(
-        64, static_cast<std::size_t>(260 * scale));
+    p.node_count = scaled(260);
     p.tier1_count = 4;
     p.transit_fraction = 0.22;
     p.peer_link_fraction = 0.08;

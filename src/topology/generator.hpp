@@ -46,7 +46,8 @@ AsGraph generate(const GeneratorParams& params);
 /// plus "internet2006" (measured-Internet scale: ~70k ASes / ~140k links at
 /// scale 1.0) and "tiny" (a few hundred nodes) for unit tests.
 /// `scale` > 0 multiplies node counts: < 1 shrinks for quick runs, > 1
-/// grows beyond the profile's nominal size.
+/// grows beyond the profile's nominal size. A scale that is not finite and
+/// positive, or that overflows a 32-bit node id, throws.
 GeneratorParams profile(std::string_view name, double scale = 1.0);
 
 }  // namespace miro::topo

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bgp/path_table.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "bgp/route.hpp"
 #include "bgp/route_solver.hpp"
 #include "scenarios.hpp"
@@ -254,6 +258,107 @@ TEST(StableRouteSolver, PinnedRouteRequiresAdjacency) {
   Figure31Topology fig;
   StableRouteSolver solver(fig.graph);
   EXPECT_THROW(solver.solve_pinned(fig.f, PinnedRoute{fig.a, fig.f}), Error);
+}
+
+using LinkList = std::vector<std::pair<topo::NodeId, topo::NodeId>>;
+
+// The oracle for solve_without_links: the graph rebuilt without the failed
+// links, with identical dense node ids (same add_as order) so trees compare
+// node by node.
+topo::AsGraph rebuilt_without_links(const topo::AsGraph& graph,
+                                    const LinkList& failed) {
+  topo::AsGraph sub;
+  for (topo::NodeId n = 0; n < graph.node_count(); ++n)
+    sub.add_as(graph.as_number(n));
+  std::set<std::pair<topo::NodeId, topo::NodeId>> dead;
+  for (const auto& [a, b] : failed)
+    dead.insert({std::min(a, b), std::max(a, b)});
+  for (topo::NodeId n = 0; n < graph.node_count(); ++n) {
+    for (const topo::Neighbor& nb : graph.neighbors(n)) {
+      if (nb.node < n) continue;  // each undirected link once
+      if (dead.count({n, nb.node}) != 0) continue;
+      switch (nb.rel) {  // nb.rel = what nb is *to n*
+        case Relationship::Customer:
+          sub.add_customer_provider(/*provider=*/n, /*customer=*/nb.node);
+          break;
+        case Relationship::Provider:
+          sub.add_customer_provider(/*provider=*/nb.node, /*customer=*/n);
+          break;
+        case Relationship::Peer:
+          sub.add_peer(n, nb.node);
+          break;
+        case Relationship::Sibling:
+          sub.add_sibling(n, nb.node);
+          break;
+      }
+    }
+  }
+  return sub;
+}
+
+void expect_same_tree(const RoutingTree& actual, const RoutingTree& expected,
+                      std::size_t node_count) {
+  for (topo::NodeId n = 0; n < node_count; ++n) {
+    ASSERT_EQ(actual.reachable(n), expected.reachable(n)) << "node " << n;
+    if (!actual.reachable(n)) continue;
+    EXPECT_EQ(actual.next_hop(n), expected.next_hop(n)) << "node " << n;
+    EXPECT_EQ(actual.path_length(n), expected.path_length(n)) << "node " << n;
+    EXPECT_EQ(actual.route_class(n), expected.route_class(n)) << "node " << n;
+  }
+}
+
+// Random sets of 1-5 failed links, each pair given in a random order, on the
+// tiny profile and three gao2005 seeds: skipping the links in the kernel
+// must equal a cold solve on the rebuilt surviving graph.
+TEST(StableRouteSolver, SolveWithoutLinksMatchesRebuiltGraph) {
+  std::vector<topo::AsGraph> graphs;
+  graphs.push_back(topo::generate(topo::profile("tiny")));
+  for (std::uint64_t seed : {1, 2, 3}) {
+    topo::GeneratorParams params = topo::profile("gao2005", 0.1);
+    params.seed = seed;
+    graphs.push_back(topo::generate(params));
+  }
+  Rng rng(17);
+  for (const topo::AsGraph& graph : graphs) {
+    const StableRouteSolver solver(graph);
+    const std::size_t n = graph.node_count();
+    for (int trial = 0; trial < 8; ++trial) {
+      LinkList down;
+      const std::size_t links = 1 + rng.next_below(5);
+      while (down.size() < links) {
+        const auto a = static_cast<topo::NodeId>(rng.next_below(n));
+        if (graph.degree(a) == 0) continue;
+        const topo::NodeId b =
+            graph.neighbors(a)[rng.next_below(graph.degree(a))].node;
+        down.push_back(rng.next_below(2) == 0 ? std::pair{a, b}
+                                              : std::pair{b, a});
+      }
+      const topo::AsGraph rebuilt = rebuilt_without_links(graph, down);
+      const StableRouteSolver oracle(rebuilt);
+      for (int d = 0; d < 3; ++d) {
+        const auto destination = static_cast<topo::NodeId>(rng.next_below(n));
+        expect_same_tree(solver.solve_without_links(destination, down),
+                         oracle.solve(destination), n);
+      }
+    }
+  }
+}
+
+TEST(StableRouteSolver, SolveWithoutLinksRejectsNonLinks) {
+  Figure31Topology fig;
+  const StableRouteSolver solver(fig.graph);
+  // No links down is the plain stable state.
+  expect_same_tree(solver.solve_without_links(fig.f, {}), solver.solve(fig.f),
+                   fig.graph.node_count());
+  ASSERT_FALSE(fig.graph.has_edge(fig.a, fig.f));
+  EXPECT_THROW(solver.solve_without_links(fig.f, {{fig.a, fig.f}}), Error);
+  EXPECT_THROW(solver.solve_without_links(fig.f, {{fig.c, fig.f},
+                                                  {fig.f, fig.a}}),
+               Error);
+  EXPECT_THROW(solver.solve_without_links(fig.f, {{fig.a, fig.a}}), Error);
+  EXPECT_THROW(solver.solve_without_links(
+                   fig.f, {{fig.a, topo::NodeId{1000}}}),
+               Error);
 }
 
 TEST(PathTable, InternDedupsAndSharesSuffixes) {

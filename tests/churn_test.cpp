@@ -286,6 +286,29 @@ TEST(InvariantChecker, CatchesTunnelOutlivingItsRoute) {
   EXPECT_EQ(checker.violations().size(), 1u);
 }
 
+TEST(InvariantChecker, SolverAgreesWithTheNetworkAfterALinkFails) {
+  // With E-F down, E reroutes over its peer C and D loses F altogether; the
+  // quiet checkpoint holds the network to the stable state without that link.
+  Figure31Topology fig;
+  sim::Scheduler scheduler;
+  bgp::SessionedBgpNetwork network(fig.graph, fig.f, scheduler);
+  InvariantChecker checker(network);
+  network.start();
+  scheduler.run_all();
+  checker.check(scheduler.now());
+
+  network.fail_link(fig.e, fig.f);
+  checker.on_session_flush(fig.e, fig.f);
+  scheduler.run_all();
+  checker.check(scheduler.now());
+
+  EXPECT_TRUE(checker.violations().empty());
+  EXPECT_EQ(checker.stats().solver_comparisons, 2u);
+  EXPECT_EQ(network.path_of(fig.e),
+            (std::vector<NodeId>{fig.e, fig.c, fig.f}));
+  EXPECT_FALSE(network.has_route(fig.d));
+}
+
 TEST(InvariantChecker, FinalCheckFlagsNonQuiescence) {
   Figure31Topology fig;
   sim::Scheduler scheduler;

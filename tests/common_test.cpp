@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -302,75 +301,6 @@ TEST(Hash, Fnv1aMatchesKnownVector) {
 TEST(Hash, CombineIsOrderSensitive) {
   EXPECT_NE(hash_combine(hash_combine(0, 1), 2),
             hash_combine(hash_combine(0, 2), 1));
-}
-
-TEST(Arena, BumpAllocatesWithinOneSlab) {
-  Arena arena(1024);
-  EXPECT_EQ(arena.slab_count(), 0u);
-  EXPECT_EQ(arena.reserved_bytes(), 0u);
-  void* first = arena.allocate(100, 8);
-  void* second = arena.allocate(100, 8);
-  EXPECT_NE(first, nullptr);
-  EXPECT_NE(first, second);
-  EXPECT_EQ(arena.slab_count(), 1u);
-  EXPECT_EQ(arena.reserved_bytes(), 1024u);
-  EXPECT_GE(arena.used_bytes(), 200u);
-}
-
-TEST(Arena, GrowsAndDedicatesOversizedBlocks) {
-  Arena arena(256);
-  arena.allocate(200, 8);
-  arena.allocate(200, 8);  // overflows the first slab
-  EXPECT_EQ(arena.slab_count(), 2u);
-  arena.allocate(10000, 8);  // larger than a slab: dedicated block
-  EXPECT_EQ(arena.slab_count(), 3u);
-  EXPECT_GE(arena.reserved_bytes(), 256u + 256u + 10000u);
-  EXPECT_GE(arena.reserved_bytes(), arena.used_bytes());
-}
-
-TEST(Arena, RespectsAlignmentAndRejectsBadValues) {
-  Arena arena(1024);
-  arena.allocate(1, 1);  // misalign the cursor
-  void* p = arena.allocate(32, 16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
-  EXPECT_THROW(arena.allocate(8, 3), Error);
-  EXPECT_THROW(arena.allocate(8, 0), Error);
-  EXPECT_THROW(Arena(0), Error);
-}
-
-TEST(Arena, ZeroByteAllocationsAreDistinct) {
-  Arena arena(64);
-  void* a = arena.allocate(0, 1);
-  void* b = arena.allocate(0, 1);
-  EXPECT_NE(a, b);
-}
-
-TEST(ArenaAllocator, VectorLivesInTheArena) {
-  Arena arena(4096);
-  std::vector<int, ArenaAllocator<int>> vec{ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 100; ++i) vec.push_back(i);
-  EXPECT_EQ(vec.size(), 100u);
-  EXPECT_EQ(vec[99], 99);
-  EXPECT_GT(arena.used_bytes(), 100u * sizeof(int) - 1);
-  EXPECT_EQ(vec.get_allocator().arena(), &arena);
-  // Moves adopt the allocator: the storage stays inside the arena.
-  std::vector<int, ArenaAllocator<int>> moved = std::move(vec);
-  EXPECT_EQ(moved.get_allocator().arena(), &arena);
-  EXPECT_EQ(moved.size(), 100u);
-}
-
-TEST(ArenaAllocator, NullArenaFallsBackToHeap) {
-  std::vector<int, ArenaAllocator<int>> vec;  // default: no arena
-  EXPECT_EQ(vec.get_allocator().arena(), nullptr);
-  for (int i = 0; i < 100; ++i) vec.push_back(i);
-  EXPECT_EQ(vec.size(), 100u);
-  // Allocators compare equal iff they share an arena (or both lack one).
-  Arena arena(64);
-  EXPECT_TRUE(ArenaAllocator<int>() == ArenaAllocator<int>(nullptr));
-  EXPECT_FALSE(ArenaAllocator<int>(&arena) == ArenaAllocator<int>(nullptr));
-  // The converting constructor carries the arena across value types.
-  const ArenaAllocator<long> rebound{ArenaAllocator<int>(&arena)};
-  EXPECT_EQ(rebound.arena(), &arena);
 }
 
 }  // namespace

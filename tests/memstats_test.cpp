@@ -1,40 +1,31 @@
-// Memory observability layer: counters, the counting allocator's propagation
-// corner cases, nested scoped accounts, registry export, the null-registry
-// behaviour-neutrality contract, and the byte-row regression gate.
+// Memory observability layer: counters, registry export, the RouteStore
+// footprint walk, the null-registry behaviour-neutrality contract, and the
+// byte-row regression gate.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/memtrack.hpp"
+#include "core/route_store.hpp"
 #include "eval/avoid_as.hpp"
 #include "obs/memstats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/regression.hpp"
+#include "topology/generator.hpp"
 
 namespace {
 
 using namespace miro;
 using obs::MemoryRegistry;
-using obs::ScopedAccount;
 
-TEST(MemCounters, TracksPeakAndSaturatesOnUnderflow) {
+TEST(MemCounters, SetCurrentKeepsTheHighWaterMark) {
   MemCounters c;
-  c.add(100);
-  c.add(50);
+  c.set_current(150);
   EXPECT_EQ(c.current, 150u);
   EXPECT_EQ(c.peak, 150u);
-  c.sub(120);
-  EXPECT_EQ(c.current, 30u);
-  EXPECT_EQ(c.peak, 150u);
-  // A mis-paired release saturates at zero instead of wrapping.
-  c.sub(1000);
-  EXPECT_EQ(c.current, 0u);
-  EXPECT_EQ(c.allocations, 2u);
-  EXPECT_EQ(c.deallocations, 2u);
   c.set_current(40);
   EXPECT_EQ(c.current, 40u);
   EXPECT_EQ(c.peak, 150u);
@@ -42,141 +33,10 @@ TEST(MemCounters, TracksPeakAndSaturatesOnUnderflow) {
   EXPECT_EQ(c.peak, 400u);
 }
 
-TEST(CountingAllocator, ChargesVectorStorage) {
-  MemCounters c;
-  {
-    std::vector<int, CountingAllocator<int>> v{CountingAllocator<int>(&c)};
-    v.reserve(64);
-    EXPECT_EQ(c.current, 64 * sizeof(int));
-    EXPECT_EQ(c.allocations, 1u);
-  }
-  EXPECT_EQ(c.current, 0u);
-  EXPECT_EQ(c.peak, 64 * sizeof(int));
-  EXPECT_EQ(c.deallocations, 1u);
-}
-
-TEST(CountingAllocator, RebindChargesNodeAllocationsToSameAccount) {
-  // An unordered_map rebinds the pair allocator to its internal node and
-  // bucket-array types; all of them must keep feeding the same counters.
-  MemCounters c;
-  using Alloc = CountingAllocator<std::pair<const int, int>>;
-  {
-    std::unordered_map<int, int, std::hash<int>, std::equal_to<int>, Alloc>
-        m{Alloc(&c)};
-    for (int i = 0; i < 100; ++i) m.emplace(i, i * i);
-    EXPECT_EQ(m.get_allocator().counters(), &c);
-    // 100 nodes + at least one bucket array.
-    EXPECT_GE(c.allocations, 101u);
-    EXPECT_GT(c.current, 100 * sizeof(std::pair<const int, int>));
-  }
-  EXPECT_EQ(c.current, 0u) << "every rebound deallocate must credit back";
-  EXPECT_EQ(c.allocations, c.deallocations);
-}
-
-TEST(CountingAllocator, PropagatesOnCopyAssignMoveAssignAndSwap) {
-  MemCounters a, b;
-  using Vec = std::vector<int, CountingAllocator<int>>;
-
-  // Copy-assign: the destination adopts the source's account (POCCA), so
-  // the copied storage lands in `a`, and the destination's old storage is
-  // credited back to `b`.
-  {
-    Vec src{CountingAllocator<int>(&a)};
-    src.assign(32, 7);
-    Vec dst{CountingAllocator<int>(&b)};
-    dst.assign(8, 1);
-    EXPECT_GT(b.current, 0u);
-    dst = src;
-    EXPECT_EQ(dst.get_allocator().counters(), &a);
-    EXPECT_EQ(b.current, 0u);
-    EXPECT_EQ(a.current, vector_bytes(src) + vector_bytes(dst));
-  }
-  EXPECT_EQ(a.current, 0u);
-
-  // Move-assign: storage (and its account) transfers wholesale (POCMA);
-  // nothing is left charged to the destination's old account.
-  {
-    Vec src{CountingAllocator<int>(&a)};
-    src.assign(32, 7);
-    const std::uint64_t src_bytes = vector_bytes(src);
-    Vec dst{CountingAllocator<int>(&b)};
-    dst.assign(8, 1);
-    dst = std::move(src);
-    EXPECT_EQ(dst.get_allocator().counters(), &a);
-    EXPECT_EQ(a.current, src_bytes);
-    EXPECT_EQ(b.current, 0u);
-  }
-  EXPECT_EQ(a.current, 0u);
-
-  // Swap: allocators swap with the storage (POCS), so each account keeps
-  // tracking the buffer it originally charged.
-  {
-    Vec va{CountingAllocator<int>(&a)};
-    va.assign(16, 1);
-    Vec vb{CountingAllocator<int>(&b)};
-    vb.assign(64, 2);
-    const std::uint64_t bytes_a = a.current, bytes_b = b.current;
-    using std::swap;
-    swap(va, vb);
-    EXPECT_EQ(va.get_allocator().counters(), &b);
-    EXPECT_EQ(vb.get_allocator().counters(), &a);
-    EXPECT_EQ(a.current, bytes_a);
-    EXPECT_EQ(b.current, bytes_b);
-  }
-  EXPECT_EQ(a.current, 0u);
-  EXPECT_EQ(b.current, 0u);
-}
-
-TEST(CountingAllocator, CopyConstructionKeepsTheAccount) {
-  // select_on_container_copy_construction returns *this: a copied
-  // container's bytes belong to the same subsystem as the original.
-  MemCounters c;
-  using Vec = std::vector<int, CountingAllocator<int>>;
-  Vec original{CountingAllocator<int>(&c)};
-  original.assign(32, 7);
-  Vec copy(original);
-  EXPECT_EQ(copy.get_allocator().counters(), &c);
-  EXPECT_EQ(c.current, vector_bytes(original) + vector_bytes(copy));
-}
-
-TEST(CountingAllocator, EqualityComparesTheAccountPointer) {
-  MemCounters a, b;
-  CountingAllocator<int> ia(&a), ia2(&a), ib(&b), inull;
-  EXPECT_TRUE(ia == ia2);
-  EXPECT_TRUE(ia != ib);
-  EXPECT_TRUE(inull == CountingAllocator<double>());
-  // Cross-type comparison via the rebind converting constructor.
-  CountingAllocator<double> da(ia);
-  EXPECT_TRUE(ia == da);
-}
-
-TEST(ScopedAccountTest, NestedScopesSumIntoThePeak) {
-  MemoryRegistry registry;
-  {
-    ScopedAccount outer(&registry, "eval/phase", 100);
-    EXPECT_EQ(registry.account("eval/phase").current, 100u);
-    {
-      ScopedAccount inner(&registry, "eval/phase", 50);
-      inner.charge(25);
-      EXPECT_EQ(registry.account("eval/phase").current, 175u);
-    }
-    EXPECT_EQ(registry.account("eval/phase").current, 100u);
-    outer.charge(10);
-  }
-  const MemCounters& c = registry.account("eval/phase");
-  EXPECT_EQ(c.current, 0u);
-  EXPECT_EQ(c.peak, 175u) << "peak must capture the deepest nesting";
-}
-
-TEST(ScopedAccountTest, NullRegistryIsANoOp) {
-  ScopedAccount scope(nullptr, "anything", 1 << 20);
-  scope.charge(1 << 20);  // must not crash or allocate
-}
-
 TEST(MemoryRegistryTest, TextTableAndMetricsExport) {
   MemoryRegistry registry;
   registry.account("topology/graph").set_current(4096);
-  registry.account("bgp/rib").add(2048);
+  registry.account("bgp/rib").set_current(2048);
   EXPECT_EQ(registry.tracked_bytes(), 6144u);
 
   std::ostringstream text;
@@ -207,6 +67,32 @@ TEST(MemoryRegistryTest, RssSamplerReadsTheProcess) {
 #else
   GTEST_SKIP() << "RSS sources are platform-specific";
 #endif
+}
+
+// RouteStore::memory_bytes walks the tree map, each tree and the path table.
+// A mirror map with the same insertions supplies the map's share, so each
+// new tree must add exactly its object and its entry array on top of it,
+// and a cache hit must add nothing.
+TEST(RouteStore, MemoryBytesCountsEachTreeOnce) {
+  const topo::AsGraph graph = topo::generate(topo::profile("tiny"));
+  core::RouteStore store(graph);
+  std::unordered_map<topo::NodeId, std::unique_ptr<bgp::RoutingTree>> mirror;
+  EXPECT_EQ(store.memory_bytes(),
+            hash_map_bytes(mirror) + store.paths().memory_bytes());
+  for (const topo::NodeId destination : {0u, 40u, 200u, 7u}) {
+    const std::uint64_t before = store.memory_bytes();
+    const std::uint64_t map_before = hash_map_bytes(mirror);
+    const bgp::RoutingTree& tree = store.tree(destination);
+    mirror.emplace(destination, nullptr);
+    EXPECT_GT(tree.memory_bytes(), 0u);
+    EXPECT_EQ(store.memory_bytes() - before,
+              hash_map_bytes(mirror) - map_before + sizeof(bgp::RoutingTree) +
+                  tree.memory_bytes());
+    const std::uint64_t after = store.memory_bytes();
+    store.tree(destination);  // a repeat is a cache hit
+    EXPECT_EQ(store.memory_bytes(), after);
+  }
+  EXPECT_EQ(store.tree_count(), 4u);
 }
 
 // The acceptance contract: attaching a MemoryRegistry must not perturb any

@@ -32,7 +32,6 @@
 #include "netsim/fault_injection.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/memstats.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/regression.hpp"
 #include "scenarios.hpp"
@@ -174,7 +173,7 @@ TEST(ProfileRegistry, SpanLogIsBoundedButAggregationIsNot) {
   EXPECT_TRUE(registry.by_name().empty());
 }
 
-TEST(ProfileRegistry, ExportsMetricsAndWritesTextTable) {
+TEST(ProfileRegistry, WritesTextTableByNameAndCategory) {
   ProfileRegistry registry;
   std::uint64_t now = 0;
   registry.set_clock([&now]() { return now; });
@@ -182,11 +181,6 @@ TEST(ProfileRegistry, ExportsMetricsAndWritesTextTable) {
     ScopedSpan span(&registry, "bgp/solve_tree", "bgp");
     now += 2'000'000;  // 2 ms
   }
-  MetricsRegistry metrics;
-  registry.export_metrics(metrics);
-  EXPECT_EQ(metrics.counter("profile.bgp/solve_tree.count").value(), 1u);
-  EXPECT_DOUBLE_EQ(metrics.gauge("profile.bgp/solve_tree.total_ms").value(),
-                   2.0);
   std::ostringstream text;
   registry.write_text(text);
   EXPECT_NE(text.str().find("bgp/solve_tree"), std::string::npos);

@@ -327,18 +327,6 @@ TEST(SessionBgp, HijackDivertsAndRecoveryReconverges) {
   expect_converged_and_clean(h.network, h.fig.graph, h.fig.f);
 }
 
-TEST(SessionBgp, ExportMetricsSnapshotsStats) {
-  SessionHarness h;
-  h.network.start();
-  h.run();
-  obs::MetricsRegistry registry;
-  h.network.export_metrics(registry, "bgp");
-  EXPECT_EQ(registry.counter("bgp.updates_sent").value(),
-            h.network.stats().updates_sent);
-  EXPECT_EQ(registry.counter("bgp.coalesced").value(), 0u);
-  EXPECT_EQ(registry.counter("bgp.routes_damped").value(), 0u);
-}
-
 }  // namespace
 }  // namespace miro::bgp
 

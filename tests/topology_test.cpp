@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "bgp/route_solver.hpp"
@@ -285,6 +286,19 @@ TEST(Generator, ScaleAboveOneGrowsBeyondNominal) {
   EXPECT_GE(profile("internet2006").node_count, 50000u);
   EXPECT_THROW(profile("tiny", 0.0), Error);
   EXPECT_THROW(profile("tiny", -1.0), Error);
+}
+
+// `scale > 0` alone lets +inf through, and casting an infinite node count
+// to an integer is undefined behaviour. NaN and a finite scale too large
+// for 32-bit node ids are rejected the same way.
+TEST(Generator, NonFiniteOrOverflowingScaleThrows) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const char* name : {"tiny", "gao2005", "internet2006"}) {
+    EXPECT_THROW(profile(name, inf), Error) << name;
+    EXPECT_THROW(profile(name, nan), Error) << name;
+    EXPECT_THROW(profile(name, 1e12), Error) << name;
+  }
 }
 
 TEST(Generator, UnknownProfileThrows) {

@@ -14,10 +14,13 @@
 // Exit status: 0 when no error-severity finding was produced, 1 when at
 // least one was, 2 on usage or I/O failure. Findings go to stdout, text by
 // default, one JSON document with --json.
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -27,6 +30,7 @@
 #include "analysis/convergence_lint.hpp"
 #include "analysis/verify.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "convergence/gadgets.hpp"
 #include "policy/policy_config.hpp"
 #include "topology/generator.hpp"
@@ -155,6 +159,15 @@ int run_verify(const std::vector<std::string>& args) {
         miro::require(i + 1 < args.size(), arg + " needs a value");
         return args[++i];
       };
+      // A malformed number is a usage error (exit 2), never an uncaught
+      // exception or a negative count wrapped to a huge one.
+      auto count = [&]() -> std::uint64_t {
+        const std::string& text = value();
+        const std::optional<std::uint64_t> parsed = miro::parse_u64(text);
+        miro::require(parsed.has_value(), arg +
+                      " expects a non-negative integer, got '" + text + "'");
+        return *parsed;
+      };
       if (arg == "--json") {
         json = true;
       } else if (arg == "--help" || arg == "-h") {
@@ -163,13 +176,18 @@ int run_verify(const std::vector<std::string>& args) {
         profile = value();
         want_network = true;
       } else if (arg == "--scale") {
-        scale = std::stod(value());
+        const std::string& text = value();
+        char* end = nullptr;
+        scale = std::strtod(text.c_str(), &end);
+        miro::require(end != text.c_str() && *end == '\0' &&
+                          std::isfinite(scale) && scale > 0,
+                      "--scale expects a positive number, got '" + text + "'");
         want_network = true;
       } else if (arg == "--seed") {
-        options.seed = std::stoull(value());
+        options.seed = count();
         want_network = true;
       } else if (arg == "--dests") {
-        options.destination_samples = std::stoul(value());
+        options.destination_samples = count();
         want_network = true;
       } else if (arg == "--topology") {
         topology_file = value();
