@@ -21,8 +21,6 @@
 // --threads runs must stay byte-comparable.
 #pragma once
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -30,11 +28,13 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "eval/experiments.hpp"
 #include "obs/memstats.hpp"
 #include "obs/profile.hpp"
@@ -81,23 +81,6 @@ struct SuiteArgs {
   std::exit(2);
 }
 
-/// Strictly parses an unsigned decimal flag value: a sign, trailing
-/// garbage or overflow (or 0, when `positive`) is a usage error (exit 2),
-/// never a silent 0 or a wrapped-around huge value.
-inline std::uint64_t parse_count(const char* argv0, const std::string& flag,
-                                 const char* text, bool positive = false) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-      errno == ERANGE || (positive && value == 0)) {
-    usage_error(argv0, flag + " expects a " +
-                           (positive ? "positive" : "non-negative") +
-                           " integer, got '" + text + "'");
-  }
-  return value;
-}
-
 /// Parses the suite's flags. Usage errors — an unknown flag, a missing or
 /// malformed value, an unknown profile — exit 2. Bench names are returned
 /// unvalidated; bench_suite.cpp owns the bench table.
@@ -109,6 +92,18 @@ inline SuiteArgs parse_suite_args(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(argv[0], "missing value for " + flag);
       return argv[++i];
     };
+    // A sign, trailing garbage or overflow (or 0, when `positive`) is a
+    // usage error, never a silent 0 or a wrapped-around huge value.
+    auto count = [&](bool positive = false) -> std::uint64_t {
+      const char* text = value();
+      const std::optional<std::uint64_t> parsed = parse_u64(text);
+      if (!parsed || (positive && *parsed == 0)) {
+        usage_error(argv[0], flag + " expects a " +
+                                 (positive ? "positive" : "non-negative") +
+                                 " integer, got '" + text + "'");
+      }
+      return *parsed;
+    };
     if (flag.empty() || flag[0] != '-') {
       args.benches.push_back(flag);
     } else if (flag == "--profile") {
@@ -116,21 +111,20 @@ inline SuiteArgs parse_suite_args(int argc, char** argv) {
       if (args.profile.empty()) usage_error(argv[0], "--profile needs a name");
     } else if (flag == "--scale") {
       const char* text = value();
-      char* end = nullptr;
-      args.scale = std::strtod(text, &end);
-      if (end == text || *end != '\0' || !std::isfinite(args.scale) ||
-          args.scale <= 0) {
+      const std::optional<double> parsed = parse_finite(text);
+      if (!parsed || *parsed <= 0) {
         usage_error(argv[0], std::string("--scale expects a positive number, "
                                          "got '") + text + "'");
       }
+      args.scale = *parsed;
     } else if (flag == "--dests") {
-      args.dests = parse_count(argv[0], flag, value());
+      args.dests = count();
     } else if (flag == "--sources") {
-      args.sources = parse_count(argv[0], flag, value());
+      args.sources = count();
     } else if (flag == "--seed") {
-      args.seed = parse_count(argv[0], flag, value());
+      args.seed = count();
     } else if (flag == "--threads") {
-      args.threads = parse_count(argv[0], flag, value(), /*positive=*/true);
+      args.threads = count(/*positive=*/true);
     } else if (flag == "--out") {
       args.out = value();
     } else if (flag == "--save") {

@@ -1,16 +1,14 @@
 // Perf-regression gate CLI around obs::compare_bench_json.
 //
 //   ./bench_compare baseline.json current.json [--threshold 0.25]
-//                   [--min-magnitude X] [--mem-threshold 0.25]
-//                   [--mem-min-magnitude X] [--mem-abs-limit BYTES]
-//                   [--check-values] [--values-only]
+//                   [--min-magnitude X] [--values-only]
 //
 // Exit 0 when the gate passes, 1 on any regression / missing row, 2 on
-// bad usage or unreadable input. CI runs this against the checked-in
-// BENCH_PR3.json baseline; a >threshold slowdown on any gated (perf-unit)
-// row fails the build, and byte-unit rows ("bytes", "bytes/route",
-// "bytes/edge") are gated separately by --mem-threshold (relative growth)
-// and --mem-abs-limit (absolute byte growth ceiling, 0 = off) — memory
+// bad usage (an unknown flag, or a threshold or magnitude that is not a
+// non-negative number) or unreadable input. CI runs this against the
+// checked-in BENCH_PR3.json baseline; a >threshold slowdown on any gated
+// (perf-unit) row fails the build, and byte-unit rows ("bytes",
+// "bytes/route", "bytes/edge") are gated separately at 25% growth — memory
 // rows come from deterministic container walks, so their gate stays tight
 // even when the time threshold is loosened for noisy shared runners. All
 // violations are reported in one run with a per-kind summary count in the
@@ -22,11 +20,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "obs/regression.hpp"
 
 namespace {
@@ -34,26 +34,24 @@ namespace {
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: bench_compare BASELINE.json CURRENT.json "
-               "[--threshold X] [--min-magnitude X] [--mem-threshold X] "
-               "[--mem-min-magnitude X] [--mem-abs-limit BYTES] "
-               "[--check-values] [--values-only]\n");
+               "[--threshold X] [--min-magnitude X] [--values-only]\n");
+  std::exit(2);
+}
+
+[[noreturn]] void fail(const std::string& why) {
+  std::fprintf(stderr, "bench_compare: %s\n", why.c_str());
   std::exit(2);
 }
 
 miro::JsonValue load(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_compare: cannot read %s\n", path.c_str());
-    std::exit(2);
-  }
+  if (!in) fail("cannot read " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   try {
     return miro::JsonValue::parse(buffer.str());
   } catch (const miro::Error& error) {
-    std::fprintf(stderr, "bench_compare: %s: %s\n", path.c_str(),
-                 error.what());
-    std::exit(2);
+    fail(path + ": " + error.what());
   }
 }
 
@@ -69,18 +67,17 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (flag == "--threshold") options.threshold = std::atof(value());
-    else if (flag == "--min-magnitude")
-      options.min_magnitude = std::atof(value());
-    else if (flag == "--mem-threshold")
-      options.memory_threshold = std::atof(value());
-    else if (flag == "--mem-min-magnitude")
-      options.memory_min_magnitude = std::atof(value());
-    else if (flag == "--mem-abs-limit")
-      options.memory_abs_limit = std::atof(value());
-    else if (flag == "--check-values") options.check_values = true;
+    auto non_negative = [&]() -> double {
+      const char* text = value();
+      const std::optional<double> parsed = miro::parse_finite(text);
+      if (!parsed || *parsed < 0)
+        fail(flag + " expects a non-negative number, got '" + text + "'");
+      return *parsed;
+    };
+    if (flag == "--threshold") options.threshold = non_negative();
+    else if (flag == "--min-magnitude") options.min_magnitude = non_negative();
     else if (flag == "--values-only") options.values_only = true;
-    else if (!flag.empty() && flag[0] == '-') usage();
+    else if (!flag.empty() && flag[0] == '-') fail("unknown flag " + flag);
     else if (baseline_path.empty()) baseline_path = flag;
     else if (current_path.empty()) current_path = flag;
     else usage();

@@ -8,10 +8,13 @@
 // footprint and the resulting path.
 //
 // Usage: ./build/examples/avoid_as [--profile gao2005] [--scale 0.25]
-#include <cstring>
 #include <cstdio>
 #include <iostream>
+#include <optional>
+#include <string>
 
+#include "common/error.hpp"
+#include "common/strings.hpp"
 #include "core/alternates.hpp"
 #include "topology/generator.hpp"
 
@@ -21,9 +24,21 @@ int main(int argc, char** argv) {
   try {
   std::string profile = "gao2005";
   double scale = 0.25;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--profile") == 0) profile = argv[i + 1];
-    if (std::strcmp(argv[i], "--scale") == 0) scale = std::atof(argv[i + 1]);
+  // A missing or malformed value and an unknown flag throw, which exits 2
+  // below (topo::profile rejects a non-positive scale the same way).
+  for (int i = 1; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    require(flag == "--profile" || flag == "--scale", "unknown flag " + flag);
+    require(i + 1 < argc, "missing value for " + flag);
+    const std::string text = argv[i + 1];
+    if (flag == "--profile") {
+      profile = text;
+    } else {
+      const std::optional<double> parsed = parse_finite(text);
+      require(parsed.has_value(),
+              "--scale expects a number, got '" + text + "'");
+      scale = *parsed;
+    }
   }
 
   const topo::AsGraph graph = topo::generate(topo::profile(profile, scale));

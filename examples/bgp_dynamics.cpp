@@ -13,24 +13,14 @@
 #include "bgp/session_bgp.hpp"
 #include "bgp/table_format.hpp"
 #include "core/tunnel_monitor.hpp"
-#include "topology/as_graph.hpp"
+#include "topology/figure31.hpp"
 
 using namespace miro;
 
 int main() {
-  topo::AsGraph graph;
-  const auto a = graph.add_as(1), b = graph.add_as(2), c = graph.add_as(3);
-  const auto d = graph.add_as(4), e = graph.add_as(5), f = graph.add_as(6);
-  graph.add_customer_provider(b, a);
-  graph.add_customer_provider(d, a);
-  graph.add_customer_provider(b, e);
-  graph.add_customer_provider(d, e);
-  graph.add_customer_provider(c, f);
-  graph.add_customer_provider(e, f);
-  graph.add_peer(b, c);
-  graph.add_peer(c, e);
-  (void)a;
-  (void)d;
+  const topo::Figure31 fig;
+  const topo::AsGraph& graph = fig.graph;
+  const auto a = fig.a, b = fig.b, c = fig.c, d = fig.d, e = fig.e, f = fig.f;
   auto name = [&graph](topo::NodeId node) {
     return std::string(1, static_cast<char>('A' + graph.as_number(node) - 1));
   };

@@ -14,17 +14,19 @@
 // (load it in chrome://tracing or https://ui.perfetto.dev). With --memory
 // the final run's memory accounts (graph, route store, RSS) are printed,
 // walked while the run's objects are still alive. Exit status 2
-// means an output file could not be written. Every run is deterministic for
-// a given seed.
+// means a usage error (an unknown flag; a negotiation count that is not a
+// positive integer; a seed that is not a non-negative one) or an output
+// file that could not be written. Every run is deterministic for a given
+// seed.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "core/protocol.hpp"
 #include "core/route_store.hpp"
 #include "netsim/fault_injection.hpp"
@@ -32,33 +34,9 @@
 #include "obs/memstats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "topology/as_graph.hpp"
+#include "topology/figure31.hpp"
 
 namespace {
-
-// The dissertation's six-AS running example (Figure 3.1): A wants to reach F
-// while avoiding E; B holds the unannounced alternate B-C-F.
-struct Figure31 {
-  miro::topo::AsGraph graph;
-  miro::topo::NodeId a, b, c, d, e, f;
-
-  Figure31() {
-    a = graph.add_as(1);
-    b = graph.add_as(2);
-    c = graph.add_as(3);
-    d = graph.add_as(4);
-    e = graph.add_as(5);
-    f = graph.add_as(6);
-    graph.add_customer_provider(/*provider=*/b, /*customer=*/a);
-    graph.add_customer_provider(d, a);
-    graph.add_customer_provider(b, e);
-    graph.add_customer_provider(d, e);
-    graph.add_customer_provider(c, f);
-    graph.add_customer_provider(e, f);
-    graph.add_peer(b, c);
-    graph.add_peer(c, e);
-  }
-};
 
 struct SweepRow {
   double drop;
@@ -76,7 +54,7 @@ SweepRow run_one(double drop, std::size_t negotiations, std::uint64_t seed,
                  miro::obs::EventLog* log = nullptr,
                  miro::obs::MemoryRegistry* memstats = nullptr) {
   using namespace miro;
-  Figure31 fig;
+  topo::Figure31 fig;
   core::RouteStore store(fig.graph);
   sim::Scheduler scheduler;
   core::Bus bus(scheduler);
@@ -135,32 +113,48 @@ SweepRow run_one(double drop, std::size_t negotiations, std::uint64_t seed,
   return row;
 }
 
+[[noreturn]] void usage_error(const std::string& why) {
+  std::fprintf(stderr, "chaos_sweep: %s\n", why.c_str());
+  std::exit(2);
+}
+
+/// A positional count: malformed, signed or below `min` is a usage error,
+/// never a silent 0 or a wrapped-around huge count.
+std::uint64_t count_arg(const char* name, const std::string& text,
+                        std::uint64_t min) {
+  const std::optional<std::uint64_t> parsed = miro::parse_u64(text);
+  if (!parsed || *parsed < min) {
+    usage_error(std::string(name) + " expects a " +
+                (min > 0 ? "positive" : "non-negative") + " integer, got '" +
+                text + "'");
+  }
+  return *parsed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string metrics_path;
   std::string chrome_trace_path;
   bool memory_report = false;
-  std::vector<char*> positional;
+  std::size_t negotiations = 50;
+  std::uint64_t seed = 42;
+  int positional = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      chrome_trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--memory") == 0) {
-      memory_report = true;
-    } else {
-      positional.push_back(argv[i]);
-    }
+    const std::string arg = argv[i];
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error("missing value for " + arg);
+      return argv[++i];
+    };
+    if (arg == "--metrics-json") metrics_path = value();
+    else if (arg == "--chrome-trace") chrome_trace_path = value();
+    else if (arg == "--memory") memory_report = true;
+    else if (arg.starts_with("--")) usage_error("unknown flag " + arg);
+    else if (++positional == 1)
+      negotiations = count_arg("negotiations", arg, 1);
+    else if (positional == 2) seed = count_arg("seed", arg, 0);
+    else usage_error("unexpected argument " + arg);
   }
-  const std::size_t negotiations =
-      positional.size() > 0
-          ? static_cast<std::size_t>(std::atoi(positional[0]))
-          : 50;
-  const std::uint64_t seed =
-      positional.size() > 1
-          ? static_cast<std::uint64_t>(std::atoll(positional[1]))
-          : 42;
 
   std::printf("Chaos sweep: %zu negotiations per drop rate, 10%% duplication,"
               " jitter <= 25 ticks, seed %llu\n\n",
@@ -217,7 +211,7 @@ int main(int argc, char** argv) {
   }
   if (!chrome_trace_path.empty()) {
     if (!miro::obs::write_chrome_trace_file(chrome_trace_path, &profiler,
-                                            log.events(), {})) {
+                                            log.events())) {
       return 2;  // the exporter already said why on stderr
     }
     std::printf("Chrome trace (drop=%.0f%%: %zu sim events, %zu wall spans)"

@@ -10,12 +10,15 @@
 //
 // Usage: ./build/examples/load_balance [--scale 0.25]
 #include <algorithm>
-#include <cstring>
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "bgp/route_solver.hpp"
+#include "common/error.hpp"
+#include "common/strings.hpp"
 #include "core/protocol.hpp"
 #include "topology/generator.hpp"
 
@@ -51,8 +54,17 @@ void print_counts(const topo::AsGraph& graph,
 int main(int argc, char** argv) {
   try {
   double scale = 0.25;
-  for (int i = 1; i + 1 < argc; i += 2)
-    if (std::strcmp(argv[i], "--scale") == 0) scale = std::atof(argv[i + 1]);
+  // A missing or malformed value and an unknown flag throw, which exits 2
+  // below (topo::profile rejects a non-positive scale the same way).
+  for (int i = 1; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    require(flag == "--scale", "unknown flag " + flag);
+    require(i + 1 < argc, "missing value for " + flag);
+    const std::string text = argv[i + 1];
+    const std::optional<double> parsed = parse_finite(text);
+    require(parsed.has_value(), "--scale expects a number, got '" + text + "'");
+    scale = *parsed;
+  }
 
   const topo::AsGraph graph =
       topo::generate(topo::profile("gao2005", scale));

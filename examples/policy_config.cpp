@@ -11,24 +11,15 @@
 
 #include "core/alternates.hpp"
 #include "policy/policy_engine.hpp"
-#include "topology/as_graph.hpp"
+#include "topology/figure31.hpp"
 
 using namespace miro;
 
 int main() {
   // Figure 3.1 again; AS numbers 1..6 = A..F, and the "bad" AS is E (= 5).
-  topo::AsGraph graph;
-  const auto a = graph.add_as(1), b = graph.add_as(2), c = graph.add_as(3);
-  const auto d = graph.add_as(4), e = graph.add_as(5), f = graph.add_as(6);
-  graph.add_customer_provider(b, a);
-  graph.add_customer_provider(d, a);
-  graph.add_customer_provider(b, e);
-  graph.add_customer_provider(d, e);
-  graph.add_customer_provider(c, f);
-  graph.add_customer_provider(e, f);
-  graph.add_peer(b, c);
-  graph.add_peer(c, e);
-  (void)d;
+  const topo::Figure31 fig;
+  const topo::AsGraph& graph = fig.graph;
+  const auto a = fig.a, b = fig.b, e = fig.e, f = fig.f;
 
   const char* requester_config = R"(
 ! Requesting AS (A): always try to avoid AS 5.

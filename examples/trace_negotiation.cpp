@@ -11,8 +11,9 @@
 //   - writes the full event log to a JSONL file,
 //   - writes a metrics-registry JSON snapshot next to it.
 // Both files are what the CI workflow uploads as artifacts; exit status 2
-// means one of them could not be written. Every run is deterministic for a
-// given seed.
+// means one of them could not be written, or a usage error (a drop outside
+// [0, 1], a seed that is not a non-negative integer, extra arguments).
+// Every run is deterministic for a given seed.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,52 +22,50 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "core/protocol.hpp"
 #include "core/route_store.hpp"
 #include "netsim/fault_injection.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "topology/as_graph.hpp"
+#include "topology/figure31.hpp"
 
 namespace {
 
-// The dissertation's six-AS running example (Figure 3.1): A wants to reach F
-// while avoiding E; B holds the unannounced alternate B-C-F.
-struct Figure31 {
-  miro::topo::AsGraph graph;
-  miro::topo::NodeId a, b, c, d, e, f;
-
-  Figure31() {
-    a = graph.add_as(1);
-    b = graph.add_as(2);
-    c = graph.add_as(3);
-    d = graph.add_as(4);
-    e = graph.add_as(5);
-    f = graph.add_as(6);
-    graph.add_customer_provider(/*provider=*/b, /*customer=*/a);
-    graph.add_customer_provider(d, a);
-    graph.add_customer_provider(b, e);
-    graph.add_customer_provider(d, e);
-    graph.add_customer_provider(c, f);
-    graph.add_customer_provider(e, f);
-    graph.add_peer(b, c);
-    graph.add_peer(c, e);
-  }
-};
+[[noreturn]] void usage_error(const std::string& why) {
+  std::fprintf(stderr, "trace_negotiation: %s\n", why.c_str());
+  std::exit(2);
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace miro;
-  const double drop = argc > 1 ? std::atof(argv[1]) : 0.10;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 7;
+  if (argc > 5) usage_error(std::string("unexpected argument ") + argv[5]);
+  double drop = 0.10;
+  if (argc > 1) {
+    const std::optional<double> parsed = parse_finite(argv[1]);
+    if (!parsed || *parsed < 0 || *parsed > 1) {
+      usage_error(std::string("drop expects a number in [0, 1], got '") +
+                  argv[1] + "'");
+    }
+    drop = *parsed;
+  }
+  std::uint64_t seed = 7;
+  if (argc > 2) {
+    const std::optional<std::uint64_t> parsed = parse_u64(argv[2]);
+    if (!parsed) {
+      usage_error(std::string("seed expects a non-negative integer, got '") +
+                  argv[2] + "'");
+    }
+    seed = *parsed;
+  }
   const std::string trace_path =
       argc > 3 ? argv[3] : "trace_negotiation.jsonl";
   const std::string metrics_path =
       argc > 4 ? argv[4] : "trace_negotiation_metrics.json";
 
-  Figure31 fig;
+  topo::Figure31 fig;
   core::RouteStore store(fig.graph);
   sim::Scheduler scheduler;
   core::Bus bus(scheduler);

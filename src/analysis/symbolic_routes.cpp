@@ -399,9 +399,12 @@ DifferentialOutcome differential_check(const AsGraph& graph,
   const bgp::StableRouteSolver solver(graph);
   const core::AlternatesEngine alternates(solver);
   const std::size_t n = graph.node_count();
+  // Witness diagnostics per check id before summarizing (keeps reports
+  // readable when a plane is badly broken).
+  constexpr std::size_t kMaxWitnesses = 8;
   std::size_t suppressed = 0;
   auto witness = [&](std::string_view check, std::string message) {
-    if (out.report.size() >= options.max_witnesses) {
+    if (out.report.size() >= kMaxWitnesses) {
       ++suppressed;
       return;
     }

@@ -193,9 +193,6 @@ struct DifferentialOptions {
   std::size_t destination_samples = 6;
   std::size_t sources_per_destination = 6;
   std::uint64_t seed = 1;
-  /// Witness diagnostics per check id before summarizing (keeps reports
-  /// readable when a plane is badly broken).
-  std::size_t max_witnesses = 8;
   SymbolicOptions engine;
 };
 

@@ -1,11 +1,15 @@
 #include "analysis/verify.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "net/prefix_trie.hpp"
 
 namespace miro::analysis {
@@ -27,25 +31,10 @@ std::string path_str(const AsGraph& graph, const std::vector<NodeId>& path) {
   return out;
 }
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find(sep, start);
-    if (end == std::string_view::npos) {
-      parts.emplace_back(text.substr(start));
-      break;
-    }
-    parts.emplace_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
-}
-
 }  // namespace
 
 VerifyQuery VerifyQuery::parse(std::string_view spec) {
-  const std::vector<std::string> parts = split(spec, ':');
+  const std::vector<std::string_view> parts = split(spec, ':');
   VerifyQuery query;
   if (parts.size() == 3 && parts[0] == "reach") {
     query.kind = Kind::Reach;
@@ -84,11 +73,11 @@ topo::NodeId resolve_endpoint(const AsGraph& graph, std::string_view token) {
       throw Error("endpoint '" + text + "' matches no AS prefix");
     return *match->value;
   }
-  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos)
-    throw Error("bad endpoint '" + text + "': expected an AS number or IPv4 "
-                "address");
-  const auto asn = static_cast<topo::AsNumber>(std::stoul(text));
-  const NodeId node = graph.find(asn);
+  const std::optional<std::uint64_t> number = parse_u64(text);
+  if (!number || *number > std::numeric_limits<topo::AsNumber>::max())
+    throw Error("bad endpoint '" + text + "': expected an AS number below "
+                "2^32 or an IPv4 address");
+  const NodeId node = graph.find(static_cast<topo::AsNumber>(*number));
   if (node == topo::kInvalidNode)
     throw Error("endpoint AS " + text + " is not in the topology");
   return node;

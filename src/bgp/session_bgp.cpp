@@ -9,13 +9,15 @@
 
 namespace miro::bgp {
 
+/// Propagation delay of every session, in ticks.
+constexpr sim::Time kLinkDelay = 10;
+
 SessionedBgpNetwork::SessionedBgpNetwork(const AsGraph& graph,
                                          NodeId destination,
                                          sim::Scheduler& scheduler,
-                                         sim::Time link_delay,
                                          ChurnDefenseConfig defense)
     : graph_(&graph), destination_(destination), scheduler_(&scheduler),
-      link_delay_(link_delay), defense_(defense),
+      defense_(defense),
       speakers_(graph.node_count()) {
   require(destination < graph.node_count(),
           "SessionedBgpNetwork: destination out of range");
@@ -74,8 +76,8 @@ void SessionedBgpNetwork::send(NodeId from, NodeId to,
     sent_id = record(kind, from, to, path_at_sender.size());
   }
   ++messages_in_flight_;
-  scheduler_->after(link_delay_, [this, from, to, sent_id,
-                                  path = std::move(path_at_sender)]() {
+  scheduler_->after(kLinkDelay, [this, from, to, sent_id,
+                                 path = std::move(path_at_sender)]() {
     --messages_in_flight_;
     // A message in flight across a link that failed meanwhile is lost; the
     // session-down handling already flushed the receiver's state.

@@ -64,7 +64,7 @@ class SessionedBgpNetwork {
   /// Builds the speakers; nothing is announced until start(). The defense
   /// config is validated here (thresholds ordered, half-life positive).
   SessionedBgpNetwork(const AsGraph& graph, NodeId destination,
-                      sim::Scheduler& scheduler, sim::Time link_delay = 10,
+                      sim::Scheduler& scheduler,
                       ChurnDefenseConfig defense = {});
 
   /// The origin announces its prefix to all neighbors.
@@ -295,7 +295,6 @@ class SessionedBgpNetwork {
   const AsGraph* graph_;
   NodeId destination_;
   sim::Scheduler* scheduler_;
-  sim::Time link_delay_;
   ChurnDefenseConfig defense_;
   std::vector<Speaker> speakers_;
   /// One table for every speaker's Adj-RIB-In: learned paths toward the one

@@ -1,6 +1,7 @@
 #include "churn/churn_trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -14,6 +15,14 @@ namespace miro::churn {
 
 namespace {
 
+/// Episode-kind draw weights of the two link episodes; the prefix-flap and
+/// hijack weights are ChurnTraceConfig fields.
+constexpr double kLinkFlapWeight = 6.0;
+constexpr double kSessionResetWeight = 2.0;
+/// A few links are designated repeat offenders and draw a biased share of
+/// the flaps — the regime flap damping exists for.
+constexpr std::size_t kFlappyLinks = 2;
+
 /// Order-independent pair key, matching the session layer's convention.
 std::uint64_t link_key(NodeId a, NodeId b) {
   if (a > b) std::swap(a, b);
@@ -25,6 +34,16 @@ bool is_link_event(ChurnEventKind kind) {
          kind == ChurnEventKind::SessionReset;
 }
 
+/// `value` as a whole number in [0, limit), checked before the cast (casting
+/// a double outside the target type's range is undefined).
+std::uint64_t whole_number(const JsonValue& value, double limit,
+                           const std::string& what) {
+  const double number = value.as_number();
+  if (!(number >= 0 && number < limit && number == std::floor(number)))
+    throw Error("ChurnTrace: bad " + what);
+  return static_cast<std::uint64_t>(number);
+}
+
 NodeId node_from_json(const JsonValue& event, const char* field,
                       std::size_t index) {
   const JsonValue* value = event.get(field);
@@ -32,12 +51,10 @@ NodeId node_from_json(const JsonValue& event, const char* field,
     throw Error("ChurnTrace: event " + std::to_string(index) + " misses '" +
                 field + "'");
   }
-  const double number = value->as_number();
-  if (number < 0 || number != static_cast<NodeId>(number)) {
-    throw Error("ChurnTrace: event " + std::to_string(index) +
-                ": bad node id in '" + field + "'");
-  }
-  return static_cast<NodeId>(number);
+  return static_cast<NodeId>(
+      whole_number(*value, 0x1p32,
+                   "node id in '" + std::string(field) + "' of event " +
+                       std::to_string(index)));
 }
 
 }  // namespace
@@ -94,22 +111,18 @@ ChurnTrace ChurnTrace::from_json(const JsonValue& value) {
   if (value.contains("schema") && value.at("schema").as_number() != 1)
     throw Error("ChurnTrace: unsupported schema version");
   ChurnTrace trace;
-  trace.destination =
-      static_cast<NodeId>(value.at("destination").as_number());
+  trace.destination = static_cast<NodeId>(
+      whole_number(value.at("destination"), 0x1p32, "destination"));
   if (value.contains("seed"))
-    trace.seed = static_cast<std::uint64_t>(value.at("seed").as_number());
+    trace.seed = whole_number(value.at("seed"), 0x1p64, "seed");
   const JsonValue& list = value.at("events");
   if (!list.is_array()) throw Error("ChurnTrace: 'events' is not an array");
   trace.events.reserve(list.size());
   for (std::size_t i = 0; i < list.size(); ++i) {
     const JsonValue& entry = list.at(i);
     ChurnEvent event;
-    const double t = entry.at("t").as_number();
-    if (t < 0) {
-      throw Error("ChurnTrace: event " + std::to_string(i) +
-                  ": negative time");
-    }
-    event.time = static_cast<sim::Time>(t);
+    event.time = whole_number(entry.at("t"), 0x1p64,
+                              "time of event " + std::to_string(i));
     const auto kind = parse_churn_event_kind(entry.at("kind").as_string());
     if (!kind) {
       throw Error("ChurnTrace: event " + std::to_string(i) +
@@ -217,7 +230,7 @@ ChurnTrace generate_churn_trace(const topo::AsGraph& graph,
 
   // Designated repeat offenders soak up a biased share of the link flaps.
   std::vector<std::size_t> flappy;
-  while (flappy.size() < std::min(config.flappy_links, edges.size())) {
+  while (flappy.size() < std::min(kFlappyLinks, edges.size())) {
     const auto pick = static_cast<std::size_t>(rng.next_below(edges.size()));
     if (std::find(flappy.begin(), flappy.end(), pick) == flappy.end())
       flappy.push_back(pick);
@@ -230,10 +243,8 @@ ChurnTrace generate_churn_trace(const topo::AsGraph& graph,
   sim::Time prefix_busy = 0;
   sim::Time hijack_busy = 0;
 
-  const double total_weight = config.link_flap_weight +
-                              config.session_reset_weight +
+  const double total_weight = kLinkFlapWeight + kSessionResetWeight +
                               config.prefix_flap_weight + config.hijack_weight;
-  require(total_weight > 0, "generate_churn_trace: all weights zero");
 
   for (std::size_t episode = 0; episode < config.episodes; ++episode) {
     const double dice = rng.uniform() * total_weight;
@@ -246,7 +257,7 @@ ChurnTrace generate_churn_trace(const topo::AsGraph& graph,
           rng.uniform_int(0, static_cast<std::int64_t>(latest_start)));
     };
     constexpr int kAttempts = 8;  // then skip the episode
-    if (dice < config.link_flap_weight) {
+    if (dice < kLinkFlapWeight) {
       for (int attempt = 0; attempt < kAttempts; ++attempt) {
         const std::size_t edge =
             (!flappy.empty() && rng.chance(0.6))
@@ -262,7 +273,7 @@ ChurnTrace generate_churn_trace(const topo::AsGraph& graph,
                                 edges[edge].first, edges[edge].second});
         break;
       }
-    } else if (dice < config.link_flap_weight + config.session_reset_weight) {
+    } else if (dice < kLinkFlapWeight + kSessionResetWeight) {
       for (int attempt = 0; attempt < kAttempts; ++attempt) {
         const auto edge =
             static_cast<std::size_t>(rng.next_below(edges.size()));
@@ -274,7 +285,7 @@ ChurnTrace generate_churn_trace(const topo::AsGraph& graph,
                                 edges[edge].first, edges[edge].second});
         break;
       }
-    } else if (dice < config.link_flap_weight + config.session_reset_weight +
+    } else if (dice < kLinkFlapWeight + kSessionResetWeight +
                           config.prefix_flap_weight) {
       for (int attempt = 0; attempt < kAttempts; ++attempt) {
         const sim::Time start = draw_start();

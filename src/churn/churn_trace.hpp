@@ -78,19 +78,16 @@ struct ChurnTrace {
 };
 
 /// Knobs for the seeded generator. The defaults produce a mixed workload
-/// dominated by link flaps, the empirically dominant churn source.
+/// dominated by link flaps, the empirically dominant churn source (the
+/// link-flap and session-reset weights and the number of repeat-offender
+/// links are constants in churn_trace.cpp).
 struct ChurnTraceConfig {
   sim::Time duration = 20000;       ///< all events land in [0, duration)
   std::size_t episodes = 40;        ///< disturbance episodes to attempt
   sim::Time min_hold = 50;          ///< shortest down/withdrawn/hijack spell
   sim::Time max_hold = 500;         ///< longest spell
-  double link_flap_weight = 6.0;    ///< episode-kind draw weights
-  double session_reset_weight = 2.0;
-  double prefix_flap_weight = 1.0;
+  double prefix_flap_weight = 1.0;  ///< episode-kind draw weights
   double hijack_weight = 1.0;
-  /// A few links are designated repeat offenders and draw a biased share of
-  /// the flaps — the regime flap damping exists for.
-  std::size_t flappy_links = 2;
   std::uint64_t seed = 42;
 };
 

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -10,6 +11,14 @@
 namespace miro::churn {
 
 namespace {
+
+/// Runaway guard over the whole replay (damping misconfiguration could
+/// otherwise oscillate forever).
+constexpr std::size_t kMaxSchedulerEvents = 20'000'000;
+/// Checkpoints fire every interval up to the last trace event, so a trace
+/// spanning more than this many is refused up front (one hostile time stamp
+/// would otherwise keep the checker busy for years).
+constexpr sim::Time kMaxCheckpoints = 1'000'000;
 
 void apply_event(bgp::SessionedBgpNetwork& network, InvariantChecker& checker,
                  const ChurnEvent& event) {
@@ -46,10 +55,16 @@ void apply_event(bgp::SessionedBgpNetwork& network, InvariantChecker& checker,
 ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
                           const ReplayConfig& config) {
   trace.validate(graph);
+  if (config.checkpoint_interval != 0 && !trace.events.empty() &&
+      trace.events.back().time / config.checkpoint_interval >
+          kMaxCheckpoints) {
+    throw Error("replay_churn: the trace spans more than " +
+                std::to_string(kMaxCheckpoints) + " checkpoints");
+  }
 
   sim::Scheduler scheduler;
   bgp::SessionedBgpNetwork network(graph, trace.destination, scheduler,
-                                   config.link_delay, config.defense);
+                                   config.defense);
   network.set_event_log(config.log);
   ReplayResult result;
 
@@ -104,7 +119,7 @@ ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
       const bool checkpoint_due = next_checkpoint <= target;
       if (next && (!checkpoint_due || *next <= next_checkpoint)) {
         result.scheduler_events += scheduler.run_until(*next);
-        if (result.scheduler_events > config.max_scheduler_events) {
+        if (result.scheduler_events > kMaxSchedulerEvents) {
           throw Error("replay_churn: scheduler event budget exhausted "
                       "(runaway churn reaction?)");
         }
@@ -122,7 +137,11 @@ ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
               network.rib_footprint().rib_bytes);
           mem->account("churn/checker").set_current(checker.memory_bytes());
         }
-        next_checkpoint += config.checkpoint_interval;
+        // Saturates: a wrapped sum would fall back below the trace's end
+        // and fire checkpoints at nearly every tick.
+        next_checkpoint = config.checkpoint_interval > kNever - next_checkpoint
+                              ? kNever
+                              : next_checkpoint + config.checkpoint_interval;
         continue;
       }
       result.scheduler_events += scheduler.run_until(target);

@@ -24,7 +24,6 @@
 namespace miro::churn {
 
 struct ReplayConfig {
-  sim::Time link_delay = 10;
   /// MRAI / flap-damping knobs handed to the network (defaults: both off).
   bgp::ChurnDefenseConfig defense;
   /// Invariant checkpoint cadence in ticks; 0 restricts checkpoints to the
@@ -35,9 +34,6 @@ struct ReplayConfig {
   /// Tunnels to watch: wired to a TunnelMonitor fed by the route observer,
   /// and audited by the checker's hold-down invariant.
   std::vector<core::TunnelMonitor::WatchedTunnel> tunnels;
-  /// Runaway guard over the whole replay (damping misconfiguration could
-  /// otherwise oscillate forever).
-  std::size_t max_scheduler_events = 20'000'000;
   /// Optional event log. When set, the network records one RIB event per
   /// RIB-changing occurrence, the tunnel monitor records its invalidations,
   /// and the replayer records every trace event as a root cause so
@@ -81,8 +77,8 @@ struct ReplayResult {
 };
 
 /// Replays `trace` (validated against `graph` first) and returns the full
-/// accounting. Throws miro::Error on an invalid trace or a blown event
-/// budget.
+/// accounting. Throws miro::Error on an invalid trace, a trace spanning more
+/// than a million checkpoints, or a blown event budget.
 ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
                           const ReplayConfig& config = {});
 

@@ -1,6 +1,8 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace miro {
 
@@ -70,6 +72,15 @@ std::optional<std::int64_t> parse_i64(std::string_view text) {
   }
   if (*magnitude > static_cast<std::uint64_t>(INT64_MAX)) return std::nullopt;
   return static_cast<std::int64_t>(*magnitude);
+}
+
+std::optional<double> parse_finite(std::string_view text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || !std::isfinite(value))
+    return std::nullopt;
+  return value;
 }
 
 std::string join(const std::vector<std::string>& items, std::string_view sep) {

@@ -26,6 +26,11 @@ std::optional<std::uint64_t> parse_u64(std::string_view text);
 /// Parses a signed decimal integer; nullopt on any malformed input.
 std::optional<std::int64_t> parse_i64(std::string_view text);
 
+/// Parses a finite real number ("0.25", "-3", "1e-3") spanning the whole
+/// token; nullopt on trailing junk, a leading sign of '+', whitespace,
+/// overflow, inf or nan.
+std::optional<double> parse_finite(std::string_view text);
+
 /// Joins items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
 

@@ -8,6 +8,23 @@
 
 namespace miro::core {
 
+constexpr sim::Time kKeepAliveInterval = 100;
+constexpr sim::Time kSweepInterval = 100;
+/// A negotiation whose responder stays silent this long fails locally
+/// (the completion callback fires with established == false).
+constexpr sim::Time kNegotiationTimeout = 2000;
+constexpr sim::Time kRetryInitial = 40;  ///< first retransmit after this long
+constexpr sim::Time kRetryMax = 320;     ///< exponential backoff cap
+constexpr double kRetryJitter = 0.25;    ///< extra delay, uniform in
+                                         ///< [0, kRetryJitter * interval]
+constexpr std::uint32_t kTeardownRetransmits = 2;  ///< blind extra teardowns
+/// Consecutive unacknowledged keep-alives before the tunnel is declared
+/// lost and failed over.
+constexpr std::uint32_t kKeepAliveMissThreshold = 3;
+/// How long completed-negotiation ids are remembered for duplicate
+/// suppression; must exceed any plausible duplicate's lateness.
+constexpr sim::Time kDedupRetention = 4000;
+
 MiroAgent::MiroAgent(NodeId self, RouteStore& store, Bus& bus,
                      ResponderConfig responder, SoftStateConfig soft_state)
     : self_(self), store_(&store), bus_(&bus),
@@ -88,11 +105,11 @@ void MiroAgent::export_metrics(obs::MetricsRegistry& registry,
 // ------------------------------------------------------ reliability helpers
 
 sim::Time MiroAgent::retry_delay(std::uint32_t attempt) {
-  sim::Time rto = soft_state_.retry_initial;
-  for (std::uint32_t i = 0; i < attempt && rto < soft_state_.retry_max; ++i)
+  sim::Time rto = kRetryInitial;
+  for (std::uint32_t i = 0; i < attempt && rto < kRetryMax; ++i)
     rto *= 2;
-  rto = std::min(rto, soft_state_.retry_max);
-  const auto span = static_cast<sim::Time>(soft_state_.retry_jitter *
+  rto = std::min(rto, kRetryMax);
+  const auto span = static_cast<sim::Time>(kRetryJitter *
                                            static_cast<double>(rto));
   return span == 0 ? rto : rto + rng_.next_below(span + 1);
 }
@@ -145,7 +162,7 @@ void MiroAgent::send_teardown(NodeId responder, TunnelId tunnel_id,
                               std::uint32_t attempt) {
   record(obs::EventKind::TunnelTeardownSent, responder, 0, tunnel_id, attempt);
   bus_->send(self_, responder, TunnelTeardown{tunnel_id});
-  if (attempt >= soft_state_.teardown_retransmits) return;
+  if (attempt >= kTeardownRetransmits) return;
   // Teardown carries no acknowledgment, so the extra copies are sent blind;
   // the responder's soft-state expiry covers the case where all are lost.
   bus_->scheduler().after(retry_delay(attempt),
@@ -205,8 +222,8 @@ void MiroAgent::fail_over(TunnelId tunnel_id, TunnelLostEvent::Reason reason) {
 }
 
 void MiroAgent::purge_dedup(sim::Time now) {
-  if (now < soft_state_.dedup_retention) return;
-  const sim::Time horizon = now - soft_state_.dedup_retention;
+  if (now < kDedupRetention) return;
+  const sim::Time horizon = now - kDedupRetention;
   std::erase_if(completed_,
                 [&](const auto& kv) { return kv.second.at < horizon; });
   std::erase_if(minted_,
@@ -242,7 +259,7 @@ std::uint64_t MiroAgent::request(NodeId responder, NodeId arrival_neighbor,
   // either way. complete() cancels this timer, and negotiation ids are
   // never recycled, so a stale closure can never fail a later negotiation.
   p.timeout =
-      bus_->scheduler().after(soft_state_.negotiation_timeout, [this, id]() {
+      bus_->scheduler().after(kNegotiationTimeout, [this, id]() {
         auto it = pending_.find(id);
         if (it == pending_.end()) return;  // completed in time
         ++stats_.negotiations_abandoned;
@@ -479,7 +496,7 @@ std::uint64_t MiroAgent::request_switch(NodeId responder, NodeId destination,
   ++stats_.requests_sent;
   bus_->send(self_, responder,
              SwitchRequest{id, destination, desired_next_hop, compensation});
-  bus_->scheduler().after(soft_state_.negotiation_timeout, [this, id]() {
+  bus_->scheduler().after(kNegotiationTimeout, [this, id]() {
     auto it = pending_switches_.find(id);
     if (it == pending_switches_.end()) return;
     auto callback = std::move(it->second);
@@ -529,11 +546,10 @@ void MiroAgent::handle(NodeId from, const SwitchResponse& response) {
 // ------------------------------------------------------------- soft timers
 
 void MiroAgent::schedule_keepalive(TunnelId tunnel_id) {
-  bus_->scheduler().after(soft_state_.keepalive_interval, [this, tunnel_id]() {
+  bus_->scheduler().after(kKeepAliveInterval, [this, tunnel_id]() {
     auto it = upstream_.find(tunnel_id);
     if (it == upstream_.end()) return;  // torn down or failed over
-    if (it->second.unacked_keepalives >=
-        soft_state_.keepalive_miss_threshold) {
+    if (it->second.unacked_keepalives >= kKeepAliveMissThreshold) {
       fail_over(tunnel_id, TunnelLostEvent::Reason::MissedKeepAlives);
       return;
     }
@@ -549,7 +565,7 @@ void MiroAgent::schedule_keepalive(TunnelId tunnel_id) {
 }
 
 void MiroAgent::schedule_sweep() {
-  bus_->scheduler().after(soft_state_.sweep_interval, [this]() {
+  bus_->scheduler().after(kSweepInterval, [this]() {
     const sim::Time now = bus_->scheduler().now();
     const auto expired = tunnels_.expire(now, soft_state_.expiry_timeout);
     stats_.tunnels_expired += expired.size();

@@ -22,7 +22,7 @@
 // Reliability layer. The network may drop, duplicate, or reorder any of
 // these messages (netsim/fault_injection.hpp), so:
 //  - The requester retransmits RouteRequest and TunnelAccept with capped
-//    exponential backoff plus jitter until answered; the negotiation_timeout
+//    exponential backoff plus jitter until answered; kNegotiationTimeout
 //    remains the single failure backstop (the completion callback still
 //    fires exactly once). TunnelTeardown, which has no acknowledgment, is
 //    blindly re-sent a fixed number of times; soft-state expiry covers the
@@ -31,7 +31,7 @@
 //    duplicated TunnelAccept never mints a second tunnel — the cached
 //    TunnelConfirm is re-sent instead.
 //  - The upstream side tracks keep-alive acknowledgments; after
-//    keepalive_miss_threshold consecutive unacknowledged keep-alives (or an
+//    kKeepAliveMissThreshold consecutive unacknowledged keep-alives (or an
 //    ack reporting the tunnel dead) the tunnel is failed over: upstream
 //    state is dropped so traffic falls back to the BGP default path, the
 //    tunnel-lost callback fires, and — when auto_renegotiate is on — a
@@ -154,38 +154,23 @@ struct ResponderConfig {
       accept_switch;
 };
 
-/// Timing knobs for the soft-state and reliability machinery.
+/// Timing knobs for the soft-state and reliability machinery. The keep-alive
+/// and sweep periods, the retransmission backoff, the negotiation timeout and
+/// the dedup retention are constants in protocol.cpp (DESIGN.md §7).
 struct SoftStateConfig {
-  sim::Time keepalive_interval = 100;
   sim::Time expiry_timeout = 350;   ///< > 3 keep-alive intervals
-  sim::Time sweep_interval = 100;
-  /// A negotiation whose responder stays silent this long fails locally
-  /// (the completion callback fires with established == false).
-  sim::Time negotiation_timeout = 2000;
 
   // ---- retransmission (requester side) ----
-  sim::Time retry_initial = 40;    ///< first retransmit after this long
-  sim::Time retry_max = 320;       ///< exponential backoff cap
-  double retry_jitter = 0.25;      ///< extra delay, uniform in
-                                   ///< [0, retry_jitter * interval]
   std::uint32_t max_retries = 5;   ///< per handshake message; afterwards the
-                                   ///< negotiation_timeout backstop fires
-  std::uint32_t teardown_retransmits = 2;  ///< blind extra TunnelTeardowns
+                                   ///< kNegotiationTimeout backstop fires
   std::uint64_t rng_seed = 0x5eedULL;  ///< mixed with `self` per agent
 
   // ---- failover (upstream side) ----
-  /// Consecutive unacknowledged keep-alives before the tunnel is declared
-  /// lost and failed over.
-  std::uint32_t keepalive_miss_threshold = 3;
   /// When true, a failed-over tunnel is re-negotiated automatically after
   /// the hold-down delay (at most one re-negotiation per
   /// (responder, destination) per hold-down window — the anti-flap guard).
   bool auto_renegotiate = false;
   sim::Time renegotiate_hold_down = 500;
-
-  /// How long completed-negotiation ids are remembered for duplicate
-  /// suppression; must exceed any plausible duplicate's lateness.
-  sim::Time dedup_retention = 4000;
 };
 
 /// Outcome delivered to the requester's completion callback.
@@ -202,7 +187,7 @@ struct NegotiationOutcome {
 /// tunnel over (traffic reverts to the BGP default path).
 struct TunnelLostEvent {
   enum class Reason {
-    MissedKeepAlives,  ///< keepalive_miss_threshold acks in a row never came
+    MissedKeepAlives,  ///< kKeepAliveMissThreshold acks in a row never came
     ResponderReset,    ///< an ack reported the tunnel unknown downstream
   };
   TunnelId tunnel_id = 0;
@@ -356,7 +341,7 @@ class MiroAgent {
   void arm_retry(std::uint64_t id);
   /// Finishes a pending negotiation exactly once, cancelling its timers.
   void complete(std::uint64_t id, const NegotiationOutcome& outcome);
-  /// Sends a teardown plus `teardown_retransmits` blind copies.
+  /// Sends a teardown plus `kTeardownRetransmits` blind copies.
   void send_teardown(NodeId responder, TunnelId tunnel_id,
                      std::uint32_t attempt);
   /// Drops the upstream tunnel (traffic reverts to the BGP default path),

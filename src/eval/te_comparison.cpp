@@ -1,6 +1,7 @@
 #include "eval/te_comparison.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -13,6 +14,11 @@
 
 namespace miro::eval {
 namespace {
+
+constexpr std::size_t kPowerNodeCandidates = 6;
+constexpr std::array<std::uint32_t, 3> kPrependDepths{1, 2, 3};
+/// The inbound fraction the stub wants to shift (precision target).
+constexpr double kTargetShift = 0.15;
 
 /// Ingress split toward `tree.destination()` under unit traffic per source.
 std::map<NodeId, std::size_t> ingress_split(const topo::AsGraph& graph,
@@ -48,15 +54,14 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
 
   Summary miro_moved;
   Summary deagg_moved;
-  std::vector<Summary> prepend_moved(config.prepend_depths.size());
+  std::vector<Summary> prepend_moved(kPrependDepths.size());
   Summary miro_error, deagg_error, prepend_error;
-  const double target = config.target_shift;
   // Distance from the target to the closest shift the mechanism's knob menu
   // offers (doing nothing is always on the menu).
-  auto targeting_error = [target](const std::vector<double>& menu) {
-    double error = target;  // the "do nothing" option
+  auto targeting_error = [](const std::vector<double>& menu) {
+    double error = kTargetShift;  // the "do nothing" option
     for (double option : menu)
-      error = std::min(error, std::abs(option - target));
+      error = std::min(error, std::abs(option - kTargetShift));
     return error;
   };
 
@@ -115,8 +120,8 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
                     return traverse[a] > traverse[b];
                   return a < b;
                 });
-      if (candidates.size() > config.power_node_candidates)
-        candidates.resize(config.power_node_candidates);
+      if (candidates.size() > kPowerNodeCandidates)
+        candidates.resize(kPowerNodeCandidates);
       std::vector<double> menu;  // every shift some negotiation can produce
       for (NodeId power : candidates) {
         const NodeId old_ingress = tree.ingress_neighbor(power);
@@ -163,9 +168,9 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
 
     // --- Prepending toward the loaded provider: one knob, a few depths. ---
     std::vector<double> prepend_menu;
-    for (std::size_t k = 0; k < config.prepend_depths.size(); ++k) {
+    for (std::size_t k = 0; k < kPrependDepths.size(); ++k) {
       const RoutingTree padded = solver.solve_prepended(
-          stub, bgp::OriginPrepend{loaded_link, config.prepend_depths[k]});
+          stub, bgp::OriginPrepend{loaded_link, kPrependDepths[k]});
       std::size_t after_total = 0;
       const auto after = ingress_split(graph, padded, after_total);
       auto it = after.find(loaded_link);
@@ -186,21 +191,21 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
       miro_moved.add(0);
       deagg_moved.add(0);
       for (auto& summary : prepend_moved) summary.add(0);
-      miro_error.add(target);
-      deagg_error.add(target);
-      prepend_error.add(target);
+      miro_error.add(kTargetShift);
+      deagg_error.add(kTargetShift);
+      prepend_error.add(kTargetShift);
       continue;
     }
     miro_moved.add(outcome.miro_moved);
     miro_error.add(outcome.miro_error);
     deagg_moved.add(outcome.deagg_moved);
     deagg_error.add(outcome.deagg_error);
-    for (std::size_t k = 0; k < config.prepend_depths.size(); ++k)
+    for (std::size_t k = 0; k < kPrependDepths.size(); ++k)
       prepend_moved[k].add(outcome.prepend_moved[k]);
     prepend_error.add(outcome.prepend_error);
   }
 
-  result.target_shift = target;
+  result.target_shift = kTargetShift;
   auto mechanism = [&](std::string name, const Summary& moved,
                        const Summary& error, std::size_t state,
                        std::string granularity) {
@@ -221,9 +226,9 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
   result.mechanisms.push_back(mechanism("deaggregate-half", deagg_moved,
                                         deagg_error, graph.node_count(),
                                         "halves of address space"));
-  for (std::size_t k = 0; k < config.prepend_depths.size(); ++k)
+  for (std::size_t k = 0; k < kPrependDepths.size(); ++k)
     result.mechanisms.push_back(mechanism(
-        "prepend-x" + std::to_string(config.prepend_depths[k]),
+        "prepend-x" + std::to_string(kPrependDepths[k]),
         prepend_moved[k], prepend_error, 0,
         "whole prefix, policy-dependent"));
   return result;

@@ -52,10 +52,6 @@ struct TeComparisonResult {
 
 struct TeComparisonConfig {
   std::size_t stub_samples = 100;
-  std::size_t power_node_candidates = 6;
-  std::vector<std::uint32_t> prepend_depths{1, 2, 3};
-  /// The inbound fraction the stub wants to shift (precision target).
-  double target_shift = 0.15;
 };
 
 TeComparisonResult run_te_comparison(const ExperimentPlan& plan,

@@ -14,6 +14,9 @@
 namespace miro::eval {
 namespace {
 
+/// Alternate ingress links evaluated per power node.
+constexpr std::size_t kAlternatesPerPowerNode = 2;
+
 /// Per-destination traffic view under uniform unit traffic per source.
 struct TrafficView {
   std::vector<std::size_t> ingress_count;   // per ingress neighbor (node id)
@@ -144,7 +147,7 @@ TrafficControlResult run_traffic_control(const ExperimentPlan& plan,
 
       std::size_t alternates_tried = 0;
       for (const bgp::Route& alt : solver.candidates_at(tree, power)) {
-        if (alternates_tried >= config.alternates_per_power_node) break;
+        if (alternates_tried >= kAlternatesPerPowerNode) break;
         const NodeId new_ingress = alt.path[alt.path.size() - 2];
         if (new_ingress == old_ingress) continue;  // same incoming link
         ++alternates_tried;

@@ -24,8 +24,6 @@ namespace miro::eval {
 struct TrafficControlConfig {
   std::size_t stub_samples = 120;
   std::size_t power_node_candidates = 6;
-  /// Alternate ingress links evaluated per power node.
-  std::size_t alternates_per_power_node = 2;
 };
 
 struct TrafficControlResult {

@@ -13,6 +13,10 @@ namespace miro::obs {
 
 namespace {
 
+constexpr double kSimTickUs = 1000.0;  ///< microseconds rendered per sim tick
+constexpr std::uint32_t kWallPid = 1;  ///< pid of the wall-clock span process
+constexpr std::uint32_t kSimPid = 2;   ///< pid of the sim-time event process
+
 // One comma-separated JSON array element writer.
 class EventList {
  public:
@@ -35,9 +39,8 @@ void write_metadata(EventList& list, std::uint32_t pid, std::uint32_t tid,
               << json_escape(name) << "\"}}";
 }
 
-void write_spans(EventList& list, const ProfileRegistry& profile,
-                 const ChromeTraceOptions& options) {
-  write_metadata(list, options.wall_pid, 0, "process_name",
+void write_spans(EventList& list, const ProfileRegistry& profile) {
+  write_metadata(list, kWallPid, 0, "process_name",
                  "wall clock (profiler spans)");
   // One track per nesting depth: spans at equal depth never overlap in the
   // single-threaded simulator, so each track's B/E events pair trivially.
@@ -45,7 +48,7 @@ void write_spans(EventList& list, const ProfileRegistry& profile,
   for (const ProfileRegistry::SpanRecord& span : profile.spans())
     depths.insert(span.depth);
   for (std::uint32_t depth : depths) {
-    write_metadata(list, options.wall_pid, depth, "thread_name",
+    write_metadata(list, kWallPid, depth, "thread_name",
                    "depth " + std::to_string(depth));
   }
   // The span log is in completion order (children before parents); sort each
@@ -64,12 +67,12 @@ void write_spans(EventList& list, const ProfileRegistry& profile,
     const std::string name = json_escape(span->name);
     const std::string category =
         json_escape(span->category[0] != '\0' ? span->category : "span");
-    list.next() << "{\"ph\":\"B\",\"pid\":" << options.wall_pid
+    list.next() << "{\"ph\":\"B\",\"pid\":" << kWallPid
                 << ",\"tid\":" << span->depth << ",\"ts\":"
                 << json_number(static_cast<double>(span->begin_ns) / 1000.0)
                 << ",\"name\":\"" << name << "\",\"cat\":\"" << category
                 << "\"}";
-    list.next() << "{\"ph\":\"E\",\"pid\":" << options.wall_pid
+    list.next() << "{\"ph\":\"E\",\"pid\":" << kWallPid
                 << ",\"tid\":" << span->depth << ",\"ts\":"
                 << json_number(static_cast<double>(span->end_ns) / 1000.0)
                 << ",\"name\":\"" << name << "\",\"cat\":\"" << category
@@ -77,21 +80,19 @@ void write_spans(EventList& list, const ProfileRegistry& profile,
   }
 }
 
-void write_sim_events(EventList& list, const std::vector<Event>& events,
-                      const ChromeTraceOptions& options) {
-  write_metadata(list, options.sim_pid, 0, "process_name",
-                 "sim time (event log)");
+void write_sim_events(EventList& list, const std::vector<Event>& events) {
+  write_metadata(list, kSimPid, 0, "process_name", "sim time (event log)");
   std::set<std::uint32_t> actors;
   for (const Event& event : events) actors.insert(event.actor);
   for (std::uint32_t actor : actors) {
-    write_metadata(list, options.sim_pid, actor, "thread_name",
+    write_metadata(list, kSimPid, actor, "thread_name",
                    "AS " + std::to_string(actor));
   }
   for (const Event& event : events) {
     std::ostream& out = list.next();
-    out << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << options.sim_pid
+    out << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSimPid
         << ",\"tid\":" << event.actor << ",\"ts\":"
-        << json_number(static_cast<double>(event.time) * options.sim_tick_us)
+        << json_number(static_cast<double>(event.time) * kSimTickUs)
         << ",\"name\":\"" << to_string(event.kind)
         << "\",\"cat\":\"sim\",\"args\":{\"sim_time\":" << event.time;
     if (event.id != 0) out << ",\"id\":" << event.id;
@@ -110,22 +111,20 @@ void write_sim_events(EventList& list, const std::vector<Event>& events,
 }  // namespace
 
 void write_chrome_trace(std::ostream& out, const ProfileRegistry* profile,
-                        const std::vector<Event>& sim_events,
-                        const ChromeTraceOptions& options) {
+                        const std::vector<Event>& sim_events) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   EventList list(out);
-  if (profile != nullptr) write_spans(list, *profile, options);
-  if (!sim_events.empty()) write_sim_events(list, sim_events, options);
+  if (profile != nullptr) write_spans(list, *profile);
+  if (!sim_events.empty()) write_sim_events(list, sim_events);
   out << "\n]}\n";
 }
 
 bool write_chrome_trace_file(const std::string& path,
                              const ProfileRegistry* profile,
-                             const std::vector<Event>& sim_events,
-                             const ChromeTraceOptions& options) {
+                             const std::vector<Event>& sim_events) {
   std::ofstream out(path);
   if (out) {
-    write_chrome_trace(out, profile, sim_events, options);
+    write_chrome_trace(out, profile, sim_events);
     out.flush();
   }
   if (!out) {

@@ -8,9 +8,8 @@
 //     process with one track per AS (tid = actor) — *what happened*, with
 //     each event's id and causal parent in its args.
 // The two processes carry independent clocks (nanoseconds vs sim ticks);
-// `sim_tick_us` scales ticks onto the microsecond timeline Perfetto
-// expects (the protocol code treats one tick as a millisecond, hence the
-// default of 1000).
+// sim ticks are scaled onto the microsecond timeline Perfetto expects at
+// 1000 us per tick (the protocol code treats one tick as a millisecond).
 //
 // Output is the object form `{"traceEvents":[...]}` with process/thread
 // metadata events, so the file loads directly in Perfetto's UI.
@@ -25,24 +24,16 @@
 
 namespace miro::obs {
 
-struct ChromeTraceOptions {
-  double sim_tick_us = 1000.0;  ///< microseconds rendered per sim tick
-  std::uint32_t wall_pid = 1;   ///< pid of the wall-clock span process
-  std::uint32_t sim_pid = 2;    ///< pid of the sim-time event process
-};
-
 /// Writes the merged trace (`sim_events` is typically `log.events()`).
 /// Either source may be null/empty — a profiler-only or sim-only trace is
 /// still a valid file.
 void write_chrome_trace(std::ostream& out, const ProfileRegistry* profile,
-                        const std::vector<Event>& sim_events,
-                        const ChromeTraceOptions& options = {});
+                        const std::vector<Event>& sim_events);
 
 /// File convenience wrapper; returns false (with a note on stderr) when the
 /// path cannot be opened or a write or the final flush fails.
 bool write_chrome_trace_file(const std::string& path,
                              const ProfileRegistry* profile,
-                             const std::vector<Event>& sim_events,
-                             const ChromeTraceOptions& options = {});
+                             const std::vector<Event>& sim_events);
 
 }  // namespace miro::obs

@@ -33,6 +33,14 @@ RowKind classify_unit(const std::string& unit) {
 
 namespace {
 
+/// Relative growth tolerated on memory-unit rows. Byte rows come from
+/// deterministic walks, so this can stay tight even where the time
+/// threshold is loosened for noisy shared runners.
+constexpr double kMemoryThreshold = 0.25;
+/// Ignore memory rows whose baseline is below this many bytes (or
+/// bytes-per-unit for derived rows).
+constexpr double kMemoryMinMagnitude = 64.0;
+
 const JsonValue& bench_map(const JsonValue& doc) {
   require(doc.is_object(), "regression: snapshot is not a JSON object");
   return doc.at("benches");
@@ -121,13 +129,8 @@ RegressionReport compare_bench_json(const JsonValue& baseline,
         }
       } else if (row.kind == RowKind::Memory) {
         row.gated = true;
-        const double growth = row.current - row.baseline;
-        if (std::abs(row.baseline) >= options.memory_min_magnitude)
-          row.regressed = row.change > options.memory_threshold;
-        if (options.memory_abs_limit > 0 && growth > options.memory_abs_limit)
-          row.regressed = true;
-      } else if (options.check_values) {
-        row.regressed = std::abs(row.change) > options.threshold;
+        if (std::abs(row.baseline) >= kMemoryMinMagnitude)
+          row.regressed = row.change > kMemoryThreshold;
       }
       report.rows.push_back(row);
     }

@@ -11,11 +11,11 @@
 // A row's *unit* decides its kind and direction: time units (ns/us/ms/s)
 // regress upward, rate units (anything ending in "/s") regress downward,
 // memory units ("bytes" or "bytes/..." derivatives like bytes/route) regress
-// upward under their own relative threshold plus an optional absolute-growth
-// ceiling, and all other rows are compared informationally only (counts and
-// success rates are deterministic reproduction outputs, not perf — they
+// upward beyond 25% growth (rows whose baseline is under 64 bytes are
+// ignored), and all other rows are compared informationally only (counts
+// and success rates are deterministic reproduction outputs, not perf — they
 // drift when behaviour changes, which the report surfaces without failing
-// the gate unless `check_values` is set).
+// the gate outside `values_only`).
 //
 // Memory rows are derived from deterministic container walks (never RSS),
 // so under `values_only` they are held to exact equality like value rows —
@@ -37,25 +37,11 @@ struct RegressionOptions {
   /// Ignore perf-gated rows whose baseline magnitude is below this
   /// (relative noise on a 0.4ms row is meaningless).
   double min_magnitude = 1.0;
-  /// Relative growth tolerated on memory-unit rows. Byte rows come from
-  /// deterministic walks, so this can stay tight even where the time
-  /// threshold is loosened for noisy shared runners.
-  double memory_threshold = 0.25;
-  /// Ignore memory rows whose baseline is below this many bytes (or
-  /// bytes-per-unit for derived rows).
-  double memory_min_magnitude = 64.0;
-  /// Absolute ceiling on memory-row growth in the row's own unit: any
-  /// increase beyond this many bytes fails even when the relative change is
-  /// inside memory_threshold (catches "only +10%" on a huge account).
-  /// 0 disables the ceiling.
-  double memory_abs_limit = 0.0;
-  /// Also fail when a non-gated (unitless/count) row's value drifts.
-  bool check_values = false;
   /// Determinism mode: perf (time/rate) rows become informational and every
   /// other row — including memory rows, which are deterministic walks —
   /// must match EXACTLY; the contract that two runs of the same suite at
   /// different --threads counts produce identical results. Missing
-  /// rows/benches still fail. Overrides threshold/check_values.
+  /// rows/benches still fail. Overrides threshold.
   bool values_only = false;
 };
 
@@ -64,7 +50,7 @@ enum class RowKind {
   Time,    ///< ns/us/ms/s — higher is worse
   Rate,    ///< anything ending in "/s" — lower is worse
   Memory,  ///< "bytes" or "bytes/..." — higher is worse, own thresholds
-  Value,   ///< everything else — informational unless check_values
+  Value,   ///< everything else — informational unless values_only
 };
 
 struct RegressionRow {

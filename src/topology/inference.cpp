@@ -77,8 +77,16 @@ AsGraph build_graph(
 
 }  // namespace
 
-AsGraph infer_gao(const std::vector<AsPath>& paths, const GaoOptions& options) {
+AsGraph infer_gao(const std::vector<AsPath>& paths) {
   obs::ScopedSpan span(obs::profile(), "topology/infer_gao", "topology");
+  // Minimum transit-evidence count in *both* directions to call a pair
+  // siblings (Gao's L parameter).
+  constexpr std::size_t kSiblingThreshold = 1;
+  // Maximum degree ratio between two ASes for a peer classification (Gao's
+  // R parameter). Gao used R = 60 on the measured Internet, whose degree
+  // distribution spans four orders of magnitude; laptop-scale synthetic
+  // graphs compress degrees, so the ratio here is tighter.
+  constexpr double kPeerDegreeRatio = 2.0;
   const auto degree = observed_degrees(paths);
 
   // transit[u][v] = evidence that u provides transit for v, split into strong
@@ -132,12 +140,11 @@ AsGraph infer_gao(const std::vector<AsPath>& paths, const GaoOptions& options) {
     const double ratio =
         (static_cast<double>(deg_of(pair.first)) + 1.0) /
         (static_cast<double>(deg_of(pair.second)) + 1.0);
-    const bool comparable = ratio <= options.peer_degree_ratio &&
-                            ratio >= 1.0 / options.peer_degree_ratio;
+    const bool comparable =
+        ratio <= kPeerDegreeRatio && ratio >= 1.0 / kPeerDegreeRatio;
 
     Relationship rel;
-    if (e.strong_ab > options.sibling_threshold &&
-        e.strong_ba > options.sibling_threshold) {
+    if (e.strong_ab > kSiblingThreshold && e.strong_ba > kSiblingThreshold) {
       rel = Relationship::Sibling;
     } else if (e.strong_ab > 0 && e.strong_ba == 0) {
       rel = Relationship::Customer;  // second is customer of first
@@ -162,9 +169,10 @@ AsGraph infer_gao(const std::vector<AsPath>& paths, const GaoOptions& options) {
   return build_graph(result);
 }
 
-AsGraph infer_rank(const std::vector<AsPath>& paths,
-                   const RankOptions& options) {
+AsGraph infer_rank(const std::vector<AsPath>& paths) {
   obs::ScopedSpan span(obs::profile(), "topology/infer_rank", "topology");
+  // Rank ratio under which two ASes are considered equivalent (peers).
+  constexpr double kPeerRankRatio = 1.25;
   // Rank = how prominently an AS acts as transit: the number of distinct
   // ASes seen on paths that this AS carries as an *interior* hop. Stub ASes
   // are never interior and rank 0; the core ranks highest. This is the
@@ -192,8 +200,7 @@ AsGraph infer_rank(const std::vector<AsPath>& paths,
     const double ra = static_cast<double>(rank(pair.first)) + 1.0;
     const double rb = static_cast<double>(rank(pair.second)) + 1.0;
     const double ratio = ra / rb;
-    if (ratio <= options.peer_rank_ratio &&
-        ratio >= 1.0 / options.peer_rank_ratio) {
+    if (ratio <= kPeerRankRatio && ratio >= 1.0 / kPeerRankRatio) {
       result[pair] = Relationship::Peer;
     } else {
       // Higher rank provides transit for the lower one.

@@ -18,35 +18,18 @@ namespace miro::topo {
 /// One observed AS path, origin last (as read right-to-left in a BGP table).
 using AsPath = std::vector<AsNumber>;
 
-/// Options for Gao's inference algorithm (IEEE/ACM ToN 2001).
-struct GaoOptions {
-  /// Minimum transit-evidence count in *both* directions to call a pair
-  /// siblings (Gao's L parameter).
-  std::size_t sibling_threshold = 1;
-  /// Maximum degree ratio between two ASes for a peer classification
-  /// (Gao's R parameter). Gao used R = 60 on the measured Internet, whose
-  /// degree distribution spans four orders of magnitude; laptop-scale
-  /// synthetic graphs compress degrees, so the default here is tighter.
-  double peer_degree_ratio = 2.0;
-};
+/// Gao's algorithm (IEEE/ACM ToN 2001): (1) degrees from the paths, (2)
+/// transit evidence counted on each side of each path's highest-degree "top
+/// provider", (3) provider/customer/sibling assignment from the evidence, (4)
+/// peer identification among top-adjacent links with comparable degrees.
+AsGraph infer_gao(const std::vector<AsPath>& paths);
 
-/// Gao's algorithm: (1) degrees from the paths, (2) transit evidence counted
-/// on each side of each path's highest-degree "top provider", (3)
-/// provider/customer/sibling assignment from the evidence, (4) peer
-/// identification among top-adjacent links with comparable degrees.
-AsGraph infer_gao(const std::vector<AsPath>& paths, const GaoOptions& options = {});
-
-/// Options for the rank-based (Subramanian et al. / "Agarwal") algorithm.
-struct RankOptions {
-  /// Rank ratio under which two ASes are considered equivalent (peers).
-  double peer_rank_ratio = 1.25;
-};
-
-/// Rank-based inference: each AS is ranked by how many ASes it is observed to
-/// carry traffic toward across all vantage points; edges between similarly
-/// ranked ASes become peers, otherwise the higher rank is the provider.
-/// (Siblings are not inferred, matching the original algorithm.)
-AsGraph infer_rank(const std::vector<AsPath>& paths, const RankOptions& options = {});
+/// Rank-based inference (Subramanian et al. / "Agarwal"): each AS is ranked
+/// by how many ASes it is observed to carry traffic toward across all vantage
+/// points; edges between similarly ranked ASes become peers, otherwise the
+/// higher rank is the provider. (Siblings are not inferred, matching the
+/// original algorithm.)
+AsGraph infer_rank(const std::vector<AsPath>& paths);
 
 /// Per-relationship confusion counts of an inferred graph vs ground truth.
 struct InferenceAccuracy {

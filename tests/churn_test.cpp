@@ -79,6 +79,44 @@ TEST(ChurnTrace, ValidateRejectsInconsistentScripts) {
   EXPECT_THROW(trace.validate(fig.graph), Error);  // out of order
 }
 
+TEST(ChurnTrace, ParseRejectsNumbersOutsideTheirRange) {
+  // Each would be undefined behaviour if cast unchecked.
+  const std::string events = R"({"destination":5,"events":[{"t":)";
+  for (const std::string& text : {
+           std::string(R"({"destination":1e20,"events":[]})"),
+           std::string(R"({"destination":-1,"events":[]})"),
+           std::string(R"({"destination":5,"seed":1e30,"events":[]})"),
+           events + R"(1e30,"kind":"prefix_withdraw"}]})",
+           events + R"(-1,"kind":"prefix_withdraw"}]})",
+           events + R"(1,"kind":"link_down","a":4294967296,"b":5}]})",
+           events + R"(1,"kind":"link_down","a":4.5,"b":5}]})",
+       }) {
+    EXPECT_THROW(ChurnTrace::parse(text), Error) << text;
+  }
+}
+
+TEST(ChurnReplay, RefusesATraceSpanningTooManyCheckpoints) {
+  Figure31Topology fig;
+  ChurnTrace trace;
+  trace.destination = fig.f;
+  trace.events.push_back({sim::Time{1} << 62, ChurnEventKind::PrefixWithdraw});
+  trace.events.push_back(
+      {(sim::Time{1} << 62) + 1, ChurnEventKind::PrefixAnnounce});
+  EXPECT_THROW(replay_churn(fig.graph, trace), Error);
+  // Checkpoints off: only the final check runs, so the span is harmless.
+  ReplayConfig config;
+  config.checkpoint_interval = 0;
+  EXPECT_TRUE(replay_churn(fig.graph, trace, config).ok());
+  // One interval spans the trace, so it passes the guard; the step after the
+  // first checkpoint would wrap past 2^64 and must saturate instead.
+  trace.events[0].time = 18'000'000'000'000'000'000u;
+  trace.events[1].time = trace.events[0].time + 1;
+  config.checkpoint_interval = (sim::Time{1} << 63) + 1;
+  const ReplayResult result = replay_churn(fig.graph, trace, config);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.checker.checkpoints, 2u);  // one interim, one final
+}
+
 TEST(ChurnReplay, Figure31TraceKeepsAllInvariants) {
   Figure31Topology fig;
   const ChurnTrace trace =

@@ -193,6 +193,19 @@ TEST(Strings, ParseI64HandlesSigns) {
   EXPECT_FALSE(parse_i64("9223372036854775808"));
 }
 
+TEST(Strings, ParseFiniteTakesWholeFiniteTokensOnly) {
+  EXPECT_EQ(parse_finite("0.25"), 0.25);
+  EXPECT_EQ(parse_finite("-3"), -3.0);
+  EXPECT_EQ(parse_finite("1e-3"), 1e-3);
+  EXPECT_FALSE(parse_finite(""));
+  EXPECT_FALSE(parse_finite("abc"));
+  EXPECT_FALSE(parse_finite("0.1x"));
+  EXPECT_FALSE(parse_finite(" 1"));
+  EXPECT_FALSE(parse_finite("1e400"));  // overflow
+  EXPECT_FALSE(parse_finite("inf"));
+  EXPECT_FALSE(parse_finite("nan"));
+}
+
 TEST(Strings, JoinAndStartsWith) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_TRUE(starts_with("route-map X", "route-map"));

@@ -186,18 +186,11 @@ TEST(MemoryRegressionGate, FailsOnInjectedByteRegressionBeyondThreshold) {
 }
 
 TEST(MemoryRegressionGate, AbsoluteGrowthCeilingAndMinMagnitude) {
-  // +10% relative growth passes the relative check but trips a 5000-byte
-  // absolute ceiling ("only +10%" on a huge account is still 10 KB).
+  // There is no absolute ceiling: +10% on a huge account (10 KB) passes.
   const JsonValue baseline = memory_suite_doc(100000, 200);
-  obs::RegressionOptions options;
-  options.memory_abs_limit = 5000;
-  EXPECT_FALSE(obs::compare_bench_json(baseline, memory_suite_doc(110000, 200),
-                                       options)
-                   .ok());
-  EXPECT_TRUE(obs::compare_bench_json(baseline, memory_suite_doc(104000, 200),
-                                      options)
+  EXPECT_TRUE(obs::compare_bench_json(baseline, memory_suite_doc(110000, 200))
                   .ok());
-  // Tiny accounts are below memory_min_magnitude: relative noise ignored.
+  // Tiny accounts are below the 64-byte floor: relative noise ignored.
   const JsonValue small = memory_suite_doc(48, 8);
   EXPECT_TRUE(obs::compare_bench_json(small, memory_suite_doc(60, 10)).ok());
 }

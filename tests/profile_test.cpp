@@ -294,7 +294,7 @@ TEST(ChromeTrace, GoldenExportRoundTripsThroughParser) {
   sim_events.push_back(dropped);
 
   std::ostringstream out;
-  write_chrome_trace(out, &registry, sim_events, {});
+  write_chrome_trace(out, &registry, sim_events);
   const JsonValue doc = JsonValue::parse(out.str());  // valid JSON, period
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
   const JsonValue& events = doc.at("traceEvents");
@@ -371,7 +371,7 @@ TEST(ChromeTrace, GoldenExportRoundTripsThroughParser) {
 
 TEST(ChromeTrace, EmptySourcesStillProduceAValidFile) {
   std::ostringstream out;
-  write_chrome_trace(out, nullptr, {}, {});
+  write_chrome_trace(out, nullptr, {});
   const JsonValue doc = JsonValue::parse(out.str());
   EXPECT_TRUE(doc.at("traceEvents").is_array());
 }
@@ -550,7 +550,7 @@ TEST(RegressionGate, NonPerfRowsAreInformationalUnlessChecked) {
   const JsonValue drifted = suite_doc(100, 50, 0.9);
   EXPECT_TRUE(compare_bench_json(baseline, drifted).ok());
   RegressionOptions strict;
-  strict.check_values = true;
+  strict.values_only = true;
   EXPECT_FALSE(compare_bench_json(baseline, drifted, strict).ok());
 }
 

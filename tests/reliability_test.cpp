@@ -85,7 +85,7 @@ TEST(Retransmission, GivesUpAfterMaxRetriesViaTheTimeoutBackstop) {
   ss.max_retries = 3;
   MiroAgent a(h.fig.a, h.store, h.bus, {}, ss);
   // No agent at B; every copy vanishes. The retry counter must cap and the
-  // negotiation_timeout backstop must fire the callback exactly once.
+  // kNegotiationTimeout backstop must fire the callback exactly once.
   std::size_t callbacks = 0;
   std::optional<NegotiationOutcome> outcome;
   avoid_e_request(h, a, outcome, &callbacks);

@@ -14,7 +14,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ribmon.hpp"
-#include "topology/as_graph.hpp"
+#include "topology/figure31.hpp"
 
 namespace miro {
 namespace {
@@ -36,28 +36,7 @@ obs::EventId record(EventLog& log, obs::Time time, EventKind kind,
                      .path_hash = path_hash});
 }
 
-// The dissertation's six-AS running example (Figure 3.1); destination f.
-struct Figure31 {
-  topo::AsGraph graph;
-  topo::NodeId a, b, c, d, e, f;
-
-  Figure31() {
-    a = graph.add_as(1);
-    b = graph.add_as(2);
-    c = graph.add_as(3);
-    d = graph.add_as(4);
-    e = graph.add_as(5);
-    f = graph.add_as(6);
-    graph.add_customer_provider(/*provider=*/b, /*customer=*/a);
-    graph.add_customer_provider(d, a);
-    graph.add_customer_provider(b, e);
-    graph.add_customer_provider(d, e);
-    graph.add_customer_provider(c, f);
-    graph.add_customer_provider(e, f);
-    graph.add_peer(b, c);
-    graph.add_peer(c, e);
-  }
-};
+using topo::Figure31;
 
 churn::ChurnTrace mixed_trace(const Figure31& fig) {
   churn::ChurnTraceConfig config;

@@ -1,41 +1,11 @@
 // Shared test scenarios.
-//
-// `Figure31Topology` reproduces the running example of Figures 1.1, 2.1 and
-// 3.1: six ASes A..F where the default route from A to F is A-B-E-F, A wants
-// to avoid E, and the alternate B-C-F exists at B but is not announced.
-// Relationships are chosen so the dissertation's stated preferences emerge
-// from the conventional policies:
-//   - F is a customer of C and E;  E is a customer of B and D;
-//   - A is a customer of B and D;  B-C and C-E are peering links.
-// Then B prefers BEF (customer) over BCF (peer), C prefers CF over CEF, and
-// A picks ABEF (next-hop AS number tie-break over ADEF), exactly as in the
-// figures.
 #pragma once
 
-#include "topology/as_graph.hpp"
+#include "topology/figure31.hpp"
 
 namespace miro::test {
 
-struct Figure31Topology {
-  topo::AsGraph graph;
-  topo::NodeId a, b, c, d, e, f;
-
-  Figure31Topology() {
-    a = graph.add_as(1);
-    b = graph.add_as(2);
-    c = graph.add_as(3);
-    d = graph.add_as(4);
-    e = graph.add_as(5);
-    f = graph.add_as(6);
-    graph.add_customer_provider(/*provider=*/b, /*customer=*/a);
-    graph.add_customer_provider(d, a);
-    graph.add_customer_provider(b, e);
-    graph.add_customer_provider(d, e);
-    graph.add_customer_provider(c, f);
-    graph.add_customer_provider(e, f);
-    graph.add_peer(b, c);
-    graph.add_peer(c, e);
-  }
-};
+/// The running example of Figures 1.1, 2.1 and 3.1 (topology/figure31.hpp).
+using Figure31Topology = topo::Figure31;
 
 }  // namespace miro::test

@@ -217,12 +217,12 @@ TEST(SessionBgp, DefenseConfigOffByDefaultAndValidated) {
   bad.damping_suppress = 100.0;  // suppress below reuse: nonsense
   bad.damping_reuse = 500.0;
   EXPECT_THROW(
-      SessionedBgpNetwork(fig.graph, fig.f, scheduler, 10, bad), Error);
+      SessionedBgpNetwork(fig.graph, fig.f, scheduler, bad), Error);
   bad = ChurnDefenseConfig{};
   bad.damping_enabled = true;
   bad.damping_half_life = 0;
   EXPECT_THROW(
-      SessionedBgpNetwork(fig.graph, fig.f, scheduler, 10, bad), Error);
+      SessionedBgpNetwork(fig.graph, fig.f, scheduler, bad), Error);
 }
 
 TEST(SessionBgp, MraiCoalescesRapidChanges) {
@@ -232,7 +232,7 @@ TEST(SessionBgp, MraiCoalescesRapidChanges) {
   const auto run_flaps = [](ChurnDefenseConfig defense) {
     Figure31Topology fig;
     sim::Scheduler scheduler;
-    SessionedBgpNetwork network(fig.graph, fig.f, scheduler, 10, defense);
+    SessionedBgpNetwork network(fig.graph, fig.f, scheduler, defense);
     network.start();
     scheduler.run_all();
     for (int round = 0; round < 5; ++round) {
@@ -264,7 +264,7 @@ TEST(SessionBgp, DampingSuppressesFlappingRouteAndReusesAfterDecay) {
   defense.damping_reuse = 1200.0;
   defense.damping_ceiling = 6000.0;
   defense.damping_half_life = 200;
-  SessionedBgpNetwork network(fig.graph, fig.f, scheduler, 10, defense);
+  SessionedBgpNetwork network(fig.graph, fig.f, scheduler, defense);
   network.start();
   scheduler.run_all();
   EXPECT_EQ(network.path_of(fig.e),

@@ -184,7 +184,7 @@ TEST(ProtocolHardening, SilentResponderTimesOutTheNegotiation) {
             [&outcome](const NegotiationOutcome& o) { outcome = o; });
   h.scheduler.run_until(1999);
   EXPECT_FALSE(outcome.has_value());  // still waiting
-  h.scheduler.run_until(2100);        // past negotiation_timeout
+  h.scheduler.run_until(2100);        // past kNegotiationTimeout
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->established);
   EXPECT_EQ(outcome->responder, h.fig.b);

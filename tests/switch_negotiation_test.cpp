@@ -93,7 +93,7 @@ TEST(SwitchNegotiation, SilentResponderTimesOut) {
                            completed = true;
                            accepted = ok;
                          });
-  h.scheduler.run_until(2500);  // past negotiation_timeout, no agent at B
+  h.scheduler.run_until(2500);  // past kNegotiationTimeout, no agent at B
   ASSERT_TRUE(completed);
   EXPECT_FALSE(accepted);
 }

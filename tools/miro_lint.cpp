@@ -14,9 +14,7 @@
 // Exit status: 0 when no error-severity finding was produced, 1 when at
 // least one was, 2 on usage or I/O failure. Findings go to stdout, text by
 // default, one JSON document with --json.
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -177,11 +175,11 @@ int run_verify(const std::vector<std::string>& args) {
         want_network = true;
       } else if (arg == "--scale") {
         const std::string& text = value();
-        char* end = nullptr;
-        scale = std::strtod(text.c_str(), &end);
-        miro::require(end != text.c_str() && *end == '\0' &&
-                          std::isfinite(scale) && scale > 0,
-                      "--scale expects a positive number, got '" + text + "'");
+        const std::optional<double> parsed = miro::parse_finite(text);
+        if (!parsed || *parsed <= 0)
+          throw miro::Error("--scale expects a positive number, got '" +
+                            text + "'");
+        scale = *parsed;
         want_network = true;
       } else if (arg == "--seed") {
         options.seed = count();

@@ -1,12 +1,16 @@
-// miro_ribmon — route-event provenance monitor over a churn replay.
+// miro_ribmon — the churn CLI: replays a churn trace over the sessioned BGP
+// plane with the invariant checker and an event log attached.
 //
 //   miro_ribmon [--topo figure31|<profile>] [--scale X] [--seed N]
 //               [--episodes N] [--duration T] [--defend] [--mrai N]
-//               [--load PATH] [--events PATH] [--summary PATH]
-//               [--chrome-trace PATH] [--json] [--memory]
+//               [--save PATH] [--load PATH] [--events PATH]
+//               [--summary PATH] [--chrome-trace PATH] [--json] [--memory]
 //
-// Replays a churn trace (generated from the seed, or --load'ed from a saved
-// JSON script) with an event log attached to the sessioned BGP plane, then:
+// The trace is generated from the seed or --load'ed from a saved JSON script
+// (--save writes it first, so a failing script replays forever). --defend
+// switches on MRAI + flap damping. The tool then:
+//   - reports the replay's convergence, message, defense and checkpoint
+//     counters, and one witness line per invariant violation;
 //   - writes the raw record stream as JSONL (--events), one provenance
 //     record per line with its causal parent id;
 //   - reconstructs the per-root-cause propagation trees and prints one row
@@ -22,11 +26,11 @@
 // Exit status: 0 when accounting closes and no invariant was violated, 1 on
 // an accounting mismatch or replay violation, 2 on usage (a malformed
 // numeric flag included) or I/O failure.
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -38,39 +42,17 @@
 #include "obs/memstats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ribmon.hpp"
+#include "topology/figure31.hpp"
 #include "topology/generator.hpp"
 
 namespace {
-
-// The dissertation's six-AS running example (Figure 3.1); destination F.
-struct Figure31 {
-  miro::topo::AsGraph graph;
-  miro::topo::NodeId a, b, c, d, e, f;
-
-  Figure31() {
-    a = graph.add_as(1);
-    b = graph.add_as(2);
-    c = graph.add_as(3);
-    d = graph.add_as(4);
-    e = graph.add_as(5);
-    f = graph.add_as(6);
-    graph.add_customer_provider(/*provider=*/b, /*customer=*/a);
-    graph.add_customer_provider(d, a);
-    graph.add_customer_provider(b, e);
-    graph.add_customer_provider(d, e);
-    graph.add_customer_provider(c, f);
-    graph.add_customer_provider(e, f);
-    graph.add_peer(b, c);
-    graph.add_peer(c, e);
-  }
-};
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--topo figure31|<profile>] [--scale X] [--seed N] "
                "[--episodes N] [--duration T] [--defend] [--mrai N] "
-               "[--load PATH] [--events PATH] [--summary PATH] "
-               "[--chrome-trace PATH] [--json] [--memory]\n",
+               "[--save PATH] [--load PATH] [--events PATH] "
+               "[--summary PATH] [--chrome-trace PATH] [--json] [--memory]\n",
                argv0);
   std::exit(2);
 }
@@ -93,20 +75,69 @@ struct AccountingRow {
   bool ok() const { return records == counter; }
 };
 
+/// The replay's own accounting: convergence, message and defense counters,
+/// and checkpoint counts.
+void print_replay(const miro::churn::ReplayResult& result) {
+  std::printf("  initial convergence: %llu ticks\n",
+              static_cast<unsigned long long>(result.initial_convergence));
+  std::printf("  churn bursts: %zu\n", result.convergence.size());
+  miro::obs::Histogram burst_conv;
+  std::size_t burst_msgs = 0;
+  for (const miro::churn::ConvergenceSample& sample : result.convergence) {
+    burst_conv.observe(static_cast<double>(sample.duration()));
+    burst_msgs += sample.messages;
+  }
+  std::printf("  burst convergence: p50 %.1f, p90 %.1f, p99 %.1f, "
+              "worst %.0f ticks\n",
+              burst_conv.p50(), burst_conv.p90(), burst_conv.p99(),
+              burst_conv.max());
+  std::printf("  messages during bursts: %zu\n", burst_msgs);
+  std::printf("  updates %zu, withdrawals %zu, coalesced %zu, "
+              "suppressed %zu, damped %zu\n",
+              result.bgp.updates_sent, result.bgp.withdrawals_sent,
+              result.bgp.coalesced, result.bgp.updates_suppressed,
+              result.bgp.routes_damped);
+  std::printf("  checkpoints: %zu (%zu transit-quiet, %zu solver "
+              "comparisons)\n",
+              result.checker.checkpoints, result.checker.quiet_checkpoints,
+              result.checker.solver_comparisons);
+}
+
+/// One witness line per invariant violation: the property, the sim time and
+/// the trace event after which it was observed.
+void print_violations(const miro::churn::ReplayResult& result) {
+  for (const miro::churn::ChurnViolation& violation : result.violations) {
+    if (violation.event_index == miro::churn::InvariantChecker::kNoEvent) {
+      std::printf("  [%s] t=%llu (before any event): %s\n",
+                  violation.property.c_str(),
+                  static_cast<unsigned long long>(violation.time),
+                  violation.detail.c_str());
+    } else {
+      std::printf("  [%s] t=%llu after event #%zu: %s\n",
+                  violation.property.c_str(),
+                  static_cast<unsigned long long>(violation.time),
+                  violation.event_index, violation.detail.c_str());
+    }
+  }
+  if (result.checker.violations_dropped != 0) {
+    std::printf("  ... and %zu more dropped\n",
+                result.checker.violations_dropped);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace miro;
   std::string topo_name = "figure31";
   double scale = 0.15;
-  std::string load_path, events_path, summary_path, chrome_path;
+  std::string save_path, load_path, events_path, summary_path, chrome_path;
   bool json = false;
   bool memory_report = false;
   churn::ChurnTraceConfig trace_config;
   trace_config.duration = 8000;
   trace_config.episodes = 24;
   churn::ReplayConfig replay_config;
-  replay_config.checkpoint_interval = 200;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> const char* {
@@ -125,10 +156,9 @@ int main(int argc, char** argv) {
     if (flag == "--topo") topo_name = value();
     else if (flag == "--scale") {
       const char* text = value();
-      char* end = nullptr;
-      scale = std::strtod(text, &end);
-      if (end == text || *end != '\0' || !std::isfinite(scale) || scale <= 0)
-        bad_value(flag, text, "a positive number");
+      const std::optional<double> parsed = parse_finite(text);
+      if (!parsed || *parsed <= 0) bad_value(flag, text, "a positive number");
+      scale = *parsed;
     } else if (flag == "--seed") trace_config.seed = count();
     else if (flag == "--episodes") trace_config.episodes = count();
     else if (flag == "--duration") trace_config.duration = count();
@@ -136,6 +166,7 @@ int main(int argc, char** argv) {
       replay_config.defense.mrai = 60;
       replay_config.defense.damping_enabled = true;
     } else if (flag == "--mrai") replay_config.defense.mrai = count();
+    else if (flag == "--save") save_path = value();
     else if (flag == "--load") load_path = value();
     else if (flag == "--events") events_path = value();
     else if (flag == "--summary") summary_path = value();
@@ -146,7 +177,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    Figure31 fig;
+    const topo::Figure31 fig;
     topo::AsGraph generated;
     const topo::AsGraph* graph = &fig.graph;
     topo::NodeId destination = fig.f;
@@ -156,11 +187,26 @@ int main(int argc, char** argv) {
       destination = 0;
     }
 
-    churn::ChurnTrace trace;
-    if (!load_path.empty()) {
-      trace = churn::ChurnTrace::load(load_path);
-    } else {
-      trace = churn::generate_churn_trace(*graph, destination, trace_config);
+    const churn::ChurnTrace trace =
+        load_path.empty()
+            ? churn::generate_churn_trace(*graph, destination, trace_config)
+            : churn::ChurnTrace::load(load_path);
+    if (!save_path.empty()) trace.save(save_path);
+    // The text report's trace lines come first; --json keeps stdout one
+    // JSON document.
+    if (!json) {
+      if (load_path.empty()) {
+        std::printf("generated %zu events (seed %llu, duration %llu)\n",
+                    trace.events.size(),
+                    static_cast<unsigned long long>(trace.seed),
+                    static_cast<unsigned long long>(trace_config.duration));
+      } else {
+        std::printf("loaded %zu events from %s (seed %llu)\n",
+                    trace.events.size(), load_path.c_str(),
+                    static_cast<unsigned long long>(trace.seed));
+      }
+      if (!save_path.empty())
+        std::printf("saved trace to %s\n", save_path.c_str());
     }
 
     // With --memory the replay runs with a registry attached: the graph
@@ -273,7 +319,7 @@ int main(int argc, char** argv) {
     }
 
     if (!json) {
-      std::printf("replay over %s (%zu ASes, %zu links), %zu trace events, "
+      std::printf("\nreplay over %s (%zu ASes, %zu links), %zu trace events, "
                   "defenses %s\n",
                   topo_name.c_str(), graph->node_count(), graph->edge_count(),
                   trace.events.size(),
@@ -281,6 +327,7 @@ int main(int argc, char** argv) {
                           replay_config.defense.damping_enabled
                       ? "ON"
                       : "off");
+      print_replay(result);
       std::printf("%zu provenance records in %zu trees\n\n", log.size(),
                   provenance.trees.size());
 
@@ -336,6 +383,7 @@ int main(int argc, char** argv) {
       if (!result.violations.empty()) {
         std::printf("\nFAIL: %zu invariant violation(s) during replay\n",
                     result.violations.size());
+        print_violations(result);
       }
     }
 
