@@ -85,15 +85,13 @@ void churn_convergence(Run& run) {
     const double monitor_on_ms = on_clock.ms();
     const obs::ProvenanceSummary provenance =
         obs::build_propagation_trees(rib.events());
-    const bool monitor_ok =
+    bool monitor_ok =
         monitored.bgp.updates_sent == unmonitored.bgp.updates_sent &&
         monitored.bgp.withdrawals_sent == unmonitored.bgp.withdrawals_sent &&
-        monitored.bgp.selections == unmonitored.bgp.selections &&
-        rib.wire_messages() ==
-            monitored.bgp.updates_sent + monitored.bgp.withdrawals_sent &&
-        provenance.total_updates ==
-            monitored.bgp.updates_sent + monitored.bgp.withdrawals_sent &&
-        provenance.orphans == 0;
+        monitored.bgp.selections == unmonitored.bgp.selections;
+    for (const churn::AccountingRow& row :
+         churn::closed_accounting(monitored, rib, provenance))
+      monitor_ok = monitor_ok && row.ok();
     if (!monitor_ok) ++violations;
 
     // Persistent flapper on the destination's first link: off vs on.

@@ -12,39 +12,26 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 
-#include "bgp/route_solver.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "core/protocol.hpp"
-#include "topology/generator.hpp"
+#include "eval/experiments.hpp"
 
 using namespace miro;
 
 namespace {
 
-std::map<topo::NodeId, std::size_t> ingress_counts(
-    const topo::AsGraph& graph, const bgp::RoutingTree& tree) {
-  std::map<topo::NodeId, std::size_t> counts;
-  for (topo::NodeId s = 0; s < graph.node_count(); ++s) {
-    if (s == tree.destination() || !tree.reachable(s)) continue;
-    ++counts[tree.ingress_neighbor(s)];
-  }
-  return counts;
-}
-
-void print_counts(const topo::AsGraph& graph,
-                  const std::map<topo::NodeId, std::size_t>& counts) {
-  std::size_t total = 0;
-  for (const auto& [link, count] : counts) total += count;
-  for (const auto& [link, count] : counts) {
+void print_counts(const topo::AsGraph& graph, const eval::InboundView& view) {
+  for (topo::NodeId link = 0; link < view.ingress.size(); ++link) {
+    const std::size_t count = view.ingress[link];
+    if (count == 0) continue;
     std::cout << "    via provider AS" << graph.as_number(link) << ": "
               << count << " sources ("
               << (100.0 * static_cast<double>(count) /
-                  static_cast<double>(total))
+                  static_cast<double>(view.total))
               << "%)\n";
   }
 }
@@ -74,32 +61,24 @@ int main(int argc, char** argv) {
   for (topo::NodeId stub = graph.node_count(); stub-- > 0;) {
     if (!graph.is_multi_homed_stub(stub)) continue;
     const bgp::RoutingTree tree = solver.solve(stub);
-    const auto before = ingress_counts(graph, tree);
-    if (before.size() < 2) continue;
-    std::size_t total = 0, max_count = 0;
-    for (const auto& [link, count] : before) {
-      total += count;
-      max_count = std::max(max_count, count);
-    }
-    if (max_count * 10 < total * 7) continue;  // want >= 70% on one link
+    const eval::InboundView before = eval::measure_inbound(graph, tree);
+    const std::size_t providers = before.ingress_links();
+    if (providers < 2) continue;
+    const std::size_t max_count =
+        *std::max_element(before.ingress.begin(), before.ingress.end());
+    // Want >= 70% on one link.
+    if (max_count * 10 < before.total * 7) continue;
 
     std::cout << "Multi-homed stub AS" << graph.as_number(stub) << " with "
-              << before.size() << " providers; inbound before:\n";
+              << providers << " providers; inbound before:\n";
     print_counts(graph, before);
 
-    // Power node: the AS most sources route through.
-    std::vector<std::size_t> traverse(graph.node_count(), 0);
-    for (topo::NodeId s = 0; s < graph.node_count(); ++s) {
-      if (s == stub || !tree.reachable(s)) continue;
-      for (topo::NodeId hop = tree.next_hop(s); hop != stub;
-           hop = tree.next_hop(hop))
-        ++traverse[hop];
-    }
+    // Power node: the AS most sources route through (lowest id on a tie).
     const auto power = static_cast<topo::NodeId>(
-        std::max_element(traverse.begin(), traverse.end()) -
-        traverse.begin());
+        std::max_element(before.traverse.begin(), before.traverse.end()) -
+        before.traverse.begin());
     std::cout << "  power node: AS" << graph.as_number(power) << " (carries "
-              << traverse[power] << " sources, "
+              << before.traverse[power] << " sources, "
               << tree.path_length(power) << " hop(s) from the stub)\n";
 
     // Find the power node's alternate entering over a different link and
@@ -141,7 +120,7 @@ int main(int argc, char** argv) {
           solver.solve_pinned(stub, bgp::PinnedRoute{power, alt.path[1]});
       std::cout << "  inbound after (independent re-selection by every "
                    "other AS):\n";
-      print_counts(graph, ingress_counts(graph, pinned));
+      print_counts(graph, eval::measure_inbound(graph, pinned));
       return 0;
     }
     std::cout << "  (no alternate over a different link at this power "

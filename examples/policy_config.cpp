@@ -4,12 +4,13 @@
 // configurations (the "extended route-map" syntax), evaluates the requester's
 // trigger against its BGP candidates on the Figure 3.1 topology, prices the
 // responder's candidate routes through its negotiation filter, and completes
-// the negotiation within the budget the policy sets.
+// the negotiation within the budget the policy sets over the MIRO control
+// plane, with the responder's agent enforcing the parsed rules.
 //
 // Build & run:  ./build/examples/policy_config
 #include <iostream>
 
-#include "core/alternates.hpp"
+#include "core/protocol.hpp"
 #include "policy/policy_engine.hpp"
 #include "topology/figure31.hpp"
 
@@ -46,10 +47,11 @@ set tunnel_cost 180
 )";
 
   policy::PolicyEngine requester(policy::parse_config(requester_config));
-  policy::PolicyEngine responder(policy::parse_config(responder_config));
+  const policy::BgpConfig responder = policy::parse_config(responder_config);
+  const policy::ResponderSpec& rules = *responder.responder;
   std::cout << "Parsed requester (AS "
             << *requester.config().local_as << ") and responder (AS "
-            << *responder.config().local_as << ") configurations.\n\n";
+            << *responder.local_as << ") configurations.\n\n";
 
   // The requester's BGP candidates toward F.
   bgp::StableRouteSolver solver(graph);
@@ -82,13 +84,11 @@ set tunnel_cost 180
   std::cout << "\nAS 2 prices its candidate routes toward AS 6:\n";
   bool deal = false;
   for (const bgp::Route& route : solver.candidates_at(tree, b)) {
-    policy::CandidateRoute candidate;
-    for (std::size_t i = 1; i < route.path.size(); ++i)
-      candidate.as_path.push_back(graph.as_number(route.path[i]));
-    candidate.local_pref = bgp::conventional_local_pref(route.route_class);
-    const auto price = responder.price_for(candidate);
+    const auto price =
+        rules.price_for(bgp::conventional_local_pref(route.route_class));
     std::cout << "  path:";
-    for (auto asn : candidate.as_path) std::cout << " " << asn;
+    for (std::size_t i = 1; i < route.path.size(); ++i)
+      std::cout << " " << graph.as_number(route.path[i]);
     if (!price) {
       std::cout << "  -> not offered (no filter permits it)\n";
       continue;
@@ -96,7 +96,8 @@ set tunnel_cost 180
     std::cout << "  -> price " << *price;
     const bool avoids = !route.traverses(e);
     const bool affordable = *price <= *trigger->max_cost;
-    if (avoids && affordable && responder.admits(1, 0)) {
+    if (avoids && affordable &&
+        rules.admits(*requester.config().local_as, 0)) {
       std::cout << "  ACCEPTED (avoids AS 5, within budget)";
       deal = true;
     } else if (!avoids) {
@@ -106,6 +107,24 @@ set tunnel_cost 180
     }
     std::cout << "\n";
   }
+
+  // The same negotiation over the control plane, with B's agent admitting
+  // and pricing by the parsed rules.
+  core::RouteStore store(graph);
+  sim::Scheduler scheduler;
+  core::Bus bus(scheduler);
+  core::MiroAgent agent_a(a, store, bus);
+  core::MiroAgent agent_b(b, store, bus, core::ResponderConfig{.rules = rules});
+  core::NegotiationOutcome outcome;
+  agent_a.request(b, /*arrival_neighbor=*/a, f, /*avoid=*/e, trigger->max_cost,
+                  [&](const core::NegotiationOutcome& o) { outcome = o; });
+  scheduler.run_until(1000);
+  if (outcome.established) {
+    std::cout << "control plane: tunnel " << outcome.tunnel_id
+              << " established on path " << outcome.route.to_string(graph)
+              << " at price " << outcome.cost << "\n";
+  }
+  deal = deal && outcome.established;
   std::cout << (deal ? "\nnegotiation succeeds.\n"
                      : "\nnegotiation fails.\n");
   return deal ? 0 : 1;

@@ -221,7 +221,7 @@ void lint_responder(Report& report, const BgpConfig& config,
                     std::string_view file) {
   if (!config.responder) return;
   const policy::ResponderSpec& responder = *config.responder;
-  if (responder.max_tunnels && *responder.max_tunnels == 0) {
+  if (!responder.has_room(0)) {
     report
         .add(Severity::Error, "policy.responder.never-admits",
              "'when tunnel_number < 0' can never admit a negotiation")

@@ -19,19 +19,6 @@ using topo::AsGraph;
 using topo::NodeId;
 using topo::Relationship;
 
-std::string as_str(const AsGraph& graph, NodeId node) {
-  return "AS " + std::to_string(graph.as_number(node));
-}
-
-std::string path_str(const AsGraph& graph, const Path& path) {
-  std::string out;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(graph.as_number(path[i]));
-  }
-  return out;
-}
-
 Guideline guideline_at(const ModelOptions& options, NodeId node) {
   return options.guideline_of ? options.guideline_of(node) : options.guideline;
 }

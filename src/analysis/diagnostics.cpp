@@ -16,6 +16,20 @@ const char* to_string(Severity severity) {
   return "?";
 }
 
+std::string as_str(const topo::AsGraph& graph, topo::NodeId node) {
+  return "AS " + std::to_string(graph.as_number(node));
+}
+
+std::string path_str(const topo::AsGraph& graph,
+                     const std::vector<topo::NodeId>& path) {
+  std::string out;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += std::to_string(graph.as_number(path[i]));
+  }
+  return out;
+}
+
 Diagnostic& Diagnostic::at(std::string_view in_file, int at_line) {
   file = std::string(in_file);
   line = at_line;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "topology/as_graph.hpp"
 
 namespace miro::analysis {
 
@@ -72,5 +73,11 @@ class Report {
  private:
   std::vector<Diagnostic> diagnostics_;
 };
+
+/// "AS <number>": how findings name an AS of `graph`.
+std::string as_str(const topo::AsGraph& graph, topo::NodeId node);
+/// A path of `graph` as its space-separated AS numbers.
+std::string path_str(const topo::AsGraph& graph,
+                     const std::vector<topo::NodeId>& path);
 
 }  // namespace miro::analysis

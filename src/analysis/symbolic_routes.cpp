@@ -15,23 +15,6 @@ namespace miro::analysis {
 using bgp::RouteClass;
 using topo::AsGraph;
 
-namespace {
-
-std::string as_str(const AsGraph& graph, NodeId node) {
-  return "AS " + std::to_string(graph.as_number(node));
-}
-
-std::string path_str(const AsGraph& graph, const std::vector<NodeId>& path) {
-  std::string out;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(graph.as_number(path[i]));
-  }
-  return out;
-}
-
-}  // namespace
-
 // ------------------------------------------------------ SymbolicRouteMap
 
 std::vector<NodeId> SymbolicRouteMap::path_of(NodeId node) const {

@@ -16,23 +16,6 @@ namespace miro::analysis {
 
 using topo::AsGraph;
 
-namespace {
-
-std::string as_str(const AsGraph& graph, NodeId node) {
-  return "AS " + std::to_string(graph.as_number(node));
-}
-
-std::string path_str(const AsGraph& graph, const std::vector<NodeId>& path) {
-  std::string out;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(graph.as_number(path[i]));
-  }
-  return out;
-}
-
-}  // namespace
-
 VerifyQuery VerifyQuery::parse(std::string_view spec) {
   const std::vector<std::string_view> parts = split(spec, ':');
   VerifyQuery query;
@@ -284,28 +267,28 @@ Report check_negotiation_admissibility(const policy::BgpConfig& requester,
     }
     const policy::ResponderSpec& accept = *responder.responder;
 
-    if (!accept.accept_any) {
-      if (!requester.local_as.has_value()) {
+    // Admission and pricing use the rules the responding agent enforces
+    // (ResponderSpec::trusts, has_room and price_for).
+    if (!requester.local_as.has_value()) {
+      if (!accept.accept_any) {
         report
             .add(Severity::Warning, "verify.admit.unknown-asn",
                  who + ": requester has no router bgp statement, so the "
                        "responder's accept list cannot be checked")
             .at(requester_file);
-      } else if (std::find(accept.accept_asns.begin(),
-                           accept.accept_asns.end(),
-                           *requester.local_as) == accept.accept_asns.end()) {
-        report
-            .add(Severity::Error, "verify.admit.rejected-asn",
-                 who + " is rejected: AS " +
-                     std::to_string(*requester.local_as) +
-                     " is not on the responder's accept list")
-            .at(responder_file)
-            .fix("add the requester to accept negotiation from as ...");
-        continue;
       }
+    } else if (!accept.trusts(*requester.local_as)) {
+      report
+          .add(Severity::Error, "verify.admit.rejected-asn",
+               who + " is rejected: AS " +
+                   std::to_string(*requester.local_as) +
+                   " is not on the responder's accept list")
+          .at(responder_file)
+          .fix("add the requester to accept negotiation from as ...");
+      continue;
     }
 
-    if (accept.max_tunnels.has_value() && *accept.max_tunnels == 0) {
+    if (!accept.has_room(0)) {
       report
           .add(Severity::Error, "verify.admit.no-budget",
                who + " is admitted but can never establish: the responder's "
@@ -373,19 +356,14 @@ Report check_negotiation_admissibility(const policy::BgpConfig& requester,
 
     // Pricing: the cheapest alternate the responder would sell, given the
     // conventional local-preference bands, against the requester's budget.
-    if (spec.max_cost.has_value() && !accept.filters.empty()) {
+    if (spec.max_cost.has_value()) {
       std::optional<int> cheapest;
       for (const bgp::RouteClass cls :
            {bgp::RouteClass::Customer, bgp::RouteClass::Peer,
             bgp::RouteClass::Provider}) {
-        const int pref = bgp::conventional_local_pref(cls);
-        for (const policy::ResponderSpec::Filter& filter : accept.filters) {
-          if (pref > filter.local_pref_greater) {
-            if (!cheapest.has_value() || filter.tunnel_cost < *cheapest)
-              cheapest = filter.tunnel_cost;
-            break;  // first matching filter prices this class
-          }
-        }
+        const std::optional<int> price =
+            accept.price_for(bgp::conventional_local_pref(cls));
+        if (price && (!cheapest || *price < *cheapest)) cheapest = price;
       }
       if (cheapest.has_value() && *cheapest > *spec.max_cost) {
         report

@@ -199,4 +199,32 @@ ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
   return result;
 }
 
+std::array<AccountingRow, 7> closed_accounting(
+    const ReplayResult& result, const obs::EventLog& log,
+    const obs::ProvenanceSummary& provenance) {
+  const auto& bgp = result.bgp;
+  const auto wire =
+      static_cast<std::uint64_t>(bgp.updates_sent + bgp.withdrawals_sent);
+  return {{
+      {"wire_records == updates_sent + withdrawals_sent",
+       log.wire_messages(), wire},
+      {"tree update sums == updates_sent + withdrawals_sent",
+       static_cast<std::uint64_t>(provenance.total_updates), wire},
+      {"deliver records == delivered updates + withdrawals",
+       log.count(obs::EventKind::Deliver),
+       static_cast<std::uint64_t>(bgp.delivered_updates +
+                                  bgp.delivered_withdrawals)},
+      {"loss records == lost_in_flight", log.count(obs::EventKind::Loss),
+       static_cast<std::uint64_t>(bgp.lost_in_flight)},
+      {"coalesce records == coalesced",
+       log.count(obs::EventKind::MraiCoalesce),
+       static_cast<std::uint64_t>(bgp.coalesced)},
+      {"suppress records == updates_suppressed",
+       log.count(obs::EventKind::DampingSuppress),
+       static_cast<std::uint64_t>(bgp.updates_suppressed)},
+      {"orphan records == 0", static_cast<std::uint64_t>(provenance.orphans),
+       0},
+  }};
+}
+
 }  // namespace miro::churn

@@ -12,7 +12,9 @@
 // the same trace and config reproduce the identical result bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "bgp/session_bgp.hpp"
@@ -20,6 +22,7 @@
 #include "churn/invariant_checker.hpp"
 #include "core/tunnel_monitor.hpp"
 #include "netsim/scheduler.hpp"
+#include "obs/ribmon.hpp"
 
 namespace miro::churn {
 
@@ -81,5 +84,25 @@ struct ReplayResult {
 /// than a million checkpoints, or a blown event budget.
 ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
                           const ReplayConfig& config = {});
+
+/// One closed-accounting check: a record-stream total against the replay
+/// counter it must equal. A mismatch means an emission site lost or
+/// double-counted a record — the exact failure the event log's provenance
+/// exists to rule out.
+struct AccountingRow {
+  const char* what;
+  std::uint64_t records;
+  std::uint64_t counter;
+
+  bool ok() const { return records == counter; }
+};
+
+/// The closed-accounting table of a replay run with `log` attached: the
+/// wire, per-tree, deliver, loss, coalesce and suppress totals against the
+/// replay's BGP counters, and no orphan records. `provenance` is
+/// obs::build_propagation_trees over the log's events.
+std::array<AccountingRow, 7> closed_accounting(
+    const ReplayResult& result, const obs::EventLog& log,
+    const obs::ProvenanceSummary& provenance);
 
 }  // namespace miro::churn

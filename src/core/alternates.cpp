@@ -15,19 +15,22 @@ const char* to_string(NegotiationScope scope) {
   return scope == NegotiationScope::OneHop ? "1-hop" : "path";
 }
 
-std::vector<Route> AlternatesEngine::offers_from(const RoutingTree& tree,
-                                                 NodeId responder,
-                                                 NodeId previous_hop,
-                                                 ExportPolicy policy) const {
-  const auto& graph = solver_->graph();
+std::vector<Route> offered_routes(const StableRouteSolver& solver,
+                                  const RoutingTree& tree, NodeId responder,
+                                  NodeId arrival_neighbor,
+                                  ExportPolicy policy) {
   // The export relationship is evaluated on the link the offered route will
-  // actually be used over: the one from the previous hop into the responder.
-  const topo::Relationship requester_rel =
-      graph.relationship(responder, previous_hop);
+  // actually be used over: the one from the arrival neighbor into the
+  // responder.
+  const topo::AsGraph& graph = solver.graph();
+  topo::Relationship requester_rel = topo::Relationship::Provider;
+  if (arrival_neighbor != topo::kInvalidNode &&
+      graph.has_edge(responder, arrival_neighbor))
+    requester_rel = graph.relationship(responder, arrival_neighbor);
   std::optional<RouteClass> best_class;
   if (tree.reachable(responder)) best_class = tree.route_class(responder);
-  std::vector<Route> candidates = solver_->candidates_at(tree, responder);
-  return filter_exports(policy, candidates, best_class, requester_rel);
+  return filter_exports(policy, solver.candidates_at(tree, responder),
+                        best_class, requester_rel);
 }
 
 namespace {
@@ -85,7 +88,8 @@ std::vector<SplicedPath> AlternatesEngine::collect(
       if (n.node == destination || !is_deployed(n.node)) continue;
       // The prefix to a 1-hop responder is just the direct link.
       const std::vector<NodeId> prefix{source, n.node};
-      for (const Route& offered : offers_from(tree, n.node, source, policy))
+      for (const Route& offered :
+           offered_routes(*solver_, tree, n.node, source, policy))
         consider(prefix, 1, offered);
     }
   } else {
@@ -96,7 +100,8 @@ std::vector<SplicedPath> AlternatesEngine::collect(
       const std::vector<NodeId> prefix(default_path.begin(),
                                        default_path.begin() + i + 1);
       for (const Route& offered :
-           offers_from(tree, responder, default_path[i - 1], policy)) {
+           offered_routes(*solver_, tree, responder, default_path[i - 1],
+                          policy)) {
         consider(prefix, i, offered);
       }
     }
@@ -150,8 +155,8 @@ AlternatesEngine::AvoidResult AlternatesEngine::avoid_as(
     const NodeId responder = default_path[i];
     if (deployed != nullptr && !(*deployed)[responder]) continue;
     ++result.ases_contacted;
-    const std::vector<Route> offers =
-        offers_from(tree, responder, default_path[i - 1], policy);
+    const std::vector<Route> offers = offered_routes(
+        *solver_, tree, responder, default_path[i - 1], policy);
     result.paths_received += offers.size();
     const std::vector<NodeId> prefix(default_path.begin(),
                                      default_path.begin() + i + 1);
@@ -191,8 +196,8 @@ AlternatesEngine::AvoidResult AlternatesEngine::avoid_as_multihop(
     const std::vector<NodeId> prefix(default_path.begin(),
                                      default_path.begin() + i + 1);
     std::vector<NodeId> asked;  // each downstream is contacted once
-    for (const Route& via : offers_from(tree, responder,
-                                        default_path[i - 1], policy)) {
+    for (const Route& via : offered_routes(*solver_, tree, responder,
+                                           default_path[i - 1], policy)) {
       // The first hop of this candidate is a downstream AS the responder
       // can ask — useful only if that hop is itself clean.
       if (via.path.size() < 2) continue;
@@ -203,7 +208,7 @@ AlternatesEngine::AvoidResult AlternatesEngine::avoid_as_multihop(
       asked.push_back(downstream);
       ++result.ases_contacted;
       const std::vector<Route> relayed =
-          offers_from(tree, downstream, responder, policy);
+          offered_routes(*solver_, tree, downstream, responder, policy);
       result.paths_received += relayed.size();
       for (const Route& offered : relayed) {
         if (offered.traverses(avoid)) continue;

@@ -42,6 +42,18 @@ enum class NegotiationScope {
 
 const char* to_string(NegotiationScope scope);
 
+/// The routes `responder` may offer toward `tree.destination()` to a
+/// requester whose traffic arrives from `arrival_neighbor` (the AS before
+/// the responder on the requester's default path; the requester itself for
+/// 1-hop negotiation): its learned candidates, filtered by `policy` on that
+/// link. An arrival neighbor that is not adjacent counts as a provider, the
+/// most conservative export. MiroAgent answers a RouteRequest with this set;
+/// AlternatesEngine is its closed form.
+std::vector<Route> offered_routes(const StableRouteSolver& solver,
+                                  const RoutingTree& tree, NodeId responder,
+                                  NodeId arrival_neighbor,
+                                  ExportPolicy policy);
+
 class AlternatesEngine {
  public:
   explicit AlternatesEngine(const StableRouteSolver& solver)
@@ -95,13 +107,6 @@ class AlternatesEngine {
   const StableRouteSolver& solver() const { return *solver_; }
 
  private:
-  /// Offers responder `v` makes to a requester whose traffic arrives from
-  /// `previous_hop` (the AS before v on the requester's default path; equals
-  /// the requester itself for 1-hop negotiation).
-  std::vector<Route> offers_from(const RoutingTree& tree, NodeId responder,
-                                 NodeId previous_hop,
-                                 ExportPolicy policy) const;
-
   const StableRouteSolver* solver_;
 };
 

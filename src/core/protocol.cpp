@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "core/alternates.hpp"
 #include "obs/profile.hpp"
 
 namespace miro::core {
@@ -24,38 +25,16 @@ constexpr std::uint32_t kKeepAliveMissThreshold = 3;
 /// How long completed-negotiation ids are remembered for duplicate
 /// suppression; must exceed any plausible duplicate's lateness.
 constexpr sim::Time kDedupRetention = 4000;
+/// A switch responder diverts to a same-class alternate for free and asks
+/// this much compensation per class rank of downgrade (the conventional
+/// local-preference band width).
+constexpr int kSwitchPricePerRank = 100;
 
 MiroAgent::MiroAgent(NodeId self, RouteStore& store, Bus& bus,
                      ResponderConfig responder, SoftStateConfig soft_state)
     : self_(self), store_(&store), bus_(&bus),
       responder_(std::move(responder)), soft_state_(soft_state),
       rng_(hash_combine(soft_state.rng_seed, self)) {
-  if (!responder_.accept_from)
-    responder_.accept_from = [](NodeId) { return true; };
-  if (!responder_.price) {
-    responder_.price = [](const Route& route) {
-      // Default pricing by class: the responder sells customer routes for
-      // less than peer routes, which cost less than provider routes
-      // (Section 6.2.2's example tariff).
-      switch (route.route_class) {
-        case RouteClass::Self: return 100;
-        case RouteClass::Customer: return 120;
-        case RouteClass::Peer: return 180;
-        case RouteClass::Provider: return 240;
-      }
-      return 240;
-    };
-  }
-  if (!responder_.accept_switch) {
-    responder_.accept_switch = [](const Route& current, const Route& alternate,
-                                  int compensation) {
-      // Same-class diversions are free; each class rank of downgrade costs
-      // 100 (the conventional local-preference band width).
-      const int gap = bgp::rank(alternate.route_class) -
-                      bgp::rank(current.route_class);
-      return gap <= 0 || compensation >= gap * 100;
-    };
-  }
   bus_->attach(self_, [this](sim::EndpointId from, const Message& message) {
     on_message(from, message);
   });
@@ -288,42 +267,27 @@ void MiroAgent::on_message(sim::EndpointId from, const Message& message) {
 void MiroAgent::handle(NodeId from, const RouteRequest& request) {
   obs::ScopedSpan span(obs::profile(), "protocol/handle_request", "core");
   ++stats_.requests_received;
-  // Admission control: trust predicate and tunnel-count limit
-  // ("accept negotiation from any when tunnel_number < 1000").
-  if (!responder_.accept_from(from) ||
-      tunnels_.active_count() >= responder_.max_tunnels) {
+  // Admission control: "accept negotiation from ... when tunnel_number < N".
+  const policy::ResponderSpec& rules = responder_.rules;
+  if (!rules.admits(store_->graph().as_number(from),
+                    tunnels_.active_count())) {
     ++stats_.requests_rejected;
     bus_->send(self_, from, RouteOffers{request.negotiation_id, {}});
     return;
   }
 
-  const bgp::RoutingTree& tree = store_->tree(request.destination);
-  std::optional<RouteClass> best_class;
-  if (tree.reachable(self_)) best_class = tree.route_class(self_);
-
-  // The export relationship is judged on the link the traffic will arrive
-  // over. If the claimed arrival neighbor is not actually adjacent, fall
-  // back to treating the requester as a provider (most conservative).
-  const topo::AsGraph& graph = store_->graph();
-  topo::Relationship requester_rel = topo::Relationship::Provider;
-  if (request.arrival_neighbor != topo::kInvalidNode &&
-      graph.has_edge(self_, request.arrival_neighbor)) {
-    requester_rel = graph.relationship(self_, request.arrival_neighbor);
-  }
-
-  std::vector<Route> candidates =
-      store_->solver().candidates_at(tree, self_);
-  std::vector<Route> exportable = filter_exports(
-      responder_.policy, candidates, best_class, requester_rel);
-
   RouteOffers reply{request.negotiation_id, {}};
-  for (Route& route : exportable) {
+  for (Route& route :
+       offered_routes(store_->solver(), store_->tree(request.destination),
+                      self_, request.arrival_neighbor, responder_.policy)) {
     // Requester-supplied constraint filtering happens at the responder so
     // useless candidates never cross the wire (Section 6.2.2).
     if (request.avoid && route.traverses(*request.avoid)) continue;
-    const int cost = responder_.price(route);
-    if (request.max_cost && cost > *request.max_cost) continue;
-    reply.offers.push_back(RouteOffer{std::move(route), cost});
+    // A route no negotiation filter prices must not be offered.
+    const std::optional<int> cost =
+        rules.price_for(bgp::conventional_local_pref(route.route_class));
+    if (!cost || (request.max_cost && *cost > *request.max_cost)) continue;
+    reply.offers.push_back(RouteOffer{std::move(route), *cost});
   }
   stats_.offers_sent += reply.offers.size();
   bus_->send(self_, from, std::move(reply));
@@ -510,15 +474,18 @@ void MiroAgent::handle(NodeId from, const SwitchRequest& request) {
   ++stats_.requests_received;
   SwitchResponse reply{request.negotiation_id, false, {}};
   const bgp::RoutingTree& tree = store_->tree(request.destination);
-  if (responder_.accept_from(from) && tree.reachable(self_)) {
+  if (responder_.rules.trusts(store_->graph().as_number(from)) &&
+      tree.reachable(self_)) {
     const Route current = tree.route_of(self_);
     // Find the alternate with the requested first hop among this AS's
     // learned candidates.
     for (const Route& alternate :
          store_->solver().candidates_at(tree, self_)) {
       if (alternate.next_hop() != request.desired_next_hop) continue;
-      if (responder_.accept_switch(current, alternate,
-                                   request.compensation)) {
+      const int downgrade = bgp::rank(alternate.route_class) -
+                            bgp::rank(current.route_class);
+      if (downgrade <= 0 ||
+          request.compensation >= downgrade * kSwitchPricePerRank) {
         // Agree: pin the local selection. The data-plane push (and the
         // re-advertisement to customers) belongs to the AS's RCP; the eval
         // harness models the network-wide effect with a pinned re-solve.

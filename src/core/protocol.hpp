@@ -14,10 +14,11 @@
 //
 // Each AS runs one MiroAgent. The responder applies its export policy, a
 // requester-supplied avoid constraint ("only give me paths without AS 312",
-// Section 6.2.2), price tags, and admission control (tunnel-count limit,
-// trust predicate). The requester picks the best affordable offer. Tunnels
-// are soft state: keep-alives refresh them and an expiry sweep destroys
-// silent ones (Section 4.3).
+// Section 6.2.2), and its Chapter 6 rules (policy::ResponderSpec): the
+// accept list and tunnel-count limit admit, the negotiation filters price,
+// and a route no filter prices is not offered. The requester picks the best
+// affordable offer. Tunnels are soft state: keep-alives refresh them and an
+// expiry sweep destroys silent ones (Section 4.3).
 //
 // Reliability layer. The network may drop, duplicate, or reorder any of
 // these messages (netsim/fault_injection.hpp), so:
@@ -52,6 +53,7 @@
 #include "netsim/message_bus.hpp"
 #include "obs/metrics.hpp"
 #include "obs/event_log.hpp"
+#include "policy/policy_config.hpp"
 
 namespace miro::core {
 
@@ -135,23 +137,20 @@ using Bus = sim::MessageBus<Message>;
 
 // ------------------------------------------------------------------ agent
 
-/// Responder-side configuration (Chapter 6's negotiation-related rules).
+/// Responder-side configuration: the Chapter 5 export policy that decides
+/// which candidates are offerable, and the Chapter 6 negotiation rules that
+/// decide whom to admit and what to charge.
 struct ResponderConfig {
   ExportPolicy policy = ExportPolicy::RespectExport;
-  /// "accept negotiation from any when tunnel_number < 1000".
-  std::size_t max_tunnels = 1000;
-  /// Trust predicate; default accepts anyone.
-  std::function<bool(NodeId requester)> accept_from;
-  /// Price tag per offered route; default prices by class
-  /// (customer routes cheaper than peer routes, Section 6.2.2).
-  std::function<int(const Route&)> price;
-  /// Whether to accept a downstream-initiated switch from `current` to
-  /// `alternate` for the offered compensation. Default: accept alternates in
-  /// the same class for free, and lower-class alternates only when the
-  /// compensation covers the class gap (100 per rank).
-  std::function<bool(const Route& current, const Route& alternate,
-                     int compensation)>
-      accept_switch;
+  /// "accept negotiation from any when tunnel_number < 1000", and the
+  /// Section 6.2.2 tariff by local preference: under
+  /// bgp::conventional_local_pref, Self routes sell for 100, customer routes
+  /// for 120, peer routes for 180 and provider routes for 240.
+  policy::ResponderSpec rules{
+      .accept_any = true,
+      .accept_asns = {},
+      .max_tunnels = 1000,
+      .filters = {{400, 100}, {200, 120}, {100, 180}, {0, 240}}};
 };
 
 /// Timing knobs for the soft-state and reliability machinery. The keep-alive

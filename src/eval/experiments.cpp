@@ -59,11 +59,63 @@ std::uint64_t ExperimentPlan::route_count() const {
   return routes;
 }
 
-const RoutingTree* ExperimentPlan::tree_for(NodeId destination) const {
+const RoutingTree& ExperimentPlan::tree_toward(
+    NodeId destination, std::optional<RoutingTree>& local) const {
   const auto it = std::lower_bound(destinations_.begin(), destinations_.end(),
                                    destination);
-  if (it == destinations_.end() || *it != destination) return nullptr;
-  return &trees_[static_cast<std::size_t>(it - destinations_.begin())];
+  if (it != destinations_.end() && *it == destination)
+    return trees_[static_cast<std::size_t>(it - destinations_.begin())];
+  return local.emplace(solver_->solve(destination));
+}
+
+std::size_t InboundView::ingress_links() const {
+  return static_cast<std::size_t>(std::count_if(
+      ingress.begin(), ingress.end(), [](std::size_t n) { return n > 0; }));
+}
+
+InboundView measure_inbound(const AsGraph& graph, const RoutingTree& tree) {
+  InboundView view;
+  view.ingress.assign(graph.node_count(), 0);
+  view.traverse.assign(graph.node_count(), 0);
+  for (NodeId source = 0; source < graph.node_count(); ++source) {
+    if (source == tree.destination() || !tree.reachable(source)) continue;
+    ++view.total;
+    // Walk the next-hop chain once, crediting every transit AS and the final
+    // ingress neighbor.
+    NodeId current = source;
+    for (NodeId next = tree.next_hop(current); next != tree.destination();
+         next = tree.next_hop(current)) {
+      ++view.traverse[next];
+      current = next;
+    }
+    ++view.ingress[current];
+  }
+  return view;
+}
+
+std::vector<NodeId> power_nodes(const InboundView& view, std::size_t count) {
+  std::vector<NodeId> nodes;
+  for (NodeId node = 0; node < view.traverse.size(); ++node)
+    if (view.traverse[node] > 0) nodes.push_back(node);
+  std::sort(nodes.begin(), nodes.end(), [&view](NodeId a, NodeId b) {
+    if (view.traverse[a] != view.traverse[b])
+      return view.traverse[a] > view.traverse[b];
+    return a < b;
+  });
+  if (nodes.size() > count) nodes.resize(count);
+  return nodes;
+}
+
+std::vector<NodeId> sample_multi_homed_stubs(const AsGraph& graph,
+                                             std::uint64_t seed,
+                                             std::size_t count) {
+  std::vector<NodeId> stubs;
+  for (NodeId node = 0; node < graph.node_count(); ++node)
+    if (graph.is_multi_homed_stub(node)) stubs.push_back(node);
+  Rng rng(seed);
+  rng.shuffle(stubs);
+  if (stubs.size() > count) stubs.resize(count);
+  return stubs;
 }
 
 const std::vector<SampledPair>& ExperimentPlan::sample_pairs(

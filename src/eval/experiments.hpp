@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,11 +63,13 @@ class ExperimentPlan {
   const std::vector<RoutingTree>& trees() const { return trees_; }
   const RoutingTree& tree(std::size_t index) const { return trees_[index]; }
 
-  /// The pre-solved tree for `destination` when it is one of the sampled
-  /// destinations, else nullptr. Experiments that pick their own targets
-  /// (TE stubs, verification queries) check here before paying a fresh
-  /// solve — at full scale a solve walks the whole 70k-node graph.
-  const RoutingTree* tree_for(NodeId destination) const;
+  /// The tree toward `destination`: the pre-solved one when it is one of
+  /// the sampled destinations, else a fresh solve parked in `local`.
+  /// Experiments that pick their own targets (TE stubs) come here before
+  /// paying a solve — at full scale a solve walks the whole 70k-node graph.
+  /// The lookup is read-only, so workers may call it concurrently.
+  const RoutingTree& tree_toward(NodeId destination,
+                                 std::optional<RoutingTree>& local) const;
 
   /// Sampled (source, destination) pairs, `per_destination` per tree.
   /// Memoized per (per_destination, salt): the avoid-AS, negotiation-state,
@@ -122,6 +125,31 @@ class ExperimentPlan {
   mutable std::map<std::pair<NodeId, NodeId>, std::vector<bool>>
       avoid_sets_;
 };
+
+/// Inbound traffic toward `tree.destination()` under Section 5.4's uniform
+/// model: every source that reaches the destination sends one unit along
+/// its default path.
+struct InboundView {
+  /// Sources entering the destination over each neighbor, by node id.
+  std::vector<std::size_t> ingress;
+  /// Sources whose default path transits each AS (endpoints excluded).
+  std::vector<std::size_t> traverse;
+  std::size_t total = 0;  ///< sources that reach the destination
+
+  /// Number of neighbors some traffic enters over.
+  std::size_t ingress_links() const;
+};
+
+InboundView measure_inbound(const AsGraph& graph, const RoutingTree& tree);
+
+/// Candidate power nodes: the (at most) `count` ASes the most default paths
+/// in `view` transit, busiest first, ties to the lowest node id.
+std::vector<NodeId> power_nodes(const InboundView& view, std::size_t count);
+
+/// Up to `count` multi-homed stubs of `graph`, in seeded shuffle order.
+std::vector<NodeId> sample_multi_homed_stubs(const AsGraph& graph,
+                                             std::uint64_t seed,
+                                             std::size_t count);
 
 /// True when `destination` is reachable from `source` in the graph with
 /// `avoid` removed — the success criterion for unconstrained source routing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <optional>
 #include <ostream>
 
@@ -20,20 +19,6 @@ constexpr std::array<std::uint32_t, 3> kPrependDepths{1, 2, 3};
 /// The inbound fraction the stub wants to shift (precision target).
 constexpr double kTargetShift = 0.15;
 
-/// Ingress split toward `tree.destination()` under unit traffic per source.
-std::map<NodeId, std::size_t> ingress_split(const topo::AsGraph& graph,
-                                            const RoutingTree& tree,
-                                            std::size_t& total) {
-  std::map<NodeId, std::size_t> counts;
-  total = 0;
-  for (NodeId s = 0; s < graph.node_count(); ++s) {
-    if (s == tree.destination() || !tree.reachable(s)) continue;
-    ++total;
-    ++counts[tree.ingress_neighbor(s)];
-  }
-  return counts;
-}
-
 }  // namespace
 
 TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
@@ -44,12 +29,8 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
   const topo::AsGraph& graph = plan.graph();
   const StableRouteSolver& solver = plan.solver();
 
-  std::vector<NodeId> stubs;
-  for (NodeId node = 0; node < graph.node_count(); ++node)
-    if (graph.is_multi_homed_stub(node)) stubs.push_back(node);
-  Rng rng(plan.config().seed ^ 0xdeacc);
-  rng.shuffle(stubs);
-  if (stubs.size() > config.stub_samples) stubs.resize(config.stub_samples);
+  const std::vector<NodeId> stubs = sample_multi_homed_stubs(
+      graph, plan.config().seed ^ 0xdeacc, config.stub_samples);
   result.stubs = stubs.size();
 
   Summary miro_moved;
@@ -79,51 +60,27 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
   };
   const auto outcomes = par::parallel_map(stubs, [&](NodeId stub) {
     StubOutcome outcome;
-    // A sampled stub may coincide with one of the plan's pre-solved
-    // destinations; tree_for is a read-only lookup, safe from workers.
-    const RoutingTree* shared = plan.tree_for(stub);
     std::optional<RoutingTree> local;
-    if (shared == nullptr) {
-      local.emplace(solver.solve(stub));
-      shared = &*local;
-    }
-    const RoutingTree& tree = *shared;
-    std::size_t total = 0;
-    const auto before = ingress_split(graph, tree, total);
-    if (total == 0 || before.size() < 2) {
+    const RoutingTree& tree = plan.tree_toward(stub, local);
+    const InboundView before = measure_inbound(graph, tree);
+    const std::size_t total = before.total;
+    if (total == 0 || before.ingress_links() < 2) {
       outcome.degenerate = true;
       return outcome;
     }
-    // The loaded link we want to unload and the share of the rest.
-    auto loaded = std::max_element(
-        before.begin(), before.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    const NodeId loaded_link = loaded->first;
-    const double loaded_share =
-        static_cast<double>(loaded->second) / static_cast<double>(total);
+    // The loaded link we want to unload (ties to the lowest node id) and
+    // its share.
+    const auto loaded_link = static_cast<NodeId>(
+        std::max_element(before.ingress.begin(), before.ingress.end()) -
+        before.ingress.begin());
+    const auto loaded_count =
+        static_cast<double>(before.ingress[loaded_link]);
+    const double loaded_share = loaded_count / static_cast<double>(total);
 
     // --- MIRO: best power node, strict policy, independent model. ---
     {
-      std::vector<std::size_t> traverse(graph.node_count(), 0);
-      for (NodeId s = 0; s < graph.node_count(); ++s) {
-        if (s == stub || !tree.reachable(s)) continue;
-        for (NodeId hop = tree.next_hop(s); hop != stub;
-             hop = tree.next_hop(hop))
-          ++traverse[hop];
-      }
-      std::vector<NodeId> candidates;
-      for (NodeId node = 0; node < graph.node_count(); ++node)
-        if (traverse[node] > 0) candidates.push_back(node);
-      std::sort(candidates.begin(), candidates.end(),
-                [&traverse](NodeId a, NodeId b) {
-                  if (traverse[a] != traverse[b])
-                    return traverse[a] > traverse[b];
-                  return a < b;
-                });
-      if (candidates.size() > kPowerNodeCandidates)
-        candidates.resize(kPowerNodeCandidates);
       std::vector<double> menu;  // every shift some negotiation can produce
-      for (NodeId power : candidates) {
+      for (NodeId power : power_nodes(before, kPowerNodeCandidates)) {
         const NodeId old_ingress = tree.ingress_neighbor(power);
         std::size_t tried = 0;
         for (const bgp::Route& alt : solver.candidates_at(tree, power)) {
@@ -136,16 +93,10 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
           ++tried;
           const RoutingTree pinned = solver.solve_pinned(
               stub, bgp::PinnedRoute{power, alt.path[1]});
-          std::size_t after_total = 0;
-          const auto after = ingress_split(graph, pinned, after_total);
-          auto it = after.find(new_ingress);
-          const double after_count =
-              it == after.end() ? 0 : static_cast<double>(it->second);
-          auto before_it = before.find(new_ingress);
-          const double before_count =
-              before_it == before.end()
-                  ? 0
-                  : static_cast<double>(before_it->second);
+          const double after_count = static_cast<double>(
+              measure_inbound(graph, pinned).ingress[new_ingress]);
+          const auto before_count =
+              static_cast<double>(before.ingress[new_ingress]);
           menu.push_back(std::max(0.0, after_count - before_count) /
                          static_cast<double>(total));
         }
@@ -171,14 +122,10 @@ TeComparisonResult run_te_comparison(const ExperimentPlan& plan,
     for (std::size_t k = 0; k < kPrependDepths.size(); ++k) {
       const RoutingTree padded = solver.solve_prepended(
           stub, bgp::OriginPrepend{loaded_link, kPrependDepths[k]});
-      std::size_t after_total = 0;
-      const auto after = ingress_split(graph, padded, after_total);
-      auto it = after.find(loaded_link);
-      const double still_there =
-          it == after.end() ? 0 : static_cast<double>(it->second);
+      const auto still_there = static_cast<double>(
+          measure_inbound(graph, padded).ingress[loaded_link]);
       const double moved = std::max(
-          0.0, (static_cast<double>(loaded->second) - still_there) /
-                   static_cast<double>(total));
+          0.0, (loaded_count - still_there) / static_cast<double>(total));
       prepend_menu.push_back(moved);
     }
     outcome.prepend_moved = prepend_menu;

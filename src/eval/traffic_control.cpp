@@ -17,36 +17,6 @@ namespace {
 /// Alternate ingress links evaluated per power node.
 constexpr std::size_t kAlternatesPerPowerNode = 2;
 
-/// Per-destination traffic view under uniform unit traffic per source.
-struct TrafficView {
-  std::vector<std::size_t> ingress_count;   // per ingress neighbor (node id)
-  std::vector<std::size_t> traverse_count;  // sources whose path crosses node
-  std::size_t total = 0;
-};
-
-TrafficView measure(const AsGraph& graph, const RoutingTree& tree) {
-  TrafficView view;
-  view.ingress_count.assign(graph.node_count(), 0);
-  view.traverse_count.assign(graph.node_count(), 0);
-  for (NodeId source = 0; source < graph.node_count(); ++source) {
-    if (source == tree.destination() || !tree.reachable(source)) continue;
-    ++view.total;
-    // Walk the next-hop chain once, crediting every transit AS and the final
-    // ingress neighbor.
-    NodeId current = source;
-    while (true) {
-      const NodeId next = tree.next_hop(current);
-      if (next == tree.destination()) {
-        ++view.ingress_count[current];
-        break;
-      }
-      ++view.traverse_count[next];
-      current = next;
-    }
-  }
-  return view;
-}
-
 }  // namespace
 
 TrafficControlResult run_traffic_control(const ExperimentPlan& plan,
@@ -59,13 +29,8 @@ TrafficControlResult run_traffic_control(const ExperimentPlan& plan,
   const AsGraph& graph = plan.graph();
   const StableRouteSolver& solver = plan.solver();
 
-  // Sample multi-homed stubs deterministically.
-  std::vector<NodeId> stubs;
-  for (NodeId node = 0; node < graph.node_count(); ++node)
-    if (graph.is_multi_homed_stub(node)) stubs.push_back(node);
-  Rng rng(plan.config().seed ^ 0x7aff1cULL);
-  rng.shuffle(stubs);
-  if (stubs.size() > config.stub_samples) stubs.resize(config.stub_samples);
+  const std::vector<NodeId> stubs = sample_multi_homed_stubs(
+      graph, plan.config().seed ^ 0x7aff1cULL, config.stub_samples);
   result.stubs_evaluated = stubs.size();
 
   // High-degree cut for the power-node analysis: the top 0.2% by degree
@@ -104,45 +69,25 @@ TrafficControlResult run_traffic_control(const ExperimentPlan& plan,
   };
   const auto controls = par::parallel_map(stubs, [&](NodeId stub) {
     StubControl control;
-    // Reuse the plan's pre-solved tree when this stub was also a sampled
-    // destination; tree_for is a read-only lookup, safe from workers.
-    const RoutingTree* shared = plan.tree_for(stub);
     std::optional<RoutingTree> local;
-    if (shared == nullptr) {
-      local.emplace(solver.solve(stub));
-      shared = &*local;
-    }
-    const RoutingTree& tree = *shared;
-    const TrafficView view = measure(graph, tree);
+    const RoutingTree& tree = plan.tree_toward(stub, local);
+    const InboundView view = measure_inbound(graph, tree);
     if (view.total == 0) {
       control.empty = true;
       return control;
     }
 
-    // Candidate power nodes: the ASes most default paths traverse.
-    std::vector<NodeId> candidates;
-    for (NodeId node = 0; node < graph.node_count(); ++node)
-      if (view.traverse_count[node] > 0) candidates.push_back(node);
-    std::sort(candidates.begin(), candidates.end(),
-              [&view](NodeId a, NodeId b) {
-                if (view.traverse_count[a] != view.traverse_count[b])
-                  return view.traverse_count[a] > view.traverse_count[b];
-                return a < b;
-              });
-    if (candidates.size() > config.power_node_candidates)
-      candidates.resize(config.power_node_candidates);
-
     double* best = control.best;
     NodeId& best_power_node = control.best_power;
 
-    for (NodeId power : candidates) {
+    for (NodeId power : power_nodes(view, config.power_node_candidates)) {
       if (power == stub || !tree.reachable(power)) continue;
       const NodeId old_ingress = tree.ingress_neighbor(power);
       const bgp::RouteClass current_class = tree.route_class(power);
       // Sources the power node controls in the convert_all model: everyone
       // routing through it, plus its own unit of traffic.
       const double convert_share =
-          static_cast<double>(view.traverse_count[power] + 1) /
+          static_cast<double>(view.traverse[power] + 1) /
           static_cast<double>(view.total);
 
       std::size_t alternates_tried = 0;
@@ -156,10 +101,10 @@ TrafficControlResult run_traffic_control(const ExperimentPlan& plan,
         // node to the alternate and let everyone else re-choose.
         const RoutingTree pinned =
             solver.solve_pinned(stub, bgp::PinnedRoute{power, alt.path[1]});
-        const TrafficView after = measure(graph, pinned);
+        const InboundView after = measure_inbound(graph, pinned);
         const double delta =
-            static_cast<double>(after.ingress_count[new_ingress]) -
-            static_cast<double>(view.ingress_count[new_ingress]);
+            static_cast<double>(after.ingress[new_ingress]) -
+            static_cast<double>(view.ingress[new_ingress]);
         const double independent_share =
             std::max(0.0, delta / static_cast<double>(view.total));
 

@@ -14,6 +14,21 @@ bool AsPathAccessList::permits(
   return false;  // implicit deny
 }
 
+bool ResponderSpec::trusts(topo::AsNumber requester) const {
+  return accept_any || std::find(accept_asns.begin(), accept_asns.end(),
+                                 requester) != accept_asns.end();
+}
+
+bool ResponderSpec::has_room(std::size_t active_tunnels) const {
+  return !max_tunnels || active_tunnels < *max_tunnels;
+}
+
+std::optional<int> ResponderSpec::price_for(int local_pref) const {
+  for (const Filter& filter : filters)
+    if (local_pref > filter.local_pref_greater) return filter.tunnel_cost;
+  return std::nullopt;
+}
+
 std::vector<const RouteMapClause*> BgpConfig::route_map(
     std::string_view name) const {
   std::vector<const RouteMapClause*> clauses;

@@ -77,7 +77,10 @@ struct NegotiationSpec {
   int target_path_line = 0;
 };
 
-/// `accept negotiation` + `negotiation filter` blocks (responder side).
+/// `accept negotiation` + `negotiation filter` blocks (responder side): the
+/// one definition of whom a responder admits and what it charges. The MIRO
+/// agent (core::MiroAgent) enforces it on every request, and the static
+/// admissibility check (miro_lint verify) reasons with the same predicates.
 struct ResponderSpec {
   bool accept_any = true;
   std::vector<topo::AsNumber> accept_asns;
@@ -91,6 +94,19 @@ struct ResponderSpec {
   /// Ordered; the first filter whose threshold the route's local preference
   /// exceeds sets the price ("sell all customer routes for a lower price").
   std::vector<Filter> filters;
+
+  /// `accept negotiation from any | as <asn>...`.
+  bool trusts(topo::AsNumber requester) const;
+  /// Whether `when tunnel_number < N` leaves room for one more tunnel.
+  bool has_room(std::size_t active_tunnels) const;
+  /// Admission: a trusted requester and room under the tunnel budget.
+  bool admits(topo::AsNumber requester, std::size_t active_tunnels) const {
+    return trusts(requester) && has_room(active_tunnels);
+  }
+  /// The price of a route with local preference `local_pref`, from the
+  /// first filter it passes; nullopt when no filter permits the route (it
+  /// must not be offered).
+  std::optional<int> price_for(int local_pref) const;
 };
 
 struct NeighborBinding {

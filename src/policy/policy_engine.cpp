@@ -93,23 +93,4 @@ std::vector<topo::AsNumber> PolicyEngine::targets_for(
   return targets;
 }
 
-bool PolicyEngine::admits(topo::AsNumber requester,
-                          std::size_t active_tunnels) const {
-  if (!config_.responder) return false;
-  const ResponderSpec& responder = *config_.responder;
-  if (responder.max_tunnels && active_tunnels >= *responder.max_tunnels)
-    return false;
-  if (responder.accept_any) return true;
-  return std::find(responder.accept_asns.begin(), responder.accept_asns.end(),
-                   requester) != responder.accept_asns.end();
-}
-
-std::optional<int> PolicyEngine::price_for(const CandidateRoute& route) const {
-  if (!config_.responder) return std::nullopt;
-  for (const ResponderSpec::Filter& filter : config_.responder->filters)
-    if (route.local_pref > filter.local_pref_greater)
-      return filter.tunnel_cost;
-  return std::nullopt;
-}
-
 }  // namespace miro::policy

@@ -6,9 +6,10 @@
 //   requester side— negotiation triggering ("initiate a negotiation if the
 //                   'deny AS 312' rule results in an empty candidate set")
 //                   and target selection ("each AS that sits between itself
-//                   and AS 312 on any of the current candidate paths");
-//   responder side— admission control and price tagging
-//                   ("sell all customer routes for 120, peer routes for 180").
+//                   and AS 312 on any of the current candidate paths").
+// The responder side — admission control and price tagging ("sell all
+// customer routes for 120, peer routes for 180") — is ResponderSpec's
+// trusts/admits/price_for, which core::MiroAgent enforces.
 #pragma once
 
 #include <optional>
@@ -55,13 +56,6 @@ class PolicyEngine {
   std::optional<NegotiationTrigger> evaluate_trigger(
       std::string_view route_map_name,
       std::span<const CandidateRoute> candidates) const;
-
-  /// Responder admission: trust list plus tunnel-count limit.
-  bool admits(topo::AsNumber requester, std::size_t active_tunnels) const;
-
-  /// Responder price for a route, from the ordered filter list; nullopt when
-  /// no filter permits the route (it must not be offered).
-  std::optional<int> price_for(const CandidateRoute& route) const;
 
  private:
   std::vector<topo::AsNumber> targets_for(

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "core/alternates.hpp"
 #include "core/export_policy.hpp"
 #include "core/protocol.hpp"
 #include "core/route_store.hpp"
 #include "core/tunnel.hpp"
+#include "policy/policy_config.hpp"
 #include "scenarios.hpp"
 
 namespace miro::core {
@@ -276,6 +279,20 @@ struct ProtocolHarness {
   RouteStore store{fig.graph};
   sim::Scheduler scheduler;
   Bus bus{scheduler};
+  std::deque<std::optional<NegotiationOutcome>> outcomes;  // stable slots
+
+  /// `requester` asks B for a route to F whose traffic arrives from A, and
+  /// the scheduler runs to `until`; returns the outcome by then, if any.
+  std::optional<NegotiationOutcome> negotiate(MiroAgent& requester,
+                                              std::optional<NodeId> avoid,
+                                              std::optional<int> max_cost,
+                                              sim::Time until) {
+    std::optional<NegotiationOutcome>& outcome = outcomes.emplace_back();
+    requester.request(fig.b, fig.a, fig.f, avoid, max_cost,
+                      [&outcome](const NegotiationOutcome& o) { outcome = o; });
+    scheduler.run_until(until);
+    return outcome;
+  }
 };
 
 TEST(Protocol, NegotiationEstablishesTunnel) {
@@ -285,12 +302,7 @@ TEST(Protocol, NegotiationEstablishesTunnel) {
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus, responder_config);
 
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, /*arrival_neighbor=*/h.fig.a, /*destination=*/h.fig.f,
-            /*avoid=*/h.fig.e, /*max_cost=*/std::nullopt,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(1000);
-
+  const auto outcome = h.negotiate(a, /*avoid=*/h.fig.e, std::nullopt, 1000);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(outcome->established);
   EXPECT_EQ(outcome->responder, h.fig.b);
@@ -305,6 +317,7 @@ TEST(Protocol, NegotiationEstablishesTunnel) {
   EXPECT_EQ(record->remote_as, h.fig.a);
   EXPECT_EQ(record->bound_route.path,
             (std::vector<topo::NodeId>{h.fig.b, h.fig.c, h.fig.f}));
+  EXPECT_EQ(outcome->cost, 180);  // the default tariff's peer-route price
 }
 
 TEST(Protocol, StrictResponderRejectsAvoidERequest) {
@@ -314,10 +327,7 @@ TEST(Protocol, StrictResponderRejectsAvoidERequest) {
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus, responder_config);
 
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, h.fig.a, h.fig.f, h.fig.e, std::nullopt,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(1000);
+  const auto outcome = h.negotiate(a, h.fig.e, std::nullopt, 1000);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->established);
   EXPECT_EQ(outcome->offers_received, 0u);
@@ -327,14 +337,14 @@ TEST(Protocol, MaxCostFiltersOffers) {
   ProtocolHarness h;
   ResponderConfig responder_config;
   responder_config.policy = ExportPolicy::RespectExport;
-  responder_config.price = [](const Route&) { return 500; };
+  // "filter permit local_pref > 0 / set tunnel_cost 500": every route
+  // costs 500.
+  responder_config.rules.filters = {
+      {.local_pref_greater = 0, .tunnel_cost = 500}};
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus, responder_config);
 
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, h.fig.a, h.fig.f, h.fig.e, /*max_cost=*/250,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(1000);
+  const auto outcome = h.negotiate(a, h.fig.e, /*max_cost=*/250, 1000);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->established);  // everything too expensive
 }
@@ -343,14 +353,11 @@ TEST(Protocol, AdmissionControlByTunnelCount) {
   ProtocolHarness h;
   ResponderConfig responder_config;
   responder_config.policy = ExportPolicy::Flexible;
-  responder_config.max_tunnels = 0;  // room for nothing
+  responder_config.rules.max_tunnels = 0;  // room for nothing
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus, responder_config);
 
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, h.fig.a, h.fig.f, std::nullopt, std::nullopt,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(1000);
+  const auto outcome = h.negotiate(a, std::nullopt, std::nullopt, 1000);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->established);
   EXPECT_EQ(b.stats().requests_rejected, 1u);
@@ -359,27 +366,95 @@ TEST(Protocol, AdmissionControlByTunnelCount) {
 TEST(Protocol, TrustPredicateRejectsStranger) {
   ProtocolHarness h;
   ResponderConfig responder_config;
-  responder_config.accept_from = [&h](topo::NodeId who) {
-    return who == h.fig.d;  // only D is trusted
-  };
+  // "accept negotiation from as 4": only D is trusted.
+  responder_config.rules.accept_any = false;
+  responder_config.rules.accept_asns = {h.fig.graph.as_number(h.fig.d)};
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus, responder_config);
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, h.fig.a, h.fig.f, std::nullopt, std::nullopt,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(1000);
+  const auto outcome = h.negotiate(a, std::nullopt, std::nullopt, 1000);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->established);
+}
+
+TEST(Protocol, ResponderEnforcesAParsedChapter6Config) {
+  // B accepts negotiations from A only, holds at most one tunnel, and sells
+  // customer routes (local preference 400) for 110; no filter prices peer
+  // routes, so those must not be offered.
+  const policy::BgpConfig config = policy::parse_config(R"(
+router bgp 2
+accept negotiation from as 1
+when tunnel_number < 1
+negotiation filter CUSTOMER-ROUTES
+filter permit local_pref > 300
+set tunnel_cost 110
+)");
+  ProtocolHarness h;
+  ResponderConfig responder_config;
+  responder_config.rules = *config.responder;
+  MiroAgent a(h.fig.a, h.store, h.bus);
+  MiroAgent d(h.fig.d, h.store, h.bus);
+  MiroAgent b(h.fig.b, h.store, h.bus, responder_config);
+
+  // D (AS 4) is not on the accept list.
+  const auto stranger = h.negotiate(d, std::nullopt, std::nullopt, 500);
+  ASSERT_TRUE(stranger.has_value());
+  EXPECT_FALSE(stranger->established);
+  EXPECT_EQ(b.stats().requests_rejected, 1u);
+
+  // A is admitted, but BCF (a peer route) is the only route avoiding E and
+  // no filter prices it: nothing is offered.
+  const auto unpriced = h.negotiate(a, h.fig.e, std::nullopt, 1000);
+  ASSERT_TRUE(unpriced.has_value());
+  EXPECT_FALSE(unpriced->established);
+  EXPECT_EQ(unpriced->offers_received, 0u);
+  EXPECT_EQ(b.stats().requests_rejected, 1u);
+
+  // Of B's two exportable candidates (BEF customer, BCF peer), only the
+  // priced customer route is offered, at the filter's price.
+  const auto listed = h.negotiate(a, std::nullopt, std::nullopt, 1500);
+  ASSERT_TRUE(listed.has_value());
+  ASSERT_TRUE(listed->established);
+  EXPECT_EQ(listed->offers_received, 1u);
+  EXPECT_EQ(listed->route.path,
+            (std::vector<topo::NodeId>{h.fig.b, h.fig.e, h.fig.f}));
+  EXPECT_EQ(listed->cost, 110);
+  EXPECT_EQ(b.stats().offers_sent, 1u);
+
+  // The one-tunnel budget is spent: the next request is rejected.
+  const auto over_budget = h.negotiate(a, std::nullopt, std::nullopt, 2000);
+  ASSERT_TRUE(over_budget.has_value());
+  EXPECT_FALSE(over_budget->established);
+  EXPECT_EQ(b.stats().requests_rejected, 2u);
+  EXPECT_EQ(b.tunnels().active_count(), 1u);
+}
+
+TEST(Protocol, DefaultRulesKeepTheSectionSixTariff) {
+  // "accept negotiation from any when tunnel_number < 1000" and, under the
+  // conventional local-preference bands, 100/120/180/240 by route class.
+  const policy::ResponderSpec rules = ResponderConfig{}.rules;
+  EXPECT_TRUE(rules.admits(64512, 999));
+  EXPECT_FALSE(rules.admits(64512, 1000));
+  for (const auto& [cls, price] :
+       {std::pair{RouteClass::Self, 100}, std::pair{RouteClass::Customer, 120},
+        std::pair{RouteClass::Peer, 180}, std::pair{RouteClass::Provider, 240}})
+    EXPECT_EQ(rules.price_for(bgp::conventional_local_pref(cls)), price);
+
+  // The agent charges them: B sells A the customer route BEF for 120.
+  ProtocolHarness h;
+  MiroAgent a(h.fig.a, h.store, h.bus);
+  MiroAgent b(h.fig.b, h.store, h.bus);
+  const auto outcome = h.negotiate(a, /*avoid=*/h.fig.c, std::nullopt, 500);
+  ASSERT_TRUE(outcome && outcome->established);
+  EXPECT_EQ(outcome->route.path,
+            (std::vector<topo::NodeId>{h.fig.b, h.fig.e, h.fig.f}));
+  EXPECT_EQ(outcome->cost, 120);
 }
 
 TEST(Protocol, ActiveTeardownRemovesDownstreamState) {
   ProtocolHarness h;
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus);
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, h.fig.a, h.fig.f, h.fig.e, std::nullopt,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(500);
+  const auto outcome = h.negotiate(a, h.fig.e, std::nullopt, 500);
   ASSERT_TRUE(outcome && outcome->established);
   a.teardown(outcome->tunnel_id);
   h.scheduler.run_until(600);
@@ -391,10 +466,8 @@ TEST(Protocol, KeepAlivesSustainTunnelAcrossTime) {
   ProtocolHarness h;
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus);
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, h.fig.a, h.fig.f, h.fig.e, std::nullopt,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(5000);  // many keepalive/expiry cycles
+  // Many keepalive/expiry cycles.
+  const auto outcome = h.negotiate(a, h.fig.e, std::nullopt, 5000);
   ASSERT_TRUE(outcome && outcome->established);
   EXPECT_EQ(b.tunnels().active_count(), 1u);
   EXPECT_EQ(b.stats().tunnels_expired, 0u);
@@ -406,10 +479,7 @@ TEST(Protocol, SoftStateExpiresWhenLinkPartitioned) {
   ProtocolHarness h;
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus);
-  std::optional<NegotiationOutcome> outcome;
-  a.request(h.fig.b, h.fig.a, h.fig.f, h.fig.e, std::nullopt,
-            [&outcome](const NegotiationOutcome& o) { outcome = o; });
-  h.scheduler.run_until(500);
+  const auto outcome = h.negotiate(a, h.fig.e, std::nullopt, 500);
   ASSERT_TRUE(outcome && outcome->established);
   h.bus.set_link_down(h.fig.a, h.fig.b, true);  // keepalives stop arriving
   h.scheduler.run_until(5000);
@@ -425,16 +495,8 @@ TEST(Protocol, ResponderFiltersAvoidConstraintServerSide) {
   responder_config.policy = ExportPolicy::Flexible;
   MiroAgent a(h.fig.a, h.store, h.bus);
   MiroAgent b(h.fig.b, h.store, h.bus, responder_config);
-  std::optional<NegotiationOutcome> constrained;
-  a.request(h.fig.b, h.fig.a, h.fig.f, /*avoid=*/h.fig.e, std::nullopt,
-            [&constrained](const NegotiationOutcome& o) { constrained = o; });
-  h.scheduler.run_until(500);
-  std::optional<NegotiationOutcome> unconstrained;
-  a.request(h.fig.b, h.fig.a, h.fig.f, std::nullopt, std::nullopt,
-            [&unconstrained](const NegotiationOutcome& o) {
-              unconstrained = o;
-            });
-  h.scheduler.run_until(1000);
+  const auto constrained = h.negotiate(a, /*avoid=*/h.fig.e, std::nullopt, 500);
+  const auto unconstrained = h.negotiate(a, std::nullopt, std::nullopt, 1000);
   ASSERT_TRUE(constrained && unconstrained);
   EXPECT_LT(constrained->offers_received, unconstrained->offers_received);
 }

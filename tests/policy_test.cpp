@@ -212,28 +212,28 @@ TEST(PolicyConfig, ParsesSection63ResponderSide) {
 }
 
 TEST(PolicyEngine, ResponderPricingByLocalPrefBand) {
-  PolicyEngine engine(parse_config(kSection63Responder));
+  const ResponderSpec responder = *parse_config(kSection63Responder).responder;
   // Customer routes (local_pref > 200) sell for 120, peer routes for 180,
   // provider routes (<= 100) are not offered at all.
-  EXPECT_EQ(engine.price_for({{1, 2}, 400}), 120);
-  EXPECT_EQ(engine.price_for({{1, 2}, 150}), 180);
-  EXPECT_FALSE(engine.price_for({{1, 2}, 100}).has_value());
+  EXPECT_EQ(responder.price_for(400), 120);
+  EXPECT_EQ(responder.price_for(150), 180);
+  EXPECT_FALSE(responder.price_for(100).has_value());
 }
 
 TEST(PolicyEngine, ResponderAdmission) {
-  PolicyEngine engine(parse_config(kSection63Responder));
-  EXPECT_TRUE(engine.admits(42, 0));
-  EXPECT_TRUE(engine.admits(42, 999));
-  EXPECT_FALSE(engine.admits(42, 1000));  // tunnel_number limit reached
+  const ResponderSpec responder = *parse_config(kSection63Responder).responder;
+  EXPECT_TRUE(responder.admits(42, 0));
+  EXPECT_TRUE(responder.admits(42, 999));
+  EXPECT_FALSE(responder.admits(42, 1000));  // tunnel_number limit reached
 }
 
 TEST(PolicyConfig, AcceptFromSpecificAses) {
   const BgpConfig config = parse_config(
       "accept negotiation from as 100 200\nwhen tunnel_number < 5\n");
-  PolicyEngine engine(config);
-  EXPECT_TRUE(engine.admits(100, 0));
-  EXPECT_TRUE(engine.admits(200, 0));
-  EXPECT_FALSE(engine.admits(300, 0));
+  const ResponderSpec& responder = *config.responder;
+  EXPECT_TRUE(responder.admits(100, 0));
+  EXPECT_TRUE(responder.admits(200, 0));
+  EXPECT_FALSE(responder.admits(300, 0));
 }
 
 TEST(PolicyConfig, RouteMapClausesEvaluateInSequenceOrder) {

@@ -101,9 +101,7 @@ TEST(SwitchNegotiation, SilentResponderTimesOut) {
 TEST(SwitchNegotiation, CustomPolicyCanRefuseEverything) {
   SwitchHarness h;
   ResponderConfig config;
-  config.accept_switch = [](const bgp::Route&, const bgp::Route&, int) {
-    return false;
-  };
+  config.rules.accept_any = false;  // an empty accept list trusts nobody
   MiroAgent agent_f(h.fig.f, h.store, h.bus);
   MiroAgent agent_b(h.fig.b, h.store, h.bus, config);
   bool accepted = true;

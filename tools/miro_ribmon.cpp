@@ -64,17 +64,6 @@ namespace {
   std::exit(2);
 }
 
-/// One closed-accounting check: a stream total against the replay counter it
-/// must equal. A mismatch means an emission site lost or double-counted a
-/// record — the exact failure the provenance layer exists to rule out.
-struct AccountingRow {
-  const char* what;
-  std::uint64_t records;
-  std::uint64_t counter;
-
-  bool ok() const { return records == counter; }
-};
-
 /// The replay's own accounting: convergence, message and defense counters,
 /// and checkpoint counts.
 void print_replay(const miro::churn::ReplayResult& result) {
@@ -243,32 +232,10 @@ int main(int argc, char** argv) {
 
     // Closed accounting: every stream total must match the replay's own
     // counters, and every record must land in a tree (no orphans).
-    const auto& bgp = result.bgp;
-    const AccountingRow accounting[] = {
-        {"wire_records == updates_sent + withdrawals_sent",
-         log.wire_messages(),
-         static_cast<std::uint64_t>(bgp.updates_sent + bgp.withdrawals_sent)},
-        {"tree update sums == updates_sent + withdrawals_sent",
-         static_cast<std::uint64_t>(provenance.total_updates),
-         static_cast<std::uint64_t>(bgp.updates_sent + bgp.withdrawals_sent)},
-        {"deliver records == delivered updates + withdrawals",
-         log.count(obs::EventKind::Deliver),
-         static_cast<std::uint64_t>(bgp.delivered_updates +
-                                    bgp.delivered_withdrawals)},
-        {"loss records == lost_in_flight",
-         log.count(obs::EventKind::Loss),
-         static_cast<std::uint64_t>(bgp.lost_in_flight)},
-        {"coalesce records == coalesced",
-         log.count(obs::EventKind::MraiCoalesce),
-         static_cast<std::uint64_t>(bgp.coalesced)},
-        {"suppress records == updates_suppressed",
-         log.count(obs::EventKind::DampingSuppress),
-         static_cast<std::uint64_t>(bgp.updates_suppressed)},
-        {"orphan records == 0",
-         static_cast<std::uint64_t>(provenance.orphans), 0},
-    };
+    const auto accounting =
+        churn::closed_accounting(result, log, provenance);
     bool accounting_ok = true;
-    for (const AccountingRow& row : accounting) {
+    for (const churn::AccountingRow& row : accounting) {
       accounting_ok = accounting_ok && row.ok();
     }
 
@@ -287,7 +254,7 @@ int main(int argc, char** argv) {
                      JsonValue::make_number(static_cast<double>(trace.seed)));
       doc.set("trace", std::move(trace_info));
       JsonValue acct = JsonValue::make_object();
-      for (const AccountingRow& row : accounting) {
+      for (const churn::AccountingRow& row : accounting) {
         JsonValue entry = JsonValue::make_object();
         entry.set("records",
                   JsonValue::make_number(static_cast<double>(row.records)));
@@ -374,7 +341,7 @@ int main(int argc, char** argv) {
       }
 
       std::printf("\nclosed accounting:\n");
-      for (const AccountingRow& row : accounting) {
+      for (const churn::AccountingRow& row : accounting) {
         std::printf("  [%s] %s: stream %llu vs counter %llu\n",
                     row.ok() ? "ok" : "MISMATCH", row.what,
                     static_cast<unsigned long long>(row.records),
