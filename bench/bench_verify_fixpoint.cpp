@@ -31,10 +31,12 @@ void verify_fixpoint(Run& run) {
     const Stopwatch clock;
     std::uint64_t state_bytes = 0;
     std::size_t sweeps = 0;
+    std::size_t evaluations = 0;
     for (const bgp::RoutingTree& tree : plan.trees()) {
       const analysis::SymbolicRouteMap map = engine.solve(tree.destination());
       state_bytes += map.memory_bytes();
       sweeps += map.sweeps();
+      evaluations += map.evaluations();
     }
     const double ms = clock.ms();
     if (obs::MemoryRegistry* mem = obs::memory())
@@ -51,7 +53,8 @@ void verify_fixpoint(Run& run) {
         analysis::differential_check(plan.graph(), diff, profile);
 
     std::cout << profile << ": " << plan.trees().size() << " fixpoints in "
-              << ms << " ms (" << sweeps << " sweeps), " << state_bytes
+              << ms << " ms (" << sweeps << " sweeps, " << evaluations
+              << " node evaluations), " << state_bytes
               << " state bytes; differential: " << outcome.entries
               << " entries, " << outcome.tuples << " avoid tuples, "
               << outcome.entry_mismatches << "+" << outcome.avoid_mismatches

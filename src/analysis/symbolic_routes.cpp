@@ -1,8 +1,10 @@
 #include "analysis/symbolic_routes.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "analysis/convergence_lint.hpp"
 #include "common/error.hpp"
@@ -48,7 +50,24 @@ bool SymbolicRouteMap::feasible(NodeId node) const {
 
 SymbolicRouteEngine::SymbolicRouteEngine(const AsGraph& graph,
                                          SymbolicOptions options)
-    : graph_(&graph), options_(options) {}
+    : graph_(&graph), options_(options) {
+  for (int rel = 0; rel < 4; ++rel) {
+    // rel is what the exporting neighbor is to the receiver; the neighbor's
+    // export rule sees the receiver as the reverse.
+    const auto neighbor_rel = static_cast<topo::Relationship>(rel);
+    for (int r = 0; r < 4; ++r) {
+      const auto cls = static_cast<RouteClass>(r);
+      offer_[rel][r] =
+          export_allows(cls, topo::reverse(neighbor_rel))
+              ? static_cast<std::uint8_t>(
+                    bgp::rank(bgp::classify(neighbor_rel, cls)))
+              : kNoOffer;
+    }
+  }
+  asns_.reserve(graph.node_count());
+  for (NodeId v = 0; v < graph.node_count(); ++v)
+    asns_.push_back(graph.as_number(v));
+}
 
 bool SymbolicRouteEngine::export_allows(RouteClass cls,
                                         topo::Relationship to_rel) const {
@@ -76,104 +95,148 @@ SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
                                                NodeId avoid) const {
   obs::ScopedSpan span(obs::profile(), "analysis/symbolic_fixpoint",
                        "analysis");
+  using Entry = SymbolicRouteMap::Entry;
   const AsGraph& graph = *graph_;
-  require(destination < graph.node_count(),
-          "SymbolicRouteEngine: destination out of range");
+  const std::size_t n = graph.node_count();
+  require(destination < n, "SymbolicRouteEngine: destination out of range");
+  require(asns_.size() == n,
+          "SymbolicRouteEngine: the graph grew after the engine was built");
   SymbolicRouteMap map;
   map.destination_ = destination;
-  map.entries_.assign(graph.node_count(), {});
+  map.entries_.assign(n, {});
+  std::vector<Entry>& entries = map.entries_;
 
-  SymbolicRouteMap::Entry& origin = map.entries_[destination];
+  Entry& origin = entries[destination];
   origin.reachable = true;
   origin.next_hop = destination;
   origin.length = 0;
   origin.cls = RouteClass::Self;
   origin.feasible_length[bgp::rank(RouteClass::Self)] = 0;
 
-  // Chaotic iteration in node order until nothing moves. Every abstract
-  // value only ever improves (the exact triple decreases in the preference
-  // order, feasibility masks grow, feasible lengths shrink), and (rank,
-  // length) strictly increases along each export edge, so the longest
-  // strictly-improving derivation — hence the sweep count — is bounded by
-  // the longest simple export chain. The bound below only trips on inputs
-  // that violate the preconditions.
-  const std::size_t bound =
-      options_.max_sweeps != 0 ? options_.max_sweeps : graph.node_count() + 2;
-  std::size_t sweeps = 0;
-  bool changed = true;
-  while (changed) {
-    require(sweeps < bound,
-            "SymbolicRouteEngine: fixpoint did not stabilize (provider "
-            "hierarchy cyclic?)");
-    ++sweeps;
-    changed = false;
-    for (NodeId v = 0; v < graph.node_count(); ++v) {
-      if (v == destination || v == avoid) continue;
-      SymbolicRouteMap::Entry& entry = map.entries_[v];
-      // Exact layer: recompute v's best triple *fresh* from the neighbors'
-      // current state every sweep. An incremental min-relaxation would be
-      // wrong here: a neighbor's offer is not monotone in the preference
-      // order (its class can improve while its path grows, withdrawing the
-      // shorter route a previous sweep recorded), so stale minima must be
-      // discarded, not kept. Every transient entry still corresponds to a
-      // real export chain from the destination, and the stable state is the
-      // optimum over all such chains, so no transient value is ever better
-      // than the fixpoint — recomputation converges to it from either side.
-      bool best_reachable = false;
-      RouteClass best_cls = RouteClass::Provider;
-      std::uint32_t best_length = 0;
-      NodeId best_hop = topo::kInvalidNode;
-      for (const topo::Neighbor& n : graph.neighbors(v)) {
-        if (n.node == avoid) continue;
-        const SymbolicRouteMap::Entry& theirs = map.entries_[n.node];
-        // n.rel is what the neighbor is to v; the neighbor's export rule
-        // sees v as the reverse.
-        const topo::Relationship v_rel = topo::reverse(n.rel);
+  // One node's transfer function; true when its exact triple or any
+  // feasible length moved.
+  auto evaluate = [&](NodeId v) {
+    Entry& entry = entries[v];
+    bool changed = false;
+    // Exact layer: recompute v's best triple *fresh* from the neighbors'
+    // current state. An incremental min-relaxation would be wrong here: a
+    // neighbor's offer is not monotone in the preference order (its class
+    // can improve while its path grows, withdrawing the shorter route a
+    // previous sweep recorded), so stale minima must be discarded, not
+    // kept. Every transient entry still corresponds to a real export chain
+    // from the destination, and the stable state is the optimum over all
+    // such chains, so no transient value is ever better than the fixpoint —
+    // recomputation converges to it from either side.
+    bool best_reachable = false;
+    std::uint8_t best_rank = bgp::rank(RouteClass::Provider);
+    std::uint32_t best_length = 0;
+    topo::AsNumber best_asn = 0;
+    NodeId best_hop = topo::kInvalidNode;
+    for (const topo::Neighbor& nb : graph.neighbors(v)) {
+      if (nb.node == avoid) continue;
+      const Entry& theirs = entries[nb.node];
+      const std::uint8_t* offer = offer_[static_cast<int>(nb.rel)];
 
-        if (theirs.reachable && export_allows(theirs.cls, v_rel)) {
-          const RouteClass cls = bgp::classify(n.rel, theirs.cls);
-          const auto candidate = std::make_tuple(
-              bgp::rank(cls), theirs.length + 1, graph.as_number(n.node));
-          if (!best_reachable ||
-              candidate < std::make_tuple(bgp::rank(best_cls), best_length,
-                                          graph.as_number(best_hop))) {
-            best_reachable = true;
-            best_cls = cls;
-            best_length = theirs.length + 1;
-            best_hop = n.node;
-          }
-        }
-
-        // Feasibility layer: any class the neighbor could ever hold and
-        // export reaches v re-classified by this link. This layer is a
-        // genuine monotone may-analysis (lengths only shrink), so the
-        // incremental relaxation is exact.
-        for (int r = 0; r < 4; ++r) {
-          const std::uint32_t length = theirs.feasible_length[r];
-          if (length == kInfeasibleLength) continue;
-          const auto their_cls = static_cast<RouteClass>(r);
-          if (!export_allows(their_cls, v_rel)) continue;
-          std::uint32_t& slot =
-              entry.feasible_length[bgp::rank(bgp::classify(n.rel, their_cls))];
-          if (length + 1 < slot) {
-            slot = length + 1;
-            changed = true;
-          }
+      const std::uint8_t cls_rank =
+          theirs.reachable ? offer[bgp::rank(theirs.cls)] : kNoOffer;
+      if (cls_rank != kNoOffer) {
+        const std::uint32_t length = theirs.length + 1;
+        const topo::AsNumber asn = asns_[nb.node];
+        if (!best_reachable || std::tie(cls_rank, length, asn) <
+                                   std::tie(best_rank, best_length, best_asn)) {
+          best_reachable = true;
+          best_rank = cls_rank;
+          best_length = length;
+          best_asn = asn;
+          best_hop = nb.node;
         }
       }
-      if (best_reachable != entry.reachable ||
-          (best_reachable &&
-           (best_cls != entry.cls || best_length != entry.length ||
-            best_hop != entry.next_hop))) {
-        entry.reachable = best_reachable;
-        entry.cls = best_cls;
-        entry.length = best_length;
-        entry.next_hop = best_hop;
-        changed = true;
+
+      // Feasibility layer: any class the neighbor could ever hold and
+      // export reaches v re-classified by this link. This layer is a
+      // genuine monotone may-analysis (lengths only shrink), so the
+      // incremental relaxation is exact.
+      for (int r = 0; r < 4; ++r) {
+        const std::uint32_t length = theirs.feasible_length[r];
+        if (length == kInfeasibleLength || offer[r] == kNoOffer) continue;
+        std::uint32_t& slot = entry.feasible_length[offer[r]];
+        if (length + 1 < slot) {
+          slot = length + 1;
+          changed = true;
+        }
       }
     }
+    const auto best_cls = static_cast<RouteClass>(best_rank);
+    if (best_reachable != entry.reachable ||
+        (best_reachable &&
+         (best_cls != entry.cls || best_length != entry.length ||
+          best_hop != entry.next_hop))) {
+      entry.reachable = best_reachable;
+      entry.cls = best_cls;
+      entry.length = best_length;
+      entry.next_hop = best_hop;
+      changed = true;
+    }
+    return changed;
+  };
+
+  // Gauss-Seidel sweeps in node order until nothing moves, over a dirty
+  // set: one bit per node, set when a neighbor moved since the node's last
+  // evaluation. A node with no such neighbor would recompute exactly its
+  // current state, so skipping it changes nothing. A move at v dirties a
+  // higher neighbor for this sweep (a full sweep reaches it after v) and a
+  // lower one for the next (a full sweep passed it before v moved), so each
+  // sweep sees the states a full sweep sees. Before the first sweep only
+  // the destination's neighbors can move.
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> dirty(words, 0);
+  auto bit = [](NodeId v) { return std::uint64_t{1} << (v & 63); };
+  for (const topo::Neighbor& nb : graph.neighbors(destination))
+    if (nb.node != avoid) dirty[nb.node >> 6] |= bit(nb.node);
+
+  // Every abstract value only ever improves (the exact triple decreases in
+  // the preference order, feasible lengths shrink), and (rank, length)
+  // strictly increases along each export edge, so the longest
+  // strictly-improving derivation — hence the sweep count — is bounded by
+  // the longest simple export chain. The bound below only trips on inputs
+  // that violate the preconditions. A full iteration starts sweep s + 1
+  // after every sweep s that moved something and refuses once s reaches
+  // the bound, so this loop refuses when a sweep at or past it moves.
+  const std::size_t bound =
+      options_.max_sweeps != 0 ? options_.max_sweeps : n + 2;
+  std::size_t sweep = 0;
+  std::size_t last_moved = 0;
+  std::size_t evaluations = 0;
+  while (std::any_of(dirty.begin(), dirty.end(),
+                     [](std::uint64_t word) { return word != 0; })) {
+    ++sweep;
+    bool moved = false;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = std::exchange(dirty[w], 0);
+      while (bits != 0) {
+        const auto v = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+        bits &= bits - 1;
+        ++evaluations;
+        if (!evaluate(v)) continue;
+        moved = true;
+        for (const topo::Neighbor& nb : graph.neighbors(v)) {
+          if (nb.node == destination || nb.node == avoid) continue;
+          if (nb.node > v && nb.node >> 6 == w)
+            bits |= bit(nb.node);  // later in this word: this sweep
+          else
+            dirty[nb.node >> 6] |= bit(nb.node);  // later word, or next sweep
+        }
+      }
+    }
+    if (moved) {
+      last_moved = sweep;
+      require(sweep < bound,
+              "SymbolicRouteEngine: fixpoint did not stabilize (provider "
+              "hierarchy cyclic?)");
+    }
   }
-  map.sweeps_ = sweeps;
+  map.sweeps_ = last_moved + 1;
+  map.evaluations_ = evaluations;
   return map;
 }
 
@@ -183,7 +246,9 @@ SymbolicRouteMap SymbolicRouteEngine::solve(NodeId destination) const {
 
 SymbolicRouteMap SymbolicRouteEngine::solve_avoiding(NodeId destination,
                                                      NodeId avoid) const {
-  require(avoid != topo::kInvalidNode && avoid != destination,
+  require(avoid < graph_->node_count(),
+          "SymbolicRouteEngine::solve_avoiding: avoided AS out of range");
+  require(avoid != destination,
           "SymbolicRouteEngine::solve_avoiding: cannot avoid the destination");
   return fixpoint(destination, avoid);
 }

@@ -26,6 +26,13 @@
 //     so a node has a feasible chain iff it is reachable in the stable
 //     state.
 //
+// The fixpoint runs Gauss-Seidel sweeps in node order but re-evaluates only
+// the nodes on a dirty set: the destination's neighbors to start, then the
+// neighbors of every node whose exact triple or feasible lengths moved. A
+// node none of whose neighbors moved since its last evaluation would
+// recompute the same state, so every sweep's intermediate state, the final
+// map and the sweep count equal those of sweeping every node every time.
+//
 // Fixpoint existence and termination are exactly the layer-2 stability
 // preconditions: the customer→provider relation must be acyclic
 // (convergence lint's find_provider_cycle), which bounds the length of any
@@ -89,9 +96,14 @@ class SymbolicRouteMap {
     return entries_[node].feasible_length[bgp::rank(cls)];
   }
 
-  /// Sweeps the solver needed to stabilize (diagnostic; bounded by the
-  /// longest provider chain, not the node count, on real topologies).
+  /// Gauss-Seidel sweeps the solver needed to stabilize: the last sweep
+  /// that changed anything, plus the one that confirmed it (diagnostic;
+  /// bounded by the longest provider chain, not the node count, on real
+  /// topologies).
   std::size_t sweeps() const { return sweeps_; }
+  /// Node evaluations the dirty set let through, over all sweeps (a full
+  /// sweep of every node would cost sweeps() x (node count - 1)).
+  std::size_t evaluations() const { return evaluations_; }
 
   /// Capacity-walk byte footprint of the per-node state: the
   /// verify.state_bytes bench row.
@@ -109,6 +121,7 @@ class SymbolicRouteMap {
   };
   NodeId destination_ = topo::kInvalidNode;
   std::size_t sweeps_ = 0;
+  std::size_t evaluations_ = 0;
   std::vector<Entry> entries_;
 };
 
@@ -136,7 +149,8 @@ class SymbolicRouteEngine {
   SymbolicRouteMap solve(NodeId destination) const;
 
   /// Fixpoint with `avoid` excised from the graph: the static analogue of
-  /// StableRouteSolver::solve_avoiding.
+  /// StableRouteSolver::solve_avoiding. Throws unless `avoid` is a node of
+  /// the graph other than the destination.
   SymbolicRouteMap solve_avoiding(NodeId destination, NodeId avoid) const;
 
   /// Static prediction of the Section 5.3 avoid-an-AS procedure: the same
@@ -171,6 +185,13 @@ class SymbolicRouteEngine {
 
   const topo::AsGraph* graph_;
   SymbolicOptions options_;
+  /// offer_[rel][r]: the class rank a route of rank r takes when a
+  /// neighbor that is `rel` to the receiver exports it, or kNoOffer when
+  /// the neighbor's export rule withholds it. Built once through
+  /// export_allows and bgp::classify, so inject_export_bug applies.
+  static constexpr std::uint8_t kNoOffer = 0xFF;
+  std::uint8_t offer_[4][4] = {};
+  std::vector<topo::AsNumber> asns_;  ///< as_number per node, unchecked
 };
 
 /// Network-wide export-violation / route-leak detection: validates every

@@ -109,8 +109,8 @@ Report verify_network(const AsGraph& graph, const VerifyOptions& options,
   destinations.erase(std::unique(destinations.begin(), destinations.end()),
                      destinations.end());
 
-  // One fixpoint per destination, leak-checked as it lands; the maps are
-  // kept for the queries below.
+  // One fixpoint per destination, leak-checked as it lands. Only the maps
+  // a query reads below are kept (each holds 28 B per AS).
   std::map<NodeId, SymbolicRouteMap> maps;
   std::size_t reachable_entries = 0;
   std::size_t leak_errors = 0;
@@ -120,7 +120,10 @@ Report verify_network(const AsGraph& graph, const VerifyOptions& options,
     leak_errors += safety.error_count();
     report.merge(safety);
     reachable_entries += map.reachable_count();
-    maps.emplace(destination, std::move(map));
+    if (std::any_of(resolved.begin(), resolved.end(), [&](const Resolved& r) {
+          return r.destination == destination;
+        }))
+      maps.emplace(destination, std::move(map));
   }
   report
       .add(Severity::Note, "verify.sweep.summary",

@@ -159,7 +159,9 @@ RoutingTree StableRouteSolver::solve_prepended(
 
 RoutingTree StableRouteSolver::solve_avoiding(NodeId destination,
                                               NodeId avoid) const {
-  require(avoid != topo::kInvalidNode && avoid != destination,
+  require(avoid < graph_->node_count(),
+          "solve_avoiding: avoided AS out of range");
+  require(avoid != destination,
           "solve_avoiding: cannot avoid the destination");
   return run(destination, nullptr, nullptr, avoid);
 }

@@ -108,7 +108,8 @@ class StableRouteSolver {
   /// graph: it neither selects a route nor re-advertises one, so no path in
   /// the result traverses it. This is the ground truth "could any policy at
   /// all route around `avoid`" bound that the layer-3 symbolic engine's
-  /// poisoned fixpoint is differential-tested against.
+  /// poisoned fixpoint is differential-tested against. Throws unless
+  /// `avoid` is a node of the graph other than the destination.
   RoutingTree solve_avoiding(NodeId destination, NodeId avoid) const;
 
   /// Stable routes toward `destination` with the links in `down` failed:

@@ -361,6 +361,17 @@ TEST(StableRouteSolver, SolveWithoutLinksRejectsNonLinks) {
                Error);
 }
 
+TEST(StableRouteSolver, SolveAvoidingRejectsAnOutOfRangeAs) {
+  const topo::AsGraph graph = topo::generate(topo::profile("tiny"));
+  const StableRouteSolver solver(graph);
+  const auto n = static_cast<NodeId>(graph.node_count());
+  EXPECT_THROW(solver.solve_avoiding(0, n), Error);
+  EXPECT_THROW(solver.solve_avoiding(0, n + 5), Error);
+  EXPECT_THROW(solver.solve_avoiding(0, topo::kInvalidNode), Error);
+  EXPECT_THROW(solver.solve_avoiding(0, 0), Error);
+  EXPECT_LT(solver.solve_avoiding(0, n - 1).reachable_count(), n);
+}
+
 TEST(PathTable, InternDedupsAndSharesSuffixes) {
   PathTable table;
   const std::vector<NodeId> a{4, 2, 1};

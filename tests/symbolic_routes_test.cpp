@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "analysis/symbolic_routes.hpp"
 #include "analysis/verify.hpp"
 #include "bgp/route_solver.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/alternates.hpp"
 #include "core/export_policy.hpp"
 #include "policy/policy_config.hpp"
@@ -174,6 +177,256 @@ TEST(SymbolicFixpoint, SweepBoundThrowsBeforeLooping) {
   const SymbolicRouteMap map = SymbolicRouteEngine(fig.graph).solve(fig.stub);
   EXPECT_GE(map.sweeps(), 2u);
   EXPECT_GT(map.memory_bytes(), 0u);
+}
+
+TEST(SymbolicFixpoint, SolveAvoidingRejectsAnOutOfRangeAs) {
+  const AsGraph graph = topo::generate(topo::profile("tiny"));
+  const SymbolicRouteEngine engine(graph);
+  const auto n = static_cast<topo::NodeId>(graph.node_count());
+  EXPECT_THROW(engine.solve_avoiding(0, n), Error);
+  EXPECT_THROW(engine.solve_avoiding(0, n + 5), Error);
+  EXPECT_THROW(engine.solve_avoiding(0, topo::kInvalidNode), Error);
+  EXPECT_THROW(engine.solve_avoiding(0, 0), Error);
+  EXPECT_LT(engine.solve_avoiding(0, n - 1).reachable_count(), n);
+}
+
+// ------------------------------------------------- dirty set vs full sweeps
+
+// The reference fixpoint without a dirty set: every node but the
+// destination and the avoided AS re-evaluated on every Gauss-Seidel sweep,
+// in node order, until a sweep changes nothing. `leak` applies the same
+// route leak as SymbolicOptions::inject_export_bug. The engine must replay
+// it exactly: same entries, same feasible lengths, same sweep count.
+struct FullSweepEntry {
+  bool reachable = false;
+  RouteClass cls = RouteClass::Provider;
+  std::uint32_t length = 0;
+  topo::NodeId next_hop = topo::kInvalidNode;
+  std::uint32_t feasible_length[4] = {kInfeasibleLength, kInfeasibleLength,
+                                      kInfeasibleLength, kInfeasibleLength};
+};
+
+struct FullSweeps {
+  std::vector<FullSweepEntry> entries;
+  std::size_t sweeps = 0;
+};
+
+FullSweeps full_sweeps(const AsGraph& graph, topo::NodeId destination,
+                       topo::NodeId avoid, bool leak) {
+  auto exports = [leak](RouteClass cls, topo::Relationship to_rel) {
+    return (leak && cls == RouteClass::Peer) ||
+           bgp::conventional_export_allows(cls, to_rel);
+  };
+  FullSweeps out;
+  out.entries.assign(graph.node_count(), {});
+  FullSweepEntry& origin = out.entries[destination];
+  origin.reachable = true;
+  origin.next_hop = destination;
+  origin.cls = RouteClass::Self;
+  origin.feasible_length[bgp::rank(RouteClass::Self)] = 0;
+  bool changed = true;
+  while (changed) {
+    require(out.sweeps < graph.node_count() + 2,
+            "full_sweeps: fixpoint did not stabilize");
+    ++out.sweeps;
+    changed = false;
+    for (topo::NodeId v = 0; v < graph.node_count(); ++v) {
+      if (v == destination || v == avoid) continue;
+      FullSweepEntry& entry = out.entries[v];
+      bool best_reachable = false;
+      RouteClass best_cls = RouteClass::Provider;
+      std::uint32_t best_length = 0;
+      topo::NodeId best_hop = topo::kInvalidNode;
+      for (const topo::Neighbor& n : graph.neighbors(v)) {
+        if (n.node == avoid) continue;
+        const FullSweepEntry& theirs = out.entries[n.node];
+        const topo::Relationship v_rel = topo::reverse(n.rel);
+        if (theirs.reachable && exports(theirs.cls, v_rel)) {
+          const RouteClass cls = bgp::classify(n.rel, theirs.cls);
+          const auto candidate = std::make_tuple(
+              bgp::rank(cls), theirs.length + 1, graph.as_number(n.node));
+          if (!best_reachable ||
+              candidate < std::make_tuple(bgp::rank(best_cls), best_length,
+                                          graph.as_number(best_hop))) {
+            best_reachable = true;
+            best_cls = cls;
+            best_length = theirs.length + 1;
+            best_hop = n.node;
+          }
+        }
+        for (int r = 0; r < 4; ++r) {
+          const std::uint32_t length = theirs.feasible_length[r];
+          if (length == kInfeasibleLength) continue;
+          const auto their_cls = static_cast<RouteClass>(r);
+          if (!exports(their_cls, v_rel)) continue;
+          std::uint32_t& slot =
+              entry.feasible_length[bgp::rank(bgp::classify(n.rel, their_cls))];
+          if (length + 1 < slot) {
+            slot = length + 1;
+            changed = true;
+          }
+        }
+      }
+      if (best_reachable != entry.reachable ||
+          (best_reachable &&
+           (best_cls != entry.cls || best_length != entry.length ||
+            best_hop != entry.next_hop))) {
+        entry.reachable = best_reachable;
+        entry.cls = best_cls;
+        entry.length = best_length;
+        entry.next_hop = best_hop;
+        changed = true;
+      }
+    }
+  }
+  return out;
+}
+
+// Solves (destination, avoid) with the engine and with the full sweeps
+// under the engine's export rule. Returns "" when the map replays the full
+// sweeps exactly, or when both refuse at the sweep bound (a leaky export
+// rule can count to infinity); otherwise the first difference.
+std::string replay_diff(const SymbolicRouteEngine& engine,
+                        topo::NodeId destination, topo::NodeId avoid) {
+  std::optional<FullSweeps> ref;
+  std::optional<SymbolicRouteMap> map;
+  try {
+    ref = full_sweeps(engine.graph(), destination, avoid,
+                      engine.options().inject_export_bug);
+  } catch (const Error&) {
+  }
+  try {
+    map = avoid == topo::kInvalidNode
+              ? engine.solve(destination)
+              : engine.solve_avoiding(destination, avoid);
+  } catch (const Error&) {
+  }
+  if (!ref || !map) {
+    if (ref) return "the engine refused where the full sweeps stabilized";
+    if (map) return "the engine stabilized where the full sweeps refused";
+    return "";
+  }
+  if (map->sweeps() != ref->sweeps)
+    return "sweeps " + std::to_string(map->sweeps()) + " vs " +
+           std::to_string(ref->sweeps);
+  for (topo::NodeId v = 0; v < ref->entries.size(); ++v) {
+    const FullSweepEntry& e = ref->entries[v];
+    if (map->reachable(v) != e.reachable || map->route_class(v) != e.cls ||
+        map->path_length(v) != e.length || map->next_hop(v) != e.next_hop)
+      return "exact entry of node " + std::to_string(v);
+    for (int r = 0; r < 4; ++r)
+      if (map->feasible_length(v, static_cast<RouteClass>(r)) !=
+          e.feasible_length[r])
+        return "feasible length " + std::to_string(r) + " of node " +
+               std::to_string(v);
+  }
+  return "";
+}
+
+// The tiny profile and three gao2005 draws at scale 0.1.
+std::vector<AsGraph> replay_graphs() {
+  std::vector<AsGraph> graphs;
+  graphs.push_back(topo::generate(topo::profile("tiny")));
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    topo::GeneratorParams params = topo::profile("gao2005", 0.1);
+    params.seed = seed;
+    graphs.push_back(topo::generate(params));
+  }
+  return graphs;
+}
+
+TEST(SymbolicFixpoint, DirtySetReplaysTheFullSweeps) {
+  std::size_t leaky_stabilized = 0;
+  for (const AsGraph& graph : replay_graphs()) {
+    const auto n = static_cast<topo::NodeId>(graph.node_count());
+    const SymbolicRouteEngine engine(graph);
+    SymbolicOptions leaky;
+    leaky.inject_export_bug = true;
+    const SymbolicRouteEngine buggy(graph, leaky);
+
+    for (topo::NodeId dest = 0; dest < n; ++dest)
+      ASSERT_EQ(replay_diff(engine, dest, topo::kInvalidNode), "")
+          << "solve(" << dest << ") on " << n << " ASes";
+
+    topo::NodeId hub = 0;
+    std::vector<topo::NodeId> stubs;
+    for (topo::NodeId v = 0; v < n; ++v) {
+      if (graph.degree(v) > graph.degree(hub)) hub = v;
+      if (graph.is_stub(v)) stubs.push_back(v);
+    }
+    ASSERT_FALSE(stubs.empty());
+    Rng rng(n);
+    for (const std::size_t index : rng.sample_indices(n, 20)) {
+      const auto dest = static_cast<topo::NodeId>(index);
+      ASSERT_FALSE(graph.neighbors(dest).empty());
+      const topo::NodeId stub = stubs[rng.next_below(stubs.size())];
+      for (const topo::NodeId avoid :
+           {graph.neighbors(dest).front().node, stub, hub}) {
+        if (avoid == dest) continue;
+        ASSERT_EQ(replay_diff(engine, dest, avoid), "")
+            << "solve_avoiding(" << dest << ", " << avoid << ") on " << n
+            << " ASes";
+      }
+      ASSERT_EQ(replay_diff(buggy, dest, topo::kInvalidNode), "")
+          << "leaky solve(" << dest << ") on " << n << " ASes";
+      try {
+        buggy.solve(dest);
+        ++leaky_stabilized;
+      } catch (const Error&) {
+      }
+    }
+  }
+  // The leak must not only be compared through refusals.
+  EXPECT_GT(leaky_stabilized, 0u);
+}
+
+// With S the full sweeps' count, max_sweeps = S solves in S sweeps and
+// max_sweeps = S - 1 throws.
+void expect_sweep_bound(const AsGraph& graph, topo::NodeId dest) {
+  const std::size_t sweeps =
+      full_sweeps(graph, dest, topo::kInvalidNode, false).sweeps;
+  ASSERT_GE(sweeps, 2u);
+  SymbolicOptions options;
+  options.max_sweeps = sweeps;
+  EXPECT_EQ(SymbolicRouteEngine(graph, options).solve(dest).sweeps(), sweeps);
+  options.max_sweeps = sweeps - 1;
+  EXPECT_THROW(SymbolicRouteEngine(graph, options).solve(dest), Error)
+      << "destination " << dest << " needs " << sweeps << " sweeps";
+}
+
+TEST(SymbolicFixpoint, SweepBoundMatchesTheFullSweeps) {
+  // A star around the destination: the leaves move in the first sweep and
+  // dirty no one, so the confirming second sweep evaluates nothing.
+  AsGraph star;
+  const topo::NodeId hub = star.add_as(1);
+  for (topo::AsNumber asn = 2; asn <= 4; ++asn)
+    star.add_customer_provider(hub, star.add_as(asn));
+  expect_sweep_bound(star, hub);
+
+  for (const AsGraph& graph : replay_graphs()) {
+    Rng rng(graph.node_count());
+    for (const std::size_t index : rng.sample_indices(graph.node_count(), 6))
+      expect_sweep_bound(graph, static_cast<topo::NodeId>(index));
+  }
+}
+
+TEST(SymbolicFixpoint, DirtySetSkipsMostEvaluations) {
+  // A full sweep evaluates every node but the destination; the dirty set
+  // lets through only nodes whose neighbors moved.
+  const AsGraph graph = topo::generate(topo::profile("gao2005", 1.0));
+  const SymbolicRouteEngine engine(graph);
+  std::size_t evaluations = 0;
+  std::size_t full = 0;
+  Rng rng(1);
+  for (const std::size_t index : rng.sample_indices(graph.node_count(), 8)) {
+    const SymbolicRouteMap map =
+        engine.solve(static_cast<topo::NodeId>(index));
+    EXPECT_GT(map.evaluations(), 0u);
+    evaluations += map.evaluations();
+    full += map.sweeps() * (graph.node_count() - 1);
+  }
+  EXPECT_LT(2 * evaluations, full)
+      << evaluations << " evaluations against " << full << " in full sweeps";
 }
 
 TEST(SymbolicFixpoint, ProviderCyclePreconditionFails) {
