@@ -9,7 +9,7 @@
 // The ordering Single < Multi/s < Multi/e < Multi/a < Source and the rough
 // magnitudes are the reproduction target.
 #include <iostream>
-#include <map>
+#include <optional>
 
 #include "analysis/symbolic_routes.hpp"
 #include "bench_common.hpp"
@@ -26,14 +26,18 @@ namespace {
 double static_agreement(const miro::eval::ExperimentPlan& plan) {
   const miro::analysis::SymbolicRouteEngine engine(plan.graph());
   const miro::core::AlternatesEngine alternates(plan.solver());
-  std::map<std::size_t, miro::analysis::SymbolicRouteMap> maps;
+  // sample_tuples groups tuples by tree, so one map at a time suffices: it
+  // is re-solved when the tree index changes.
+  miro::analysis::SymbolicRouteMap map;
+  std::optional<std::size_t> map_tree;
   std::size_t agree = 0;
   std::size_t total = 0;
   for (const miro::eval::SampledTuple& tuple :
        plan.sample_tuples(plan.config().sources_per_destination)) {
-    const auto [it, inserted] = maps.try_emplace(tuple.tree_index);
-    if (inserted) it->second = engine.solve(tuple.destination);
-    const miro::analysis::SymbolicRouteMap& map = it->second;
+    if (map_tree != tuple.tree_index) {
+      map = engine.solve(tuple.destination);
+      map_tree = tuple.tree_index;
+    }
     // A tuple whose default path already differs between the planes counts
     // as full disagreement (predict_avoid requires the avoided AS on *its*
     // path, so it cannot be asked).

@@ -11,6 +11,7 @@ namespace miro::analysis {
 
 namespace {
 
+using bgp::path_class;
 using conv::Guideline;
 using conv::ModelOptions;
 using conv::Path;
@@ -21,21 +22,6 @@ using topo::Relationship;
 
 Guideline guideline_at(const ModelOptions& options, NodeId node) {
   return options.guideline_of ? options.guideline_of(node) : options.guideline;
-}
-
-/// Route class of a path at its owner: the first non-sibling link decides
-/// (same rule as the convergence model and the BGP engine).
-bgp::RouteClass path_class(const AsGraph& graph, const Path& path) {
-  if (path.size() < 2) return bgp::RouteClass::Self;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    switch (graph.relationship(path[i], path[i + 1])) {
-      case Relationship::Customer: return bgp::RouteClass::Customer;
-      case Relationship::Peer: return bgp::RouteClass::Peer;
-      case Relationship::Provider: return bgp::RouteClass::Provider;
-      case Relationship::Sibling: continue;
-    }
-  }
-  return bgp::RouteClass::Customer;
 }
 
 }  // namespace

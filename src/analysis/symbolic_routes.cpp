@@ -91,6 +91,17 @@ Report SymbolicRouteEngine::preconditions(std::string_view label) const {
   return report;
 }
 
+std::string SymbolicRouteEngine::unstable_cause() const {
+  if (find_provider_cycle(*graph_))
+    return "the provider hierarchy is cyclic";
+  if (options_.inject_export_bug)
+    return "the export relation let routes keep growing (the injected "
+           "export bug leaks peer routes to peers and providers)";
+  if (options_.max_sweeps != 0)
+    return "routes were still improving at max_sweeps";
+  return "the export relation let routes keep growing";
+}
+
 SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
                                                NodeId avoid) const {
   obs::ScopedSpan span(obs::profile(), "analysis/symbolic_fixpoint",
@@ -99,8 +110,6 @@ SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
   const AsGraph& graph = *graph_;
   const std::size_t n = graph.node_count();
   require(destination < n, "SymbolicRouteEngine: destination out of range");
-  require(asns_.size() == n,
-          "SymbolicRouteEngine: the graph grew after the engine was built");
   SymbolicRouteMap map;
   map.destination_ = destination;
   map.entries_.assign(n, {});
@@ -230,9 +239,10 @@ SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
     }
     if (moved) {
       last_moved = sweep;
-      require(sweep < bound,
-              "SymbolicRouteEngine: fixpoint did not stabilize (provider "
-              "hierarchy cyclic?)");
+      if (sweep >= bound)
+        throw Error("SymbolicRouteEngine: fixpoint did not stabilize (sweep "
+                    "bound " + std::to_string(bound) + "): " +
+                    unstable_cause());
     }
   }
   map.sweeps_ = last_moved + 1;

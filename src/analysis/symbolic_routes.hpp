@@ -49,6 +49,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -182,6 +183,9 @@ class SymbolicRouteEngine {
  private:
   SymbolicRouteMap fixpoint(NodeId destination, NodeId avoid) const;
   bool export_allows(bgp::RouteClass cls, topo::Relationship to_rel) const;
+  /// Why a fixpoint outran its sweep bound, for the error: a provider
+  /// cycle, or an export relation under which routes keep growing.
+  std::string unstable_cause() const;
 
   const topo::AsGraph* graph_;
   SymbolicOptions options_;

@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "net/prefix_trie.hpp"
 
 namespace miro::analysis {
 
@@ -36,10 +35,20 @@ VerifyQuery VerifyQuery::parse(std::string_view spec) {
   return query;
 }
 
+namespace {
+
+// A /24 is named by its address's top 24 bits; AS n takes n + 10 * 2^16
+// modulo 2^24, which is one-to-one on AS numbers below 2^24.
+constexpr std::uint32_t kPrefixCount = 1u << 24;
+constexpr std::uint32_t kPrefixOffset = 10u << 16;
+
+}  // namespace
+
 net::Prefix synthetic_prefix(topo::AsNumber asn) {
-  return {net::Ipv4Address(10, static_cast<std::uint8_t>((asn >> 8) & 0xFF),
-                           static_cast<std::uint8_t>(asn & 0xFF), 0),
-          24};
+  if (asn >= kPrefixCount)
+    throw Error("AS " + std::to_string(asn) +
+                " has no synthetic /24: AS numbers must be below 2^24");
+  return {net::Ipv4Address(((asn + kPrefixOffset) % kPrefixCount) << 8), 24};
 }
 
 topo::NodeId resolve_endpoint(const AsGraph& graph, std::string_view token) {
@@ -48,13 +57,14 @@ topo::NodeId resolve_endpoint(const AsGraph& graph, std::string_view token) {
     const auto address = net::Ipv4Address::parse(text);
     if (!address.has_value())
       throw Error("bad endpoint '" + text + "': not an IPv4 address");
-    net::PrefixTrie<NodeId> trie;
-    for (NodeId node = 0; node < graph.node_count(); ++node)
-      trie.insert(synthetic_prefix(graph.as_number(node)), node);
-    const auto match = trie.lookup(*address);
-    if (!match.has_value())
+    // The inverse of synthetic_prefix: the address's /24 names one AS.
+    const topo::AsNumber asn =
+        ((address->value() >> 8) + kPrefixCount - kPrefixOffset) %
+        kPrefixCount;
+    const NodeId node = graph.find(asn);
+    if (node == topo::kInvalidNode)
       throw Error("endpoint '" + text + "' matches no AS prefix");
-    return *match->value;
+    return node;
   }
   const std::optional<std::uint64_t> number = parse_u64(text);
   if (!number || *number > std::numeric_limits<topo::AsNumber>::max())

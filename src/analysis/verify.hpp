@@ -40,12 +40,14 @@ struct VerifyQuery {
   static VerifyQuery parse(std::string_view spec);
 };
 
-/// The deterministic /24 an AS originates in the verification plane:
-/// 10.(asn>>8 & 255).(asn & 255).0/24 (generated AS numbers fit 16 bits).
+/// The deterministic /24 an AS originates in the verification plane, one
+/// per AS number below 2^24: ((10 + asn / 65536) mod 256).(asn >> 8 &
+/// 255).(asn & 255).0/24, so AS numbers below 65536 sit in 10.0.0.0/8.
+/// Throws for a larger AS number.
 net::Prefix synthetic_prefix(topo::AsNumber asn);
 
-/// Resolves an endpoint token — a decimal AS number or a dotted IPv4
-/// address matched longest-prefix against the synthetic /24s — to a node.
+/// Resolves an endpoint token — a decimal AS number, or a dotted IPv4
+/// address naming the AS whose synthetic /24 holds it — to a node.
 /// Throws miro::Error when the token parses but names no AS in `graph`.
 topo::NodeId resolve_endpoint(const topo::AsGraph& graph,
                               std::string_view token);

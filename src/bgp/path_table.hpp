@@ -9,8 +9,8 @@
 // single-node path. Equal paths always intern to the same id, so equality
 // is one integer compare — the RIB dedup/flap checks that used to compare
 // whole vectors become O(1). Entries are append-only (12 bytes each plus
-// the dedup map); a table is owned per routing context (one
-// SessionedBgpNetwork, one RouteStore) and lives as long as its owner.
+// the dedup map); each SessionedBgpNetwork owns one for as long as it
+// lives.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +27,6 @@ namespace miro::bgp {
 using PathId = std::uint32_t;
 constexpr PathId kNullPath = 0;
 
-/// A Route with its AS-path replaced by a PathId into some PathTable —
-/// 8 bytes instead of a heap vector. The table that minted the id is needed
-/// to materialize or inspect it.
-struct InternedRoute {
-  PathId path = kNullPath;
-  RouteClass route_class = RouteClass::Provider;
-};
-
 class PathTable {
  public:
   PathTable();
@@ -49,10 +41,6 @@ class PathTable {
   /// Interns a full path, front() = owner, back() = destination. Empty
   /// paths map to kNullPath.
   PathId intern(std::span<const NodeId> path);
-  /// Interns a Route's path alongside its class.
-  InternedRoute intern(const Route& route) {
-    return {intern(route.path), route.route_class};
-  }
 
   /// Owner (front) node of an interned path.
   NodeId head(PathId id) const {
@@ -77,9 +65,6 @@ class PathTable {
   /// allocation.
   void materialize_into(PathId id, std::vector<NodeId>& out) const;
   std::vector<NodeId> materialize(PathId id) const;
-  Route materialize(const InternedRoute& route) const {
-    return Route{materialize(route.path), route.route_class};
-  }
 
   /// Distinct suffixes interned so far (excluding the null sentinel).
   std::size_t size() const { return entries_.size() - 1; }

@@ -34,6 +34,16 @@ RouteClass classify(Relationship neighbor_rel, RouteClass class_at_neighbor) {
   return RouteClass::Provider;
 }
 
+RouteClass path_class(const AsGraph& graph, std::span<const NodeId> path) {
+  require(!path.empty(), "path_class: empty path");
+  if (path.size() == 1) return RouteClass::Self;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const Relationship rel = graph.relationship(path[i], path[i + 1]);
+    if (rel != Relationship::Sibling) return classify(rel, RouteClass::Self);
+  }
+  return RouteClass::Customer;
+}
+
 bool conventional_export_allows(RouteClass cls, Relationship neighbor_rel) {
   switch (neighbor_rel) {
     case Relationship::Customer:

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,12 @@ constexpr int conventional_local_pref(RouteClass cls) {
 /// non-sibling link"); a Self route learned from a sibling counts as a
 /// customer route.
 RouteClass classify(Relationship neighbor_rel, RouteClass class_at_neighbor);
+
+/// Class of a route at its owner read off its AS path (`path[0]` the
+/// owner): the first non-sibling link decides, an all-sibling path is a
+/// customer route, and a one-AS path is Self. Throws on an empty path or a
+/// hop that is not a link of `graph`.
+RouteClass path_class(const AsGraph& graph, std::span<const NodeId> path);
 
 /// Conventional export rule: may a node whose best route has class `cls`
 /// advertise it to a neighbor that is `neighbor_rel` to the node?

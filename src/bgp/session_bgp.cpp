@@ -327,21 +327,7 @@ void SessionedBgpNetwork::reselect(NodeId node) {
       candidate.path.push_back(node);
       candidate.path.insert(candidate.path.end(), path_at_sender.begin(),
                             path_at_sender.end());
-      // Classify against the sender's class, reconstructed from its path:
-      // the sender's own first link decides, walked past siblings.
-      RouteClass class_at_sender = RouteClass::Self;
-      for (std::size_t i = 0; i + 1 < path_at_sender.size(); ++i) {
-        const Relationship rel =
-            graph_->relationship(path_at_sender[i], path_at_sender[i + 1]);
-        if (rel == topo::Relationship::Sibling) continue;
-        class_at_sender = classify(rel, RouteClass::Self);
-        break;
-      }
-      if (class_at_sender == RouteClass::Self && path_at_sender.size() > 1)
-        class_at_sender = RouteClass::Customer;  // all-sibling chain
-      candidate.route_class =
-          classify(graph_->relationship(node, candidate.path[1]),
-                   class_at_sender);
+      candidate.route_class = path_class(*graph_, candidate.path);
       if (!next || prefer(candidate, *next, *graph_))
         next = std::move(candidate);
     }

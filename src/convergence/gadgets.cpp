@@ -4,19 +4,21 @@ namespace miro::conv {
 
 MiroGadget make_figure_7_1(Guideline guideline) {
   MiroGadget gadget;
+  topo::GraphBuilder builder;
   // AS numbers chosen to read like the figure: D=40, A=10, B=20, C=30.
-  const NodeId a = gadget.graph.add_as(10);
-  const NodeId b = gadget.graph.add_as(20);
-  const NodeId c = gadget.graph.add_as(30);
-  const NodeId d = gadget.graph.add_as(40);
+  const NodeId a = builder.add_as(10);
+  const NodeId b = builder.add_as(20);
+  const NodeId c = builder.add_as(30);
+  const NodeId d = builder.add_as(40);
   gadget.nodes = {{"A", a}, {"B", b}, {"C", c}, {"D", d}};
   // A, B, C are customers of D; they peer with each other.
-  gadget.graph.add_customer_provider(d, a);
-  gadget.graph.add_customer_provider(d, b);
-  gadget.graph.add_customer_provider(d, c);
-  gadget.graph.add_peer(a, b);
-  gadget.graph.add_peer(b, c);
-  gadget.graph.add_peer(c, a);
+  builder.add_customer_provider(d, a);
+  builder.add_customer_provider(d, b);
+  builder.add_customer_provider(d, c);
+  builder.add_peer(a, b);
+  builder.add_peer(b, c);
+  builder.add_peer(c, a);
+  gadget.graph = std::move(builder).build();
 
   gadget.destinations = {d};
   gadget.options.guideline = guideline;
@@ -37,18 +39,20 @@ MiroGadget make_figure_7_1(Guideline guideline) {
 
 MiroGadget make_figure_7_2(Guideline guideline) {
   MiroGadget gadget;
-  const NodeId a = gadget.graph.add_as(10);
-  const NodeId b = gadget.graph.add_as(20);
-  const NodeId c = gadget.graph.add_as(30);
-  const NodeId d = gadget.graph.add_as(40);
+  topo::GraphBuilder builder;
+  const NodeId a = builder.add_as(10);
+  const NodeId b = builder.add_as(20);
+  const NodeId c = builder.add_as(30);
+  const NodeId d = builder.add_as(40);
   gadget.nodes = {{"A", a}, {"B", b}, {"C", c}, {"D", d}};
   // D is a customer of A, B, and C; A, B, C form a peering triangle.
-  gadget.graph.add_customer_provider(a, d);
-  gadget.graph.add_customer_provider(b, d);
-  gadget.graph.add_customer_provider(c, d);
-  gadget.graph.add_peer(a, b);
-  gadget.graph.add_peer(b, c);
-  gadget.graph.add_peer(c, a);
+  builder.add_customer_provider(a, d);
+  builder.add_customer_provider(b, d);
+  builder.add_customer_provider(c, d);
+  builder.add_peer(a, b);
+  builder.add_peer(b, c);
+  builder.add_peer(c, a);
+  gadget.graph = std::move(builder).build();
 
   gadget.destinations = {a, b, c};
   gadget.options.guideline = guideline;
@@ -79,20 +83,21 @@ namespace {
 /// because the hub always offers the direct path.
 MiroGadget make_ring(std::size_t spokes) {
   MiroGadget gadget;
-  const NodeId hub = gadget.graph.add_as(100);
+  topo::GraphBuilder builder;
+  const NodeId hub = builder.add_as(100);
   gadget.nodes.emplace("0", hub);
   std::vector<NodeId> ring;
   for (std::size_t i = 0; i < spokes; ++i) {
-    NodeId node =
-        gadget.graph.add_as(static_cast<topo::AsNumber>(101 + i));
-    gadget.graph.add_peer(node, hub);
+    NodeId node = builder.add_as(static_cast<topo::AsNumber>(101 + i));
+    builder.add_peer(node, hub);
     gadget.nodes.emplace(std::string(1, static_cast<char>('1' + i)), node);
     ring.push_back(node);
   }
   // Ring links (a 2-ring is a single link, not a parallel pair).
   const std::size_t ring_links = spokes == 2 ? 1 : spokes;
   for (std::size_t i = 0; i < ring_links; ++i)
-    gadget.graph.add_peer(ring[i], ring[(i + 1) % spokes]);
+    builder.add_peer(ring[i], ring[(i + 1) % spokes]);
+  gadget.graph = std::move(builder).build();
   gadget.destinations = {hub};
 
   // Spoke k is node k, so its clockwise neighbor is node 1 + k % spokes.

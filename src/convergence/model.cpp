@@ -7,6 +7,8 @@
 
 namespace miro::conv {
 
+using bgp::path_class;
+
 const char* to_string(Guideline guideline) {
   switch (guideline) {
     case Guideline::None: return "none";
@@ -68,22 +70,6 @@ const LayeredRoute& MiroConvergenceModel::route(NodeId node,
   return state_[index_of(node, destination)];
 }
 
-RouteClass MiroConvergenceModel::class_of(const Path& path) const {
-  require(!path.empty(), "class_of: empty path");
-  if (path.size() == 1) return RouteClass::Self;
-  // Sibling links are transparent: the first non-sibling link on the path
-  // determines the class; an all-sibling path counts as a customer route.
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    switch (graph_->relationship(path[i], path[i + 1])) {
-      case topo::Relationship::Customer: return RouteClass::Customer;
-      case topo::Relationship::Peer: return RouteClass::Peer;
-      case topo::Relationship::Provider: return RouteClass::Provider;
-      case topo::Relationship::Sibling: continue;
-    }
-  }
-  return RouteClass::Customer;
-}
-
 std::optional<Path> MiroConvergenceModel::advertised(NodeId owner,
                                                      NodeId destination,
                                                      NodeId to) const {
@@ -107,7 +93,7 @@ std::optional<Path> MiroConvergenceModel::advertised(NodeId owner,
       // A tunnel is exported only when it is in the same class as the
       // advertised BGP route.
       if (lr.tunnel && lr.bgp &&
-          class_of(*lr.tunnel) == class_of(*lr.bgp)) {
+          path_class(*graph_, *lr.tunnel) == path_class(*graph_, *lr.bgp)) {
         exported = lr.tunnel;
       } else {
         exported = lr.bgp;
@@ -116,7 +102,7 @@ std::optional<Path> MiroConvergenceModel::advertised(NodeId owner,
   }
   if (!exported) return std::nullopt;
   // The export hook sees the exported route classed at `owner`.
-  const RouteClass cls = class_of(*exported);
+  const RouteClass cls = path_class(*graph_, *exported);
   bgp::Route route{std::move(*exported), cls};
   if (!options_.exports(owner, route, to)) return std::nullopt;
   return std::move(route.path);
@@ -132,7 +118,7 @@ std::optional<bgp::Route> MiroConvergenceModel::learned(
   path.reserve(offered->size() + 1);
   path.push_back(node);
   path.insert(path.end(), offered->begin(), offered->end());
-  const RouteClass cls = class_of(path);
+  const RouteClass cls = path_class(*graph_, path);
   return bgp::Route{std::move(path), cls};
 }
 
@@ -213,7 +199,8 @@ std::optional<Path> MiroConvergenceModel::select_tunnel(
         // as its advertised BGP route.
         offered = at_responder.effective();
         if (!offered || !at_responder.bgp) break;
-        if (class_of(*offered) != class_of(*at_responder.bgp))
+        if (path_class(*graph_, *offered) !=
+            path_class(*graph_, *at_responder.bgp))
           offered = at_responder.bgp;
         break;
       }

@@ -159,8 +159,6 @@ class MiroConvergenceModel {
     return options_.guideline_of ? options_.guideline_of(node)
                                  : options_.guideline;
   }
-  /// Class of `path` at its owner, from the first link's relationship.
-  RouteClass class_of(const Path& path) const;
   /// What `owner` currently advertises to `to` for `destination` under the
   /// guideline's advertisement rules; nullopt when nothing is exported.
   std::optional<Path> advertised(NodeId owner, NodeId destination,

@@ -12,7 +12,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "bgp/path_table.hpp"
 #include "bgp/route_solver.hpp"
 #include "common/memtrack.hpp"
 
@@ -36,24 +35,11 @@ class RouteStore {
 
   std::size_t tree_count() const { return trees_.size(); }
 
-  /// The store's AS-path intern table: agents that pin or compare routes
-  /// (tunnel bookkeeping, RIB snapshots) intern here so equal paths share
-  /// storage and compare as one integer.
-  bgp::PathTable& paths() { return paths_; }
-  const bgp::PathTable& paths() const { return paths_; }
-  /// Interns a route's path; resolve back with materialize().
-  bgp::InternedRoute intern(const bgp::Route& route) {
-    return paths_.intern(route);
-  }
-  bgp::Route materialize(const bgp::InternedRoute& route) const {
-    return paths_.materialize(route);
-  }
-
-  /// Resident byte footprint of the cache: the map, each cached tree (its
-  /// object and its entry array), and the intern table. Capacity-based and
-  /// deterministic for a given solve/intern sequence.
+  /// Resident byte footprint of the cache: the map and each cached tree
+  /// (its object and its entry array). Capacity-based and deterministic
+  /// for a given solve sequence.
   std::uint64_t memory_bytes() const {
-    std::uint64_t bytes = hash_map_bytes(trees_) + paths_.memory_bytes();
+    std::uint64_t bytes = hash_map_bytes(trees_);
     for (const auto& [destination, tree] : trees_)
       bytes += sizeof(bgp::RoutingTree) + tree->memory_bytes();
     return bytes;
@@ -65,7 +51,6 @@ class RouteStore {
  private:
   bgp::StableRouteSolver solver_;
   std::unordered_map<topo::NodeId, std::unique_ptr<bgp::RoutingTree>> trees_;
-  bgp::PathTable paths_;
 };
 
 }  // namespace miro::core

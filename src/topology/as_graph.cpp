@@ -16,93 +16,7 @@ const char* to_string(Relationship rel) {
   return "?";
 }
 
-NodeId AsGraph::add_as(AsNumber asn) {
-  require(!finalized_, "AsGraph::add_as: graph is finalized");
-  require(index_.find(asn) == index_.end(), "AsGraph::add_as: duplicate ASN");
-  NodeId id = static_cast<NodeId>(as_numbers_.size());
-  as_numbers_.push_back(asn);
-  adjacency_.emplace_back();
-  index_.emplace(asn, id);
-  return id;
-}
-
-void AsGraph::add_half_edges(NodeId a, NodeId b, Relationship rel_of_b_to_a) {
-  require(!finalized_, "AsGraph: cannot add edges to a finalized graph");
-  check_node(a);
-  check_node(b);
-  require(a != b, "AsGraph: self-loops are not allowed");
-  require(edge_keys_.insert(edge_key(a, b)).second,
-          "AsGraph: parallel edges are not allowed");
-  adjacency_[a].push_back({b, rel_of_b_to_a});
-  adjacency_[b].push_back({a, reverse(rel_of_b_to_a)});
-  ++edge_count_;
-}
-
-void AsGraph::add_customer_provider(NodeId provider, NodeId customer) {
-  add_half_edges(provider, customer, Relationship::Customer);
-}
-
-void AsGraph::add_peer(NodeId a, NodeId b) {
-  add_half_edges(a, b, Relationship::Peer);
-}
-
-void AsGraph::add_sibling(NodeId a, NodeId b) {
-  add_half_edges(a, b, Relationship::Sibling);
-}
-
-void AsGraph::finalize() {
-  if (finalized_) return;
-  const std::size_t n = as_numbers_.size();
-  offsets_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    offsets_[i + 1] =
-        offsets_[i] + static_cast<std::uint32_t>(adjacency_[i].size());
-  }
-  edge_nodes_.resize(offsets_[n]);
-  edge_rels_.resize(offsets_[n]);
-  std::vector<Neighbor> sorted;
-  for (std::size_t i = 0; i < n; ++i) {
-    sorted.assign(adjacency_[i].begin(), adjacency_[i].end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Neighbor& x, const Neighbor& y) {
-                return x.node < y.node;
-              });
-    std::uint32_t out = offsets_[i];
-    for (const Neighbor& neighbor : sorted) {
-      edge_nodes_[out] = neighbor.node;
-      edge_rels_[out] = neighbor.rel;
-      ++out;
-    }
-  }
-
-  // The generator numbers ASes 1..N; detecting that collapses the ASN index
-  // to a bounds check. Arbitrary ASNs (loaded snapshots) get a sorted array.
-  identity_asns_ = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (as_numbers_[i] != static_cast<AsNumber>(i + 1)) {
-      identity_asns_ = false;
-      break;
-    }
-  }
-  if (!identity_asns_) {
-    sorted_index_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      sorted_index_.emplace_back(as_numbers_[i], static_cast<NodeId>(i));
-    std::sort(sorted_index_.begin(), sorted_index_.end());
-  }
-
-  finalized_ = true;
-  // Release the build state; swap-with-empty actually frees the storage.
-  std::vector<std::vector<Neighbor>>().swap(adjacency_);
-  std::unordered_map<AsNumber, NodeId>().swap(index_);
-  std::unordered_set<std::uint64_t>().swap(edge_keys_);
-}
-
 NodeId AsGraph::find(AsNumber asn) const {
-  if (!finalized_) {
-    auto it = index_.find(asn);
-    return it == index_.end() ? kInvalidNode : it->second;
-  }
   if (identity_asns_) {
     return asn >= 1 && asn <= as_numbers_.size()
                ? static_cast<NodeId>(asn - 1)
@@ -123,11 +37,9 @@ NodeId AsGraph::require_node(AsNumber asn) const {
   return id;
 }
 
-std::size_t AsGraph::csr_find(NodeId a, NodeId b) const {
-  const std::uint32_t begin = offsets_[a];
-  const std::uint32_t end = offsets_[a + 1];
-  const auto first = edge_nodes_.begin() + begin;
-  const auto last = edge_nodes_.begin() + end;
+std::size_t AsGraph::find_edge(NodeId a, NodeId b) const {
+  const auto first = edge_nodes_.begin() + offsets_[a];
+  const auto last = edge_nodes_.begin() + offsets_[a + 1];
   const auto it = std::lower_bound(first, last, b);
   if (it == last || *it != b) return static_cast<std::size_t>(-1);
   return static_cast<std::size_t>(it - edge_nodes_.begin());
@@ -136,25 +48,18 @@ std::size_t AsGraph::csr_find(NodeId a, NodeId b) const {
 bool AsGraph::has_edge(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
-  if (!finalized_) return edge_keys_.count(edge_key(a, b)) != 0;
   // Binary-search the lower-degree side's sorted segment.
-  NodeId from = a, to = b;
-  if (degree(b) < degree(a)) std::swap(from, to);
-  return csr_find(from, to) != static_cast<std::size_t>(-1);
+  if (degree(b) < degree(a)) std::swap(a, b);
+  return find_edge(a, b) != static_cast<std::size_t>(-1);
 }
 
 Relationship AsGraph::relationship(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
-  if (finalized_) {
-    const std::size_t at = csr_find(a, b);
-    require(at != static_cast<std::size_t>(-1),
-            "AsGraph::relationship: no such edge");
-    return edge_rels_[at];
-  }
-  for (const Neighbor& n : adjacency_[a])
-    if (n.node == b) return n.rel;
-  throw Error("AsGraph::relationship: no such edge");
+  const std::size_t at = find_edge(a, b);
+  require(at != static_cast<std::size_t>(-1),
+          "AsGraph::relationship: no such edge");
+  return edge_rels_[at];
 }
 
 std::vector<NodeId> AsGraph::neighbors_with(NodeId id, Relationship rel) const {
@@ -192,16 +97,99 @@ bool AsGraph::is_multi_homed_stub(NodeId id) const {
 }
 
 std::uint64_t AsGraph::memory_bytes() const {
-  std::uint64_t bytes = vector_bytes(as_numbers_);
-  if (finalized_) {
-    bytes += vector_bytes(offsets_) + vector_bytes(edge_nodes_) +
-             vector_bytes(edge_rels_) + vector_bytes(sorted_index_);
-    return bytes;
+  return vector_bytes(as_numbers_) + vector_bytes(offsets_) +
+         vector_bytes(edge_nodes_) + vector_bytes(edge_rels_) +
+         vector_bytes(sorted_index_);
+}
+
+NodeId GraphBuilder::add_as(AsNumber asn) {
+  require(index_.find(asn) == index_.end(),
+          "GraphBuilder::add_as: duplicate ASN");
+  NodeId id = static_cast<NodeId>(as_numbers_.size());
+  as_numbers_.push_back(asn);
+  adjacency_.emplace_back();
+  index_.emplace(asn, id);
+  return id;
+}
+
+void GraphBuilder::add_half_edges(NodeId a, NodeId b,
+                                  Relationship rel_of_b_to_a) {
+  require(a != b, "GraphBuilder: self-loops are not allowed");
+  require(!has_edge(a, b), "GraphBuilder: parallel edges are not allowed");
+  adjacency_[a].push_back({b, rel_of_b_to_a});
+  adjacency_[b].push_back({a, reverse(rel_of_b_to_a)});
+  ++edge_count_;
+}
+
+void GraphBuilder::add_customer_provider(NodeId provider, NodeId customer) {
+  add_half_edges(provider, customer, Relationship::Customer);
+}
+
+void GraphBuilder::add_peer(NodeId a, NodeId b) {
+  add_half_edges(a, b, Relationship::Peer);
+}
+
+void GraphBuilder::add_sibling(NodeId a, NodeId b) {
+  add_half_edges(a, b, Relationship::Sibling);
+}
+
+NodeId GraphBuilder::find(AsNumber asn) const {
+  auto it = index_.find(asn);
+  return it == index_.end() ? kInvalidNode : it->second;
+}
+
+bool GraphBuilder::has_edge(NodeId a, NodeId b) const {
+  check_node(a);
+  check_node(b);
+  // Scan the shorter list: a new customer has a handful of links however
+  // many its would-be provider has.
+  if (adjacency_[b].size() < adjacency_[a].size()) std::swap(a, b);
+  const std::vector<Neighbor>& list = adjacency_[a];
+  return std::any_of(list.begin(), list.end(),
+                     [b](const Neighbor& n) { return n.node == b; });
+}
+
+AsGraph GraphBuilder::build() && {
+  AsGraph graph;
+  const std::size_t n = as_numbers_.size();
+  graph.offsets_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    graph.offsets_[i + 1] =
+        graph.offsets_[i] + static_cast<std::uint32_t>(adjacency_[i].size());
   }
-  bytes += vector_bytes(adjacency_) + hash_map_bytes(index_) +
-           hash_map_bytes(edge_keys_);
-  for (const auto& list : adjacency_) bytes += vector_bytes(list);
-  return bytes;
+  graph.edge_nodes_.resize(graph.offsets_[n]);
+  graph.edge_rels_.resize(graph.offsets_[n]);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Neighbor>& list = adjacency_[i];
+    std::sort(list.begin(), list.end(),
+              [](const Neighbor& x, const Neighbor& y) {
+                return x.node < y.node;
+              });
+    std::uint32_t out = graph.offsets_[i];
+    for (const Neighbor& neighbor : list) {
+      graph.edge_nodes_[out] = neighbor.node;
+      graph.edge_rels_[out] = neighbor.rel;
+      ++out;
+    }
+  }
+
+  // The generator numbers ASes 1..N; detecting that collapses the ASN index
+  // to a bounds check. Arbitrary ASNs (loaded snapshots) get a sorted array.
+  graph.identity_asns_ = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (as_numbers_[i] != static_cast<AsNumber>(i + 1)) {
+      graph.identity_asns_ = false;
+      break;
+    }
+  }
+  if (!graph.identity_asns_) {
+    graph.sorted_index_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      graph.sorted_index_.emplace_back(as_numbers_[i], static_cast<NodeId>(i));
+    std::sort(graph.sorted_index_.begin(), graph.sorted_index_.end());
+  }
+  graph.as_numbers_ = std::move(as_numbers_);
+  return graph;
 }
 
 }  // namespace miro::topo

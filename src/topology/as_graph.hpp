@@ -4,24 +4,19 @@
 // carry one of the three prevalent relationships: customer-provider, peer, or
 // sibling. The evaluation chapter's experiments all run over this graph.
 //
-// The graph has two states. While *building* it is append-only: adjacency
-// lives in one vector per node and an edge-key hash set answers has_edge in
-// O(1). finalize() freezes it into a struct-of-arrays CSR layout — one
-// offset array plus parallel node/relationship edge arrays, each node's
-// segment sorted by neighbor id — which drops the per-node vector headers
-// and hash index (≈55 → ≈14 bytes/edge on the paper profiles) and answers
-// has_edge/relationship in O(log d). Finalizing is what makes the
-// internet2006-scale profiles (70k ASes, 100k+ edges) fit the eval
-// pipeline; a finalized graph rejects further mutation. Neighbor iteration
-// order changes on finalize (sorted by node id) — every consumer that feeds
-// the deterministic result contract is order-independent (the stable solver
-// finalizes routes in a total preference order; accumulators are sums).
+// Every graph — generated, loaded from a CAIDA snapshot, inferred from
+// paths, or written out by hand — is made by a GraphBuilder and has one
+// layout: a struct-of-arrays CSR, one offset array plus parallel
+// node/relationship edge arrays, each node's segment sorted by neighbor id
+// (≈14 bytes/edge on the paper profiles). has_edge/relationship are
+// O(log d) binary searches, and neighbors iterate in ascending node id.
+// The layout is what makes the internet2006-scale profiles (70k ASes, 100k+
+// edges) fit the eval pipeline. An AsGraph never changes once built.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -64,22 +59,18 @@ struct Neighbor {
   Relationship rel = Relationship::Peer;
 };
 
-/// One node's neighbors, independent of the graph's storage state: a
-/// contiguous Neighbor array while building, split node/relationship arrays
-/// once finalized. Iteration yields Neighbor by value either way.
+/// One node's neighbors: a view of its segment in the graph's parallel
+/// node/relationship arrays, in ascending node id. Iteration yields
+/// Neighbor by value.
 class NeighborRange {
  public:
-  NeighborRange(const Neighbor* aos, std::size_t size)
-      : aos_(aos), size_(size) {}
   NeighborRange(const NodeId* nodes, const Relationship* rels,
                 std::size_t size)
       : nodes_(nodes), rels_(rels), size_(size) {}
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  Neighbor operator[](std::size_t i) const {
-    return aos_ != nullptr ? aos_[i] : Neighbor{nodes_[i], rels_[i]};
-  }
+  Neighbor operator[](std::size_t i) const { return {nodes_[i], rels_[i]}; }
   Neighbor front() const { return (*this)[0]; }
 
   class iterator {
@@ -114,36 +105,18 @@ class NeighborRange {
   iterator end() const { return {this, size_}; }
 
  private:
-  const Neighbor* aos_ = nullptr;
-  const NodeId* nodes_ = nullptr;
-  const Relationship* rels_ = nullptr;
-  std::size_t size_ = 0;
+  const NodeId* nodes_;
+  const Relationship* rels_;
+  std::size_t size_;
 };
 
-/// Undirected, relationship-annotated AS graph. Construction is append-only;
-/// finalize() freezes the graph into the compact CSR layout (see file
-/// comment) and the evaluation code runs over the frozen form.
+/// Undirected, relationship-annotated AS graph in the CSR layout (see file
+/// comment). GraphBuilder::build() makes one; a default-constructed graph
+/// is empty.
 class AsGraph {
  public:
-  /// Adds an AS; returns its dense node id. Duplicate AS numbers throw.
-  NodeId add_as(AsNumber asn);
-
-  /// Adds a customer-provider link (provider earns the Customer half-edge).
-  void add_customer_provider(NodeId provider, NodeId customer);
-  /// Adds a peer-peer link.
-  void add_peer(NodeId a, NodeId b);
-  /// Adds a sibling link (mutual transit, typically one institution).
-  void add_sibling(NodeId a, NodeId b);
-
-  /// Freezes the graph into the CSR layout: per-node edge segments sorted
-  /// by neighbor id, the build-state containers released. Idempotent;
-  /// mutation afterwards throws. Sequential 1-based AS numbers (the
-  /// generator's convention) collapse the ASN index to an identity check.
-  void finalize();
-  bool finalized() const { return finalized_; }
-
   std::size_t node_count() const { return as_numbers_.size(); }
-  std::size_t edge_count() const { return edge_count_; }
+  std::size_t edge_count() const { return edge_nodes_.size() / 2; }
 
   AsNumber as_number(NodeId id) const {
     check_node(id);
@@ -156,22 +129,17 @@ class AsGraph {
 
   NeighborRange neighbors(NodeId id) const {
     check_node(id);
-    if (finalized_) {
-      const std::uint32_t begin = offsets_[id];
-      return {edge_nodes_.data() + begin, edge_rels_.data() + begin,
-              offsets_[id + 1] - begin};
-    }
-    const std::vector<Neighbor>& list = adjacency_[id];
-    return {list.data(), list.size()};
+    const std::uint32_t begin = offsets_[id];
+    return {edge_nodes_.data() + begin, edge_rels_.data() + begin,
+            offsets_[id + 1] - begin};
   }
   std::size_t degree(NodeId id) const {
     check_node(id);
-    return finalized_ ? offsets_[id + 1] - offsets_[id]
-                      : adjacency_[id].size();
+    return offsets_[id + 1] - offsets_[id];
   }
 
-  /// True when an edge (of any relationship) exists between a and b.
-  /// O(1) while building (edge-key hash), O(log d) once finalized.
+  /// True when an edge (of any relationship) exists between a and b;
+  /// O(log d).
   bool has_edge(NodeId a, NodeId b) const;
   /// The relationship of b as seen from a; throws when no edge exists.
   Relationship relationship(NodeId a, NodeId b) const;
@@ -194,41 +162,72 @@ class AsGraph {
   /// Multi-homed: connected to more than one provider.
   bool is_multi_homed_stub(NodeId id) const;
 
-  /// Resident byte footprint of the graph's containers, computed from
+  /// Resident byte footprint of the graph's arrays, computed from
   /// capacities (reserved storage counts). Deterministic for a given
   /// construction sequence — the number behind every bytes_per_edge bench
-  /// row, and ROADMAP item 1's before/after instrument for the CSR
-  /// adjacency refactor. Reports whichever layout is live: the build-state
-  /// vectors/indexes before finalize(), the CSR arrays after.
+  /// row.
   std::uint64_t memory_bytes() const;
 
  private:
+  friend class GraphBuilder;
+
   void check_node(NodeId id) const {
     require(id < as_numbers_.size(), "AsGraph: node id out of range");
   }
-  void add_half_edges(NodeId a, NodeId b, Relationship rel_of_b_to_a);
-  static std::uint64_t edge_key(NodeId a, NodeId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-  /// Index of b within a's sorted CSR segment; npos when absent.
-  std::size_t csr_find(NodeId a, NodeId b) const;
+  /// Index of b within a's sorted segment; npos when absent.
+  std::size_t find_edge(NodeId a, NodeId b) const;
 
   std::vector<AsNumber> as_numbers_;
-  std::size_t edge_count_ = 0;
-  bool finalized_ = false;
-
-  // Build state (released by finalize()).
-  std::vector<std::vector<Neighbor>> adjacency_;
-  std::unordered_map<AsNumber, NodeId> index_;
-  std::unordered_set<std::uint64_t> edge_keys_;
-
-  // Frozen CSR state (populated by finalize()).
   std::vector<std::uint32_t> offsets_;    ///< node_count()+1 entries
   std::vector<NodeId> edge_nodes_;        ///< per-node segments, sorted
   std::vector<Relationship> edge_rels_;   ///< parallel to edge_nodes_
   bool identity_asns_ = false;            ///< as_numbers_[i] == i + 1
   std::vector<std::pair<AsNumber, NodeId>> sorted_index_;  ///< else: sorted
+};
+
+/// Makes an AsGraph. ASes and links are appended and checked (duplicate
+/// ASN, self-loop, parallel link, node range); the queries a producer needs
+/// while it is still adding links — find, degree, has_edge — answer from
+/// per-node adjacency lists. build() lays out the CSR.
+class GraphBuilder {
+ public:
+  /// Adds an AS; returns its dense node id. Duplicate AS numbers throw.
+  NodeId add_as(AsNumber asn);
+
+  /// Adds a customer-provider link (provider earns the Customer half-edge).
+  void add_customer_provider(NodeId provider, NodeId customer);
+  /// Adds a peer-peer link.
+  void add_peer(NodeId a, NodeId b);
+  /// Adds a sibling link (mutual transit, typically one institution).
+  void add_sibling(NodeId a, NodeId b);
+
+  std::size_t node_count() const { return as_numbers_.size(); }
+  std::size_t edge_count() const { return edge_count_; }
+  /// Dense id for an AS number; kInvalidNode when unknown.
+  NodeId find(AsNumber asn) const;
+  std::size_t degree(NodeId id) const {
+    check_node(id);
+    return adjacency_[id].size();
+  }
+  /// O(min(degree(a), degree(b))).
+  bool has_edge(NodeId a, NodeId b) const;
+
+  /// The graph: per-node edge segments sorted by neighbor id, and an ASN
+  /// index that collapses to a bounds check when the AS numbers are 1..N
+  /// in node order (the generator's convention). The AS number array moves
+  /// into the graph with its capacity.
+  AsGraph build() &&;
+
+ private:
+  void check_node(NodeId id) const {
+    require(id < as_numbers_.size(), "GraphBuilder: node id out of range");
+  }
+  void add_half_edges(NodeId a, NodeId b, Relationship rel_of_b_to_a);
+
+  std::vector<AsNumber> as_numbers_;
+  std::vector<std::vector<Neighbor>> adjacency_;
+  std::unordered_map<AsNumber, NodeId> index_;
+  std::size_t edge_count_ = 0;
 };
 
 }  // namespace miro::topo

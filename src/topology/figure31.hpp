@@ -19,20 +19,22 @@ struct Figure31 {
   NodeId a, b, c, d, e, f;
 
   Figure31() {
-    a = graph.add_as(1);
-    b = graph.add_as(2);
-    c = graph.add_as(3);
-    d = graph.add_as(4);
-    e = graph.add_as(5);
-    f = graph.add_as(6);
-    graph.add_customer_provider(/*provider=*/b, /*customer=*/a);
-    graph.add_customer_provider(d, a);
-    graph.add_customer_provider(b, e);
-    graph.add_customer_provider(d, e);
-    graph.add_customer_provider(c, f);
-    graph.add_customer_provider(e, f);
-    graph.add_peer(b, c);
-    graph.add_peer(c, e);
+    GraphBuilder builder;
+    a = builder.add_as(1);
+    b = builder.add_as(2);
+    c = builder.add_as(3);
+    d = builder.add_as(4);
+    e = builder.add_as(5);
+    f = builder.add_as(6);
+    builder.add_customer_provider(/*provider=*/b, /*customer=*/a);
+    builder.add_customer_provider(d, a);
+    builder.add_customer_provider(b, e);
+    builder.add_customer_provider(d, e);
+    builder.add_customer_provider(c, f);
+    builder.add_customer_provider(e, f);
+    builder.add_peer(b, c);
+    builder.add_peer(c, e);
+    graph = std::move(builder).build();
   }
 };
 

@@ -11,13 +11,15 @@ namespace {
 
 /// Picks a provider among `pool` (node ids) with probability proportional to
 /// (degree + 1)^bias, skipping nodes already linked to `customer`.
-NodeId pick_provider(const AsGraph& graph, const std::vector<NodeId>& pool,
+NodeId pick_provider(const GraphBuilder& graph,
+                     const std::vector<NodeId>& pool,
                      NodeId customer, double bias, Rng& rng) {
   // Weighted sampling by repeated tournament: cheap and heavy-tailed enough.
   // Draw a few candidates uniformly, keep the one with the largest
   // degree-derived score; this approximates preferential attachment while
-  // staying O(1) per draw (has_edge is a hash probe on a building graph, so
-  // high-degree tier-1 candidates cost the same as leaves).
+  // staying O(1) per draw (has_edge scans the shorter adjacency list, here
+  // the new customer's handful of links, so high-degree tier-1 candidates
+  // cost the same as leaves).
   constexpr int kTournament = 6;
   NodeId best = kInvalidNode;
   double best_score = -1;
@@ -43,7 +45,8 @@ NodeId pick_provider(const AsGraph& graph, const std::vector<NodeId>& pool,
 /// for the first eligible pool member, so the intended provider count is
 /// realized whenever the pool has enough unlinked candidates. Returns the
 /// number of links actually added (< want only when the pool is exhausted).
-std::size_t attach_providers(AsGraph& graph, const std::vector<NodeId>& pool,
+std::size_t attach_providers(GraphBuilder& graph,
+                             const std::vector<NodeId>& pool,
                              NodeId node, std::size_t want, double bias,
                              Rng& rng) {
   constexpr int kRetries = 12;
@@ -86,13 +89,13 @@ AsGraph generate(const GeneratorParams& params) {
   require(params.node_count > params.tier1_count,
           "generate: node_count must exceed tier1_count");
   Rng rng(params.seed);
-  AsGraph graph;
+  GraphBuilder builder;
 
   // AS numbers are 1-based and sequential: deterministic and easy to read in
   // examples ("AS 17"). Real ASNs are arbitrary labels; nothing downstream
   // depends on their values.
   for (std::size_t i = 0; i < params.node_count; ++i)
-    graph.add_as(static_cast<AsNumber>(i + 1));
+    builder.add_as(static_cast<AsNumber>(i + 1));
 
   // --- Tier-1 clique: the small core of very-high-degree peers. ---
   std::vector<NodeId> tier1;
@@ -100,7 +103,7 @@ AsGraph generate(const GeneratorParams& params) {
     tier1.push_back(static_cast<NodeId>(i));
   for (std::size_t i = 0; i < tier1.size(); ++i)
     for (std::size_t j = i + 1; j < tier1.size(); ++j)
-      graph.add_peer(tier1[i], tier1[j]);
+      builder.add_peer(tier1[i], tier1[j]);
 
   const std::size_t rest = params.node_count - params.tier1_count;
   const std::size_t transit_count = static_cast<std::size_t>(
@@ -115,7 +118,7 @@ AsGraph generate(const GeneratorParams& params) {
                             (rng.chance(0.18) ? 1 : 0);
     // The pool is never empty (it starts as the tier-1 clique), so every
     // transit AS attaches to at least one provider.
-    attach_providers(graph, transit_pool, node, providers,
+    attach_providers(builder, transit_pool, node, providers,
                      params.attachment_bias, rng);
     transit_pool.push_back(node);
     transit_nodes.push_back(node);
@@ -126,13 +129,13 @@ AsGraph generate(const GeneratorParams& params) {
   for (NodeId node = static_cast<NodeId>(params.tier1_count + transit_count);
        node < params.node_count; ++node) {
     std::size_t providers = provider_count_for_stub(params, rng);
-    attach_providers(graph, transit_pool, node, providers,
+    attach_providers(builder, transit_pool, node, providers,
                      params.attachment_bias, rng);
     stubs.push_back(node);
   }
 
   // --- Extra peer links, mostly between transit ASes of similar standing. ---
-  const std::size_t base_edges = graph.edge_count();
+  const std::size_t base_edges = builder.edge_count();
   const auto peer_target = static_cast<std::size_t>(
       static_cast<double>(base_edges) * params.peer_link_fraction);
   std::size_t added_peers = 0;
@@ -144,11 +147,11 @@ AsGraph generate(const GeneratorParams& params) {
     // Peering partners have comparable degree; bias the second draw the same
     // way and accept only if degrees are within ~8x of each other.
     NodeId b = transit_nodes[rng.next_below(transit_nodes.size())];
-    if (a == b || graph.has_edge(a, b)) continue;
-    double ratio = static_cast<double>(graph.degree(a) + 1) /
-                   static_cast<double>(graph.degree(b) + 1);
+    if (a == b || builder.has_edge(a, b)) continue;
+    double ratio = static_cast<double>(builder.degree(a) + 1) /
+                   static_cast<double>(builder.degree(b) + 1);
     if (ratio > 8.0 || ratio < 1.0 / 8.0) continue;
-    graph.add_peer(a, b);
+    builder.add_peer(a, b);
     ++added_peers;
   }
 
@@ -162,15 +165,12 @@ AsGraph generate(const GeneratorParams& params) {
     ++attempts;
     NodeId a = transit_nodes[rng.next_below(transit_nodes.size())];
     NodeId b = transit_nodes[rng.next_below(transit_nodes.size())];
-    if (a == b || graph.has_edge(a, b)) continue;
-    graph.add_sibling(a, b);
+    if (a == b || builder.has_edge(a, b)) continue;
+    builder.add_sibling(a, b);
     ++added_siblings;
   }
 
-  // Freeze into the CSR layout: the generator is the one writer, everything
-  // downstream (solver, eval sampling, lint) only reads. The accounted bytes
-  // are therefore always the compact frozen footprint.
-  graph.finalize();
+  AsGraph graph = std::move(builder).build();
   if (obs::MemoryRegistry* mem = obs::memory())
     mem->account("topology/graph").set_current(graph.memory_bytes());
   return graph;

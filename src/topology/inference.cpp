@@ -53,26 +53,26 @@ std::size_t top_provider_index(
 
 AsGraph build_graph(
     const std::map<Pair, Relationship>& rel_of_second_to_first) {
-  AsGraph graph;
-  auto node_of = [&graph](AsNumber asn) {
-    NodeId id = graph.find(asn);
-    return id == kInvalidNode ? graph.add_as(asn) : id;
+  GraphBuilder builder;
+  auto node_of = [&builder](AsNumber asn) {
+    NodeId id = builder.find(asn);
+    return id == kInvalidNode ? builder.add_as(asn) : id;
   };
   for (const auto& [pair, rel] : rel_of_second_to_first) {
     NodeId a = node_of(pair.first);
     NodeId b = node_of(pair.second);
     switch (rel) {
       case Relationship::Customer:
-        graph.add_customer_provider(a, b);  // b is a's customer
+        builder.add_customer_provider(a, b);  // b is a's customer
         break;
       case Relationship::Provider:
-        graph.add_customer_provider(b, a);
+        builder.add_customer_provider(b, a);
         break;
-      case Relationship::Peer: graph.add_peer(a, b); break;
-      case Relationship::Sibling: graph.add_sibling(a, b); break;
+      case Relationship::Peer: builder.add_peer(a, b); break;
+      case Relationship::Sibling: builder.add_sibling(a, b); break;
     }
   }
-  return graph;
+  return std::move(builder).build();
 }
 
 }  // namespace

@@ -37,12 +37,12 @@ void save(const AsGraph& graph, std::ostream& out) {
 }
 
 AsGraph load(std::istream& in) {
-  AsGraph graph;
+  GraphBuilder builder;
   std::string line;
   std::size_t line_number = 0;
-  auto node_of = [&graph](AsNumber asn) {
-    NodeId id = graph.find(asn);
-    return id == kInvalidNode ? graph.add_as(asn) : id;
+  auto node_of = [&builder](AsNumber asn) {
+    NodeId id = builder.find(asn);
+    return id == kInvalidNode ? builder.add_as(asn) : id;
   };
   while (std::getline(in, line)) {
     ++line_number;
@@ -61,13 +61,13 @@ AsGraph load(std::istream& in) {
     NodeId na = node_of(static_cast<AsNumber>(*a));
     NodeId nb = node_of(static_cast<AsNumber>(*b));
     switch (*rel) {
-      case -1: graph.add_customer_provider(na, nb); break;
-      case 0: graph.add_peer(na, nb); break;
-      case 2: graph.add_sibling(na, nb); break;
+      case -1: builder.add_customer_provider(na, nb); break;
+      case 0: builder.add_peer(na, nb); break;
+      case 2: builder.add_sibling(na, nb); break;
       default: fail("relationship code must be -1, 0, or 2");
     }
   }
-  return graph;
+  return std::move(builder).build();
 }
 
 std::string to_text(const AsGraph& graph) {

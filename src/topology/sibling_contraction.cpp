@@ -47,11 +47,12 @@ ContractionResult contract_siblings(const AsGraph& graph) {
   for (auto& group : result.members)
     std::sort(group.begin(), group.end());
 
+  GraphBuilder builder;
   for (const auto& group : result.members) {
     AsNumber representative = graph.as_number(group.front());
     for (NodeId member : group)
       representative = std::min(representative, graph.as_number(member));
-    result.graph.add_as(representative);
+    builder.add_as(representative);
   }
 
   // Project the non-sibling edges; keep the most favorable relationship
@@ -94,19 +95,19 @@ ContractionResult contract_siblings(const AsGraph& graph) {
     const auto [low, high] = key;
     switch (rel) {
       case Relationship::Customer:
-        result.graph.add_customer_provider(/*provider=*/low,
-                                           /*customer=*/high);
+        builder.add_customer_provider(/*provider=*/low, /*customer=*/high);
         break;
       case Relationship::Provider:
-        result.graph.add_customer_provider(high, low);
+        builder.add_customer_provider(high, low);
         break;
       case Relationship::Peer:
-        result.graph.add_peer(low, high);
+        builder.add_peer(low, high);
         break;
       case Relationship::Sibling:
         break;  // unreachable
     }
   }
+  result.graph = std::move(builder).build();
   return result;
 }
 

@@ -346,15 +346,16 @@ TEST(ConvergenceLint, ReflexiveGuidelineDOrderIsNotStrict) {
 }
 
 TEST(ConvergenceLint, ProviderCycleDetected) {
-  topo::AsGraph graph;
-  const topo::NodeId a = graph.add_as(100);
-  const topo::NodeId b = graph.add_as(200);
-  const topo::NodeId c = graph.add_as(300);
+  topo::GraphBuilder builder;
+  const topo::NodeId a = builder.add_as(100);
+  const topo::NodeId b = builder.add_as(200);
+  const topo::NodeId c = builder.add_as(300);
   // a provides for b, b for c, c for a: everyone is their own indirect
   // provider.
-  graph.add_customer_provider(a, b);
-  graph.add_customer_provider(b, c);
-  graph.add_customer_provider(c, a);
+  builder.add_customer_provider(a, b);
+  builder.add_customer_provider(b, c);
+  builder.add_customer_provider(c, a);
+  const topo::AsGraph graph = std::move(builder).build();
   const Report report = lint_topology(graph, "cycle");
   ASSERT_TRUE(report.has("conv.guideline-a.provider-cycle"));
   EXPECT_EQ(report.error_count(), 1u);

@@ -208,14 +208,15 @@ TEST(StableRouteSolver, SiblingLinksAreTransparent) {
   // s1 - s2 are siblings; dest hangs off s2 as a customer; x is a peer of
   // s1. The route x-s1-s2-dest must classify as a peer route at x and be
   // available (s1 exports the sibling-learned customer route to its peer).
-  topo::AsGraph graph;
-  const auto s1 = graph.add_as(10);
-  const auto s2 = graph.add_as(20);
-  const auto dest = graph.add_as(30);
-  const auto x = graph.add_as(40);
-  graph.add_sibling(s1, s2);
-  graph.add_customer_provider(/*provider=*/s2, /*customer=*/dest);
-  graph.add_peer(x, s1);
+  topo::GraphBuilder builder;
+  const auto s1 = builder.add_as(10);
+  const auto s2 = builder.add_as(20);
+  const auto dest = builder.add_as(30);
+  const auto x = builder.add_as(40);
+  builder.add_sibling(s1, s2);
+  builder.add_customer_provider(/*provider=*/s2, /*customer=*/dest);
+  builder.add_peer(x, s1);
+  const topo::AsGraph graph = std::move(builder).build();
   StableRouteSolver solver(graph);
   const RoutingTree tree = solver.solve(dest);
   ASSERT_TRUE(tree.reachable(s1));
@@ -227,12 +228,13 @@ TEST(StableRouteSolver, SiblingLinksAreTransparent) {
 
 TEST(StableRouteSolver, PeerRouteNotExportedToPeer) {
   // x - y peers, y - z peers, z originates. x must NOT reach z through y.
-  topo::AsGraph graph;
-  const auto x = graph.add_as(1);
-  const auto y = graph.add_as(2);
-  const auto z = graph.add_as(3);
-  graph.add_peer(x, y);
-  graph.add_peer(y, z);
+  topo::GraphBuilder builder;
+  const auto x = builder.add_as(1);
+  const auto y = builder.add_as(2);
+  const auto z = builder.add_as(3);
+  builder.add_peer(x, y);
+  builder.add_peer(y, z);
+  const topo::AsGraph graph = std::move(builder).build();
   StableRouteSolver solver(graph);
   const RoutingTree tree = solver.solve(z);
   EXPECT_TRUE(tree.reachable(y));
@@ -267,9 +269,9 @@ using LinkList = std::vector<std::pair<topo::NodeId, topo::NodeId>>;
 // node by node.
 topo::AsGraph rebuilt_without_links(const topo::AsGraph& graph,
                                     const LinkList& failed) {
-  topo::AsGraph sub;
+  topo::GraphBuilder builder;
   for (topo::NodeId n = 0; n < graph.node_count(); ++n)
-    sub.add_as(graph.as_number(n));
+    builder.add_as(graph.as_number(n));
   std::set<std::pair<topo::NodeId, topo::NodeId>> dead;
   for (const auto& [a, b] : failed)
     dead.insert({std::min(a, b), std::max(a, b)});
@@ -279,21 +281,21 @@ topo::AsGraph rebuilt_without_links(const topo::AsGraph& graph,
       if (dead.count({n, nb.node}) != 0) continue;
       switch (nb.rel) {  // nb.rel = what nb is *to n*
         case Relationship::Customer:
-          sub.add_customer_provider(/*provider=*/n, /*customer=*/nb.node);
+          builder.add_customer_provider(/*provider=*/n, /*customer=*/nb.node);
           break;
         case Relationship::Provider:
-          sub.add_customer_provider(/*provider=*/nb.node, /*customer=*/n);
+          builder.add_customer_provider(/*provider=*/nb.node, /*customer=*/n);
           break;
         case Relationship::Peer:
-          sub.add_peer(n, nb.node);
+          builder.add_peer(n, nb.node);
           break;
         case Relationship::Sibling:
-          sub.add_sibling(n, nb.node);
+          builder.add_sibling(n, nb.node);
           break;
       }
     }
   }
-  return sub;
+  return std::move(builder).build();
 }
 
 void expect_same_tree(const RoutingTree& actual, const RoutingTree& expected,

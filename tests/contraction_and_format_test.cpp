@@ -15,16 +15,17 @@ namespace miro::topo {
 namespace {
 
 TEST(SiblingContraction, GroupsSiblingComponents) {
-  AsGraph graph;
-  const auto a = graph.add_as(10);
-  const auto b = graph.add_as(20);
-  const auto c = graph.add_as(30);   // sibling chain a-b-c
-  const auto x = graph.add_as(40);
-  const auto y = graph.add_as(50);
-  graph.add_sibling(a, b);
-  graph.add_sibling(b, c);
-  graph.add_customer_provider(/*provider=*/a, /*customer=*/x);
-  graph.add_peer(c, y);
+  GraphBuilder builder;
+  const auto a = builder.add_as(10);
+  const auto b = builder.add_as(20);
+  const auto c = builder.add_as(30);   // sibling chain a-b-c
+  const auto x = builder.add_as(40);
+  const auto y = builder.add_as(50);
+  builder.add_sibling(a, b);
+  builder.add_sibling(b, c);
+  builder.add_customer_provider(/*provider=*/a, /*customer=*/x);
+  builder.add_peer(c, y);
+  const AsGraph graph = std::move(builder).build();
 
   const ContractionResult result = contract_siblings(graph);
   EXPECT_EQ(result.group_count(), 3u);  // {a,b,c}, {x}, {y}

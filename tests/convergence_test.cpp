@@ -120,17 +120,18 @@ TEST(RelaxedPeering, PeerRouteCanBeatLongerCustomerRoute) {
   // x has a 3-hop customer route and a 2-hop peer route to d. Under
   // Guideline A the customer route wins; under the relaxed band the shorter
   // peer route does.
-  topo::AsGraph graph;
-  const auto x = graph.add_as(1);
-  const auto c = graph.add_as(2);
-  const auto c2 = graph.add_as(5);
-  const auto p = graph.add_as(3);
-  const auto d = graph.add_as(4);
-  graph.add_customer_provider(/*provider=*/x, /*customer=*/c);
-  graph.add_customer_provider(c, c2);
-  graph.add_customer_provider(c2, d);  // customer chain x -> c -> c2 -> d
-  graph.add_peer(x, p);
-  graph.add_sibling(p, d);  // p reaches d via sibling => customer class at p
+  topo::GraphBuilder builder;
+  const auto x = builder.add_as(1);
+  const auto c = builder.add_as(2);
+  const auto c2 = builder.add_as(5);
+  const auto p = builder.add_as(3);
+  const auto d = builder.add_as(4);
+  builder.add_customer_provider(/*provider=*/x, /*customer=*/c);
+  builder.add_customer_provider(c, c2);
+  builder.add_customer_provider(c2, d);  // customer chain x -> c -> c2 -> d
+  builder.add_peer(x, p);
+  builder.add_sibling(p, d);  // p reaches d via sibling => customer class at p
+  const topo::AsGraph graph = std::move(builder).build();
   // Conventional: the (longer) customer route wins.
   {
     MiroConvergenceModel model(graph, {d}, {});
@@ -172,17 +173,18 @@ TEST(BackupLinks, CountOnPath) {
 
 TEST(BackupLinks, UnusedWhilePrimaryExists) {
   // s is dual-homed: primary provider p1, backup provider p2.
-  topo::AsGraph graph;
-  const auto core = graph.add_as(1);
-  const auto p1 = graph.add_as(3);
-  const auto p2 = graph.add_as(2);
-  const auto s = graph.add_as(4);
-  const auto d = graph.add_as(5);
-  graph.add_customer_provider(core, p1);
-  graph.add_customer_provider(core, p2);
-  graph.add_customer_provider(p1, s);
-  graph.add_customer_provider(p2, s);  // the backup homing
-  graph.add_customer_provider(core, d);
+  topo::GraphBuilder builder;
+  const auto core = builder.add_as(1);
+  const auto p1 = builder.add_as(3);
+  const auto p2 = builder.add_as(2);
+  const auto s = builder.add_as(4);
+  const auto d = builder.add_as(5);
+  builder.add_customer_provider(core, p1);
+  builder.add_customer_provider(core, p2);
+  builder.add_customer_provider(p1, s);
+  builder.add_customer_provider(p2, s);  // the backup homing
+  builder.add_customer_provider(core, d);
+  const topo::AsGraph graph = std::move(builder).build();
   BackupLinks backups;
   backups.add(p2, s);
 
@@ -196,14 +198,15 @@ TEST(BackupLinks, UnusedWhilePrimaryExists) {
 TEST(BackupLinks, CarryTrafficAfterPrimaryFailure) {
   // Same scenario with the primary homing removed: the backup link must
   // restore connectivity.
-  topo::AsGraph graph;
-  const auto core = graph.add_as(1);
-  const auto p2 = graph.add_as(3);
-  const auto s = graph.add_as(4);
-  const auto d = graph.add_as(5);
-  graph.add_customer_provider(core, p2);
-  graph.add_customer_provider(p2, s);
-  graph.add_customer_provider(core, d);
+  topo::GraphBuilder builder;
+  const auto core = builder.add_as(1);
+  const auto p2 = builder.add_as(3);
+  const auto s = builder.add_as(4);
+  const auto d = builder.add_as(5);
+  builder.add_customer_provider(core, p2);
+  builder.add_customer_provider(p2, s);
+  builder.add_customer_provider(core, d);
+  const topo::AsGraph graph = std::move(builder).build();
   BackupLinks backups;
   backups.add(p2, s);
   MiroConvergenceModel model(graph, {d}, backup_link_options(graph, backups));
@@ -217,16 +220,17 @@ TEST(BackupLinks, BackupPeeringRestoresPartitionedCustomerCone) {
   // reaches d over the backup peering as over any peering. y does too, but
   // only because p1's route crosses a backup link: such routes go to every
   // neighbor, while the conventional rules keep a peer route from a peer.
-  topo::AsGraph graph;
-  const auto p1 = graph.add_as(1);
-  const auto p2 = graph.add_as(2);
-  const auto x = graph.add_as(3);
-  const auto d = graph.add_as(4);
-  const auto y = graph.add_as(5);
-  graph.add_customer_provider(p1, x);
-  graph.add_customer_provider(p2, d);
-  graph.add_peer(p1, p2);
-  graph.add_peer(p1, y);
+  topo::GraphBuilder builder;
+  const auto p1 = builder.add_as(1);
+  const auto p2 = builder.add_as(2);
+  const auto x = builder.add_as(3);
+  const auto d = builder.add_as(4);
+  const auto y = builder.add_as(5);
+  builder.add_customer_provider(p1, x);
+  builder.add_customer_provider(p2, d);
+  builder.add_peer(p1, p2);
+  builder.add_peer(p1, y);
+  const topo::AsGraph graph = std::move(builder).build();
   BackupLinks backups;
   backups.add(p1, p2);
   MiroConvergenceModel model(graph, {d}, backup_link_options(graph, backups));

@@ -26,22 +26,24 @@ struct MultihopGadget {
   topo::NodeId s, m, g, x, h, d;
 
   MultihopGadget() {
-    s = graph.add_as(1);
-    m = graph.add_as(2);
-    g = graph.add_as(3);
-    x = graph.add_as(4);
-    h = graph.add_as(5);
-    d = graph.add_as(6);
+    topo::GraphBuilder builder;
+    s = builder.add_as(1);
+    m = builder.add_as(2);
+    g = builder.add_as(3);
+    x = builder.add_as(4);
+    h = builder.add_as(5);
+    d = builder.add_as(6);
     // s is a customer of m; m is a customer of g and x; g is a customer of
     // x... careful: we need m's candidates to all cross x, while g knows a
     // clean path through h.
-    graph.add_customer_provider(/*provider=*/m, /*customer=*/s);
-    graph.add_customer_provider(g, m);
-    graph.add_customer_provider(x, m);
-    graph.add_customer_provider(x, g);   // g's default to d goes via x
-    graph.add_customer_provider(h, g);   // but g also buys from h
-    graph.add_customer_provider(x, d);   // d is x's customer
-    graph.add_customer_provider(h, d);   // and h's customer
+    builder.add_customer_provider(/*provider=*/m, /*customer=*/s);
+    builder.add_customer_provider(g, m);
+    builder.add_customer_provider(x, m);
+    builder.add_customer_provider(x, g);   // g's default to d goes via x
+    builder.add_customer_provider(h, g);   // but g also buys from h
+    builder.add_customer_provider(x, d);   // d is x's customer
+    builder.add_customer_provider(h, d);   // and h's customer
+    graph = std::move(builder).build();
   }
 };
 
@@ -144,15 +146,16 @@ TEST(Prepend, ShiftsTieBrokenSourcesOnly) {
 TEST(Prepend, CannotOverrideLocalPreference) {
   // x has a customer route and a provider route to d; prepending on the
   // customer link cannot make x switch (local preference first).
-  topo::AsGraph graph;
-  const auto x = graph.add_as(1);
-  const auto c = graph.add_as(2);
-  const auto p = graph.add_as(3);
-  const auto d = graph.add_as(4);
-  graph.add_customer_provider(/*provider=*/x, /*customer=*/c);
-  graph.add_customer_provider(p, x);
-  graph.add_customer_provider(c, d);  // d customer of c
-  graph.add_customer_provider(p, d);  // d customer of p
+  topo::GraphBuilder builder;
+  const auto x = builder.add_as(1);
+  const auto c = builder.add_as(2);
+  const auto p = builder.add_as(3);
+  const auto d = builder.add_as(4);
+  builder.add_customer_provider(/*provider=*/x, /*customer=*/c);
+  builder.add_customer_provider(p, x);
+  builder.add_customer_provider(c, d);  // d customer of c
+  builder.add_customer_provider(p, d);  // d customer of p
+  const topo::AsGraph graph = std::move(builder).build();
   bgp::StableRouteSolver solver(graph);
   const bgp::RoutingTree plain = solver.solve(d);
   ASSERT_EQ(plain.route_class(x), bgp::RouteClass::Customer);

@@ -16,9 +16,9 @@ namespace {
 topo::AsGraph degraded_copy(
     const topo::AsGraph& graph,
     const std::set<std::pair<topo::NodeId, topo::NodeId>>& removed) {
-  topo::AsGraph copy;
+  topo::GraphBuilder builder;
   for (topo::NodeId id = 0; id < graph.node_count(); ++id)
-    copy.add_as(graph.as_number(id));
+    builder.add_as(graph.as_number(id));
   for (topo::NodeId id = 0; id < graph.node_count(); ++id) {
     for (const topo::Neighbor& n : graph.neighbors(id)) {
       if (n.node < id) continue;  // each link once, from the lower id
@@ -26,21 +26,21 @@ topo::AsGraph degraded_copy(
       if (removed.find(key) != removed.end()) continue;
       switch (n.rel) {
         case topo::Relationship::Customer:
-          copy.add_customer_provider(id, n.node);
+          builder.add_customer_provider(id, n.node);
           break;
         case topo::Relationship::Provider:
-          copy.add_customer_provider(n.node, id);
+          builder.add_customer_provider(n.node, id);
           break;
         case topo::Relationship::Peer:
-          copy.add_peer(id, n.node);
+          builder.add_peer(id, n.node);
           break;
         case topo::Relationship::Sibling:
-          copy.add_sibling(id, n.node);
+          builder.add_sibling(id, n.node);
           break;
       }
     }
   }
-  return copy;
+  return std::move(builder).build();
 }
 
 class FailureSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -69,16 +69,15 @@ TEST(MemoryRegistryTest, RssSamplerReadsTheProcess) {
 #endif
 }
 
-// RouteStore::memory_bytes walks the tree map, each tree and the path table.
-// A mirror map with the same insertions supplies the map's share, so each
-// new tree must add exactly its object and its entry array on top of it,
-// and a cache hit must add nothing.
+// RouteStore::memory_bytes walks the tree map and each tree. A mirror map
+// with the same insertions supplies the map's share, so each new tree must
+// add exactly its object and its entry array on top of it, and a cache hit
+// must add nothing.
 TEST(RouteStore, MemoryBytesCountsEachTreeOnce) {
   const topo::AsGraph graph = topo::generate(topo::profile("tiny"));
   core::RouteStore store(graph);
   std::unordered_map<topo::NodeId, std::unique_ptr<bgp::RoutingTree>> mirror;
-  EXPECT_EQ(store.memory_bytes(),
-            hash_map_bytes(mirror) + store.paths().memory_bytes());
+  EXPECT_EQ(store.memory_bytes(), hash_map_bytes(mirror));
   for (const topo::NodeId destination : {0u, 40u, 200u, 7u}) {
     const std::uint64_t before = store.memory_bytes();
     const std::uint64_t map_before = hash_map_bytes(mirror);

@@ -186,17 +186,18 @@ TEST(SessionBgp, RapidFlapEndingDownDrainsTheFlappedSessions) {
   EXPECT_EQ(h.network.advertised_to_of(h.fig.e).count(h.fig.f), 0u);
   EXPECT_EQ(h.network.advertised_to_of(h.fig.f).count(h.fig.e), 0u);
   // Converged state must match the solver on the surviving topology.
-  topo::AsGraph survived;
-  topo::NodeId a = survived.add_as(1), b = survived.add_as(2),
-               c = survived.add_as(3), d = survived.add_as(4),
-               e = survived.add_as(5), f = survived.add_as(6);
-  survived.add_customer_provider(b, a);
-  survived.add_customer_provider(d, a);
-  survived.add_customer_provider(b, e);
-  survived.add_customer_provider(d, e);
-  survived.add_customer_provider(c, f);  // e-f missing: it stayed down
-  survived.add_peer(b, c);
-  survived.add_peer(c, e);
+  topo::GraphBuilder builder;
+  topo::NodeId a = builder.add_as(1), b = builder.add_as(2),
+               c = builder.add_as(3), d = builder.add_as(4),
+               e = builder.add_as(5), f = builder.add_as(6);
+  builder.add_customer_provider(b, a);
+  builder.add_customer_provider(d, a);
+  builder.add_customer_provider(b, e);
+  builder.add_customer_provider(d, e);
+  builder.add_customer_provider(c, f);  // e-f missing: it stayed down
+  builder.add_peer(b, c);
+  builder.add_peer(c, e);
+  const topo::AsGraph survived = std::move(builder).build();
   expect_converged_and_clean(h.network, survived, f);
 }
 

@@ -44,6 +44,7 @@ using bgp::RoutingTree;
 using bgp::RoutingTreeTestAccess;
 using bgp::StableRouteSolver;
 using topo::AsGraph;
+using topo::GraphBuilder;
 
 std::size_t count_check(const Report& report, std::string_view id) {
   return static_cast<std::size_t>(std::count_if(
@@ -58,19 +59,21 @@ struct SmallHierarchy {
   AsGraph graph;
   topo::NodeId t1, t2, mid1, mid2, stub, sib;
   SmallHierarchy() {
-    t1 = graph.add_as(1);
-    t2 = graph.add_as(2);
-    mid1 = graph.add_as(3);
-    mid2 = graph.add_as(4);
-    stub = graph.add_as(5);
-    sib = graph.add_as(6);
-    graph.add_peer(t1, t2);
-    graph.add_customer_provider(t1, mid1);
-    graph.add_customer_provider(t1, mid2);
-    graph.add_customer_provider(t2, mid2);
-    graph.add_customer_provider(mid1, stub);
-    graph.add_customer_provider(mid2, stub);
-    graph.add_sibling(mid2, sib);
+    GraphBuilder builder;
+    t1 = builder.add_as(1);
+    t2 = builder.add_as(2);
+    mid1 = builder.add_as(3);
+    mid2 = builder.add_as(4);
+    stub = builder.add_as(5);
+    sib = builder.add_as(6);
+    builder.add_peer(t1, t2);
+    builder.add_customer_provider(t1, mid1);
+    builder.add_customer_provider(t1, mid2);
+    builder.add_customer_provider(t2, mid2);
+    builder.add_customer_provider(mid1, stub);
+    builder.add_customer_provider(mid2, stub);
+    builder.add_sibling(mid2, sib);
+    graph = std::move(builder).build();
   }
 };
 
@@ -82,15 +85,17 @@ struct PeerChain {
   AsGraph graph;
   topo::NodeId p, q, r, s, c;
   PeerChain() {
-    p = graph.add_as(1);
-    q = graph.add_as(2);
-    r = graph.add_as(3);
-    s = graph.add_as(4);
-    c = graph.add_as(10);
-    graph.add_peer(p, q);
-    graph.add_peer(q, r);
-    graph.add_peer(r, s);
-    graph.add_customer_provider(p, c);
+    GraphBuilder builder;
+    p = builder.add_as(1);
+    q = builder.add_as(2);
+    r = builder.add_as(3);
+    s = builder.add_as(4);
+    c = builder.add_as(10);
+    builder.add_peer(p, q);
+    builder.add_peer(q, r);
+    builder.add_peer(r, s);
+    builder.add_customer_provider(p, c);
+    graph = std::move(builder).build();
   }
 };
 
@@ -168,12 +173,23 @@ TEST(SymbolicFixpoint, FeasibilityAgreesWithReachability) {
   }
 }
 
+// The message of the miro::Error solve(dest) throws; "" when it solves.
+std::string refusal(const SymbolicRouteEngine& engine, topo::NodeId dest) {
+  try {
+    engine.solve(dest);
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(SymbolicFixpoint, SweepBoundThrowsBeforeLooping) {
   const SmallHierarchy fig;
   SymbolicOptions options;
   options.max_sweeps = 1;  // any non-trivial graph needs a second sweep
   const SymbolicRouteEngine engine(fig.graph, options);
-  EXPECT_THROW(engine.solve(fig.stub), Error);
+  EXPECT_NE(refusal(engine, fig.stub).find("still improving at max_sweeps"),
+            std::string::npos);
   const SymbolicRouteMap map = SymbolicRouteEngine(fig.graph).solve(fig.stub);
   EXPECT_GE(map.sweeps(), 2u);
   EXPECT_GT(map.memory_bytes(), 0u);
@@ -380,6 +396,29 @@ TEST(SymbolicFixpoint, DirtySetReplaysTheFullSweeps) {
   EXPECT_GT(leaky_stabilized, 0u);
 }
 
+// The injected leak makes some tiny destinations count to infinity. The
+// hierarchy is acyclic, so the refusal must blame the export relation and
+// the leak, never a provider cycle.
+TEST(SymbolicFixpoint, LeakRefusalNamesTheLeakNotACycle) {
+  const AsGraph graph = topo::generate(topo::profile("tiny"));
+  SymbolicOptions leaky;
+  leaky.inject_export_bug = true;
+  const SymbolicRouteEngine engine(graph, leaky);
+  ASSERT_TRUE(engine.preconditions().empty());
+  std::size_t refused = 0;
+  for (topo::NodeId dest = 0; dest < graph.node_count(); ++dest) {
+    const std::string what = refusal(engine, dest);
+    if (what.empty()) continue;
+    ++refused;
+    EXPECT_NE(what.find("the export relation let routes keep growing"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("injected export bug"), std::string::npos) << what;
+    EXPECT_EQ(what.find("cycl"), std::string::npos) << what;
+  }
+  EXPECT_GT(refused, 0u);
+}
+
 // With S the full sweeps' count, max_sweeps = S solves in S sweeps and
 // max_sweeps = S - 1 throws.
 void expect_sweep_bound(const AsGraph& graph, topo::NodeId dest) {
@@ -397,10 +436,11 @@ void expect_sweep_bound(const AsGraph& graph, topo::NodeId dest) {
 TEST(SymbolicFixpoint, SweepBoundMatchesTheFullSweeps) {
   // A star around the destination: the leaves move in the first sweep and
   // dirty no one, so the confirming second sweep evaluates nothing.
-  AsGraph star;
-  const topo::NodeId hub = star.add_as(1);
+  GraphBuilder star_builder;
+  const topo::NodeId hub = star_builder.add_as(1);
   for (topo::AsNumber asn = 2; asn <= 4; ++asn)
-    star.add_customer_provider(hub, star.add_as(asn));
+    star_builder.add_customer_provider(hub, star_builder.add_as(asn));
+  const AsGraph star = std::move(star_builder).build();
   expect_sweep_bound(star, hub);
 
   for (const AsGraph& graph : replay_graphs()) {
@@ -430,17 +470,24 @@ TEST(SymbolicFixpoint, DirtySetSkipsMostEvaluations) {
 }
 
 TEST(SymbolicFixpoint, ProviderCyclePreconditionFails) {
-  AsGraph graph;
-  const topo::NodeId a = graph.add_as(1);
-  const topo::NodeId b = graph.add_as(2);
-  const topo::NodeId c = graph.add_as(3);
-  graph.add_customer_provider(a, b);
-  graph.add_customer_provider(b, c);
-  graph.add_customer_provider(c, a);
+  GraphBuilder builder;
+  const topo::NodeId a = builder.add_as(1);
+  const topo::NodeId b = builder.add_as(2);
+  const topo::NodeId c = builder.add_as(3);
+  builder.add_customer_provider(a, b);
+  builder.add_customer_provider(b, c);
+  builder.add_customer_provider(c, a);
+  const AsGraph graph = std::move(builder).build();
   const SymbolicRouteEngine engine(graph);
   const Report report = engine.preconditions("cycle");
   EXPECT_EQ(count_check(report, "verify.precondition.provider-cycle"), 1u);
   EXPECT_GT(report.error_count(), 0u);
+  // A refusal on this graph blames the cycle.
+  SymbolicOptions options;
+  options.max_sweeps = 1;
+  EXPECT_NE(refusal(SymbolicRouteEngine(graph, options), a)
+                .find("the provider hierarchy is cyclic"),
+            std::string::npos);
 }
 
 // ----------------------------------------------------------- avoid queries
@@ -643,6 +690,30 @@ TEST(VerifyQuery, SyntheticPrefixesAndEndpointResolution) {
   EXPECT_THROW(resolve_endpoint(fig.graph, "10.9.9.9"), Error);
   EXPECT_THROW(resolve_endpoint(fig.graph, "not-an-as"), Error);
   EXPECT_THROW(resolve_endpoint(fig.graph, "256.1.1.1"), Error);
+
+  // AS numbers past 16 bits get /24s of their own — AS n and AS n + 65536
+  // differ — and each address names the AS whose /24 holds it.
+  GraphBuilder builder;
+  const topo::NodeId as1 = builder.add_as(1);
+  const topo::NodeId as2 = builder.add_as(2);
+  const topo::NodeId as65537 = builder.add_as(65537);
+  const topo::NodeId as65538 = builder.add_as(65538);
+  builder.add_customer_provider(as1, as2);
+  builder.add_customer_provider(as1, as65537);
+  builder.add_customer_provider(as2, as65538);
+  const AsGraph wide = std::move(builder).build();
+  EXPECT_EQ(synthetic_prefix(1).to_string(), "10.0.1.0/24");
+  EXPECT_EQ(synthetic_prefix(65537).to_string(), "11.0.1.0/24");
+  EXPECT_EQ(synthetic_prefix(65538).to_string(), "11.0.2.0/24");
+  EXPECT_EQ(synthetic_prefix((1u << 24) - 1).to_string(), "9.255.255.0/24");
+  EXPECT_THROW(synthetic_prefix(1u << 24), Error);
+  EXPECT_EQ(resolve_endpoint(wide, "10.0.1.1"), as1);
+  EXPECT_EQ(resolve_endpoint(wide, "10.0.2.1"), as2);
+  EXPECT_EQ(resolve_endpoint(wide, "11.0.1.1"), as65537);
+  EXPECT_EQ(resolve_endpoint(wide, "11.0.2.200"), as65538);
+  EXPECT_EQ(resolve_endpoint(wide, "65538"), as65538);
+  EXPECT_THROW(resolve_endpoint(wide, "11.0.3.1"), Error);
+  EXPECT_THROW(resolve_endpoint(wide, "9.255.255.1"), Error);
 }
 
 TEST(VerifyNetwork, ReachAndAvoidQueriesProduceWitnesses) {
@@ -668,12 +739,13 @@ TEST(VerifyNetwork, UnreachablePairIsAnError) {
 
 TEST(VerifyNetwork, AvoidingACutVertexIsInfeasible) {
   // 1 <- 2 <- 3 provider chain: AS 2 is the only way from AS 3 to AS 1.
-  AsGraph graph;
-  const topo::NodeId top = graph.add_as(1);
-  const topo::NodeId mid = graph.add_as(2);
-  const topo::NodeId leaf = graph.add_as(3);
-  graph.add_customer_provider(top, mid);
-  graph.add_customer_provider(mid, leaf);
+  GraphBuilder builder;
+  const topo::NodeId top = builder.add_as(1);
+  const topo::NodeId mid = builder.add_as(2);
+  const topo::NodeId leaf = builder.add_as(3);
+  builder.add_customer_provider(top, mid);
+  builder.add_customer_provider(mid, leaf);
+  const AsGraph graph = std::move(builder).build();
   (void)top;
   (void)mid;
   (void)leaf;
@@ -692,13 +764,14 @@ TEST(VerifyNetwork, AvoidEndpointCollisionThrows) {
 }
 
 TEST(VerifyNetwork, ProviderCycleStopsVerification) {
-  AsGraph graph;
-  const topo::NodeId a = graph.add_as(1);
-  const topo::NodeId b = graph.add_as(2);
-  const topo::NodeId c = graph.add_as(3);
-  graph.add_customer_provider(a, b);
-  graph.add_customer_provider(b, c);
-  graph.add_customer_provider(c, a);
+  GraphBuilder builder;
+  const topo::NodeId a = builder.add_as(1);
+  const topo::NodeId b = builder.add_as(2);
+  const topo::NodeId c = builder.add_as(3);
+  builder.add_customer_provider(a, b);
+  builder.add_customer_provider(b, c);
+  builder.add_customer_provider(c, a);
+  const AsGraph graph = std::move(builder).build();
   const Report report = verify_network(graph, {}, "cycle");
   EXPECT_GT(count_check(report, "verify.precondition.provider-cycle"), 0u);
   EXPECT_EQ(count_check(report, "verify.sweep.summary"), 0u);

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bgp/route_solver.hpp"
 #include "common/error.hpp"
+#include "convergence/gadgets.hpp"
 #include "topology/as_graph.hpp"
+#include "topology/figure31.hpp"
 #include "topology/generator.hpp"
 #include "topology/inference.hpp"
 #include "topology/metrics.hpp"
@@ -15,12 +22,13 @@ namespace miro::topo {
 namespace {
 
 TEST(AsGraph, AddAndQueryEdges) {
-  AsGraph graph;
-  NodeId a = graph.add_as(100);
-  NodeId b = graph.add_as(200);
-  NodeId c = graph.add_as(300);
-  graph.add_customer_provider(/*provider=*/a, /*customer=*/b);
-  graph.add_peer(b, c);
+  GraphBuilder builder;
+  NodeId a = builder.add_as(100);
+  NodeId b = builder.add_as(200);
+  NodeId c = builder.add_as(300);
+  builder.add_customer_provider(/*provider=*/a, /*customer=*/b);
+  builder.add_peer(b, c);
+  const AsGraph graph = std::move(builder).build();
   EXPECT_EQ(graph.node_count(), 3u);
   EXPECT_EQ(graph.edge_count(), 2u);
   EXPECT_TRUE(graph.has_edge(a, b));
@@ -31,36 +39,48 @@ TEST(AsGraph, AddAndQueryEdges) {
 }
 
 TEST(AsGraph, RejectsDuplicatesAndSelfLoops) {
-  AsGraph graph;
-  NodeId a = graph.add_as(1);
-  NodeId b = graph.add_as(2);
-  graph.add_peer(a, b);
-  EXPECT_THROW(graph.add_peer(a, b), Error);
-  EXPECT_THROW(graph.add_customer_provider(a, b), Error);
-  EXPECT_THROW(graph.add_peer(a, a), Error);
-  EXPECT_THROW(graph.add_as(1), Error);
+  GraphBuilder builder;
+  NodeId a = builder.add_as(1);
+  NodeId b = builder.add_as(2);
+  builder.add_peer(a, b);
+  EXPECT_THROW(builder.add_peer(a, b), Error);
+  EXPECT_THROW(builder.add_customer_provider(a, b), Error);
+  EXPECT_THROW(builder.add_sibling(b, a), Error);
+  EXPECT_THROW(builder.add_peer(a, a), Error);
+  EXPECT_THROW(builder.add_as(1), Error);
+  // The rejected calls left nothing behind.
+  EXPECT_EQ(builder.edge_count(), 1u);
+  EXPECT_EQ(builder.degree(a), 1u);
+  const AsGraph graph = std::move(builder).build();
+  EXPECT_EQ(graph.node_count(), 2u);
+  EXPECT_EQ(graph.edge_count(), 1u);
+  EXPECT_EQ(graph.relationship(a, b), Relationship::Peer);
 }
 
 TEST(AsGraph, FindByAsNumber) {
-  AsGraph graph;
-  NodeId a = graph.add_as(65001);
+  GraphBuilder builder;
+  NodeId a = builder.add_as(65001);
+  EXPECT_EQ(builder.find(65001), a);
+  EXPECT_EQ(builder.find(65002), kInvalidNode);
+  const AsGraph graph = std::move(builder).build();
   EXPECT_EQ(graph.find(65001), a);
   EXPECT_EQ(graph.find(65002), kInvalidNode);
   EXPECT_THROW(graph.require_node(65002), Error);
 }
 
 TEST(AsGraph, StubClassification) {
-  AsGraph graph;
-  NodeId provider = graph.add_as(1);
-  NodeId provider2 = graph.add_as(2);
-  NodeId single = graph.add_as(3);
-  NodeId multi = graph.add_as(4);
-  NodeId peerish = graph.add_as(5);
-  graph.add_customer_provider(provider, single);
-  graph.add_customer_provider(provider, multi);
-  graph.add_customer_provider(provider2, multi);
-  graph.add_customer_provider(provider, peerish);
-  graph.add_peer(peerish, single);  // peering disqualifies both as stubs
+  GraphBuilder builder;
+  NodeId provider = builder.add_as(1);
+  NodeId provider2 = builder.add_as(2);
+  NodeId single = builder.add_as(3);
+  NodeId multi = builder.add_as(4);
+  NodeId peerish = builder.add_as(5);
+  builder.add_customer_provider(provider, single);
+  builder.add_customer_provider(provider, multi);
+  builder.add_customer_provider(provider2, multi);
+  builder.add_customer_provider(provider, peerish);
+  builder.add_peer(peerish, single);  // peering disqualifies both as stubs
+  const AsGraph graph = std::move(builder).build();
   EXPECT_FALSE(graph.is_stub(single));
   EXPECT_TRUE(graph.is_stub(multi));
   EXPECT_TRUE(graph.is_multi_homed_stub(multi));
@@ -82,10 +102,16 @@ TEST(AsGraph, ReverseThrowsOnCorruptValue) {
 }
 
 TEST(AsGraph, AccessorsRejectOutOfRangeIds) {
-  AsGraph graph;
-  const NodeId a = graph.add_as(1);
-  graph.add_as(2);
-  const auto bogus = static_cast<NodeId>(graph.node_count());
+  GraphBuilder builder;
+  const NodeId a = builder.add_as(1);
+  builder.add_as(2);
+  const auto bogus = static_cast<NodeId>(builder.node_count());
+  EXPECT_THROW(builder.add_peer(a, bogus), Error);
+  EXPECT_THROW(builder.add_customer_provider(bogus, a), Error);
+  EXPECT_THROW(builder.add_sibling(a, kInvalidNode), Error);
+  EXPECT_THROW(builder.degree(bogus), Error);
+  EXPECT_THROW(builder.has_edge(a, bogus), Error);
+  const AsGraph graph = std::move(builder).build();
   EXPECT_THROW(graph.as_number(bogus), Error);
   EXPECT_THROW(graph.neighbors(bogus), Error);
   EXPECT_THROW(graph.degree(bogus), Error);
@@ -93,54 +119,38 @@ TEST(AsGraph, AccessorsRejectOutOfRangeIds) {
   EXPECT_THROW(graph.has_edge(bogus, a), Error);
   EXPECT_THROW(graph.relationship(a, bogus), Error);
   EXPECT_THROW(graph.relationship(bogus, a), Error);
-  EXPECT_THROW(graph.add_peer(a, bogus), Error);
-  // The frozen CSR accessors keep the same contract.
-  graph.finalize();
-  EXPECT_THROW(graph.as_number(bogus), Error);
-  EXPECT_THROW(graph.neighbors(bogus), Error);
-  EXPECT_THROW(graph.degree(bogus), Error);
-  EXPECT_THROW(graph.has_edge(a, bogus), Error);
-  EXPECT_THROW(graph.relationship(a, bogus), Error);
   EXPECT_THROW(graph.relationship(kInvalidNode, a), Error);
 }
 
-TEST(AsGraph, FinalizePreservesEveryAnswer) {
+TEST(AsGraph, BuildPreservesEveryAnswer) {
   // Build an irregular little graph with all three relationship kinds and
   // non-sequential AS numbers (so the sorted ASN index path is exercised),
-  // snapshot every query, freeze, and require identical answers from the
-  // CSR layout.
-  AsGraph graph;
+  // snapshot every query the builder answers, build, and require identical
+  // answers — and the added relationships — from the CSR layout.
+  GraphBuilder builder;
   std::vector<NodeId> ids;
   const AsNumber asns[] = {700, 7, 70, 7000, 77, 707, 7700};
-  for (AsNumber asn : asns) ids.push_back(graph.add_as(asn));
-  graph.add_customer_provider(ids[0], ids[2]);
-  graph.add_customer_provider(ids[0], ids[3]);
-  graph.add_customer_provider(ids[1], ids[3]);
-  graph.add_customer_provider(ids[2], ids[4]);
-  graph.add_peer(ids[0], ids[1]);
-  graph.add_peer(ids[2], ids[3]);
-  graph.add_sibling(ids[5], ids[6]);
-  graph.add_customer_provider(ids[1], ids[5]);
+  for (AsNumber asn : asns) ids.push_back(builder.add_as(asn));
+  builder.add_customer_provider(ids[0], ids[2]);
+  builder.add_customer_provider(ids[0], ids[3]);
+  builder.add_customer_provider(ids[1], ids[3]);
+  builder.add_customer_provider(ids[2], ids[4]);
+  builder.add_peer(ids[0], ids[1]);
+  builder.add_peer(ids[2], ids[3]);
+  builder.add_sibling(ids[5], ids[6]);
+  builder.add_customer_provider(ids[1], ids[5]);
 
-  const std::size_t n = graph.node_count();
+  const std::size_t n = builder.node_count();
   std::vector<std::vector<bool>> had_edge(n, std::vector<bool>(n));
-  std::vector<std::vector<Relationship>> rels(n,
-                                              std::vector<Relationship>(n));
   std::vector<std::size_t> degrees(n);
   for (NodeId x = 0; x < n; ++x) {
-    degrees[x] = graph.degree(x);
-    for (NodeId y = 0; y < n; ++y) {
-      had_edge[x][y] = graph.has_edge(x, y);
-      if (had_edge[x][y]) rels[x][y] = graph.relationship(x, y);
-    }
+    degrees[x] = builder.degree(x);
+    EXPECT_EQ(builder.find(asns[x]), x);
+    for (NodeId y = 0; y < n; ++y) had_edge[x][y] = builder.has_edge(x, y);
   }
-  const AsGraph::EdgeCounts before_counts = graph.edge_counts();
-  const std::uint64_t before_bytes = graph.memory_bytes();
+  EXPECT_EQ(builder.edge_count(), 8u);
 
-  graph.finalize();
-  EXPECT_TRUE(graph.finalized());
-  graph.finalize();  // idempotent
-
+  const AsGraph graph = std::move(builder).build();
   EXPECT_EQ(graph.node_count(), n);
   EXPECT_EQ(graph.edge_count(), 8u);
   for (NodeId x = 0; x < n; ++x) {
@@ -151,35 +161,30 @@ TEST(AsGraph, FinalizePreservesEveryAnswer) {
     const NeighborRange range = graph.neighbors(x);
     for (std::size_t i = 1; i < range.size(); ++i)
       EXPECT_LT(range[i - 1].node, range[i].node);
-    for (NodeId y = 0; y < n; ++y) {
+    for (NodeId y = 0; y < n; ++y)
       EXPECT_EQ(graph.has_edge(x, y), had_edge[x][y]);
-      if (had_edge[x][y]) {
-        EXPECT_EQ(graph.relationship(x, y), rels[x][y]);
-      }
-    }
   }
-  const AsGraph::EdgeCounts after_counts = graph.edge_counts();
-  EXPECT_EQ(after_counts.customer_provider, before_counts.customer_provider);
-  EXPECT_EQ(after_counts.peer, before_counts.peer);
-  EXPECT_EQ(after_counts.sibling, before_counts.sibling);
-  // The whole point of freezing: the CSR layout is smaller.
-  EXPECT_LT(graph.memory_bytes(), before_bytes);
+  EXPECT_EQ(graph.relationship(ids[0], ids[2]), Relationship::Customer);
+  EXPECT_EQ(graph.relationship(ids[3], ids[1]), Relationship::Provider);
+  EXPECT_EQ(graph.relationship(ids[3], ids[2]), Relationship::Peer);
+  EXPECT_EQ(graph.relationship(ids[6], ids[5]), Relationship::Sibling);
+  EXPECT_EQ(graph.relationship(ids[5], ids[1]), Relationship::Provider);
+  EXPECT_THROW(graph.relationship(ids[4], ids[5]), Error);
+  const AsGraph::EdgeCounts counts = graph.edge_counts();
+  EXPECT_EQ(counts.customer_provider, 5u);
+  EXPECT_EQ(counts.peer, 2u);
+  EXPECT_EQ(counts.sibling, 1u);
   EXPECT_EQ(graph.find(9999), kInvalidNode);
-
-  // A frozen graph rejects mutation.
-  EXPECT_THROW(graph.add_as(42), Error);
-  EXPECT_THROW(graph.add_peer(ids[4], ids[5]), Error);
-  EXPECT_THROW(graph.add_customer_provider(ids[4], ids[6]), Error);
-  EXPECT_THROW(graph.add_sibling(ids[3], ids[6]), Error);
 }
 
 TEST(AsGraph, NeighborsWithFilter) {
-  AsGraph graph;
-  NodeId a = graph.add_as(1);
-  NodeId b = graph.add_as(2);
-  NodeId c = graph.add_as(3);
-  graph.add_customer_provider(a, b);
-  graph.add_customer_provider(a, c);
+  GraphBuilder builder;
+  NodeId a = builder.add_as(1);
+  NodeId b = builder.add_as(2);
+  NodeId c = builder.add_as(3);
+  builder.add_customer_provider(a, b);
+  builder.add_customer_provider(a, c);
+  const AsGraph graph = std::move(builder).build();
   auto customers = graph.neighbors_with(a, Relationship::Customer);
   EXPECT_EQ(customers.size(), 2u);
   EXPECT_TRUE(graph.neighbors_with(a, Relationship::Peer).empty());
@@ -239,11 +244,6 @@ TEST(Generator, DeterministicForFixedSeed) {
   const AsGraph g1 = generate(profile("tiny"));
   const AsGraph g2 = generate(profile("tiny"));
   EXPECT_EQ(to_text(g1), to_text(g2));
-}
-
-TEST(Generator, ProducesFinalizedGraphs) {
-  const AsGraph graph = generate(profile("tiny"));
-  EXPECT_TRUE(graph.finalized());
 }
 
 TEST(Generator, MultiHomedFractionTracksParameter) {
@@ -315,6 +315,22 @@ TEST(Serialization, RoundTripPreservesGraph) {
   EXPECT_EQ(c1.customer_provider, c2.customer_provider);
   EXPECT_EQ(c1.peer, c2.peer);
   EXPECT_EQ(c1.sibling, c2.sibling);
+  // Loading renumbers nodes by first appearance, so compare by AS number:
+  // every node has the same neighbors with the same relationships.
+  for (NodeId node = 0; node < original.node_count(); ++node) {
+    const AsNumber asn = original.as_number(node);
+    const NodeId twin = reloaded.require_node(asn);
+    ASSERT_EQ(reloaded.degree(twin), original.degree(node)) << "AS " << asn;
+    for (const Neighbor& n : original.neighbors(node)) {
+      const NodeId other = reloaded.require_node(original.as_number(n.node));
+      EXPECT_EQ(reloaded.relationship(twin, other), n.rel) << "AS " << asn;
+    }
+  }
+  // The same layout: the reloaded graph costs no more than the original
+  // plus the sorted ASN index its renumbered AS numbers need.
+  const std::uint64_t asn_index =
+      original.node_count() * sizeof(std::pair<AsNumber, NodeId>);
+  EXPECT_LE(reloaded.memory_bytes(), original.memory_bytes() + asn_index);
 }
 
 TEST(Serialization, ParsesCaidaStyleInput) {
@@ -369,10 +385,11 @@ TEST(Metrics, NodesByDegreeDescendingIsConsistent) {
 }
 
 TEST(Metrics, FractionWithDegreeAbove) {
-  AsGraph graph;
-  NodeId hub = graph.add_as(1);
+  GraphBuilder builder;
+  NodeId hub = builder.add_as(1);
   for (AsNumber asn = 2; asn <= 5; ++asn)
-    graph.add_customer_provider(hub, graph.add_as(asn));
+    builder.add_customer_provider(hub, builder.add_as(asn));
+  const AsGraph graph = std::move(builder).build();
   EXPECT_DOUBLE_EQ(fraction_with_degree_above(graph, 3), 0.2);  // only hub
   EXPECT_DOUBLE_EQ(fraction_with_degree_above(graph, 0), 1.0);
 }
@@ -398,6 +415,38 @@ std::vector<AsPath> observed_paths(const AsGraph& graph,
     }
   }
   return paths;
+}
+
+// Every producer hands out the same layout, so every graph lists each
+// node's neighbors in ascending node id, however its links were added.
+TEST(AsGraph, EveryGraphSourceIteratesInNodeOrder) {
+  const AsGraph generated = generate(profile("tiny"));
+  // A snapshot with its lines shuffled adds every link in another order.
+  std::vector<std::string> lines;
+  std::istringstream text(to_text(generated));
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  std::shuffle(lines.begin(), lines.end(), std::mt19937(7));
+  std::string shuffled;
+  for (const std::string& line : lines) shuffled += line + "\n";
+
+  const Figure31 fig;
+  const conv::MiroGadget gadget = conv::make_figure_7_1(conv::Guideline::None);
+  const std::pair<const char*, AsGraph> graphs[] = {
+      {"generated", generated},
+      {"loaded", from_text(shuffled)},
+      {"inferred", infer_gao(observed_paths(generated, 8))},
+      {"figure31", fig.graph},
+      {"figure_7_1", gadget.graph},
+  };
+  for (const auto& [name, graph] : graphs) {
+    ASSERT_GT(graph.edge_count(), 0u) << name;
+    for (NodeId node = 0; node < graph.node_count(); ++node) {
+      const NeighborRange range = graph.neighbors(node);
+      for (std::size_t i = 1; i < range.size(); ++i)
+        EXPECT_LT(range[i - 1].node, range[i].node)
+            << name << ": neighbors of node " << node;
+    }
+  }
 }
 
 TEST(Inference, GaoRecoversMostRelationshipsOnSyntheticTruth) {
@@ -463,19 +512,21 @@ TEST(Inference, GaoDetectsSiblingFromMutualTransit) {
 }
 
 TEST(Inference, CompareCountsMissingAndSpurious) {
-  AsGraph truth;
-  NodeId a = truth.add_as(1);
-  NodeId b = truth.add_as(2);
-  NodeId c = truth.add_as(3);
-  truth.add_customer_provider(a, b);
-  truth.add_peer(b, c);
+  GraphBuilder truth_builder;
+  NodeId a = truth_builder.add_as(1);
+  NodeId b = truth_builder.add_as(2);
+  NodeId c = truth_builder.add_as(3);
+  truth_builder.add_customer_provider(a, b);
+  truth_builder.add_peer(b, c);
+  const AsGraph truth = std::move(truth_builder).build();
 
-  AsGraph inferred;
-  NodeId ia = inferred.add_as(1);
-  NodeId ib = inferred.add_as(2);
-  NodeId id = inferred.add_as(4);
-  inferred.add_customer_provider(ia, ib);  // correct
-  inferred.add_peer(ib, id);               // spurious
+  GraphBuilder inferred_builder;
+  NodeId ia = inferred_builder.add_as(1);
+  NodeId ib = inferred_builder.add_as(2);
+  NodeId id = inferred_builder.add_as(4);
+  inferred_builder.add_customer_provider(ia, ib);  // correct
+  inferred_builder.add_peer(ib, id);               // spurious
+  const AsGraph inferred = std::move(inferred_builder).build();
 
   const InferenceAccuracy accuracy = compare_inference(truth, inferred);
   EXPECT_EQ(accuracy.classified_correct, 1u);
