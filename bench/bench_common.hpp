@@ -182,7 +182,6 @@ enum class Input {
   Graph,           ///< the profile's graph at the suite scale
   HalfScaleGraph,  ///< the profile's graph at half the suite scale
   Plan,            ///< the profile's ExperimentPlan, tuples sampled
-  Avoidance,       ///< the plan with avoid-AS reachability precomputed
 };
 
 /// One profile's shared inputs. Its graph at the suite scale is the plan's

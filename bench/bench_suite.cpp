@@ -31,10 +31,10 @@ const std::vector<BenchSpec> kBenches = {
      Input::Graph, true},
     {"bench_fig_5_2_5_3_path_diversity", fig_5_2_5_3_path_diversity,
      Input::Plan, true},
-    {"bench_table_5_2_avoid_success", table_5_2_avoid_success,
-     Input::Avoidance, true},
+    {"bench_table_5_2_avoid_success", table_5_2_avoid_success, Input::Plan,
+     true},
     {"bench_table_5_3_negotiation_state", table_5_3_negotiation_state,
-     Input::Avoidance, true},
+     Input::Plan, true},
     {"bench_fig_5_4_5_5_incremental", fig_5_4_5_5_incremental, Input::Plan,
      true},
     {"bench_fig_5_6_5_7_traffic_control", fig_5_6_5_7_traffic_control,
@@ -127,9 +127,8 @@ std::vector<const BenchSpec*> select_benches(const SuiteArgs& args,
   return selected;
 }
 
-/// Beyond the plan itself, the tuple sample and (for the avoid-AS tables)
-/// the reachability sets are memoized here, so no bench's clock pays for
-/// work a sibling bench also reads, whatever the run order.
+/// Beyond the plan itself, the tuple sample is memoized here, so no bench's
+/// clock pays for work a sibling bench also reads, whatever the run order.
 SharedInputs build_inputs(const SuiteArgs& args,
                           const std::vector<const BenchSpec*>& benches) {
   auto reads = [&](Input input) {
@@ -137,15 +136,13 @@ SharedInputs build_inputs(const SuiteArgs& args,
         benches.begin(), benches.end(),
         [&](const BenchSpec* spec) { return spec->input == input; });
   };
-  const bool plan = reads(Input::Plan) || reads(Input::Avoidance);
   SharedInputs inputs;
   for (const std::string& profile : args.profiles()) {
     ProfileInputs& in = inputs[profile];
-    if (plan) {
+    if (reads(Input::Plan)) {
       in.plan = std::make_unique<eval::ExperimentPlan>(
           args.config_for(profile));
-      const auto& tuples = in.plan->sample_tuples(args.sources);
-      if (reads(Input::Avoidance)) in.plan->precompute_avoidance(tuples);
+      in.plan->sample_tuples(args.sources);
     } else if (reads(Input::Graph)) {
       in.graph = std::make_unique<topo::AsGraph>(
           topo::generate(topo::profile(profile, args.scale)));

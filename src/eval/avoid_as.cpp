@@ -27,9 +27,10 @@ AvoidAsResult run_avoid_as(const ExperimentPlan& plan) {
   const auto& tuples =
       plan.sample_tuples(plan.config().sources_per_destination);
   result.tuples = tuples.size();
-  // Source-routing reachability: one BFS per distinct (destination, avoid)
-  // pair, precomputed at plan level and shared read-only by every worker
-  // chunk (and by any later experiment over the same tuples).
+  // Source-routing reachability: the plan's one DFS index answers every
+  // (source, destination, avoid) tuple. It is built here on the plan's
+  // first avoid-AS run and shared read-only by every worker chunk (and by
+  // any later experiment on the plan).
   plan.precompute_avoidance(tuples);
 
   // Per-tuple evaluations are independent; each chunk keeps its own

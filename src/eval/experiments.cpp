@@ -167,54 +167,30 @@ const std::vector<SampledTuple>& ExperimentPlan::sample_tuples(
 }
 
 void ExperimentPlan::precompute_avoidance(
-    const std::vector<SampledTuple>& tuples) const {
-  obs::ScopedSpan span(obs::profile(), "eval/precompute_avoidance", "eval");
-  // Distinct keys not yet cached, in sorted order so the fan-out (and the
-  // cache layout it produces) is identical at any thread count.
-  std::vector<std::pair<NodeId, NodeId>> missing;
-  for (const SampledTuple& tuple : tuples) {
-    const auto key = std::make_pair(tuple.destination, tuple.avoid);
-    if (avoid_sets_.find(key) == avoid_sets_.end()) missing.push_back(key);
-  }
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-
-  const AsGraph& graph = *graph_;
-  auto sets = par::parallel_map(
-      missing, [&graph](const std::pair<NodeId, NodeId>& key) {
-        // BFS from the destination with the avoided AS excised; answers
-        // reachability for every source at once.
-        std::vector<bool> reachable(graph.node_count(), false);
-        std::vector<NodeId> frontier{key.first};
-        reachable[key.first] = true;
-        while (!frontier.empty()) {
-          const NodeId node = frontier.back();
-          frontier.pop_back();
-          for (const topo::Neighbor& n : graph.neighbors(node)) {
-            if (n.node == key.second || reachable[n.node]) continue;
-            reachable[n.node] = true;
-            frontier.push_back(n.node);
-          }
-        }
-        return reachable;
-      });
-  for (std::size_t i = 0; i < missing.size(); ++i)
-    avoid_sets_.emplace(missing[i], std::move(sets[i]));
+    const std::vector<SampledTuple>& /*tuples*/) const {
+  if (avoidance_) return;
+  obs::ScopedSpan span(obs::profile(), "eval/avoidance_index", "eval");
+  avoidance_.emplace(*graph_);
+  if (obs::MemoryRegistry* mem = obs::memory())
+    mem->account("eval/avoidance_index")
+        .set_current(avoidance_->memory_bytes());
 }
 
-const std::vector<bool>& ExperimentPlan::avoid_reachable(NodeId destination,
-                                                         NodeId avoid) const {
-  const auto it = avoid_sets_.find(std::make_pair(destination, avoid));
-  require(it != avoid_sets_.end(),
-          "avoid_reachable: key not precomputed (call precompute_avoidance)");
-  return it->second;
+AvoidanceView ExperimentPlan::avoid_reachable(NodeId destination,
+                                              NodeId avoid) const {
+  require(avoidance_.has_value(),
+          "avoid_reachable: no index yet (call precompute_avoidance)");
+  return AvoidanceView(*avoidance_, destination, avoid);
 }
 
 bool reachable_avoiding(const AsGraph& graph, NodeId source,
                         NodeId destination, NodeId avoid) {
+  const std::size_t n = graph.node_count();
+  require(source < n && destination < n && avoid < n,
+          "reachable_avoiding: node id out of range");
   if (source == avoid || destination == avoid) return false;
   if (source == destination) return true;
-  std::vector<char> visited(graph.node_count(), 0);
+  std::vector<char> visited(n, 0);
   std::deque<NodeId> frontier;
   visited[source] = 1;
   visited[avoid] = 1;  // never enter the avoided AS

@@ -17,6 +17,7 @@
 
 #include "bgp/route_solver.hpp"
 #include "common/rng.hpp"
+#include "eval/avoidance_index.hpp"
 #include "topology/generator.hpp"
 
 namespace miro::eval {
@@ -85,19 +86,18 @@ class ExperimentPlan {
   const std::vector<SampledTuple>& sample_tuples(std::size_t per_destination,
                                                  std::uint64_t salt = 0) const;
 
-  /// Runs (in parallel, deterministically) the one-BFS-per-distinct
-  /// (destination, avoid) source-routing reachability precomputation for
-  /// the given tuples; already-cached keys are skipped. Call before fanning
+  /// Builds the plan's source-routing reachability index (one DFS over the
+  /// graph) on the first call; later calls return at once. One index
+  /// answers every (destination, avoid) key, so `tuples` is not read. Not
+  /// thread-safe; call from the serial orchestration layer before fanning
   /// out workers that read avoid_reachable().
   void precompute_avoidance(const std::vector<SampledTuple>& tuples) const;
 
-  /// The set of nodes that can still reach `destination` with `avoid`
-  /// excised, indexed by node id. The key must have been precomputed; the
-  /// returned reference is stable and safe to read from many threads. One
-  /// BFS answers every source of that (destination, avoid), and the cache
-  /// is shared across experiments instead of re-run per worker chunk.
-  const std::vector<bool>& avoid_reachable(NodeId destination,
-                                           NodeId avoid) const;
+  /// The sources that still reach `destination` with `avoid` removed:
+  /// avoid_reachable(d, a)[s] is reachable_avoiding(graph(), s, d, a).
+  /// Throws until precompute_avoidance has run; the index is then read-only
+  /// and safe to query from many threads.
+  AvoidanceView avoid_reachable(NodeId destination, NodeId avoid) const;
 
   const EvalConfig& config() const { return config_; }
 
@@ -122,8 +122,7 @@ class ExperimentPlan {
   mutable std::map<std::pair<std::size_t, std::uint64_t>,
                    std::vector<SampledTuple>>
       tuple_cache_;
-  mutable std::map<std::pair<NodeId, NodeId>, std::vector<bool>>
-      avoid_sets_;
+  mutable std::optional<AvoidanceIndex> avoidance_;
 };
 
 /// Inbound traffic toward `tree.destination()` under Section 5.4's uniform
@@ -153,7 +152,10 @@ std::vector<NodeId> sample_multi_homed_stubs(const AsGraph& graph,
 
 /// True when `destination` is reachable from `source` in the graph with
 /// `avoid` removed — the success criterion for unconstrained source routing
-/// (Table 5.2's last column). BFS over the undirected graph.
+/// (Table 5.2's last column). A removed AS reaches nothing and nothing
+/// reaches it; otherwise a node reaches itself. BFS over the undirected
+/// graph, the reference AvoidanceIndex is tested against. Throws
+/// miro::Error unless all three ids are below node_count().
 bool reachable_avoiding(const AsGraph& graph, NodeId source,
                         NodeId destination, NodeId avoid);
 

@@ -4,7 +4,9 @@
 //     positional names select benches in table order;
 //   - the shared inputs are built once per profile, only the ones a
 //     selected bench reads: one ExperimentPlan serves every plan bench and
-//     the graph-only benches; no bench rebuilds them inside its clock;
+//     the graph-only benches; no bench rebuilds them inside its clock,
+//     and the avoid-AS tables build the reachability index once between
+//     them;
 //   - a bench's input accessors refuse an input its table entry does not
 //     name and set the bench's memory accounts;
 //   - every bench runs into one merged document, a bench that throws is
@@ -24,6 +26,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
+#include "eval/avoid_as.hpp"
 #include "obs/memstats.hpp"
 #include "obs/profile.hpp"
 #include "obs/regression.hpp"
@@ -212,14 +215,24 @@ TEST(SharedInputs, SelfContainedBenchesBuildNothing) {
 }
 
 TEST(SharedInputs, AvoidTablesGetTheReachabilityPrecomputed) {
+  // The avoid-AS tables read the plan. Their reachability index is built
+  // by the first run_avoid_as on it, inside that bench's clock.
   const SuiteArgs avoid = tiny_args({"bench_table_5_2_avoid_success"});
   const SharedInputs with =
       build_inputs(avoid, select_benches(avoid, "run_suite"));
   const eval::ExperimentPlan& plan = *with.at("tiny").plan;
   const auto& tuples = plan.sample_tuples(avoid.sources);
   ASSERT_FALSE(tuples.empty());
-  for (const eval::SampledTuple& tuple : tuples)
-    EXPECT_NO_THROW(plan.avoid_reachable(tuple.destination, tuple.avoid));
+  EXPECT_THROW(plan.avoid_reachable(tuples.front().destination,
+                                    tuples.front().avoid),
+               Error);
+  eval::run_avoid_as(plan);
+  for (const eval::SampledTuple& tuple : tuples) {
+    EXPECT_EQ(
+        plan.avoid_reachable(tuple.destination, tuple.avoid)[tuple.source],
+        eval::reachable_avoiding(plan.graph(), tuple.source,
+                                 tuple.destination, tuple.avoid));
+  }
 
   // A plan-only bench leaves the precompute to whoever needs it.
   const SuiteArgs plain = tiny_args({"bench_fig_5_2_5_3_path_diversity"});
@@ -301,14 +314,25 @@ TEST(Suite, SharedInputsAreBuiltOnceInTheSetupPhase) {
   const JsonValue& setup = result.document.at("setup").at("profile");
   EXPECT_EQ(setup.at("eval/plan").at("count").as_number(), 1.0);
   EXPECT_EQ(setup.at("topology/generate").at("count").as_number(), 1.0);
-  EXPECT_EQ(setup.at("eval/precompute_avoidance").at("count").as_number(),
-            1.0);
   // No bench's own profile (its clock) pays for a plan or a graph.
   for (const auto& [name, section] :
        result.document.at("benches").members()) {
     EXPECT_FALSE(section.at("profile").contains("eval/plan")) << name;
     EXPECT_FALSE(section.at("profile").contains("topology/generate")) << name;
   }
+  // The avoid-AS reachability index is no shared input: Tables 5.2 and 5.3
+  // build it once between them, on the plan's first avoid-AS run.
+  EXPECT_FALSE(setup.contains("eval/avoidance_index"));
+  double index_builds = 0;
+  for (const char* table : {"bench_table_5_2_avoid_success",
+                            "bench_table_5_3_negotiation_state"}) {
+    const JsonValue& spans =
+        result.document.at("benches").at(table).at("profile");
+    if (spans.contains("eval/avoidance_index"))
+      index_builds +=
+          spans.at("eval/avoidance_index").at("count").as_number();
+  }
+  EXPECT_EQ(index_builds, 1.0);
 }
 
 TEST(Suite, AThrowingBenchIsReportedAndLeftOut) {

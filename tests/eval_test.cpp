@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "eval/avoid_as.hpp"
 #include "eval/dataset_report.hpp"
@@ -60,6 +65,261 @@ TEST(ReachableAvoiding, BasicProperties) {
   EXPECT_FALSE(
       reachable_avoiding(plan.graph(), t.source, t.destination, t.source));
   EXPECT_TRUE(reachable_avoiding(plan.graph(), t.source, t.source, t.avoid));
+}
+
+TEST(ReachableAvoiding, RejectsAnOutOfRangeAs) {
+  const AsGraph& graph = tiny_plan().graph();
+  const auto n = static_cast<NodeId>(graph.node_count());
+  EXPECT_THROW(reachable_avoiding(graph, n + 3, 0, 1), Error);
+  EXPECT_THROW(reachable_avoiding(graph, 0, n, 1), Error);
+  EXPECT_THROW(reachable_avoiding(graph, 0, 1, n), Error);
+  EXPECT_THROW(reachable_avoiding(graph, 0, 1, topo::kInvalidNode), Error);
+  EXPECT_THROW(reachable_avoiding(graph, n, n, n), Error);
+}
+
+// ------------------------------------------------------ avoidance index
+
+// The every-source oracle: one BFS from the destination with the avoided
+// AS excised answers every source of one (destination, avoid) key. An
+// avoided destination is reached by nothing, as reachable_avoiding has it.
+std::vector<bool> bfs_avoid_set(const AsGraph& graph, NodeId destination,
+                                NodeId avoid) {
+  std::vector<bool> reachable(graph.node_count(), false);
+  if (destination == avoid) return reachable;
+  std::vector<NodeId> frontier{destination};
+  reachable[destination] = true;
+  while (!frontier.empty()) {
+    const NodeId node = frontier.back();
+    frontier.pop_back();
+    for (const topo::Neighbor& n : graph.neighbors(node)) {
+      if (n.node == avoid || reachable[n.node]) continue;
+      reachable[n.node] = true;
+      frontier.push_back(n.node);
+    }
+  }
+  return reachable;
+}
+
+// Sources on which the index and the BFS oracle disagree for one key.
+std::size_t index_mismatches(const AvoidanceIndex& index,
+                             const AsGraph& graph, NodeId destination,
+                             NodeId avoid) {
+  const std::vector<bool> expected = bfs_avoid_set(graph, destination, avoid);
+  std::size_t mismatches = 0;
+  for (NodeId source = 0; source < graph.node_count(); ++source)
+    if (index.reachable(source, destination, avoid) != expected[source])
+      ++mismatches;
+  return mismatches;
+}
+
+// Every (source, destination, avoid) triple of a small graph against
+// reachable_avoiding.
+void expect_matches_reachable_avoiding(const AsGraph& graph) {
+  const AvoidanceIndex index(graph);
+  for (NodeId a = 0; a < graph.node_count(); ++a)
+    for (NodeId d = 0; d < graph.node_count(); ++d)
+      for (NodeId s = 0; s < graph.node_count(); ++s)
+        EXPECT_EQ(index.reachable(s, d, a), reachable_avoiding(graph, s, d, a))
+            << "source " << s << " destination " << d << " avoid " << a;
+}
+
+TEST(AvoidanceIndex, MatchesTheBfsOnEveryKeyOfTiny) {
+  const AsGraph& graph = tiny_plan().graph();
+  const AvoidanceIndex index(graph);
+  std::size_t mismatches = 0;
+  for (NodeId d = 0; d < graph.node_count(); ++d)
+    for (NodeId a = 0; a < graph.node_count(); ++a)
+      mismatches += index_mismatches(index, graph, d, a);
+  EXPECT_EQ(mismatches, 0u);
+  // Sampled sources against the per-query BFS as well.
+  Rng rng(23);
+  for (int i = 0; i < 2000; ++i) {
+    const auto s = static_cast<NodeId>(rng.next_below(graph.node_count()));
+    const auto d = static_cast<NodeId>(rng.next_below(graph.node_count()));
+    const auto a = static_cast<NodeId>(rng.next_below(graph.node_count()));
+    EXPECT_EQ(index.reachable(s, d, a), reachable_avoiding(graph, s, d, a));
+  }
+}
+
+TEST(AvoidanceIndex, MatchesTheBfsOnSampledGao2005Keys) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("generator seed " + std::to_string(seed));
+    topo::GeneratorParams params = topo::profile("gao2005", 0.1);
+    params.seed = seed;
+    const AsGraph graph = topo::generate(params);
+    const AvoidanceIndex index(graph);
+    // Every avoid AS, cut vertices included, toward sampled destinations.
+    Rng rng(seed);
+    std::size_t mismatches = 0;
+    for (std::size_t d : rng.sample_indices(graph.node_count(), 8)) {
+      const auto destination = static_cast<NodeId>(d);
+      for (NodeId a = 0; a < graph.node_count(); ++a)
+        mismatches += index_mismatches(index, graph, destination, a);
+      for (int i = 0; i < 20; ++i) {
+        const auto s =
+            static_cast<NodeId>(rng.next_below(graph.node_count()));
+        const auto a =
+            static_cast<NodeId>(rng.next_below(graph.node_count()));
+        EXPECT_EQ(index.reachable(s, destination, a),
+                  reachable_avoiding(graph, s, destination, a));
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(AvoidanceIndex, MatchesTheBfsOnInternet2006TupleKeys) {
+  EvalConfig config;
+  config.profile = "internet2006";
+  config.scale = 1.0;
+  config.destination_samples = 4;
+  config.sources_per_destination = 4;
+  const ExperimentPlan plan(config);
+  const auto& tuples = plan.sample_tuples(config.sources_per_destination);
+  plan.precompute_avoidance(tuples);
+  std::set<std::pair<NodeId, NodeId>> keys;
+  for (const SampledTuple& tuple : tuples)
+    keys.emplace(tuple.destination, tuple.avoid);
+  ASSERT_GE(keys.size(), 20u);
+  const AsGraph& graph = plan.graph();
+  std::size_t mismatches = 0;
+  for (const auto& [destination, avoid] : keys) {
+    const std::vector<bool> expected =
+        bfs_avoid_set(graph, destination, avoid);
+    const AvoidanceView view = plan.avoid_reachable(destination, avoid);
+    for (NodeId source = 0; source < graph.node_count(); ++source)
+      if (view[source] != expected[source]) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  for (const SampledTuple& tuple : tuples) {
+    const AvoidanceView view =
+        plan.avoid_reachable(tuple.destination, tuple.avoid);
+    EXPECT_EQ(view[tuple.source], reachable_avoiding(graph, tuple.source,
+                                                     tuple.destination,
+                                                     tuple.avoid));
+  }
+}
+
+// Hand-built graphs. The DFS starts each component at its lowest node id
+// and scans neighbors in ascending id, so each graph's DFS forest is known.
+// Each test also checks every (source, destination, avoid) triple.
+
+AsGraph hand_graph(std::size_t nodes,
+                   std::initializer_list<std::pair<NodeId, NodeId>> links) {
+  topo::GraphBuilder builder;
+  for (std::size_t i = 0; i < nodes; ++i)
+    builder.add_as(static_cast<topo::AsNumber>(i + 1));
+  for (const auto& [a, b] : links) builder.add_peer(a, b);
+  return std::move(builder).build();
+}
+
+TEST(AvoidanceIndex, AvoidingARootCutsEveryChildSubtree) {
+  // Root 0 has the child subtrees {1, 3} and {2, 4}.
+  const AsGraph star = hand_graph(5, {{0, 1}, {0, 2}, {1, 3}, {2, 4}});
+  const AvoidanceIndex index(star);
+  EXPECT_TRUE(index.reachable(3, 1, 0));
+  EXPECT_TRUE(index.reachable(4, 2, 0));
+  EXPECT_FALSE(index.reachable(3, 4, 0));
+  EXPECT_FALSE(index.reachable(1, 2, 0));
+  EXPECT_TRUE(index.reachable(0, 4, 1));
+  EXPECT_FALSE(index.reachable(0, 3, 1));
+  expect_matches_reachable_avoiding(star);
+  // Closing the ring 0-1-3-4-2-0 leaves the root one child subtree
+  // (1, 3, 4, 2), which stays whole without it.
+  const AsGraph ring = hand_graph(5, {{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 4}});
+  EXPECT_TRUE(AvoidanceIndex(ring).reachable(1, 2, 0));
+  expect_matches_reachable_avoiding(ring);
+}
+
+TEST(AvoidanceIndex, AvoidingALeafCutsNothing) {
+  const AsGraph star = hand_graph(5, {{0, 1}, {0, 2}, {1, 3}, {2, 4}});
+  const AvoidanceIndex index(star);
+  EXPECT_TRUE(index.reachable(1, 4, 3));
+  EXPECT_TRUE(index.reachable(4, 0, 3));
+  EXPECT_FALSE(index.reachable(3, 0, 3));
+  EXPECT_FALSE(index.reachable(0, 3, 3));
+  expect_matches_reachable_avoiding(star);
+}
+
+TEST(AvoidanceIndex, ACutVertexCutsOnlyTheSubtreeWithNoBackEdgeAboveIt) {
+  // DFS: 0 -> 1 -> 2 -> 3 with the back edge 3-0 above 1, then 1 -> 4 -> 5
+  // with the back edge 5-1 to 1 itself. Removing 1 cuts {4, 5} off and
+  // leaves {2, 3} joined to 0.
+  const AsGraph graph =
+      hand_graph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 4}, {4, 5}, {5, 1}});
+  const AvoidanceIndex index(graph);
+  EXPECT_TRUE(index.reachable(2, 0, 1));
+  EXPECT_TRUE(index.reachable(4, 5, 1));
+  EXPECT_FALSE(index.reachable(4, 0, 1));
+  EXPECT_FALSE(index.reachable(5, 3, 1));
+  EXPECT_TRUE(index.reachable(3, 1, 2));  // 2's subtree climbs above it
+  EXPECT_TRUE(index.reachable(5, 0, 4));  // so does 4's, through 5-1
+  expect_matches_reachable_avoiding(graph);
+}
+
+TEST(AvoidanceIndex, ComponentsStayApart) {
+  // Components {0, 1, 2} (a path), {3, 4} and the isolated AS 5.
+  const AsGraph graph = hand_graph(6, {{0, 1}, {1, 2}, {3, 4}});
+  const AvoidanceIndex index(graph);
+  // The avoided AS sits in another component.
+  EXPECT_TRUE(index.reachable(0, 2, 3));
+  EXPECT_TRUE(index.reachable(2, 0, 4));
+  EXPECT_TRUE(index.reachable(3, 4, 5));
+  EXPECT_FALSE(index.reachable(0, 2, 1));
+  // Source and destination in different components.
+  EXPECT_FALSE(index.reachable(0, 3, 1));
+  EXPECT_FALSE(index.reachable(0, 4, 5));
+  EXPECT_FALSE(index.reachable(5, 0, 3));
+  EXPECT_TRUE(index.reachable(5, 5, 0));
+  expect_matches_reachable_avoiding(graph);
+}
+
+TEST(AvoidanceIndex, DegenerateKeysFollowReachableAvoiding) {
+  const ExperimentPlan& plan = tiny_plan();
+  plan.precompute_avoidance({});
+  const AsGraph& graph = plan.graph();
+  const auto n = static_cast<NodeId>(graph.node_count());
+  std::size_t reach_avoided_destination = 0;
+  for (NodeId x = 0; x < n; ++x) {
+    const NodeId y = (x + 1) % n;
+    // d == a (s == d == a included): nothing reaches an avoided
+    // destination.
+    for (NodeId s = 0; s < n; ++s)
+      if (plan.avoid_reachable(x, x)[s]) ++reach_avoided_destination;
+    EXPECT_FALSE(reachable_avoiding(graph, y, x, x));
+    EXPECT_FALSE(reachable_avoiding(graph, x, x, x));
+    // s == a: an avoided source reaches nothing.
+    EXPECT_FALSE(plan.avoid_reachable(y, x)[x]);
+    EXPECT_FALSE(reachable_avoiding(graph, x, y, x));
+    // s == d != a: a node reaches itself.
+    EXPECT_TRUE(plan.avoid_reachable(x, y)[x]);
+    EXPECT_TRUE(reachable_avoiding(graph, x, x, y));
+  }
+  EXPECT_EQ(reach_avoided_destination, 0u);
+}
+
+TEST(ExperimentPlan, AvoidReachableNeedsThePrecompute) {
+  const ExperimentPlan plan(tiny_config());
+  EXPECT_THROW(plan.avoid_reachable(0, 1), Error);
+  plan.precompute_avoidance({});
+  plan.precompute_avoidance(plan.sample_tuples(4));  // already built
+  EXPECT_EQ(plan.avoid_reachable(0, 1)[2],
+            reachable_avoiding(plan.graph(), 2, 0, 1));
+}
+
+TEST(ExperimentPlan, AvoidReachableRejectsAnOutOfRangeAs) {
+  const ExperimentPlan& plan = tiny_plan();
+  plan.precompute_avoidance({});
+  const auto n = static_cast<NodeId>(plan.graph().node_count());
+  EXPECT_THROW(plan.avoid_reachable(0, 1)[n], Error);
+  EXPECT_THROW(plan.avoid_reachable(0, 1)[topo::kInvalidNode], Error);
+  EXPECT_THROW(plan.avoid_reachable(n, 1)[0], Error);
+  EXPECT_THROW(plan.avoid_reachable(0, n + 3)[2], Error);
+  EXPECT_NO_THROW(plan.avoid_reachable(0, 1)[n - 1]);
+  const AvoidanceIndex index(plan.graph());
+  EXPECT_THROW(index.reachable(n, 0, 1), Error);
+  EXPECT_THROW(index.reachable(0, n, 1), Error);
+  EXPECT_THROW(index.reachable(0, 1, n), Error);
 }
 
 TEST(PathDiversity, PolicyAndScopeMonotonicity) {
