@@ -12,10 +12,10 @@
 //     ordered by the Guideline A preference (class rank, then AS-path
 //     length, then lowest next-hop AS number). Because (rank, length)
 //     strictly increases along every legal export step, the Bellman-Ford
-//     style relaxation below converges to the same unique fixpoint the
-//     Dijkstra-style StableRouteSolver computes greedily, and chains that
-//     revisit a node can never be minimal, so the least fixpoint routes are
-//     loop-free without an explicit loop check;
+//     style relaxation below converges to the same unique fixpoint that
+//     StableRouteSolver's bucket frontier finalizes in key order, and
+//     chains that revisit a node can never be minimal, so the least
+//     fixpoint routes are loop-free without an explicit loop check;
 //
 //   * a feasibility layer — per route class, the length of the shortest
 //     export chain that could deliver a route of that class to the node at

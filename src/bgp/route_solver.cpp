@@ -1,7 +1,7 @@
 #include "bgp/route_solver.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <array>
 
 #include "common/error.hpp"
 #include "obs/profile.hpp"
@@ -57,25 +57,38 @@ std::uint64_t link_key(NodeId a, NodeId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-/// Priority-queue item; ordered so that the globally most-preferred
-/// tentative route pops first. For equal (class, length) the lowest
-/// next-hop AS number wins, making the stable state deterministic.
-struct QueueItem {
-  int class_rank;
-  std::uint32_t length;
-  AsNumber next_hop_asn;
+/// One full AS_SEQUENCE segment: RFC 4271 gives its length one octet.
+constexpr std::size_t kMaxSegmentPrepend = 255;
+
+/// One route offered to `node`: `next_hop` exported its finalized route.
+struct Offer {
   NodeId node;
   NodeId next_hop;
-  RouteClass cls;
-
-  bool operator>(const QueueItem& other) const {
-    if (class_rank != other.class_rank) return class_rank > other.class_rank;
-    if (length != other.length) return length > other.length;
-    if (next_hop_asn != other.next_hop_asn)
-      return next_hop_asn > other.next_hop_asn;
-    return node > other.node;  // arbitrary stable tie-break
-  }
 };
+
+/// classify() never yields Self, so Self marks an export the rule withholds.
+constexpr RouteClass kWithheld = RouteClass::Self;
+
+/// table[cls][rel]: the class a route of class `cls` takes at a neighbor
+/// that is `rel` to the route's owner, or kWithheld where the conventional
+/// export rule keeps the route back. One lookup per half-edge stands in for
+/// the two out-of-line policy calls it is built from.
+using ExportTable = std::array<std::array<RouteClass, 4>, 4>;
+
+ExportTable export_table() {
+  ExportTable table{};
+  for (std::size_t c = 0; c < table.size(); ++c) {
+    for (std::size_t r = 0; r < table[c].size(); ++r) {
+      const auto cls = static_cast<RouteClass>(c);
+      const auto rel = static_cast<Relationship>(r);
+      // At the receiving side, the owner is reverse(rel) to the neighbor.
+      table[c][r] = conventional_export_allows(cls, rel)
+                        ? classify(topo::reverse(rel), cls)
+                        : kWithheld;
+    }
+  }
+  return table;
+}
 
 }  // namespace
 
@@ -88,49 +101,69 @@ RoutingTree StableRouteSolver::run(NodeId destination, const PinnedRoute* pin,
   require(destination < graph.node_count(),
           "StableRouteSolver: destination out of range");
   RoutingTree tree(graph, destination);
+  std::vector<RoutingTree::Entry>& entries = tree.entries_;
+  const ExportTable next_class = export_table();
 
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
-      queue;
-  queue.push({rank(RouteClass::Self), 0, graph.as_number(destination),
-              destination, destination, RouteClass::Self});
+  // buckets[rank - 1][length] holds the offers of one (class, length) key.
+  // An export never improves the class and adds exactly one hop (plus the
+  // origin's padding), so every offer of a key is in its bucket by the time
+  // the buckets are processed in key order.
+  std::array<std::vector<std::vector<Offer>>, 3> buckets;
 
-  while (!queue.empty()) {
-    const QueueItem item = queue.top();
-    queue.pop();
-    if (tree.entries_[item.node].reachable) continue;  // already finalized
-    if (pin != nullptr && item.node == pin->node &&
-        item.next_hop != pin->forced_next_hop) {
-      continue;  // the pinned AS may only use its negotiated next hop
-    }
-    RoutingTree::Entry& entry = tree.entries_[item.node];
-    entry.reachable = true;
-    entry.next_hop = item.next_hop;
-    entry.length = item.length;
-    entry.cls = item.cls;
-
-    // Export the newly finalized route to every neighbor the conventional
-    // policy permits; the neighbor classifies it by the link it arrives on.
-    for (const topo::Neighbor& n : graph.neighbors(item.node)) {
+  // Offers `node`'s finalized route to every neighbor the conventional
+  // export policy permits, classified by the link it arrives on. Offers to
+  // finalized nodes are dropped when their bucket is processed.
+  auto export_route = [&](NodeId node) {
+    const std::uint32_t length = entries[node].length + 1;
+    const auto& row = next_class[static_cast<std::size_t>(entries[node].cls)];
+    for (const topo::Neighbor& n : graph.neighbors(node)) {
+      // n.rel: what the neighbor is *to node* — exactly the argument the
+      // export rule takes.
+      const RouteClass cls = row[static_cast<std::size_t>(n.rel)];
+      if (cls == kWithheld) continue;
       if (n.node == exclude) continue;  // the excised AS never selects
+      if (pin != nullptr && n.node == pin->node &&
+          node != pin->forced_next_hop)
+        continue;  // the pinned AS may only use its negotiated next hop
       if (!down.empty() && std::binary_search(down.begin(), down.end(),
-                                              link_key(item.node, n.node)))
+                                              link_key(node, n.node)))
         continue;  // a failed link carries no advertisement
-      if (tree.entries_[n.node].reachable) continue;
-      // n.rel: what the neighbor is *to item.node* — exactly the argument
-      // the export rule takes.
-      if (!conventional_export_allows(item.cls, n.rel)) continue;
-      // At the receiving side, item.node is reverse(n.rel) to the neighbor.
-      const RouteClass cls_at_neighbor =
-          classify(topo::reverse(n.rel), item.cls);
       // Origin prepending pads the advertised path toward one neighbor.
       const std::uint32_t padding =
-          (prepend != nullptr && item.node == destination &&
+          (prepend != nullptr && node == destination &&
            n.node == prepend->neighbor)
               ? prepend->extra
               : 0;
-      queue.push({rank(cls_at_neighbor), item.length + 1 + padding,
-                  graph.as_number(item.node), n.node, item.node,
-                  cls_at_neighbor});
+      std::vector<std::vector<Offer>>& by_length = buckets[rank(cls) - 1];
+      if (by_length.size() <= length + padding)
+        by_length.resize(length + padding + 1);
+      by_length[length + padding].push_back({n.node, node});
+    }
+  };
+
+  entries[destination] = {destination, 0, RouteClass::Self, true};
+  export_route(destination);
+  for (const RouteClass cls :
+       {RouteClass::Customer, RouteClass::Peer, RouteClass::Provider}) {
+    std::vector<std::vector<Offer>>& by_length = buckets[rank(cls) - 1];
+    for (std::uint32_t length = 1; length < by_length.size(); ++length) {
+      const std::vector<Offer> offers = std::move(by_length[length]);
+      for (const Offer& offer : offers) {
+        RoutingTree::Entry& entry = entries[offer.node];
+        if (!entry.reachable) {
+          // A node's first offer of its smallest key fixes its class and
+          // length, and an export carries nothing else, so the node
+          // exports before the rest of the bucket is read.
+          entry = {offer.next_hop, length, cls, true};
+          export_route(offer.node);
+        } else if (entry.cls == cls && entry.length == length &&
+                   graph.as_number(offer.next_hop) <
+                       graph.as_number(entry.next_hop)) {
+          // A tie on (class, length): the lowest next-hop AS number wins,
+          // which makes the stable state deterministic.
+          entry.next_hop = offer.next_hop;
+        }
+      }
     }
   }
   return tree;
@@ -145,6 +178,7 @@ RoutingTree StableRouteSolver::solve_pinned(NodeId destination,
   require(pin.node != topo::kInvalidNode &&
               pin.forced_next_hop != topo::kInvalidNode,
           "solve_pinned: invalid pin");
+  require(pin.node != destination, "solve_pinned: cannot pin the destination");
   require(graph_->has_edge(pin.node, pin.forced_next_hop),
           "solve_pinned: forced next hop is not a neighbor");
   return run(destination, &pin, nullptr);
@@ -154,6 +188,9 @@ RoutingTree StableRouteSolver::solve_prepended(
     NodeId destination, const OriginPrepend& prepend) const {
   require(graph_->has_edge(destination, prepend.neighbor),
           "solve_prepended: prepend neighbor is not adjacent");
+  require(prepend.extra <= std::max<std::size_t>(graph_->node_count(),
+                                                 kMaxSegmentPrepend),
+          "solve_prepended: prepend longer than both 255 and the AS count");
   return run(destination, nullptr, &prepend);
 }
 

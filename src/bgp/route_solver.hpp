@@ -4,14 +4,21 @@
 // provider hierarchy, and the conventional export rules, the BGP system has a
 // unique stable state (Chapter 7, Theorem 1). This solver computes that state
 // for one destination directly, without simulating message exchange: routes
-// are finalized in globally non-decreasing preference order
-// (class rank, AS-path length, next-hop AS number), which is monotone along
-// every legal export step, so a Dijkstra-style greedy pass yields exactly the
-// stable routes. Sibling links are handled transparently (a route keeps the
-// class it had before the sibling chain). Every variant below — pinned,
-// prepended, avoiding an AS, without failed links — is one pass of the same
-// kernel, and a tree is one plain vector of per-node entries. The tunnel-free activation model
-// (conv::MiroConvergenceModel) cross-checks this solver in the test suite.
+// are finalized in globally non-decreasing preference order (class rank,
+// AS-path length, next-hop AS number). Along every legal export step the
+// class never improves and the path grows by exactly one hop, so the solver
+// keeps a bucket frontier — one list of offers per (class, length) — and
+// reads the buckets Customer, then Peer, then Provider, each by ascending
+// length. Every offer of a bucket is in it when the bucket is reached; a
+// node takes the class and length of the first bucket that offers it a
+// route, and the lowest next-hop AS number among that bucket's offers.
+// That is O(n + E) per destination, with no priority queue. Sibling links are
+// handled transparently (a route keeps the class it had before the sibling
+// chain). Every variant below — pinned, prepended, avoiding an AS, without
+// failed links — is one pass of the same kernel, whose scratch lives and
+// dies with the solve, and a tree is one plain vector of per-node entries.
+// The tunnel-free activation model (conv::MiroConvergenceModel) cross-checks
+// this solver in the test suite.
 #pragma once
 
 #include <cstdint>
@@ -96,11 +103,16 @@ class StableRouteSolver {
 
   /// Stable routes with one AS's selection pinned. If the pin is infeasible
   /// (the forced neighbor never offers a route) the pinned AS ends up
-  /// unreachable.
+  /// unreachable. Throws when the pinned AS is not adjacent to the forced
+  /// next hop, or is the destination, whose route is its own origin.
   RoutingTree solve_pinned(NodeId destination, const PinnedRoute& pin) const;
 
   /// Stable routes when the destination prepends toward one neighbor. The
-  /// reported path lengths include the virtual prepended hops.
+  /// reported path lengths include the virtual prepended hops. Throws when
+  /// the neighbor is not adjacent, or when `extra` exceeds both 255 (one
+  /// full AS_SEQUENCE segment) and node_count(): a padding of node_count()
+  /// already loses every length comparison to an unpadded path, and the
+  /// bound keeps every path length far from wrapping.
   RoutingTree solve_prepended(NodeId destination,
                               const OriginPrepend& prepend) const;
 

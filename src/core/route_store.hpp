@@ -1,8 +1,8 @@
 // Lazy cache of stable routing trees, one per destination.
 //
 // Both the control-plane agents and the evaluation harness need the stable
-// routes toward many destinations; solving is cheap (one Dijkstra-style pass
-// per destination) but worth caching across agents within a scenario.
+// routes toward many destinations; solving is cheap (one bucket-frontier
+// pass per destination) but worth caching across agents within a scenario.
 //
 // The cache is the eval pipeline's dominant heap consumer (one Entry per AS
 // per destination); memory_bytes() walks the cached trees for the

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <queue>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -372,6 +376,383 @@ TEST(StableRouteSolver, SolveAvoidingRejectsAnOutOfRangeAs) {
   EXPECT_THROW(solver.solve_avoiding(0, topo::kInvalidNode), Error);
   EXPECT_THROW(solver.solve_avoiding(0, 0), Error);
   EXPECT_LT(solver.solve_avoiding(0, n - 1).reachable_count(), n);
+}
+
+TEST(StableRouteSolver, PinnedRouteRejectsTheDestination) {
+  const topo::AsGraph graph = topo::generate(topo::profile("tiny"));
+  const StableRouteSolver solver(graph);
+  const NodeId d = 5;
+  ASSERT_GT(graph.degree(d), 0u);
+  const NodeId n = graph.neighbors(d).front().node;
+  EXPECT_THROW(solver.solve_pinned(d, PinnedRoute{d, n}), Error);
+  // The neighbor itself may still be pinned back to the destination.
+  EXPECT_TRUE(solver.solve_pinned(d, PinnedRoute{n, d}).reachable(n));
+}
+
+TEST(StableRouteSolver, PrependRejectsAnOverflowingExtra) {
+  const topo::AsGraph graph = topo::generate(topo::profile("tiny"));
+  const StableRouteSolver solver(graph);
+  const NodeId d = 5;
+  const NodeId n = graph.neighbors(d).front().node;
+  const auto count = static_cast<std::uint32_t>(graph.node_count());
+  ASSERT_GT(count, 255u);
+  const RoutingTree padded = solver.solve_prepended(d, OriginPrepend{n, count});
+  ASSERT_TRUE(padded.reachable(n));
+  EXPECT_LT(padded.path_length(n), std::size_t{2} * count);
+  EXPECT_THROW(solver.solve_prepended(d, OriginPrepend{n, count + 1}), Error);
+  EXPECT_THROW(solver.solve_prepended(d, OriginPrepend{n, UINT32_MAX}), Error);
+  // Below 255 ASes the bound is one full AS_SEQUENCE segment.
+  Figure31Topology fig;
+  const StableRouteSolver small(fig.graph);
+  EXPECT_NO_THROW(small.solve_prepended(fig.f, OriginPrepend{fig.c, 255}));
+  EXPECT_THROW(small.solve_prepended(fig.f, OriginPrepend{fig.c, 256}),
+               Error);
+}
+
+// ------------------------------------------------- differential vs the heap
+
+// The solver's kernel before the bucket frontier, kept as the oracle: a
+// Dijkstra pass over a binary heap of (class rank, length, next-hop AS
+// number) keys, one push per exportable half-edge.
+struct HeapEntry {
+  bool reachable = false;
+  NodeId next_hop = topo::kInvalidNode;
+  std::uint32_t length = 0;
+  RouteClass cls = RouteClass::Provider;
+};
+
+std::vector<HeapEntry> heap_solve(const topo::AsGraph& graph,
+                                  NodeId destination,
+                                  const PinnedRoute* pin = nullptr,
+                                  const OriginPrepend* prepend = nullptr,
+                                  NodeId exclude = topo::kInvalidNode,
+                                  const LinkList& down = {}) {
+  auto link_key = [](NodeId a, NodeId b) {
+    if (a > b) std::swap(a, b);
+    return (static_cast<std::uint64_t>(a) << 32) | b;
+  };
+  std::vector<std::uint64_t> dead;
+  for (const auto& [a, b] : down) dead.push_back(link_key(a, b));
+  std::sort(dead.begin(), dead.end());
+
+  struct QueueItem {
+    int class_rank;
+    std::uint32_t length;
+    topo::AsNumber next_hop_asn;
+    NodeId node;
+    NodeId next_hop;
+    RouteClass cls;
+    bool operator>(const QueueItem& other) const {
+      if (class_rank != other.class_rank) return class_rank > other.class_rank;
+      if (length != other.length) return length > other.length;
+      if (next_hop_asn != other.next_hop_asn)
+        return next_hop_asn > other.next_hop_asn;
+      return node > other.node;
+    }
+  };
+  std::vector<HeapEntry> entries(graph.node_count());
+  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
+      queue;
+  queue.push({rank(RouteClass::Self), 0, graph.as_number(destination),
+              destination, destination, RouteClass::Self});
+  while (!queue.empty()) {
+    const QueueItem item = queue.top();
+    queue.pop();
+    if (entries[item.node].reachable) continue;
+    if (pin != nullptr && item.node == pin->node &&
+        item.next_hop != pin->forced_next_hop)
+      continue;
+    entries[item.node] = {true, item.next_hop, item.length, item.cls};
+    for (const topo::Neighbor& n : graph.neighbors(item.node)) {
+      if (n.node == exclude) continue;
+      if (std::binary_search(dead.begin(), dead.end(),
+                             link_key(item.node, n.node)))
+        continue;
+      if (entries[n.node].reachable) continue;
+      if (!conventional_export_allows(item.cls, n.rel)) continue;
+      const RouteClass cls = classify(topo::reverse(n.rel), item.cls);
+      const std::uint32_t padding =
+          (prepend != nullptr && item.node == destination &&
+           n.node == prepend->neighbor)
+              ? prepend->extra
+              : 0;
+      queue.push({rank(cls), item.length + 1 + padding,
+                  graph.as_number(item.node), n.node, item.node, cls});
+    }
+  }
+  return entries;
+}
+
+/// Nodes whose reachability, next hop, length or class differ; the first
+/// few are reported.
+std::size_t mismatches(const RoutingTree& tree,
+                       const std::vector<HeapEntry>& expected,
+                       const std::string& what) {
+  std::size_t count = 0;
+  for (NodeId n = 0; n < expected.size(); ++n) {
+    const HeapEntry& e = expected[n];
+    const bool same =
+        tree.reachable(n) == e.reachable &&
+        (!e.reachable ||
+         (tree.next_hop(n) == e.next_hop && tree.path_length(n) == e.length &&
+          tree.route_class(n) == e.cls));
+    if (!same && ++count <= 3)
+      ADD_FAILURE() << what << ": node " << n << " differs from the heap";
+  }
+  return count;
+}
+
+struct Tally {
+  std::size_t trees = 0;       ///< trees compared with the heap
+  std::size_t mismatched = 0;  ///< nodes that differ, over all trees
+  std::size_t silent_pins = 0;  ///< pins whose forced neighbor never offers
+};
+
+/// Every solve variant toward `destination`, each compared with the heap
+/// on every node.
+void compare_variants(const topo::AsGraph& graph, NodeId destination,
+                      NodeId hub, Rng& rng, Tally& tally) {
+  const StableRouteSolver solver(graph);
+  const auto n = static_cast<NodeId>(graph.node_count());
+  const std::string at = "destination " + std::to_string(destination);
+  auto check = [&](const RoutingTree& tree,
+                   const std::vector<HeapEntry>& expected,
+                   const std::string& what) {
+    tally.mismatched += mismatches(tree, expected, at + ", " + what);
+    ++tally.trees;
+  };
+  auto random_node = [&] { return static_cast<NodeId>(rng.next_below(n)); };
+  auto random_neighbor = [&](NodeId node) {
+    return graph.neighbors(node)[rng.next_below(graph.degree(node))].node;
+  };
+
+  const RoutingTree plain = solver.solve(destination);
+  check(plain, heap_solve(graph, destination), "solve");
+  if (graph.degree(destination) == 0) return;
+  const NodeId neighbor = random_neighbor(destination);
+
+  for (const NodeId avoid : {neighbor, random_node(), hub}) {
+    if (avoid == destination) continue;
+    check(solver.solve_avoiding(destination, avoid),
+          heap_solve(graph, destination, nullptr, nullptr, avoid),
+          "avoiding " + std::to_string(avoid));
+  }
+
+  std::vector<PinnedRoute> pins;
+  while (pins.size() < 2) {
+    const NodeId node = random_node();
+    if (node == destination || graph.degree(node) == 0) continue;
+    pins.push_back({node, random_neighbor(node)});
+  }
+  for (const PinnedRoute& pin : pins) {
+    check(solver.solve_pinned(destination, pin),
+          heap_solve(graph, destination, &pin),
+          "pinning " + std::to_string(pin.node));
+  }
+  // A pin whose forced neighbor never offers a route: the neighbor has
+  // none, or the export rule withholds it from the pinned AS and its path
+  // does not cross the pinned AS, so pinning leaves it as it is.
+  auto never_offers = [&](NodeId node, const topo::Neighbor& forced) {
+    if (!plain.reachable(forced.node)) return true;
+    if (conventional_export_allows(plain.route_class(forced.node),
+                                   topo::reverse(forced.rel)))
+      return false;
+    const auto path = plain.path_of(forced.node);
+    return std::find(path.begin(), path.end(), node) == path.end();
+  };
+  const NodeId start = random_node();
+  std::optional<PinnedRoute> silent;
+  for (NodeId i = 0; i < n && !silent; ++i) {
+    const NodeId node = (start + i) % n;
+    if (node == destination) continue;
+    for (const topo::Neighbor& forced : graph.neighbors(node)) {
+      if (!never_offers(node, forced)) continue;
+      silent = PinnedRoute{node, forced.node};
+      break;
+    }
+  }
+  if (silent) {
+    const RoutingTree pinned = solver.solve_pinned(destination, *silent);
+    check(pinned, heap_solve(graph, destination, &*silent),
+          "pinning " + std::to_string(silent->node) + " to a silent neighbor");
+    EXPECT_FALSE(pinned.reachable(silent->node)) << at;
+    ++tally.silent_pins;
+  }
+
+  for (const std::uint32_t extra : {1u, 3u, 10u, static_cast<NodeId>(n)}) {
+    const OriginPrepend prepend{neighbor, extra};
+    check(solver.solve_prepended(destination, prepend),
+          heap_solve(graph, destination, nullptr, &prepend),
+          "prepending " + std::to_string(extra));
+  }
+
+  LinkList down{{destination, neighbor}};
+  while (down.size() < 5) {
+    const NodeId a = random_node();
+    if (graph.degree(a) == 0) continue;
+    const NodeId b = random_neighbor(a);
+    down.push_back(rng.next_below(2) == 0 ? std::pair{a, b} : std::pair{b, a});
+  }
+  check(solver.solve_without_links(destination, down),
+        heap_solve(graph, destination, nullptr, nullptr, topo::kInvalidNode,
+                   down),
+        "without links");
+}
+
+NodeId highest_degree(const topo::AsGraph& graph) {
+  NodeId hub = 0;
+  for (NodeId n = 1; n < graph.node_count(); ++n)
+    if (graph.degree(n) > graph.degree(hub)) hub = n;
+  return hub;
+}
+
+/// Compares every variant on each of `destinations` and expects no node to
+/// differ; most destinations must also have yielded all twelve trees.
+void expect_heap_agreement(const topo::AsGraph& graph,
+                           const std::vector<NodeId>& destinations,
+                           std::uint64_t seed) {
+  const NodeId hub = highest_degree(graph);
+  Rng rng(seed);
+  Tally tally;
+  for (const NodeId d : destinations)
+    compare_variants(graph, d, hub, rng, tally);
+  EXPECT_EQ(tally.mismatched, 0u);
+  EXPECT_GE(tally.trees, 11 * destinations.size());
+  EXPECT_GE(tally.silent_pins, destinations.size() / 2);
+}
+
+std::vector<NodeId> every_node(const topo::AsGraph& graph) {
+  std::vector<NodeId> nodes(graph.node_count());
+  for (NodeId n = 0; n < nodes.size(); ++n) nodes[n] = n;
+  return nodes;
+}
+
+TEST(StableRouteSolver, MatchesTheHeapOnEveryTinyDestination) {
+  const topo::AsGraph graph = topo::generate(topo::profile("tiny"));
+  expect_heap_agreement(graph, every_node(graph), 24);
+}
+
+class HeapOracleOnGao2005 : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HeapOracleOnGao2005, MatchesOnEveryDestination) {
+  topo::GeneratorParams params = topo::profile("gao2005", 0.1);
+  params.seed = GetParam();
+  const topo::AsGraph graph = topo::generate(params);
+  expect_heap_agreement(graph, every_node(graph), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HeapOracleOnGao2005,
+                         ::testing::Values(1, 2, 3));
+
+// Twenty sampled internet2006 destinations, in four blocks of five so that
+// the heap's ~0.5 s per destination spreads over parallel test processes.
+class HeapOracleOnInternet2006 : public ::testing::TestWithParam<int> {};
+
+TEST_P(HeapOracleOnInternet2006, MatchesOnSampledDestinations) {
+  const topo::AsGraph graph =
+      topo::generate(topo::profile("internet2006", 1.0));
+  Rng rng(2006);
+  const std::vector<std::size_t> sample =
+      rng.sample_indices(graph.node_count(), 20);
+  std::vector<NodeId> block;
+  for (int i = 5 * GetParam(); i < 5 * GetParam() + 5; ++i)
+    block.push_back(static_cast<NodeId>(sample[i]));
+  expect_heap_agreement(graph, block, 2006 + GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Blocks, HeapOracleOnInternet2006,
+                         ::testing::Range(0, 4));
+
+// Hand-built cases, each checked against the heap on every destination and
+// against the routes the policy prescribes.
+
+std::size_t mismatches_on_every_destination(const topo::AsGraph& graph) {
+  const StableRouteSolver solver(graph);
+  std::size_t count = 0;
+  for (NodeId d = 0; d < graph.node_count(); ++d)
+    count += mismatches(solver.solve(d), heap_solve(graph, d),
+                        "destination " + std::to_string(d));
+  return count;
+}
+
+TEST(StableRouteSolver, AllSiblingChainFromTheOriginIsCustomer) {
+  // dest - s1 - s2 - s3 are siblings; s3 has a peer x and a provider u.
+  topo::GraphBuilder builder;
+  const auto dest = builder.add_as(10);
+  const auto s1 = builder.add_as(20);
+  const auto s2 = builder.add_as(30);
+  const auto s3 = builder.add_as(40);
+  const auto x = builder.add_as(50);
+  const auto u = builder.add_as(60);
+  builder.add_sibling(dest, s1);
+  builder.add_sibling(s1, s2);
+  builder.add_sibling(s2, s3);
+  builder.add_peer(s3, x);
+  builder.add_customer_provider(/*provider=*/u, /*customer=*/s3);
+  const topo::AsGraph graph = std::move(builder).build();
+  const RoutingTree tree = StableRouteSolver(graph).solve(dest);
+  for (const NodeId s : {s1, s2, s3})
+    EXPECT_EQ(tree.route_class(s), RouteClass::Customer) << "node " << s;
+  EXPECT_EQ(tree.path_length(s3), 3u);
+  // A customer route goes to peers and providers too.
+  EXPECT_EQ(tree.route_class(x), RouteClass::Peer);
+  EXPECT_EQ(tree.route_class(u), RouteClass::Customer);
+  EXPECT_EQ(tree.path_of(u),
+            (std::vector<NodeId>{u, s3, s2, s1, dest}));
+  EXPECT_EQ(mismatches_on_every_destination(graph), 0u);
+}
+
+TEST(StableRouteSolver, PeerRouteCrossesASiblingLink) {
+  // p peers with dest; s is p's sibling with a customer c, a provider u and
+  // a peer q. s holds a peer route, which reaches c but not u or q.
+  topo::GraphBuilder builder;
+  const auto dest = builder.add_as(1);
+  const auto p = builder.add_as(2);
+  const auto s = builder.add_as(3);
+  const auto c = builder.add_as(4);
+  const auto u = builder.add_as(5);
+  const auto q = builder.add_as(6);
+  builder.add_peer(dest, p);
+  builder.add_sibling(p, s);
+  builder.add_customer_provider(/*provider=*/s, /*customer=*/c);
+  builder.add_customer_provider(/*provider=*/u, /*customer=*/s);
+  builder.add_peer(s, q);
+  const topo::AsGraph graph = std::move(builder).build();
+  const RoutingTree tree = StableRouteSolver(graph).solve(dest);
+  EXPECT_EQ(tree.route_class(p), RouteClass::Peer);
+  ASSERT_TRUE(tree.reachable(s));
+  EXPECT_EQ(tree.route_class(s), RouteClass::Peer);
+  EXPECT_EQ(tree.path_of(s), (std::vector<NodeId>{s, p, dest}));
+  EXPECT_EQ(tree.route_class(c), RouteClass::Provider);
+  EXPECT_EQ(tree.path_length(c), 3u);
+  EXPECT_FALSE(tree.reachable(u));
+  EXPECT_FALSE(tree.reachable(q));
+  EXPECT_EQ(mismatches_on_every_destination(graph), 0u);
+}
+
+TEST(StableRouteSolver, TiedNextHopsGoToTheLowerAsNumber) {
+  // dest has providers a and b; x is a provider of both and c a customer of
+  // both. The lower AS number, b's, sits on the higher node id, so a tie
+  // broken by node id or by the first offer picks a instead.
+  topo::GraphBuilder builder;
+  const auto dest = builder.add_as(7);
+  const auto a = builder.add_as(900);
+  const auto b = builder.add_as(100);
+  const auto x = builder.add_as(5);
+  const auto c = builder.add_as(6);
+  for (const NodeId hop : {a, b}) {
+    builder.add_customer_provider(/*provider=*/hop, /*customer=*/dest);
+    builder.add_customer_provider(/*provider=*/x, /*customer=*/hop);
+    builder.add_customer_provider(/*provider=*/hop, /*customer=*/c);
+  }
+  const topo::AsGraph graph = std::move(builder).build();
+  ASSERT_LT(a, b);
+  const RoutingTree tree = StableRouteSolver(graph).solve(dest);
+  EXPECT_EQ(tree.route_class(x), RouteClass::Customer);
+  EXPECT_EQ(tree.next_hop(x), b);
+  EXPECT_EQ(tree.route_class(c), RouteClass::Provider);
+  EXPECT_EQ(tree.next_hop(c), b);
+  EXPECT_EQ(mismatches_on_every_destination(graph), 0u);
 }
 
 TEST(PathTable, InternDedupsAndSharesSuffixes) {
