@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
+#include "bgp/route_solver.hpp"
 #include "churn/churn_trace.hpp"
 #include "churn/invariant_checker.hpp"
 #include "churn/replayer.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/ribmon.hpp"
 #include "scenarios.hpp"
 #include "topology/generator.hpp"
@@ -283,6 +287,151 @@ TEST(ChurnReplay, WatchedTunnelsAreTornDownWithinHoldDown) {
   EXPECT_STREQ(root->detail, "link_down");
   EXPECT_EQ(root->time, 300u);
   EXPECT_EQ(obs::build_propagation_trees(events).orphans, 0u);
+}
+
+/// Every count a replay reports, in one line: the BGP counters, the
+/// scheduler events, the torn tunnels and the checker's tallies.
+std::string replay_counts(const ReplayResult& r) {
+  std::ostringstream out;
+  out << "bgp " << r.bgp.updates_sent << ' ' << r.bgp.withdrawals_sent << ' '
+      << r.bgp.delivered_updates << ' ' << r.bgp.delivered_withdrawals << ' '
+      << r.bgp.lost_in_flight << ' ' << r.bgp.selections << ' '
+      << r.bgp.coalesced << ' ' << r.bgp.updates_suppressed << ' '
+      << r.bgp.routes_damped << " events " << r.scheduler_events << " torn "
+      << r.tunnels_torn << " checker " << r.checker.checkpoints << ' '
+      << r.checker.quiet_checkpoints << ' ' << r.checker.solver_comparisons
+      << ' ' << r.checker.violations_dropped << " violations "
+      << r.violations.size() << " bursts " << r.convergence.size()
+      << " end " << r.final_time;
+  return out.str();
+}
+
+/// Watched tunnels for a generated-topology replay: every 40th AS with a
+/// default path of at least three ASes binds that path, alternately strict
+/// and avoiding the AS after its next hop, so route changes tear some down.
+std::vector<core::TunnelMonitor::WatchedTunnel> tunnels_on(
+    const topo::AsGraph& graph, NodeId destination) {
+  const bgp::RoutingTree tree =
+      bgp::StableRouteSolver(graph).solve(destination);
+  std::vector<core::TunnelMonitor::WatchedTunnel> tunnels;
+  for (NodeId n = 0; n < graph.node_count(); n += 40) {
+    if (!tree.reachable(n)) continue;
+    const std::vector<NodeId> path = tree.path_of(n);
+    if (path.size() < 3) continue;
+    core::TunnelMonitor::WatchedTunnel tunnel;
+    tunnel.id = tunnels.size() + 1;
+    tunnel.upstream = n;
+    tunnel.responder = n;
+    tunnel.destination = destination;
+    tunnel.bound_path = path;
+    if (tunnels.size() % 2 == 0) {
+      tunnel.strict_binding = true;
+    } else if (path.size() > 3) {
+      tunnel.must_avoid = path[2];
+    }
+    tunnels.push_back(tunnel);
+  }
+  return tunnels;
+}
+
+// The sessioned BGP plane's exact behaviour, pinned: for each scenario the
+// FNV-1a hash of the whole event stream (write_jsonl) and every replay
+// count must equal the values recorded from the map-keyed speakers and the
+// std::function scheduler. Any change to the speakers, the scheduler or the
+// checker that reorders, adds or drops one event fails here.
+TEST(ChurnReplay, EventStreamMatchesTheParent) {
+  struct Pinned {
+    std::string scenario;
+    std::uint64_t stream_hash;
+    std::string counts;
+  };
+  const std::vector<Pinned> pinned = {
+      {"figure31_mixed plain", 0x80130c6de4e14021ULL,
+       "bgp 134 58 134 57 1 260 0 0 0 "
+       "events 252 torn 0 "
+       "checker 38 37 28 0 violations 0 bursts 30 end 7580"},
+      {"figure31_flap plain", 0x62398ea85a54daabULL,
+       "bgp 265 114 264 114 1 459 0 0 0 "
+       "events 459 torn 0 "
+       "checker 10 10 10 0 violations 0 bursts 39 end 1980"},
+      {"gao2005@0.15 seed 1 plain", 0x86f686ec420980deULL,
+       "bgp 21467 3222 21467 3222 0 24768 0 0 0 "
+       "events 24761 torn 15 "
+       "checker 40 35 32 0 violations 0 bursts 33 end 7935"},
+      {"gao2005@0.15 seed 2 plain", 0x543706f26b767cbdULL,
+       "bgp 12572 3365 12572 3365 0 16026 0 0 0 "
+       "events 16017 torn 15 "
+       "checker 39 36 34 0 violations 0 bursts 43 end 7694"},
+      {"gao2005@0.15 seed 3 plain", 0xd38df3d6c9e6128cULL,
+       "bgp 16450 4836 16450 4836 0 21367 0 0 0 "
+       "events 21358 torn 15 "
+       "checker 38 35 32 0 violations 0 bursts 31 end 7564"},
+      {"figure31_mixed defend", 0x7af8bb2ebc41dbb3ULL,
+       "bgp 112 57 112 56 1 228 1 21 12 "
+       "events 408 torn 0 "
+       "checker 42 40 9 0 violations 0 bursts 30 end 8393"},
+      {"figure31_flap defend", 0xb0e8756267f76da7ULL,
+       "bgp 76 12 75 12 1 138 0 34 4 "
+       "events 221 torn 0 "
+       "checker 18 17 1 0 violations 0 bursts 36 end 3480"},
+      {"gao2005@0.15 seed 1 defend", 0xc0be02513ed4a8dbULL,
+       "bgp 10032 3041 10032 3041 0 10595 723 3993 1436 "
+       "events 27653 torn 15 "
+       "checker 47 41 32 0 violations 0 bursts 29 end 9365"},
+      {"gao2005@0.15 seed 2 defend", 0xb8cdf34bea5daacaULL,
+       "bgp 8575 2550 8575 2550 0 11443 1070 804 1033 "
+       "events 23363 torn 15 "
+       "checker 39 34 21 0 violations 0 bursts 41 end 7744"},
+      {"gao2005@0.15 seed 3 defend", 0xe4d2c481be8430dcULL,
+       "bgp 10108 4003 10108 4003 0 13586 1302 1871 1265 "
+       "events 29558 torn 15 "
+       "checker 46 40 14 0 violations 0 bursts 28 end 9018"},
+  };
+  const topo::Figure31 fig;
+  const topo::AsGraph gao = topo::generate(topo::profile("gao2005", 0.15));
+  std::vector<Pinned> actual;
+  for (const bool defend : {false, true}) {
+    ReplayConfig config;
+    if (defend) {
+      config.defense.mrai = 60;
+      config.defense.damping_enabled = true;
+    }
+    const std::string mode = defend ? " defend" : " plain";
+    const auto run = [&](const std::string& scenario,
+                         const topo::AsGraph& graph, const ChurnTrace& trace,
+                         ReplayConfig run_config) {
+      obs::EventLog log;
+      run_config.log = &log;
+      const ReplayResult result = replay_churn(graph, trace, run_config);
+      std::ostringstream stream;
+      log.write_jsonl(stream);
+      actual.push_back({scenario + mode, fnv1a(stream.str()),
+                        replay_counts(result)});
+    };
+    for (const char* name : {"figure31_mixed", "figure31_flap"}) {
+      run(name, fig.graph,
+          ChurnTrace::load(std::string(MIRO_SOURCE_DIR) + "/examples/traces/" +
+                           name + ".json"),
+          config);
+    }
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ChurnTraceConfig trace_config;
+      trace_config.duration = 8000;
+      trace_config.episodes = 24;
+      trace_config.seed = seed;
+      ReplayConfig with_tunnels = config;
+      with_tunnels.tunnels = tunnels_on(gao, 0);
+      run("gao2005@0.15 seed " + std::to_string(seed), gao,
+          generate_churn_trace(gao, 0, trace_config), with_tunnels);
+    }
+  }
+  ASSERT_EQ(actual.size(), pinned.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].scenario, pinned[i].scenario);
+    EXPECT_EQ(actual[i].stream_hash, pinned[i].stream_hash)
+        << actual[i].scenario;
+    EXPECT_EQ(actual[i].counts, pinned[i].counts) << actual[i].scenario;
+  }
 }
 
 TEST(InvariantChecker, CatchesTunnelOutlivingItsRoute) {
