@@ -39,10 +39,9 @@ int main() {
                  /*destination=*/f, /*bound_path=*/{b, c, f},
                  /*must_avoid=*/e, /*strict_binding=*/false});
 
-  network.set_observer([&](topo::NodeId node,
-                           const std::optional<bgp::Route>& best) {
+  network.set_observer([&](topo::NodeId node, bgp::PathId best) {
     std::optional<std::vector<topo::NodeId>> path;
-    if (best) path = best->path;
+    if (best != bgp::kNullPath) path = network.paths().materialize(best);
     for (const auto& tunnel : monitor.on_downstream_change(node, f, path)) {
       std::cout << "  [t=" << scheduler.now() << "] tunnel " << tunnel.id
                 << " TORN DOWN: the route beyond " << name(tunnel.responder)

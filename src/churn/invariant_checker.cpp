@@ -1,7 +1,6 @@
 #include "churn/invariant_checker.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -26,6 +25,20 @@ std::string path_string(const std::vector<NodeId>& path) {
   return out.str();
 }
 
+std::string path_string(const bgp::PathTable& paths, bgp::PathId id) {
+  return path_string(paths.materialize(id));
+}
+
+/// True when the interned path `id` is exactly `expected[from..]`.
+bool path_equals(const bgp::PathTable& paths, bgp::PathId id,
+                 const std::vector<NodeId>& expected, std::size_t from) {
+  for (std::size_t i = from; i < expected.size(); ++i) {
+    if (id == bgp::kNullPath || paths.head(id) != expected[i]) return false;
+    id = paths.suffix(id);
+  }
+  return id == bgp::kNullPath;
+}
+
 }  // namespace
 
 InvariantChecker::InvariantChecker(bgp::SessionedBgpNetwork& network,
@@ -34,20 +47,17 @@ InvariantChecker::InvariantChecker(bgp::SessionedBgpNetwork& network,
     : network_(&network),
       monitor_(monitor),
       hold_down_(tunnel_hold_down),
-      shadow_(network.graph().node_count()) {
+      shadow_(network.graph().half_edge_count(), bgp::kNullPath),
+      on_path_(network.graph().node_count(), 0) {
   network_->set_message_observer(
-      [this](NodeId from, NodeId to, const std::vector<NodeId>& path) {
-        if (path.empty()) {
-          shadow_[to].erase(from);
-        } else {
-          shadow_[to][from] = path;
-        }
-      });
+      [this](bgp::SessionedBgpNetwork::HalfEdge at_receiver,
+             bgp::PathId path) { shadow_[at_receiver] = path; });
 }
 
 void InvariantChecker::on_session_flush(NodeId a, NodeId b) {
-  shadow_[a].erase(b);
-  shadow_[b].erase(a);
+  const topo::AsGraph& graph = network_->graph();
+  shadow_[graph.half_edge(a, b)] = bgp::kNullPath;
+  shadow_[graph.half_edge(b, a)] = bgp::kNullPath;
 }
 
 void InvariantChecker::add(const char* property, sim::Time now,
@@ -89,48 +99,48 @@ void InvariantChecker::final_check(sim::Time now) {
 }
 
 void InvariantChecker::check_shadow(sim::Time now) {
-  const std::size_t count = network_->graph().node_count();
-  const bgp::PathTable& paths = network_->paths();
-  std::vector<NodeId> actual_path;  // scratch for materialized entries
-  for (NodeId n = 0; n < count; ++n) {
-    // The live RIB holds interned ids; the shadow (rebuilt from observed
-    // wire messages, deliberately not sharing the network's table) holds
-    // vectors, so entries are compared materialized.
-    const auto& actual = network_->adj_in_of(n);
-    const auto& shadow = shadow_[n];
-    bool diverged = actual.size() != shadow.size();
-    NodeId divergent = topo::kInvalidNode;
-    for (const auto& [from, path_id] : actual) {
-      const auto it = shadow.find(from);
-      paths.materialize_into(path_id, actual_path);
-      if (it == shadow.end() || it->second != actual_path) {
-        diverged = true;
-        divergent = from;
+  const topo::AsGraph& graph = network_->graph();
+  for (NodeId n = 0; n < graph.node_count(); ++n) {
+    // Both sides hold interned ids of the one network-wide table, and the
+    // wire carries those ids, so entries compare as integers.
+    const std::uint32_t first = graph.first_half_edge(n);
+    const std::uint32_t last = first + static_cast<std::uint32_t>(
+                                           graph.degree(n));
+    std::uint32_t divergent = last;
+    for (std::uint32_t h = first; h < last; ++h) {
+      if (network_->adj_in(h) != shadow_[h]) {
+        divergent = h;
         break;
       }
     }
-    if (!diverged) continue;
-    // Name one divergent neighbor for the diagnostic.
-    std::string detail = "node " + std::to_string(n) + ": Adj-RIB-In (" +
-                         std::to_string(actual.size()) +
-                         " entries) diverges from delivered messages (" +
-                         std::to_string(shadow.size()) + ")";
-    if (divergent != topo::kInvalidNode)
-      detail += "; first divergence: neighbor " + std::to_string(divergent);
-    add("shadow-rib", now, std::move(detail));
+    if (divergent == last) continue;
+    std::size_t held = 0, delivered = 0;
+    for (std::uint32_t h = first; h < last; ++h) {
+      held += network_->adj_in(h) != bgp::kNullPath;
+      delivered += shadow_[h] != bgp::kNullPath;
+    }
+    add("shadow-rib", now,
+        "node " + std::to_string(n) + ": Adj-RIB-In (" +
+            std::to_string(held) +
+            " entries) diverges from delivered messages (" +
+            std::to_string(delivered) +
+            "); first divergence: neighbor " +
+            std::to_string(graph.half_edge_target(divergent).node));
   }
 }
 
 void InvariantChecker::check_failed_link_ribs(sim::Time now) {
+  const topo::AsGraph& graph = network_->graph();
   for (const auto& [a, b] : network_->failed_links()) {
     for (const auto& [self, other] : {std::pair{a, b}, std::pair{b, a}}) {
-      if (network_->adj_in_of(self).count(other) != 0) {
+      const std::uint32_t h = graph.half_edge(self, other);
+      if (network_->adj_in(h) != bgp::kNullPath) {
         add("failed-link-rib", now,
             "node " + std::to_string(self) +
                 " keeps an Adj-RIB-In entry from " + std::to_string(other) +
                 " across the failed link");
       }
-      if (network_->advertised_to_of(self).count(other) != 0) {
+      if (network_->advertised(h)) {
         add("failed-link-rib", now,
             "node " + std::to_string(self) +
                 " still marks its route as advertised to " +
@@ -142,33 +152,44 @@ void InvariantChecker::check_failed_link_ribs(sim::Time now) {
 
 void InvariantChecker::check_paths(sim::Time now) {
   const topo::AsGraph& graph = network_->graph();
+  const bgp::PathTable& paths = network_->paths();
   for (NodeId n = 0; n < graph.node_count(); ++n) {
-    if (!network_->has_route(n)) continue;
-    const std::vector<NodeId> path = network_->path_of(n);
-    if (path.empty() || path.front() != n) {
+    const bgp::PathId best = network_->best_path(n);
+    if (best == bgp::kNullPath) continue;
+    if (paths.head(best) != n) {
       add("path-wellformed", now,
           "node " + std::to_string(n) + ": best path does not start at the "
-          "node: " + path_string(path));
+          "node: " + path_string(paths, best));
       continue;
     }
-    std::set<NodeId> seen;
+    // Walk the chain in place, marking each AS; the walk stops at the
+    // first repeat or non-edge, and a second walk clears the marks.
     bool bad = false;
-    for (std::size_t i = 0; i < path.size() && !bad; ++i) {
-      if (path[i] >= graph.node_count() || !seen.insert(path[i]).second) {
+    bgp::PathId id = best;
+    for (; id != bgp::kNullPath && !bad; id = paths.suffix(id)) {
+      const NodeId hop = paths.head(id);
+      const bgp::PathId rest = paths.suffix(id);
+      if (hop >= graph.node_count() || on_path_[hop] != 0) {
         bad = true;
-      } else if (i + 1 < path.size() && !graph.has_edge(path[i], path[i + 1])) {
-        bad = true;
+      } else {
+        on_path_[hop] = 1;
+        bad = rest != bgp::kNullPath && !graph.has_edge(hop, paths.head(rest));
       }
+    }
+    for (bgp::PathId c = best; c != id; c = paths.suffix(c)) {
+      const NodeId hop = paths.head(c);
+      if (hop < graph.node_count()) on_path_[hop] = 0;
     }
     if (bad) {
       add("path-wellformed", now,
           "node " + std::to_string(n) + ": best path repeats an AS or walks "
-          "a non-edge: " + path_string(path));
+          "a non-edge: " + path_string(paths, best));
     }
   }
 }
 
 void InvariantChecker::check_tunnels(sim::Time now) {
+  const bgp::PathTable& paths = network_->paths();
   for (const auto& tunnel : monitor_->watched()) {
     if (tunnel.destination != network_->destination()) continue;
     // The responder *is* the destination: nothing downstream to break.
@@ -176,17 +197,13 @@ void InvariantChecker::check_tunnels(sim::Time now) {
     const NodeId hop = tunnel.bound_path[1];
     // Mirror TunnelMonitor::on_downstream_change's teardown predicate
     // against the live routing state.
-    bool dead = !network_->has_route(hop);
+    const bgp::PathId path = network_->best_path(hop);
+    bool dead = path == bgp::kNullPath;
     if (!dead) {
-      const std::vector<NodeId> path = network_->path_of(hop);
-      if (tunnel.must_avoid &&
-          std::find(path.begin(), path.end(), *tunnel.must_avoid) !=
-              path.end()) {
+      if (tunnel.must_avoid && paths.contains(path, *tunnel.must_avoid)) {
         dead = true;
       } else if (tunnel.strict_binding) {
-        const std::vector<NodeId> expected(tunnel.bound_path.begin() + 1,
-                                           tunnel.bound_path.end());
-        dead = path != expected;
+        dead = !path_equals(paths, path, tunnel.bound_path, 1);
       }
     }
     const std::uint64_t key = pair_key(tunnel.responder, tunnel.id);
@@ -209,27 +226,38 @@ void InvariantChecker::check_tunnels(sim::Time now) {
 
 void InvariantChecker::check_loops(sim::Time now) {
   const std::size_t count = network_->graph().node_count();
+  const bgp::PathTable& paths = network_->paths();
+  // The next hop of `node`: the head of its best path's suffix;
+  // kInvalidNode at an origin.
+  const auto next_hop = [&](NodeId node) {
+    const bgp::PathId rest = paths.suffix(network_->best_path(node));
+    return rest == bgp::kNullPath ? topo::kInvalidNode : paths.head(rest);
+  };
+  // The first `hops` + 1 ASes of the next-hop walk from `n`.
+  const auto walk_string = [&](NodeId n, std::size_t hops) {
+    std::vector<NodeId> walk{n};
+    for (NodeId cur = n; walk.size() <= hops; walk.push_back(cur))
+      cur = next_hop(cur);
+    return path_string(walk);
+  };
   for (NodeId n = 0; n < count; ++n) {
     if (!network_->has_route(n)) continue;
     NodeId cur = n;
     std::size_t steps = 0;
-    std::vector<NodeId> walk{n};
     for (;;) {
-      const std::vector<NodeId> path = network_->path_of(cur);
-      if (path.size() <= 1) break;  // reached an origin
-      cur = path[1];
-      walk.push_back(cur);
+      cur = next_hop(cur);
+      if (cur == topo::kInvalidNode) break;  // reached an origin
       if (!network_->has_route(cur)) {
         add("forwarding-loop", now,
             "walk from " + std::to_string(n) + " reaches " +
                 std::to_string(cur) + " which has no route: " +
-                path_string(walk));
+                walk_string(n, steps + 1));
         break;
       }
       if (++steps > count) {
         add("forwarding-loop", now,
             "next-hop walk from " + std::to_string(n) +
-                " does not terminate: " + path_string(walk));
+                " does not terminate: " + walk_string(n, steps));
         break;
       }
     }
@@ -238,41 +266,40 @@ void InvariantChecker::check_loops(sim::Time now) {
 
 void InvariantChecker::check_export_consistency(sim::Time now) {
   const topo::AsGraph& graph = network_->graph();
+  const bgp::PathTable& paths = network_->paths();
   for (NodeId m = 0; m < graph.node_count(); ++m) {
-    const bool has = network_->has_route(m);
+    const bgp::PathId best = network_->best_path(m);
+    std::uint32_t h = graph.first_half_edge(m);
     for (const topo::Neighbor& nb : graph.neighbors(m)) {
-      if (!network_->link_is_up(m, nb.node)) continue;
+      const std::uint32_t out = h++;
+      if (!network_->session_up(out)) continue;
       const bool expected =
-          has && bgp::conventional_export_allows(
-                     network_->best(m).route_class, nb.rel);
-      const auto& rib = network_->adj_in_of(nb.node);
-      const auto it = rib.find(m);
+          best != bgp::kNullPath &&
+          bgp::conventional_export_allows(network_->best_class(m), nb.rel);
+      // What nb holds from m sits on nb's half-edge toward m.
+      const bgp::PathId held = network_->adj_in(graph.half_edge(nb.node, m));
       if (expected) {
-        if (it == rib.end()) {
+        if (held == bgp::kNullPath) {
           add("rib-export-consistency", now,
               "node " + std::to_string(nb.node) + " misses the route " +
                   std::to_string(m) + " currently exports");
-        } else if (network_->paths().materialize(it->second) !=
-                   network_->best(m).path) {
+        } else if (held != best) {
           add("rib-export-consistency", now,
               "node " + std::to_string(nb.node) + " holds a stale path from " +
-                  std::to_string(m) + ": has " +
-                  path_string(network_->paths().materialize(it->second)) +
-                  ", neighbor's best is " +
-                  path_string(network_->best(m).path));
+                  std::to_string(m) + ": has " + path_string(paths, held) +
+                  ", neighbor's best is " + path_string(paths, best));
         }
-        if (network_->advertised_to_of(m).count(nb.node) == 0) {
+        if (!network_->advertised(out)) {
           add("rib-export-consistency", now,
               "node " + std::to_string(m) + " exports to " +
                   std::to_string(nb.node) +
                   " but does not track the advertisement");
         }
-      } else if (it != rib.end()) {
+      } else if (held != bgp::kNullPath) {
         add("rib-export-consistency", now,
             "node " + std::to_string(nb.node) +
                 " holds a route neighbor " + std::to_string(m) +
-                " no longer exports: " +
-                path_string(network_->paths().materialize(it->second)));
+                " no longer exports: " + path_string(paths, held));
       }
     }
   }
@@ -280,6 +307,7 @@ void InvariantChecker::check_export_consistency(sim::Time now) {
 
 void InvariantChecker::check_solver(sim::Time now) {
   const topo::AsGraph& graph = network_->graph();
+  const bgp::PathTable& paths = network_->paths();
   const bgp::RoutingTree tree =
       bgp::StableRouteSolver(graph).solve_without_links(
           network_->destination(), network_->failed_links());
@@ -293,26 +321,30 @@ void InvariantChecker::check_solver(sim::Time now) {
       continue;
     }
     if (!reachable) continue;
-    const std::vector<NodeId> expected = tree.path_of(n);
-    const std::vector<NodeId> actual = network_->path_of(n);
-    if (expected != actual) {
+    // Walk the tree's next hops alongside the interned best path.
+    const bgp::PathId actual = network_->best_path(n);
+    bgp::PathId id = actual;
+    bool same = true;
+    for (NodeId hop = n;; hop = tree.next_hop(hop)) {
+      if (id == bgp::kNullPath || paths.head(id) != hop) {
+        same = false;
+        break;
+      }
+      id = paths.suffix(id);
+      if (hop == tree.destination()) break;
+    }
+    if (!same || id != bgp::kNullPath) {
       add("solver-agreement", now,
           "node " + std::to_string(n) + ": converged to " +
-              path_string(actual) + ", stable solution is " +
-              path_string(expected));
+              path_string(paths, actual) + ", stable solution is " +
+              path_string(tree.path_of(n)));
     }
   }
 }
 
 std::uint64_t InvariantChecker::memory_bytes() const {
-  std::uint64_t bytes = vector_bytes(shadow_);
-  for (const auto& rib : shadow_) {
-    bytes += hash_map_bytes(rib);
-    for (const auto& [from, path] : rib) bytes += vector_bytes(path);
-  }
-  bytes += hash_map_bytes(tunnel_bad_since_);
-  bytes += hash_map_bytes(tunnel_reported_);
-  return bytes;
+  return vector_bytes(shadow_) + vector_bytes(on_path_) +
+         hash_map_bytes(tunnel_bad_since_) + hash_map_bytes(tunnel_reported_);
 }
 
 }  // namespace miro::churn

@@ -8,7 +8,8 @@
 //   Weak (hold at every instant):
 //     - shadow-rib: each speaker's Adj-RIB-In equals the shadow copy rebuilt
 //       from the actually-delivered messages (nothing invented, nothing
-//       lost) — fed by SessionedBgpNetwork's MessageObserver;
+//       lost) — fed by SessionedBgpNetwork's MessageObserver, one PathId
+//       per half-edge, compared by id;
 //     - failed-link-rib: no Adj-RIB-In entry survives over a failed link;
 //     - path-wellformed: every best path starts at its owner, walks real
 //       edges, and repeats no AS;
@@ -25,10 +26,13 @@
 //       stable answer with the failed links down (solve_without_links).
 //
 // Violations carry the sim time and the index of the last applied trace
-// event — the witness that makes a failing seed debuggable.
+// event — the witness that makes a failing seed debuggable. Checks walk the
+// network's interned paths in place; a path is materialized only to
+// describe a violation.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,10 +96,10 @@ class InvariantChecker {
   const std::vector<ChurnViolation>& violations() const { return violations_; }
   const CheckerStats& stats() const { return stats_; }
 
-  /// Byte footprint of the shadow Adj-RIB-In and tunnel bookkeeping
-  /// (capacity walk, deterministic) — the checker mirrors every delivered
-  /// path, so replays pay for their RIBs twice; this makes the second copy
-  /// visible in the memory account table.
+  /// Byte footprint of the shadow Adj-RIB-In, the path scratch and the
+  /// tunnel bookkeeping (capacity walk, deterministic) — the checker
+  /// mirrors every delivered path id; this makes that second copy visible
+  /// in the memory account table.
   std::uint64_t memory_bytes() const;
 
  private:
@@ -111,9 +115,11 @@ class InvariantChecker {
   bgp::SessionedBgpNetwork* network_;
   const core::TunnelMonitor* monitor_;
   sim::Time hold_down_;
-  /// Shadow Adj-RIB-In per node: neighbor -> path, rebuilt purely from
-  /// delivered messages and session flushes.
-  std::vector<std::unordered_map<NodeId, std::vector<NodeId>>> shadow_;
+  /// Shadow Adj-RIB-In per half-edge n->m: the path m last delivered to n,
+  /// rebuilt purely from delivered messages and session flushes.
+  std::vector<bgp::PathId> shadow_;
+  /// Per node: on the best path being checked (path-wellformed scratch).
+  std::vector<std::uint8_t> on_path_;
   /// (responder << 32 | tunnel id) -> when its underlying route first went
   /// bad; erased on recovery.
   std::unordered_map<std::uint64_t, sim::Time> tunnel_bad_since_;

@@ -1,5 +1,7 @@
 #include "netsim/scheduler.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -10,24 +12,44 @@ namespace miro::sim {
 Scheduler::TimerToken Scheduler::at(Time t, Callback callback) {
   require(t >= now_, "Scheduler::at: cannot schedule in the past");
   require(static_cast<bool>(callback), "Scheduler::at: empty callback");
-  auto alive = std::make_shared<bool>(true);
-  queue_.push(Event{t, next_sequence_++, std::move(callback), alive});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    require(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+            "Scheduler::at: too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t sequence = next_sequence_++;
+  slots_[slot].callback = std::move(callback);
+  slots_[slot].sequence = sequence;
+  queue_.push_back({t, sequence, slot});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   if (log_ != nullptr) {
     log_->record({.time = now_,
                   .kind = obs::EventKind::TimerScheduled,
                   .value = static_cast<std::int64_t>(t)});
   }
-  return TimerToken(std::move(alive));
+  return TimerToken(this, slot, sequence);
+}
+
+void Scheduler::pop_top() {
+  free_slots_.push_back(queue_.front().slot);
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  queue_.pop_back();
 }
 
 bool Scheduler::next_live_event(bool bounded, Time limit) {
   while (!queue_.empty()) {
-    const Event& top = queue_.top();
+    const Entry top = queue_.front();
     // Never pop past the bound: a cancelled event beyond `limit` must stay
     // queued, or skipping it would overshoot now_ and expose later live
     // events to run_until.
     if (bounded && top.time > limit) return false;
-    if (*top.alive) return true;
+    Slot& slot = slots_[top.slot];
+    if (slot.sequence == top.sequence) return true;
     // Cancelled: discard, observing its originally scheduled time.
     now_ = top.time;
     if (log_ != nullptr) {
@@ -35,22 +57,26 @@ bool Scheduler::next_live_event(bool bounded, Time limit) {
                     .kind = obs::EventKind::TimerCancelled,
                     .value = static_cast<std::int64_t>(top.sequence)});
     }
-    queue_.pop();
+    slot.callback = {};
+    pop_top();
   }
   return false;
 }
 
 void Scheduler::fire_top() {
-  Event event = queue_.top();
-  queue_.pop();
-  now_ = event.time;
-  *event.alive = false;  // mark fired
+  const Entry top = queue_.front();
+  // Moved out first: the callback may schedule events that grow (and so
+  // move) the slot table, or reuse this very slot.
+  Callback callback = std::move(slots_[top.slot].callback);
+  slots_[top.slot].sequence = kVacant;  // mark fired
+  pop_top();
+  now_ = top.time;
   if (log_ != nullptr) {
-    log_->record({.time = event.time,
+    log_->record({.time = top.time,
                   .kind = obs::EventKind::TimerFired,
-                  .value = static_cast<std::int64_t>(event.sequence)});
+                  .value = static_cast<std::int64_t>(top.sequence)});
   }
-  event.callback();
+  callback();
 }
 
 bool Scheduler::run_one() {
@@ -61,7 +87,7 @@ bool Scheduler::run_one() {
 
 std::optional<Time> Scheduler::next_event_within(Time limit) {
   if (!next_live_event(true, limit)) return std::nullopt;
-  return queue_.top().time;
+  return queue_.front().time;
 }
 
 std::size_t Scheduler::run_until(Time t) {

@@ -53,6 +53,15 @@ bool AsGraph::has_edge(NodeId a, NodeId b) const {
   return find_edge(a, b) != static_cast<std::size_t>(-1);
 }
 
+std::uint32_t AsGraph::half_edge(NodeId a, NodeId b) const {
+  check_node(a);
+  check_node(b);
+  const std::size_t at = find_edge(a, b);
+  require(at != static_cast<std::size_t>(-1),
+          "AsGraph::half_edge: no such edge");
+  return static_cast<std::uint32_t>(at);
+}
+
 Relationship AsGraph::relationship(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);

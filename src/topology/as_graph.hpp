@@ -138,6 +138,23 @@ class AsGraph {
     return offsets_[id + 1] - offsets_[id];
   }
 
+  /// Half-edges: every directed (node, neighbor) pair has a dense index,
+  /// its position in the CSR arrays. Node `id`'s half-edges are
+  /// first_half_edge(id) + i for i < degree(id), in neighbors(id) order, so
+  /// per-neighbor state can live in a flat array instead of a map.
+  std::size_t half_edge_count() const { return edge_nodes_.size(); }
+  std::uint32_t first_half_edge(NodeId id) const {
+    check_node(id);
+    return offsets_[id];
+  }
+  /// The half-edge from a to b; O(log d); throws when no edge exists.
+  std::uint32_t half_edge(NodeId a, NodeId b) const;
+  /// The far end of half-edge `h`, with its relationship to the near end.
+  Neighbor half_edge_target(std::uint32_t h) const {
+    require(h < edge_nodes_.size(), "AsGraph: half-edge out of range");
+    return {edge_nodes_[h], edge_rels_[h]};
+  }
+
   /// True when an edge (of any relationship) exists between a and b;
   /// O(log d).
   bool has_edge(NodeId a, NodeId b) const;
