@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -157,6 +160,138 @@ TEST(Scheduler, CancelledEventsDoNotCountAgainstRunAllBudget) {
   EXPECT_EQ(scheduler.run_all(1), 1u);
   EXPECT_EQ(executed, 1u);
   EXPECT_EQ(scheduler.now(), 20u);
+}
+
+// A token names its event by (slot, sequence); once the event fired or was
+// cancelled and popped, the slot is reused, and the old token must reach
+// neither the newer event's pending() nor its cancel().
+TEST(Scheduler, StaleTokenNeverReachesTheEventThatReusedItsSlot) {
+  Scheduler scheduler;
+  auto fired = scheduler.at(5, [] {});
+  scheduler.run_all();
+  bool ran = false;
+  auto fresh = scheduler.at(10, [&] { ran = true; });  // reuses the slot
+  EXPECT_FALSE(fired.pending());
+  fired.cancel();
+  EXPECT_TRUE(fresh.pending());
+  scheduler.run_all();
+  EXPECT_TRUE(ran);
+
+  auto cancelled = scheduler.at(20, [] { FAIL() << "cancelled event fired"; });
+  cancelled.cancel();
+  scheduler.run_all();  // pops it, freeing the slot
+  ran = false;
+  auto reused = scheduler.at(30, [&] { ran = true; });
+  EXPECT_FALSE(cancelled.pending());
+  cancelled.cancel();
+  EXPECT_TRUE(reused.pending());
+  scheduler.run_all();
+  EXPECT_TRUE(ran);
+}
+
+/// Counts runs and destructions of the one object a callback owns; a
+/// moved-from Probe counts nothing.
+struct Probe {
+  int* runs;
+  int* destroyed;
+  bool owner = true;
+  Probe(int* r, int* d) : runs(r), destroyed(d) {}
+  Probe(Probe&& other) noexcept
+      : runs(other.runs), destroyed(other.destroyed) {
+    other.owner = false;
+  }
+  Probe(const Probe&) = delete;
+  ~Probe() {
+    if (owner) ++*destroyed;
+  }
+};
+
+// Captures that spill to the heap (over the inline size) and move-only
+// captures each run once and are destroyed exactly once: after firing,
+// after being cancelled and popped, and with the scheduler when still
+// queued.
+TEST(Scheduler, CallbacksRunAndDieExactlyOnce) {
+  const auto big = [](Probe probe) {
+    return [probe = std::move(probe), pad = std::array<char, 64>{}]() {
+      ++*probe.runs;
+      (void)pad;
+    };
+  };
+  const auto move_only = [](Probe probe) {
+    return [owned = std::make_unique<Probe>(std::move(probe))]() {
+      ++*owned->runs;
+    };
+  };
+  static_assert(sizeof(decltype(big(Probe(nullptr, nullptr)))) >
+                Scheduler::Callback::kInlineBytes);
+  for (const bool boxed : {true, false}) {
+    const auto make = [&](int* runs, int* destroyed) -> Scheduler::Callback {
+      if (boxed) return big(Probe(runs, destroyed));
+      return move_only(Probe(runs, destroyed));
+    };
+    int runs = 0, destroyed = 0;
+    {
+      Scheduler scheduler;
+      scheduler.at(1, make(&runs, &destroyed));
+      scheduler.run_all();
+      EXPECT_EQ(runs, 1) << "boxed=" << boxed;
+      EXPECT_EQ(destroyed, 1) << "fired, boxed=" << boxed;
+
+      runs = destroyed = 0;
+      auto token = scheduler.at(5, make(&runs, &destroyed));
+      token.cancel();
+      scheduler.run_all();
+      EXPECT_EQ(runs, 0);
+      EXPECT_EQ(destroyed, 1) << "cancelled and popped, boxed=" << boxed;
+
+      runs = destroyed = 0;
+      scheduler.at(10, make(&runs, &destroyed));
+      scheduler.at(11, make(&runs, &destroyed)).cancel();
+    }
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(destroyed, 2) << "queued at destruction, boxed=" << boxed;
+  }
+}
+
+// The running callback is moved out of its slot first, so one that
+// schedules enough events to grow (and move) the slot table still reads
+// its own captures intact.
+TEST(Scheduler, CallbackThatGrowsTheSlotTableKeepsItsCaptures) {
+  Scheduler scheduler;
+  std::vector<int> seen;
+  const std::vector<int> payload{1, 2, 3, 4, 5};
+  scheduler.at(1, [&scheduler, &seen, payload] {
+    for (int i = 0; i < 1000; ++i)
+      scheduler.after(1, [&seen, i] { seen.push_back(i); });
+    seen.insert(seen.end(), payload.begin(), payload.end());
+  });
+  EXPECT_EQ(scheduler.run_all(), 1001u);
+  ASSERT_EQ(seen.size(), 1005u);
+  EXPECT_EQ(std::vector<int>(seen.begin(), seen.begin() + 5), payload);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(seen[5 + i], i);
+}
+
+TEST(Scheduler, EmptyCallbacksAreRejected) {
+  Scheduler scheduler;
+  const std::function<void()> empty;
+  EXPECT_THROW(scheduler.at(1, empty), Error);
+  void (*null_function)() = nullptr;
+  EXPECT_THROW(scheduler.at(1, null_function), Error);
+  EXPECT_THROW(scheduler.after(1, Scheduler::Callback{}), Error);
+  EXPECT_EQ(scheduler.pending_events(), 0u);
+}
+
+TEST(Scheduler, PendingEventsCountsCancelledEntriesUntilPopped) {
+  Scheduler scheduler;
+  auto first = scheduler.at(10, [] {});
+  scheduler.at(20, [] {});
+  first.cancel();
+  EXPECT_FALSE(first.pending());
+  EXPECT_EQ(scheduler.pending_events(), 2u);
+  EXPECT_EQ(scheduler.run_until(15), 0u);  // pops the cancelled entry
+  EXPECT_EQ(scheduler.pending_events(), 1u);
+  EXPECT_EQ(scheduler.run_until(20), 1u);
+  EXPECT_EQ(scheduler.pending_events(), 0u);
 }
 
 TEST(MessageBus, DeliversWithDefaultDelay) {
