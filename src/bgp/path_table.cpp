@@ -18,12 +18,6 @@ PathId PathTable::extend(NodeId node, PathId suffix) {
   return id;
 }
 
-PathId PathTable::intern(std::span<const NodeId> path) {
-  PathId id = kNullPath;
-  for (std::size_t i = path.size(); i > 0; --i) id = extend(path[i - 1], id);
-  return id;
-}
-
 bool PathTable::contains(PathId id, NodeId node) const {
   for (; id != kNullPath; id = entries_[id].parent) {
     check(id);

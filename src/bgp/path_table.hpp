@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -31,16 +30,10 @@ class PathTable {
  public:
   PathTable();
 
-  /// Interns the single-node path {node} (an origin's own route).
-  PathId root(NodeId node) { return extend(node, kNullPath); }
-
   /// Interns [node, suffix...]: the path whose owner is `node` and whose
-  /// remainder is the already-interned `suffix` (kNullPath for none).
+  /// remainder is the already-interned `suffix` (kNullPath for none, which
+  /// makes the single-node path {node} of an origin).
   PathId extend(NodeId node, PathId suffix);
-
-  /// Interns a full path, front() = owner, back() = destination. Empty
-  /// paths map to kNullPath.
-  PathId intern(std::span<const NodeId> path);
 
   /// Owner (front) node of an interned path.
   NodeId head(PathId id) const {
