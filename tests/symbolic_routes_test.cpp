@@ -213,6 +213,10 @@ TEST(SymbolicFixpoint, SolveAvoidingRejectsAnOutOfRangeAs) {
 // in node order, until a sweep changes nothing. `leak` applies the same
 // route leak as SymbolicOptions::inject_export_bug. The engine must replay
 // it exactly: same entries, same feasible lengths, same sweep count.
+// Alongside, it counts the evaluations a node-level dirty set would let
+// through: a node is due once any neighbor moved since its last
+// evaluation (the destination's neighbors before the first sweep). The
+// engine may skip more, never fewer.
 struct FullSweepEntry {
   bool reachable = false;
   RouteClass cls = RouteClass::Provider;
@@ -225,6 +229,7 @@ struct FullSweepEntry {
 struct FullSweeps {
   std::vector<FullSweepEntry> entries;
   std::size_t sweeps = 0;
+  std::size_t node_dirty_evaluations = 0;
 };
 
 FullSweeps full_sweeps(const AsGraph& graph, topo::NodeId destination,
@@ -240,6 +245,12 @@ FullSweeps full_sweeps(const AsGraph& graph, topo::NodeId destination,
   origin.next_hop = destination;
   origin.cls = RouteClass::Self;
   origin.feasible_length[bgp::rank(RouteClass::Self)] = 0;
+  std::vector<bool> due(graph.node_count(), false);
+  auto wake_neighbors = [&](topo::NodeId v) {
+    for (const topo::Neighbor& n : graph.neighbors(v))
+      if (n.node != destination && n.node != avoid) due[n.node] = true;
+  };
+  wake_neighbors(destination);
   bool changed = true;
   while (changed) {
     require(out.sweeps < graph.node_count() + 2,
@@ -248,6 +259,11 @@ FullSweeps full_sweeps(const AsGraph& graph, topo::NodeId destination,
     changed = false;
     for (topo::NodeId v = 0; v < graph.node_count(); ++v) {
       if (v == destination || v == avoid) continue;
+      if (due[v]) {
+        due[v] = false;
+        ++out.node_dirty_evaluations;
+      }
+      bool moved = false;
       FullSweepEntry& entry = out.entries[v];
       bool best_reachable = false;
       RouteClass best_cls = RouteClass::Provider;
@@ -279,7 +295,7 @@ FullSweeps full_sweeps(const AsGraph& graph, topo::NodeId destination,
               entry.feasible_length[bgp::rank(bgp::classify(n.rel, their_cls))];
           if (length + 1 < slot) {
             slot = length + 1;
-            changed = true;
+            moved = true;
           }
         }
       }
@@ -291,7 +307,11 @@ FullSweeps full_sweeps(const AsGraph& graph, topo::NodeId destination,
         entry.cls = best_cls;
         entry.length = best_length;
         entry.next_hop = best_hop;
+        moved = true;
+      }
+      if (moved) {
         changed = true;
+        wake_neighbors(v);
       }
     }
   }
@@ -300,8 +320,9 @@ FullSweeps full_sweeps(const AsGraph& graph, topo::NodeId destination,
 
 // Solves (destination, avoid) with the engine and with the full sweeps
 // under the engine's export rule. Returns "" when the map replays the full
-// sweeps exactly, or when both refuse at the sweep bound (a leaky export
-// rule can count to infinity); otherwise the first difference.
+// sweeps exactly with no more evaluations than a node-level dirty set, or
+// when both refuse at the sweep bound (a leaky export rule can count to
+// infinity); otherwise the first difference.
 std::string replay_diff(const SymbolicRouteEngine& engine,
                         topo::NodeId destination, topo::NodeId avoid) {
   std::optional<FullSweeps> ref;
@@ -325,6 +346,10 @@ std::string replay_diff(const SymbolicRouteEngine& engine,
   if (map->sweeps() != ref->sweeps)
     return "sweeps " + std::to_string(map->sweeps()) + " vs " +
            std::to_string(ref->sweeps);
+  if (map->evaluations() > ref->node_dirty_evaluations)
+    return "evaluations " + std::to_string(map->evaluations()) +
+           " above the node-level dirty set's " +
+           std::to_string(ref->node_dirty_evaluations);
   for (topo::NodeId v = 0; v < ref->entries.size(); ++v) {
     const FullSweepEntry& e = ref->entries[v];
     if (map->reachable(v) != e.reachable || map->route_class(v) != e.cls ||
@@ -351,49 +376,139 @@ std::vector<AsGraph> replay_graphs() {
   return graphs;
 }
 
+// Replays 20 sampled destinations of `graph`: each solved avoiding its
+// first neighbor, a random stub and the widest AS, and solved by the leaky
+// engine. Counts the leaky solves that stabilized into `leaky_stabilized`.
+void expect_sampled_replays(const AsGraph& graph,
+                            std::size_t& leaky_stabilized) {
+  const auto n = static_cast<topo::NodeId>(graph.node_count());
+  const SymbolicRouteEngine engine(graph);
+  SymbolicOptions leaky;
+  leaky.inject_export_bug = true;
+  const SymbolicRouteEngine buggy(graph, leaky);
+
+  topo::NodeId hub = 0;
+  std::vector<topo::NodeId> stubs;
+  for (topo::NodeId v = 0; v < n; ++v) {
+    if (graph.degree(v) > graph.degree(hub)) hub = v;
+    if (graph.is_stub(v)) stubs.push_back(v);
+  }
+  ASSERT_FALSE(stubs.empty());
+  Rng rng(n);
+  for (const std::size_t index : rng.sample_indices(n, 20)) {
+    const auto dest = static_cast<topo::NodeId>(index);
+    ASSERT_FALSE(graph.neighbors(dest).empty());
+    const topo::NodeId stub = stubs[rng.next_below(stubs.size())];
+    for (const topo::NodeId avoid :
+         {graph.neighbors(dest).front().node, stub, hub}) {
+      if (avoid == dest) continue;
+      ASSERT_EQ(replay_diff(engine, dest, avoid), "")
+          << "solve_avoiding(" << dest << ", " << avoid << ") on " << n
+          << " ASes";
+    }
+    ASSERT_EQ(replay_diff(buggy, dest, topo::kInvalidNode), "")
+        << "leaky solve(" << dest << ") on " << n << " ASes";
+    try {
+      buggy.solve(dest);
+      ++leaky_stabilized;
+    } catch (const Error&) {
+    }
+  }
+}
+
 TEST(SymbolicFixpoint, DirtySetReplaysTheFullSweeps) {
   std::size_t leaky_stabilized = 0;
   for (const AsGraph& graph : replay_graphs()) {
     const auto n = static_cast<topo::NodeId>(graph.node_count());
     const SymbolicRouteEngine engine(graph);
-    SymbolicOptions leaky;
-    leaky.inject_export_bug = true;
-    const SymbolicRouteEngine buggy(graph, leaky);
-
     for (topo::NodeId dest = 0; dest < n; ++dest)
       ASSERT_EQ(replay_diff(engine, dest, topo::kInvalidNode), "")
           << "solve(" << dest << ") on " << n << " ASes";
-
-    topo::NodeId hub = 0;
-    std::vector<topo::NodeId> stubs;
-    for (topo::NodeId v = 0; v < n; ++v) {
-      if (graph.degree(v) > graph.degree(hub)) hub = v;
-      if (graph.is_stub(v)) stubs.push_back(v);
-    }
-    ASSERT_FALSE(stubs.empty());
-    Rng rng(n);
-    for (const std::size_t index : rng.sample_indices(n, 20)) {
-      const auto dest = static_cast<topo::NodeId>(index);
-      ASSERT_FALSE(graph.neighbors(dest).empty());
-      const topo::NodeId stub = stubs[rng.next_below(stubs.size())];
-      for (const topo::NodeId avoid :
-           {graph.neighbors(dest).front().node, stub, hub}) {
-        if (avoid == dest) continue;
-        ASSERT_EQ(replay_diff(engine, dest, avoid), "")
-            << "solve_avoiding(" << dest << ", " << avoid << ") on " << n
-            << " ASes";
-      }
-      ASSERT_EQ(replay_diff(buggy, dest, topo::kInvalidNode), "")
-          << "leaky solve(" << dest << ") on " << n << " ASes";
-      try {
-        buggy.solve(dest);
-        ++leaky_stabilized;
-      } catch (const Error&) {
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(expect_sampled_replays(graph, leaky_stabilized));
   }
   // The leak must not only be compared through refusals.
   EXPECT_GT(leaky_stabilized, 0u);
+}
+
+// internet2006 @ 0.1 has dozens of ASes with more than 63 neighbors, where
+// the gao2005 draws above have one: the wide ASes whose neighbor lists
+// outrun a 64-bit per-neighbor mask.
+TEST(SymbolicFixpoint, DirtySetReplaysTheFullSweepsOnInternet2006) {
+  const AsGraph graph = topo::generate(topo::profile("internet2006", 0.1));
+  std::size_t wide = 0;
+  for (topo::NodeId v = 0; v < graph.node_count(); ++v)
+    if (graph.degree(v) > 63) ++wide;
+  EXPECT_GE(wide, 30u);
+  std::size_t leaky_stabilized = 0;
+  ASSERT_NO_FATAL_FAILURE(expect_sampled_replays(graph, leaky_stabilized));
+  EXPECT_GT(leaky_stabilized, 0u);
+}
+
+// v's best offer worsens while its runner-up never changes. To d, v first
+// takes (Provider, 3) via p1 over the equal offer of p2 (higher ASN). In
+// sweep 3, p1 trades its provider route for a longer peer route through r,
+// so its offer to v grows to (Provider, 5). v must fall back to p2's
+// unchanged (Provider, 3), which only a look past the neighbors that moved
+// finds.
+TEST(SymbolicFixpoint, WorsenedBestOfferForcesARescan) {
+  GraphBuilder builder;
+  const topo::NodeId r = builder.add_as(1);
+  const topo::NodeId a = builder.add_as(2);
+  const topo::NodeId b = builder.add_as(3);
+  const topo::NodeId d = builder.add_as(4);
+  const topo::NodeId top = builder.add_as(5);
+  const topo::NodeId p1 = builder.add_as(6);
+  const topo::NodeId p2 = builder.add_as(7);
+  const topo::NodeId v = builder.add_as(8);
+  builder.add_customer_provider(b, d);
+  builder.add_customer_provider(a, b);
+  builder.add_customer_provider(r, a);
+  builder.add_customer_provider(top, d);
+  builder.add_customer_provider(top, p1);
+  builder.add_customer_provider(top, p2);
+  builder.add_customer_provider(p1, v);
+  builder.add_customer_provider(p2, v);
+  builder.add_peer(r, p1);
+  const AsGraph graph = std::move(builder).build();
+  const SymbolicRouteEngine engine(graph);
+  ASSERT_EQ(replay_diff(engine, d, topo::kInvalidNode), "");
+  const SymbolicRouteMap map = engine.solve(d);
+  EXPECT_EQ(map.sweeps(), 4u);
+  EXPECT_EQ(map.route_class(p1), RouteClass::Peer);
+  EXPECT_EQ(map.path_length(p1), 4u);
+  EXPECT_EQ(map.next_hop(p1), r);
+  EXPECT_EQ(map.route_class(v), RouteClass::Provider);
+  EXPECT_EQ(map.path_length(v), 3u);
+  EXPECT_EQ(map.next_hop(v), p2);
+}
+
+// A hub with 70 customers whose only route to the destination comes from
+// its 66th neighbor. Every neighbor from the 64th on shares one bit of a
+// 64-bit per-neighbor mask, so the hub must read that whole tail.
+TEST(SymbolicFixpoint, WideNodeHearsItsTail) {
+  GraphBuilder builder;
+  const topo::NodeId hub = builder.add_as(1);
+  std::vector<topo::NodeId> spokes;
+  for (topo::AsNumber asn = 2; asn <= 71; ++asn) {
+    spokes.push_back(builder.add_as(asn));
+    builder.add_customer_provider(hub, spokes.back());
+  }
+  const topo::NodeId feeder = spokes[65];
+  const topo::NodeId dest = builder.add_as(100);
+  builder.add_customer_provider(feeder, dest);
+  const AsGraph graph = std::move(builder).build();
+  ASSERT_EQ(graph.neighbors(hub)[65].node, feeder);
+
+  const SymbolicRouteEngine engine(graph);
+  for (topo::NodeId to = 0; to < graph.node_count(); ++to)
+    ASSERT_EQ(replay_diff(engine, to, topo::kInvalidNode), "")
+        << "solve(" << to << ")";
+  const SymbolicRouteMap map = engine.solve(dest);
+  ASSERT_TRUE(map.reachable(hub));
+  EXPECT_EQ(map.route_class(hub), RouteClass::Customer);
+  EXPECT_EQ(map.path_length(hub), 2u);
+  EXPECT_EQ(map.next_hop(hub), feeder);
+  EXPECT_EQ(map.reachable_count(), graph.node_count());
 }
 
 // The injected leak makes some tiny destinations count to infinity. The
