@@ -64,9 +64,22 @@ SymbolicRouteEngine::SymbolicRouteEngine(const AsGraph& graph,
               : kNoOffer;
     }
   }
-  asns_.reserve(graph.node_count());
-  for (NodeId v = 0; v < graph.node_count(); ++v)
-    asns_.push_back(graph.as_number(v));
+  const std::size_t n = graph.node_count();
+  asns_.reserve(n);
+  for (NodeId v = 0; v < n; ++v) asns_.push_back(graph.as_number(v));
+  // Every neighbor list is sorted, so visiting the receivers u in
+  // ascending order meets each v's half-edges in v's list order: one
+  // cursor per node places every wake bit without a search.
+  wake_bit_.resize(graph.half_edge_count());
+  std::vector<std::uint32_t> cursor(n);
+  for (NodeId v = 0; v < n; ++v) cursor[v] = graph.first_half_edge(v);
+  for (NodeId u = 0; u < n; ++u) {
+    std::uint8_t index = 0;
+    for (const topo::Neighbor& nb : graph.neighbors(u)) {
+      wake_bit_[cursor[nb.node]++] = index;
+      if (index < 63) ++index;
+    }
+  }
 }
 
 bool SymbolicRouteEngine::export_allows(RouteClass cls,
@@ -122,49 +135,49 @@ SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
   origin.cls = RouteClass::Self;
   origin.feasible_length[bgp::rank(RouteClass::Self)] = 0;
 
-  // One node's transfer function; true when its exact triple or any
-  // feasible length moved.
-  auto evaluate = [&](NodeId v) {
+  // One node's transfer function over the neighbors in `heard` (bit i for
+  // neighbor i, bit 63 for every neighbor from index 63 on): the ones whose
+  // offer to v changed since v's last evaluation. True when v's exact
+  // triple or any feasible length moved.
+  auto evaluate = [&](NodeId v, std::uint64_t heard) {
     Entry& entry = entries[v];
+    const topo::NeighborRange neighbors = graph.neighbors(v);
     bool changed = false;
-    // Exact layer: recompute v's best triple *fresh* from the neighbors'
-    // current state. An incremental min-relaxation would be wrong here: a
-    // neighbor's offer is not monotone in the preference order (its class
-    // can improve while its path grows, withdrawing the shorter route a
-    // previous sweep recorded), so stale minima must be discarded, not
-    // kept. Every transient entry still corresponds to a real export chain
-    // from the destination, and the stable state is the optimum over all
-    // such chains, so no transient value is ever better than the fixpoint —
-    // recomputation converges to it from either side.
     bool best_reachable = false;
     std::uint8_t best_rank = bgp::rank(RouteClass::Provider);
     std::uint32_t best_length = 0;
     topo::AsNumber best_asn = 0;
     NodeId best_hop = topo::kInvalidNode;
-    for (const topo::Neighbor& nb : graph.neighbors(v)) {
-      if (nb.node == avoid) continue;
+    auto offer_exact = [&](const topo::Neighbor& nb,
+                           const std::uint8_t* offer) {
       const Entry& theirs = entries[nb.node];
-      const std::uint8_t* offer = offer_[static_cast<int>(nb.rel)];
-
       const std::uint8_t cls_rank =
           theirs.reachable ? offer[bgp::rank(theirs.cls)] : kNoOffer;
-      if (cls_rank != kNoOffer) {
-        const std::uint32_t length = theirs.length + 1;
-        const topo::AsNumber asn = asns_[nb.node];
-        if (!best_reachable || std::tie(cls_rank, length, asn) <
-                                   std::tie(best_rank, best_length, best_asn)) {
-          best_reachable = true;
-          best_rank = cls_rank;
-          best_length = length;
-          best_asn = asn;
-          best_hop = nb.node;
-        }
+      if (cls_rank == kNoOffer) return;
+      const std::uint32_t length = theirs.length + 1;
+      const topo::AsNumber asn = asns_[nb.node];
+      if (!best_reachable || std::tie(cls_rank, length, asn) <
+                                 std::tie(best_rank, best_length, best_asn)) {
+        best_reachable = true;
+        best_rank = cls_rank;
+        best_length = length;
+        best_asn = asn;
+        best_hop = nb.node;
       }
-
+    };
+    const NodeId hop = entry.next_hop;
+    bool hop_heard = false;
+    auto read = [&](std::size_t i) {
+      const topo::Neighbor nb = neighbors[i];
+      if (nb.node == avoid) return;
+      const std::uint8_t* offer = offer_[static_cast<int>(nb.rel)];
+      hop_heard |= nb.node == hop;
+      offer_exact(nb, offer);
       // Feasibility layer: any class the neighbor could ever hold and
       // export reaches v re-classified by this link. This layer is a
-      // genuine monotone may-analysis (lengths only shrink), so the
-      // incremental relaxation is exact.
+      // genuine monotone may-analysis (lengths only shrink), so relaxing
+      // from the neighbors whose offer changed is exact.
+      const Entry& theirs = entries[nb.node];
       for (int r = 0; r < 4; ++r) {
         const std::uint32_t length = theirs.feasible_length[r];
         if (length == kInfeasibleLength || offer[r] == kNoOffer) continue;
@@ -174,6 +187,32 @@ SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
           changed = true;
         }
       }
+    };
+    for (; heard != 0; heard &= heard - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(heard));
+      if (i < 63) {
+        read(i);
+      } else {
+        for (std::size_t j = 63; j < neighbors.size(); ++j) read(j);
+      }
+    }
+    // Exact layer. At v's last evaluation its triple beat every offer, and
+    // the neighbors not heard from still make the same offers, so the best
+    // heard offer only has to beat v's triple. If v's own next hop was
+    // heard, its offer may have got worse (an offer is not monotone: a
+    // neighbor's class can improve while its path grows), and when no heard
+    // offer is at least as good as the stale triple the best one is
+    // recomputed fresh from every neighbor. No two offers tie: next hops
+    // have distinct AS numbers.
+    if (entry.reachable &&
+        !(best_reachable &&
+          std::tie(best_rank, best_length, best_asn) <=
+              std::make_tuple(static_cast<std::uint8_t>(bgp::rank(entry.cls)),
+                              entry.length, asns_[hop]))) {
+      if (!hop_heard) return changed;  // the current triple still wins
+      best_reachable = false;
+      for (const topo::Neighbor& nb : neighbors)
+        if (nb.node != avoid) offer_exact(nb, offer_[static_cast<int>(nb.rel)]);
     }
     const auto best_cls = static_cast<RouteClass>(best_rank);
     if (best_reachable != entry.reachable ||
@@ -189,28 +228,60 @@ SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
     return changed;
   };
 
+  // Which neighbors hear a move from `before` to `after`: bit rel is set
+  // when the offer to a neighbor that is `rel` to the mover changed — its
+  // class rank, its length, or a feasible length that link lets through.
+  // A move of the next hop alone changes no offer.
+  auto offers_changed = [&](const Entry& before, const Entry& after) {
+    unsigned rels = 0;
+    for (int rel = 0; rel < 4; ++rel) {
+      const std::uint8_t* offer = offer_[static_cast<int>(
+          topo::reverse(static_cast<topo::Relationship>(rel)))];
+      const std::uint8_t was =
+          before.reachable ? offer[bgp::rank(before.cls)] : kNoOffer;
+      const std::uint8_t now =
+          after.reachable ? offer[bgp::rank(after.cls)] : kNoOffer;
+      bool moved =
+          was != now || (now != kNoOffer && before.length != after.length);
+      for (int r = 0; r < 4 && !moved; ++r)
+        moved = offer[r] != kNoOffer &&
+                before.feasible_length[r] != after.feasible_length[r];
+      if (moved) rels |= 1u << rel;
+    }
+    return rels;
+  };
+
   // Gauss-Seidel sweeps in node order until nothing moves, over a dirty
-  // set: one bit per node, set when a neighbor moved since the node's last
-  // evaluation. A node with no such neighbor would recompute exactly its
-  // current state, so skipping it changes nothing. A move at v dirties a
-  // higher neighbor for this sweep (a full sweep reaches it after v) and a
-  // lower one for the next (a full sweep passed it before v moved), so each
-  // sweep sees the states a full sweep sees. Before the first sweep only
-  // the destination's neighbors can move.
+  // set: one bit per node, set when a neighbor's offer to it changed since
+  // the node's last evaluation, with the neighbor's wake bit in heard[]. A
+  // node with no such neighbor would recompute exactly its current state,
+  // so skipping it changes nothing. A change at v dirties a higher neighbor
+  // for this sweep (a full sweep reaches it after v) and a lower one for
+  // the next (a full sweep passed it before v moved), so each sweep sees
+  // the states a full sweep sees. Before the first sweep only the
+  // destination's neighbors can move, hearing from the destination.
   const std::size_t words = (n + 63) / 64;
   std::vector<std::uint64_t> dirty(words, 0);
-  auto bit = [](NodeId v) { return std::uint64_t{1} << (v & 63); };
-  for (const topo::Neighbor& nb : graph.neighbors(destination))
-    if (nb.node != avoid) dirty[nb.node >> 6] |= bit(nb.node);
+  std::vector<std::uint64_t> heard(n, 0);
+  auto bit = [](std::uint64_t i) { return std::uint64_t{1} << (i & 63); };
+  const topo::NeighborRange origin_neighbors = graph.neighbors(destination);
+  const std::uint32_t origin_first = graph.first_half_edge(destination);
+  for (std::size_t i = 0; i < origin_neighbors.size(); ++i) {
+    const NodeId u = origin_neighbors[i].node;
+    if (u == avoid) continue;
+    dirty[u >> 6] |= bit(u);
+    heard[u] |= bit(wake_bit_[origin_first + i]);
+  }
 
-  // Every abstract value only ever improves (the exact triple decreases in
-  // the preference order, feasible lengths shrink), and (rank, length)
-  // strictly increases along each export edge, so the longest
-  // strictly-improving derivation — hence the sweep count — is bounded by
-  // the longest simple export chain. The bound below only trips on inputs
-  // that violate the preconditions. A full iteration starts sweep s + 1
-  // after every sweep s that moved something and refuses once s reaches
-  // the bound, so this loop refuses when a sweep at or past it moves.
+  // Termination rests on Guideline A, not on monotonicity. Feasible lengths
+  // only shrink, but transient exact triples move both ways in the
+  // preference order (a next hop's offer can get worse, hence the rescan
+  // above). Guideline A requires an acyclic provider hierarchy, under which
+  // the sweeps settle on the unique stable state; the bound below is a
+  // guard that only trips on inputs violating that precondition. A full
+  // iteration starts sweep s + 1 after every sweep s that moved something
+  // and refuses once s reaches the bound, so this loop refuses when a sweep
+  // at or past it moves.
   const std::size_t bound =
       options_.max_sweeps != 0 ? options_.max_sweeps : n + 2;
   std::size_t sweep = 0;
@@ -226,10 +297,19 @@ SymbolicRouteMap SymbolicRouteEngine::fixpoint(NodeId destination,
         const auto v = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
         bits &= bits - 1;
         ++evaluations;
-        if (!evaluate(v)) continue;
+        const Entry before = entries[v];
+        if (!evaluate(v, std::exchange(heard[v], 0))) continue;
         moved = true;
-        for (const topo::Neighbor& nb : graph.neighbors(v)) {
-          if (nb.node == destination || nb.node == avoid) continue;
+        const unsigned rels = offers_changed(before, entries[v]);
+        if (rels == 0) continue;
+        const std::uint32_t first = graph.first_half_edge(v);
+        const topo::NeighborRange neighbors = graph.neighbors(v);
+        for (std::size_t i = 0; i < neighbors.size(); ++i) {
+          const topo::Neighbor nb = neighbors[i];
+          if ((rels >> static_cast<int>(nb.rel) & 1u) == 0 ||
+              nb.node == destination || nb.node == avoid)
+            continue;
+          heard[nb.node] |= bit(wake_bit_[first + i]);
           if (nb.node > v && nb.node >> 6 == w)
             bits |= bit(nb.node);  // later in this word: this sweep
           else

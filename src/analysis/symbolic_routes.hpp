@@ -28,10 +28,13 @@
 //
 // The fixpoint runs Gauss-Seidel sweeps in node order but re-evaluates only
 // the nodes on a dirty set: the destination's neighbors to start, then the
-// neighbors of every node whose exact triple or feasible lengths moved. A
-// node none of whose neighbors moved since its last evaluation would
-// recompute the same state, so every sweep's intermediate state, the final
-// map and the sweep count equal those of sweeping every node every time.
+// neighbors whose offer from a moved node changed (its offered class and
+// length, or a feasible length their link lets through). A woken node reads
+// only the neighbors that woke it, plus its current route, and rescans
+// every neighbor only when that route got worse. A node whose neighbors'
+// offers are unchanged since its last evaluation would recompute the same
+// state, so every sweep's intermediate state, the final map and the sweep
+// count equal those of sweeping every node every time.
 //
 // Fixpoint existence and termination are exactly the layer-2 stability
 // preconditions: the customer→provider relation must be acyclic
@@ -196,6 +199,10 @@ class SymbolicRouteEngine {
   static constexpr std::uint8_t kNoOffer = 0xFF;
   std::uint8_t offer_[4][4] = {};
   std::vector<topo::AsNumber> asns_;  ///< as_number per node, unchecked
+  /// Per half-edge from v to u: v's index in u's neighbor list, capped at
+  /// 63 — the bit v sets in u's wake mask when its offer to u changes
+  /// (bit 63 stands for every neighbor from index 63 on).
+  std::vector<std::uint8_t> wake_bit_;
 };
 
 /// Network-wide export-violation / route-leak detection: validates every

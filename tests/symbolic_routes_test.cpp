@@ -567,21 +567,28 @@ TEST(SymbolicFixpoint, SweepBoundMatchesTheFullSweeps) {
 
 TEST(SymbolicFixpoint, DirtySetSkipsMostEvaluations) {
   // A full sweep evaluates every node but the destination; the dirty set
-  // lets through only nodes whose neighbors moved.
+  // lets through only nodes whose neighbors' offers to them changed, fewer
+  // than the nodes with a neighbor that moved at all.
   const AsGraph graph = topo::generate(topo::profile("gao2005", 1.0));
   const SymbolicRouteEngine engine(graph);
   std::size_t evaluations = 0;
+  std::size_t node_level = 0;
   std::size_t full = 0;
   Rng rng(1);
   for (const std::size_t index : rng.sample_indices(graph.node_count(), 8)) {
-    const SymbolicRouteMap map =
-        engine.solve(static_cast<topo::NodeId>(index));
+    const auto dest = static_cast<topo::NodeId>(index);
+    const SymbolicRouteMap map = engine.solve(dest);
     EXPECT_GT(map.evaluations(), 0u);
     evaluations += map.evaluations();
+    node_level += full_sweeps(graph, dest, topo::kInvalidNode, false)
+                      .node_dirty_evaluations;
     full += map.sweeps() * (graph.node_count() - 1);
   }
   EXPECT_LT(2 * evaluations, full)
       << evaluations << " evaluations against " << full << " in full sweeps";
+  EXPECT_LT(evaluations, node_level)
+      << evaluations << " evaluations against " << node_level
+      << " for a node-level dirty set";
 }
 
 TEST(SymbolicFixpoint, ProviderCyclePreconditionFails) {
