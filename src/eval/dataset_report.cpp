@@ -43,8 +43,11 @@ void print_degree_distribution(const std::string& profile,
   for (const auto& bucket : buckets) {
     if (bucket.count == 0) continue;
     table.add_row(
-        {"[" + TextTable::num(bucket.lower, 0) + ", " +
-             TextTable::num(bucket.upper, 0) + ")",
+        {std::string("[")
+             .append(TextTable::num(bucket.lower, 0))
+             .append(", ")
+             .append(TextTable::num(bucket.upper, 0))
+             .append(")"),
          std::to_string(bucket.count),
          TextTable::percent(static_cast<double>(bucket.count) /
                             static_cast<double>(graph.node_count()))});
