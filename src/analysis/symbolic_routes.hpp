@@ -38,9 +38,11 @@
 //
 // Fixpoint existence and termination are exactly the layer-2 stability
 // preconditions: the customer→provider relation must be acyclic
-// (convergence lint's find_provider_cycle), which bounds the length of any
-// strictly-improving export chain. preconditions() re-checks this and
-// verify drivers refuse to iterate when it fails.
+// (convergence lint's find_provider_cycle), under which the sweeps settle
+// on the unique stable state even though transient routes move both ways
+// in the preference order. preconditions() re-checks this and verify
+// drivers refuse to iterate when it fails; the sweep bound only guards
+// against inputs that violate it.
 //
 // On top of the fixpoint sit the four static queries (reachability,
 // avoid-AS feasibility predicting Table 5.2, negotiation admissibility in
