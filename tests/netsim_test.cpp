@@ -1,16 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "netsim/fault_injection.hpp"
 #include "netsim/message_bus.hpp"
 #include "netsim/scheduler.hpp"
@@ -733,6 +735,392 @@ TEST(Scheduler, NextEventWithinSkipsCancelledEventsLikeRunUntil) {
   EXPECT_EQ(scheduler.next_event_within(400), std::nullopt);
   scheduler.run_all();
   EXPECT_EQ(fired, 1);
+}
+
+// ------------------------------------------------- differential vs the heap
+
+// The scheduler's queue before the tick wheel, kept as the oracle: every
+// pending event sits in one binary heap of (time, sequence) entries, popped
+// in that order; a cancelled event stays queued until it reaches the head,
+// where it is discarded and the clock moves to its time.
+class HeapScheduler {
+ public:
+  class TimerToken {
+   public:
+    TimerToken() = default;
+    void cancel() {
+      if (pending()) owner_->callbacks_[sequence_] = nullptr;
+    }
+    bool pending() const {
+      return owner_ != nullptr && owner_->live(sequence_);
+    }
+
+   private:
+    friend class HeapScheduler;
+    TimerToken(HeapScheduler* owner, std::uint64_t sequence)
+        : owner_(owner), sequence_(sequence) {}
+    HeapScheduler* owner_ = nullptr;
+    std::uint64_t sequence_ = 0;
+  };
+
+  Time now() const { return now_; }
+
+  TimerToken at(Time t, std::function<void()> callback) {
+    require(t >= now_, "HeapScheduler::at: cannot schedule in the past");
+    const std::uint64_t sequence = callbacks_.size();
+    callbacks_.push_back(std::move(callback));
+    queue_.push_back({t, sequence});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+    record(now_, obs::EventKind::TimerScheduled, t);
+    return TimerToken(this, sequence);
+  }
+  TimerToken after(Time delay, std::function<void()> callback) {
+    return at(now_ + delay, std::move(callback));
+  }
+
+  bool run_one() {
+    if (!next_live_event(false, 0)) return false;
+    fire_top();
+    return true;
+  }
+  std::size_t run_until(Time t) {
+    std::size_t executed = 0;
+    for (; next_live_event(true, t); ++executed) fire_top();
+    now_ = std::max(now_, t);
+    return executed;
+  }
+  std::optional<Time> next_event_within(Time limit) {
+    if (!next_live_event(true, limit)) return std::nullopt;
+    return queue_.front().time;
+  }
+  std::size_t run_all(std::size_t max_events = 1'000'000) {
+    std::size_t executed = 0;
+    for (; next_live_event(false, 0); ++executed) {
+      if (executed >= max_events) {
+        throw Error("Scheduler::run_all: event budget exhausted (runaway "
+                    "simulation?): now=" +
+                    std::to_string(now_) +
+                    ", pending_events=" + std::to_string(queue_.size()) +
+                    ", max_events=" + std::to_string(max_events));
+      }
+      fire_top();
+    }
+    return executed;
+  }
+  std::size_t pending_events() const { return queue_.size(); }
+  void set_event_log(obs::EventLog* log) { log_ = log; }
+
+ private:
+  struct Entry {
+    Time time;
+    std::uint64_t sequence;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.sequence > b.sequence;
+    }
+  };
+
+  bool live(std::uint64_t sequence) const {
+    return static_cast<bool>(callbacks_[sequence]);
+  }
+  Entry pop() {
+    const Entry top = queue_.front();
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+    return top;
+  }
+  bool next_live_event(bool bounded, Time limit) {
+    while (!queue_.empty()) {
+      const Entry top = queue_.front();
+      if (bounded && top.time > limit) return false;
+      if (live(top.sequence)) return true;
+      pop();
+      now_ = top.time;
+      record(top.time, obs::EventKind::TimerCancelled, top.sequence);
+    }
+    return false;
+  }
+  void fire_top() {
+    const Entry top = pop();
+    std::function<void()> callback =
+        std::exchange(callbacks_[top.sequence], nullptr);
+    now_ = top.time;
+    record(top.time, obs::EventKind::TimerFired, top.sequence);
+    callback();
+  }
+  void record(Time time, obs::EventKind kind, std::uint64_t value) {
+    if (log_ != nullptr) {
+      log_->record({.time = time,
+                    .kind = kind,
+                    .value = static_cast<std::int64_t>(value)});
+    }
+  }
+
+  Time now_ = 0;
+  std::vector<Entry> queue_;  ///< binary heap under Later
+  /// By sequence; empty once the event fired or was cancelled.
+  std::vector<std::function<void()>> callbacks_;
+  obs::EventLog* log_ = nullptr;
+};
+
+/// A delay from the differential's palette: the wheel's edges (0, 1, 255,
+/// 256, 257) half the time, otherwise anything up to three wheel widths.
+Time draw_delay(Rng& rng) {
+  constexpr std::array<Time, 5> kEdges{0, 1, 255, 256, 257};
+  if (rng.chance(0.5)) return kEdges[rng.next_below(kEdges.size())];
+  return rng.next_below(769);
+}
+
+/// One scheduler under the differential script. Event `id`'s callback logs
+/// its id and then, from an Rng seeded by `id` alone, schedules up to two
+/// children (while the event budget lasts) and may cancel any earlier
+/// event, so two schedulers that fire the same events do the same work.
+template <typename S>
+struct SchedulerHarness {
+  static constexpr std::size_t kMaxEvents = 3000;
+
+  explicit SchedulerHarness(std::uint64_t seed) : seed(seed) {
+    scheduler.set_event_log(&log);
+  }
+  SchedulerHarness(const SchedulerHarness&) = delete;
+  SchedulerHarness& operator=(const SchedulerHarness&) = delete;
+
+  /// Schedules a new event through after(delay) (mode 0), at(now + delay)
+  /// (mode 1), at() on the first multiple of 64 at or past now + delay
+  /// (mode 2), or at() on the tick of the earlier event `pick` (modulo the
+  /// count) if that is not past (mode 3): the last two make events
+  /// scheduled at different times share ticks.
+  void schedule(Time delay, std::uint64_t mode, std::uint64_t pick) {
+    const std::size_t id = tokens.size();
+    const Time now = scheduler.now();
+    Time t = now + delay;
+    if (mode == 2) t = (t + 63) / 64 * 64;
+    if (mode == 3 && id != 0) t = std::max(now, due[pick % id]);
+    const auto callback = [this, id] { fire(id); };
+    tokens.push_back(mode == 0 ? scheduler.after(delay, callback)
+                               : scheduler.at(t, callback));
+    due.push_back(t);
+  }
+  void fire(std::size_t id) {
+    fired.push_back(id);
+    Rng rng(seed * 1'000'003 + id);
+    const std::uint64_t children = rng.next_below(3);
+    for (std::uint64_t c = 0; c < children && tokens.size() < kMaxEvents;
+         ++c) {
+      const Time delay = draw_delay(rng);
+      const std::uint64_t mode = rng.next_below(4);
+      schedule(delay, mode, rng.next());
+    }
+    if (rng.chance(cancel_rate()))
+      tokens[rng.next_below(tokens.size())].cancel();
+  }
+  /// How often a callback cancels: 0.1 to 0.85 by seed, so some scripts
+  /// leave the wheel holding only cancelled events.
+  double cancel_rate() const { return 0.1 + 0.25 * static_cast<double>(seed % 4); }
+  /// run_all's count, or its runaway diagnostic.
+  std::string run_all(std::size_t budget) {
+    try {
+      return std::to_string(scheduler.run_all(budget));
+    } catch (const Error& error) {
+      return error.what();
+    }
+  }
+
+  S scheduler;
+  obs::EventLog log;
+  std::vector<typename S::TimerToken> tokens;  ///< by event id
+  std::vector<Time> due;                       ///< by event id
+  std::vector<std::size_t> fired;              ///< event ids, firing order
+  std::uint64_t seed;
+};
+
+/// Compares everything a caller can observe of the two schedulers: clock,
+/// queue size, firing order, token states and the timer records logged
+/// since record `from` (advanced past them).
+void expect_same_state(SchedulerHarness<Scheduler>& wheel,
+                       SchedulerHarness<HeapScheduler>& heap,
+                       std::size_t& from, const std::string& where) {
+  ASSERT_EQ(wheel.scheduler.now(), heap.scheduler.now()) << where;
+  ASSERT_EQ(wheel.scheduler.pending_events(), heap.scheduler.pending_events())
+      << where;
+  ASSERT_EQ(wheel.fired, heap.fired) << where;
+  ASSERT_EQ(wheel.tokens.size(), heap.tokens.size()) << where;
+  for (std::size_t id = 0; id < wheel.tokens.size(); ++id)
+    ASSERT_EQ(wheel.tokens[id].pending(), heap.tokens[id].pending())
+        << where << ", event " << id;
+  const std::vector<obs::Event>& a = wheel.log.events();
+  const std::vector<obs::Event>& b = heap.log.events();
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (; from < a.size(); ++from) {
+    ASSERT_EQ(a[from].kind, b[from].kind) << where << ", record " << from;
+    ASSERT_EQ(a[from].time, b[from].time) << where << ", record " << from;
+    ASSERT_EQ(a[from].value, b[from].value) << where << ", record " << from;
+  }
+}
+
+// Seeded scripts interleave scheduling on both sides of the wheel's edge,
+// cancellations of pending, fired and stale tokens, and every way of
+// running the queue (bounded by targets inside and past the wheel's width),
+// with callbacks that schedule and cancel in turn; the scheduler must match
+// the heap in everything a caller can see.
+TEST(Scheduler, WheelMatchesTheHeap) {
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    SchedulerHarness<Scheduler> wheel(seed);
+    SchedulerHarness<HeapScheduler> heap(seed);
+    Rng rng(seed);
+    std::size_t compared = 0;
+    for (std::size_t step = 0; step < 700; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      const std::uint64_t op = rng.next_below(100);
+      const Time now = wheel.scheduler.now();
+      if (op < 35) {
+        if (wheel.tokens.size() < SchedulerHarness<Scheduler>::kMaxEvents) {
+          const Time delay = draw_delay(rng);
+          const std::uint64_t mode = rng.next_below(4);
+          const std::uint64_t pick = rng.next();
+          wheel.schedule(delay, mode, pick);
+          heap.schedule(delay, mode, pick);
+        }
+      } else if (op < 50) {
+        if (!wheel.tokens.empty()) {
+          const std::uint64_t id = rng.next_below(wheel.tokens.size());
+          wheel.tokens[id].cancel();
+          heap.tokens[id].cancel();
+        }
+      } else if (op < 62) {
+        ASSERT_EQ(wheel.scheduler.run_one(), heap.scheduler.run_one())
+            << where;
+      } else if (op < 77) {
+        const Time target =
+            now + (rng.chance(0.5) ? draw_delay(rng) : rng.next_below(1200));
+        ASSERT_EQ(wheel.scheduler.run_until(target),
+                  heap.scheduler.run_until(target))
+            << where;
+      } else if (op < 92) {
+        const Time limit =
+            now + (rng.chance(0.5) ? draw_delay(rng) : rng.next_below(1200));
+        const std::optional<Time> next =
+            wheel.scheduler.next_event_within(limit);
+        ASSERT_EQ(next, heap.scheduler.next_event_within(limit)) << where;
+        // Join the head's tick, as a driver stepping event by event would.
+        if (next && rng.chance(0.5) &&
+            wheel.tokens.size() < SchedulerHarness<Scheduler>::kMaxEvents) {
+          wheel.schedule(*next - wheel.scheduler.now(), 1, 0);
+          heap.schedule(*next - heap.scheduler.now(), 1, 0);
+        }
+      } else {
+        // A small budget throws part-way; a large one drains the queue.
+        const std::size_t budget =
+            rng.chance(0.5) ? rng.next_below(40) : 1'000'000;
+        ASSERT_EQ(wheel.run_all(budget), heap.run_all(budget)) << where;
+      }
+      expect_same_state(wheel, heap, compared, where);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(wheel.fired.size(), 500u) << "seed " << seed;
+  }
+}
+
+// An event scheduled beyond the wheel waits in the heap tier until the
+// clock comes within a wheel width of it; it still fires before an event
+// scheduled later for the same tick straight into the wheel, whether the
+// clock got there by firing an event, by run_until, or by discarding a
+// cancelled one.
+TEST(Scheduler, EventBeyondTheWheelFiresBeforeALaterOneAtItsTick) {
+  Scheduler scheduler;
+  std::vector<int> order;
+  scheduler.at(300, [&] { order.push_back(1); });  // 300 ticks out
+  scheduler.at(100, [&] {
+    scheduler.at(300, [&] { order.push_back(2); });  // 200 ticks out
+  });
+  EXPECT_EQ(scheduler.run_until(299), 1u);
+  scheduler.at(300, [&] { order.push_back(3); });
+  EXPECT_EQ(scheduler.run_until(300), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+
+  // Discarding a cancelled event moves the clock too, whether the event
+  // sits in the heap tier or has reached the wheel.
+  for (const bool from_wheel : {false, true}) {
+    const Time base = scheduler.now();
+    const Time due = base + 700;
+    scheduler.at(due, [&] { order.push_back(4); });
+    scheduler.at(due - 200, [] { FAIL() << "cancelled event fired"; })
+        .cancel();
+    if (from_wheel) scheduler.run_until(base + 400);
+    EXPECT_EQ(scheduler.next_event_within(due), due);
+    EXPECT_EQ(scheduler.now(), due - 200);
+    scheduler.at(due, [&] { order.push_back(5); });
+    EXPECT_EQ(scheduler.run_until(due), 2u);
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 4, 5}));
+}
+
+// Cancelled events in the wheel and in the heap tier stay queued until the
+// clock reaches them, then go with a TimerCancelled record at their own
+// tick carrying their sequence.
+TEST(Scheduler, CancelledEventsOnBothTiersLeaveAtTheirTicks) {
+  Scheduler scheduler;
+  obs::EventLog log;
+  scheduler.set_event_log(&log);
+  auto near = scheduler.at(10, [] { FAIL() << "cancelled event fired"; });
+  auto far = scheduler.at(5000, [] { FAIL() << "cancelled event fired"; });
+  int fired = 0;
+  scheduler.at(20, [&] { ++fired; });
+  scheduler.at(6000, [&] { ++fired; });
+  near.cancel();
+  far.cancel();
+  EXPECT_EQ(scheduler.pending_events(), 4u);
+  EXPECT_EQ(scheduler.run_until(15), 0u);
+  EXPECT_EQ(scheduler.pending_events(), 3u);
+  EXPECT_EQ(scheduler.run_until(20), 1u);
+  EXPECT_EQ(scheduler.next_event_within(4999), std::nullopt);
+  EXPECT_EQ(scheduler.pending_events(), 2u);
+  EXPECT_EQ(scheduler.next_event_within(7000), Time{6000});
+  EXPECT_EQ(scheduler.now(), 5000u);
+  EXPECT_EQ(scheduler.pending_events(), 1u);
+  EXPECT_EQ(scheduler.run_all(), 1u);
+  EXPECT_EQ(fired, 2);
+  std::vector<std::pair<Time, std::int64_t>> cancelled;
+  for (const obs::Event& event : log.events()) {
+    if (event.kind == obs::EventKind::TimerCancelled)
+      cancelled.emplace_back(event.time, event.value);
+  }
+  EXPECT_EQ(cancelled,
+            (std::vector<std::pair<Time, std::int64_t>>{{10, 0}, {5000, 1}}));
+}
+
+// Near the top of the clock the wheel's window would reach past 2^64 - 1;
+// it must stop there rather than wrap onto tick 0.
+TEST(Scheduler, WindowSaturatesAtTheTopOfTheClock) {
+  constexpr Time kTop = ~Time{0};
+  Scheduler scheduler;
+  std::vector<int> order;
+  scheduler.at(kTop, [&] { order.push_back(2); });
+  EXPECT_EQ(scheduler.next_event_within(kTop - 1), std::nullopt);
+  EXPECT_EQ(scheduler.run_until(kTop - 300), 0u);
+  EXPECT_EQ(scheduler.run_until(kTop - 100), 0u);
+  EXPECT_EQ(scheduler.now(), kTop - 100);
+  scheduler.at(kTop, [&] { order.push_back(3); });
+  scheduler.at(kTop - 1, [&] { order.push_back(1); });
+  scheduler.at(kTop - 100, [&] { order.push_back(0); });
+  EXPECT_EQ(scheduler.next_event_within(kTop), kTop - 100);
+  EXPECT_EQ(scheduler.run_until(kTop), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(scheduler.now(), kTop);
+  scheduler.after(0, [&] { order.push_back(4); });
+  EXPECT_EQ(scheduler.run_all(), 1u);
+  EXPECT_EQ(order.back(), 4);
+  EXPECT_EQ(scheduler.pending_events(), 0u);
+
+  Scheduler fresh;
+  bool fired = false;
+  fresh.at(kTop, [&] { fired = true; });
+  EXPECT_EQ(fresh.run_all(), 1u);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(fresh.now(), kTop);
 }
 
 }  // namespace
