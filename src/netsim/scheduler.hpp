@@ -7,13 +7,27 @@
 //
 // Scheduling allocates nothing per event once the tables have grown: a
 // callback's captures live inline in its slot (up to Callback::kInlineBytes),
-// pending callbacks sit in a slot table reused as events retire, and the
-// priority queue orders 24-byte (time, sequence, slot) entries. A
+// and pending callbacks sit in a slot table reused as events retire. A
 // TimerToken names its event by (slot, sequence); the sequence number is
 // unique per event, so it doubles as the slot's generation and a stale
 // token can never reach a newer event that reused the slot.
+//
+// The queue has two tiers. An event due fewer than kWheelTicks ticks after
+// now() sits in a tick wheel: one FIFO list per tick, threaded through the
+// slot table by each slot's `next` link and found through a 256-bit
+// occupancy map, so scheduling and firing it cost O(1). A later event
+// (damping reuse, an agent's timeout) waits in a binary heap of 24-byte
+// (time, sequence, slot) entries, and the heap hands it to the wheel as
+// soon as now() comes within a wheel width of its time. Events still leave
+// in (time, sequence) order: an event bound for tick t enters t's list
+// either when it is scheduled, once t is inside the window, or when the
+// heap releases it. The release happens the moment now() advances far
+// enough, before any callback can run at the new time, so every event the
+// heap releases to t precedes (in sequence too) every event scheduled
+// straight into t's list, and the heap pops them in sequence order.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -172,10 +186,9 @@ class Scheduler {
   /// Schedules `callback` at absolute time `t` (>= now).
   TimerToken at(Time t, Callback callback);
 
-  /// Schedules `callback` `delay` ticks from now.
-  TimerToken after(Time delay, Callback callback) {
-    return at(now_ + delay, std::move(callback));
-  }
+  /// Schedules `callback` `delay` ticks from now; throws when now() +
+  /// `delay` lies past the end of the clock.
+  TimerToken after(Time delay, Callback callback);
 
   /// Runs the next event; returns false when the queue is empty.
   bool run_one();
@@ -199,7 +212,7 @@ class Scheduler {
   std::size_t run_all(std::size_t max_events = 1'000'000);
 
   /// Queued events, cancelled ones included until they are popped.
-  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t pending_events() const { return wheel_events_ + heap_.size(); }
 
   /// Attaches (or clears, with nullptr) an event log observing timer
   /// schedule/fire/cancel events. A cancellation is observed when the dead
@@ -208,33 +221,55 @@ class Scheduler {
   void set_event_log(obs::EventLog* log) { log_ = log; }
 
  private:
-  /// A slot's sequence once its event fired or was cancelled; no event is
-  /// ever numbered this high.
+  /// Ticks the wheel covers: an event due fewer than this many ticks after
+  /// now() sits in the wheel, a later one in the heap tier.
+  static constexpr Time kWheelTicks = 256;
+  static constexpr std::size_t kOccupancyWords = kWheelTicks / 64;
+  /// A free slot's sequence; no event is ever numbered this high.
   static constexpr std::uint64_t kVacant = ~std::uint64_t{0};
+  /// End of a tick's list.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   /// Discards cancelled events at the head of the queue (observing their
-  /// scheduled times) until a live event is on top; returns false when the
-  /// queue empties or (if `bounded`) the head lies beyond `limit`.
-  bool next_live_event(bool bounded, Time limit);
-  /// Pops and executes the head event, which must be live.
-  void fire_top();
-  /// Pops the head entry and returns its slot to the free list.
-  void pop_top();
+  /// scheduled times) until a live event is at the head; returns its time,
+  /// or nullopt when the queue empties or (if `bounded`) the head lies
+  /// beyond `limit`.
+  std::optional<Time> next_live_event(bool bounded, Time limit);
+  /// Pops and executes the head event, which must be live and due at `time`.
+  void fire_head(Time time);
+  /// Moves the clock to `time` (>= now) and hands the heap tier's events
+  /// that are now inside the wheel's window to the wheel.
+  void advance(Time time);
+  /// Appends `slot`, due at `time` inside the window, to its tick's list.
+  void push_wheel(std::uint32_t slot, Time time);
+  /// Unlinks and returns the first slot of the list of tick `time`.
+  std::uint32_t pop_wheel(Time time);
+  /// The wheel's first non-empty tick at or after now(); the wheel must not
+  /// be empty.
+  Time first_wheel_tick() const;
+  /// Returns a retired slot to the free list.
+  void release(std::uint32_t slot);
 
   bool live(std::uint32_t slot, std::uint64_t sequence) const {
-    return slot < slots_.size() && slots_[slot].sequence == sequence;
+    return slot < slots_.size() && slots_[slot].sequence == sequence &&
+           !slots_[slot].cancelled;
   }
   void cancel(std::uint32_t slot, std::uint64_t sequence) {
-    if (live(slot, sequence)) slots_[slot].sequence = kVacant;
+    if (live(slot, sequence)) slots_[slot].cancelled = true;
   }
 
-  /// One pending callback. `sequence` names the event that owns the slot;
-  /// kVacant once that event fired or was cancelled (a cancelled callback
-  /// stays until its queue entry is popped).
+  /// One pending callback. `sequence` names the event that owns the slot
+  /// (kVacant once it fired or left the queue); a cancelled event keeps its
+  /// callback and sequence until it leaves the queue, where its record
+  /// carries the sequence.
   struct Slot {
     Callback callback;
     std::uint64_t sequence = kVacant;
+    /// The next slot in the same tick's wheel list; kNoSlot at its tail.
+    std::uint32_t next = kNoSlot;
+    bool cancelled = false;
   };
+  /// A heap-tier event.
   struct Entry {
     Time time;
     std::uint64_t sequence;
@@ -246,10 +281,22 @@ class Scheduler {
       return a.sequence > b.sequence;  // FIFO within a timestamp
     }
   };
+  /// One tick's FIFO list of slots.
+  struct Tick {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+  };
 
   Time now_ = 0;
   std::uint64_t next_sequence_ = 0;
-  std::vector<Entry> queue_;  ///< binary heap under Later
+  /// Tick t's list lives at t % kWheelTicks; the window [now, now +
+  /// kWheelTicks) holds one tick per list, so a list never mixes ticks.
+  std::array<Tick, kWheelTicks> wheel_;
+  /// Bit t % kWheelTicks is set while tick t's list is non-empty.
+  std::array<std::uint64_t, kOccupancyWords> occupied_{};
+  std::size_t wheel_events_ = 0;
+  /// Events at least kWheelTicks ticks out: a binary heap under Later.
+  std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   obs::EventLog* log_ = nullptr;

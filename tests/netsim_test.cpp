@@ -737,6 +737,25 @@ TEST(Scheduler, NextEventWithinSkipsCancelledEventsLikeRunUntil) {
   EXPECT_EQ(fired, 1);
 }
 
+// A delay that would carry the clock past 2^64 - 1 is refused with its own
+// message instead of wrapping onto an earlier tick.
+TEST(Scheduler, AfterRefusesADelayPastTheEndOfTheClock) {
+  Scheduler scheduler;
+  scheduler.run_until(5);
+  try {
+    scheduler.after(~Time{0} - 4, [] {});
+    FAIL() << "expected after() to refuse the delay";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("past the end of the clock"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(scheduler.pending_events(), 0u);
+  scheduler.after(~Time{0} - 5, [] {});  // exactly the last tick
+  EXPECT_EQ(scheduler.run_all(), 1u);
+  EXPECT_EQ(scheduler.now(), ~Time{0});
+}
+
 // ------------------------------------------------- differential vs the heap
 
 // The scheduler's queue before the tick wheel, kept as the oracle: every
