@@ -198,6 +198,12 @@ class SessionedBgpNetwork {
     check_half_edge(h);
     return sessions_[h].up;
   }
+  /// The half-edge m->n for n->m: where m keeps what n advertised to it.
+  /// Throws for an index outside the graph.
+  HalfEdge reverse(HalfEdge h) const {
+    check_half_edge(h);
+    return reverse_[h];
+  }
   /// Materialized Adj-RIB-In path `from` last advertised to `node`; empty
   /// when no route is held or the two are not neighbors.
   std::vector<NodeId> adj_in_path(NodeId node, NodeId from) const;
@@ -244,6 +250,10 @@ class SessionedBgpNetwork {
   }
 
  private:
+  /// Lets tests forge RIB states the protocol never reaches, to show that
+  /// the churn invariant checker flags them.
+  friend struct SessionedBgpNetworkTestAccess;
+
   /// No candidate: an empty, looping or withdrawn Adj-RIB-In entry.
   static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
   static constexpr HalfEdge kNoHalfEdge = ~HalfEdge{0};

@@ -71,8 +71,9 @@ void InvariantChecker::add(const char* property, sim::Time now,
 
 void InvariantChecker::check(sim::Time now) {
   ++stats_.checkpoints;
+  const LinkList failed = network_->failed_links();
   check_shadow(now);
-  check_failed_link_ribs(now);
+  check_failed_link_ribs(now, failed);
   check_paths(now);
   if (monitor_ != nullptr) check_tunnels(now);
   if (!network_->transit_quiet()) return;
@@ -84,7 +85,7 @@ void InvariantChecker::check(sim::Time now) {
                        network_->active_suppressions() == 0;
   if (nominal) {
     ++stats_.solver_comparisons;
-    check_solver(now);
+    check_solver(now, failed);
   }
 }
 
@@ -129,9 +130,10 @@ void InvariantChecker::check_shadow(sim::Time now) {
   }
 }
 
-void InvariantChecker::check_failed_link_ribs(sim::Time now) {
+void InvariantChecker::check_failed_link_ribs(sim::Time now,
+                                              const LinkList& failed) {
   const topo::AsGraph& graph = network_->graph();
-  for (const auto& [a, b] : network_->failed_links()) {
+  for (const auto& [a, b] : failed) {
     for (const auto& [self, other] : {std::pair{a, b}, std::pair{b, a}}) {
       const std::uint32_t h = graph.half_edge(self, other);
       if (network_->adj_in(h) != bgp::kNullPath) {
@@ -153,6 +155,8 @@ void InvariantChecker::check_failed_link_ribs(sim::Time now) {
 void InvariantChecker::check_paths(sim::Time now) {
   const topo::AsGraph& graph = network_->graph();
   const bgp::PathTable& paths = network_->paths();
+  // Ids run to paths.size(); the bits only ever grow with the table.
+  verified_.resize(paths.size() / 64 + 1, 0);
   for (NodeId n = 0; n < graph.node_count(); ++n) {
     const bgp::PathId best = network_->best_path(n);
     if (best == bgp::kNullPath) continue;
@@ -162,6 +166,8 @@ void InvariantChecker::check_paths(sim::Time now) {
           "node: " + path_string(paths, best));
       continue;
     }
+    const std::uint64_t bit = std::uint64_t{1} << (best % 64);
+    if ((verified_[best / 64] & bit) != 0) continue;
     // Walk the chain in place, marking each AS; the walk stops at the
     // first repeat or non-edge, and a second walk clears the marks.
     bool bad = false;
@@ -184,6 +190,8 @@ void InvariantChecker::check_paths(sim::Time now) {
       add("path-wellformed", now,
           "node " + std::to_string(n) + ": best path repeats an AS or walks "
           "a non-edge: " + path_string(paths, best));
+    } else {
+      verified_[best / 64] |= bit;
     }
   }
 }
@@ -240,26 +248,53 @@ void InvariantChecker::check_loops(sim::Time now) {
       cur = next_hop(cur);
     return path_string(walk);
   };
+  // One memoized pass settles every routed node's walk. A walk marks the
+  // nodes it crosses and stops at an origin, at a node without a route, at
+  // a node settled by an earlier walk (taking its outcome), or back on a
+  // node of its own (a loop, which every node on the walk feeds); a second
+  // walk along the marks settles them all.
+  constexpr std::uint8_t kUnseen = 0, kOnWalk = 1, kTerminates = 2,
+                         kStrands = 3, kLoops = 4;
   for (NodeId n = 0; n < count; ++n) {
-    if (!network_->has_route(n)) continue;
-    NodeId cur = n;
-    std::size_t steps = 0;
-    for (;;) {
+    if (on_path_[n] != kUnseen || !network_->has_route(n)) continue;
+    std::uint8_t outcome = kTerminates;
+    for (NodeId cur = n;;) {
+      on_path_[cur] = kOnWalk;
       cur = next_hop(cur);
       if (cur == topo::kInvalidNode) break;  // reached an origin
       if (!network_->has_route(cur)) {
-        add("forwarding-loop", now,
-            "walk from " + std::to_string(n) + " reaches " +
-                std::to_string(cur) + " which has no route: " +
-                walk_string(n, steps + 1));
+        outcome = kStrands;
         break;
       }
-      if (++steps > count) {
-        add("forwarding-loop", now,
-            "next-hop walk from " + std::to_string(n) +
-                " does not terminate: " + walk_string(n, steps));
+      if (on_path_[cur] != kUnseen) {
+        outcome = on_path_[cur] == kOnWalk ? kLoops : on_path_[cur];
         break;
       }
+    }
+    for (NodeId cur = n; cur != topo::kInvalidNode && on_path_[cur] == kOnWalk;
+         cur = next_hop(cur)) {
+      on_path_[cur] = outcome;
+    }
+  }
+  // Report in node order, with the witness walks of a walk per node.
+  for (NodeId n = 0; n < count; ++n) {
+    const std::uint8_t outcome = std::exchange(on_path_[n], kUnseen);
+    if (outcome == kStrands) {
+      std::size_t hops = 0;
+      NodeId cur = n;
+      do {
+        cur = next_hop(cur);
+        ++hops;
+      } while (network_->has_route(cur));
+      add("forwarding-loop", now,
+          "walk from " + std::to_string(n) + " reaches " +
+              std::to_string(cur) + " which has no route: " +
+              walk_string(n, hops));
+    } else if (outcome == kLoops) {
+      // A walk from n is declared endless after count + 1 hops.
+      add("forwarding-loop", now,
+          "next-hop walk from " + std::to_string(n) +
+              " does not terminate: " + walk_string(n, count + 1));
     }
   }
 }
@@ -277,7 +312,7 @@ void InvariantChecker::check_export_consistency(sim::Time now) {
           best != bgp::kNullPath &&
           bgp::conventional_export_allows(network_->best_class(m), nb.rel);
       // What nb holds from m sits on nb's half-edge toward m.
-      const bgp::PathId held = network_->adj_in(graph.half_edge(nb.node, m));
+      const bgp::PathId held = network_->adj_in(network_->reverse(out));
       if (expected) {
         if (held == bgp::kNullPath) {
           add("rib-export-consistency", now,
@@ -305,12 +340,12 @@ void InvariantChecker::check_export_consistency(sim::Time now) {
   }
 }
 
-void InvariantChecker::check_solver(sim::Time now) {
+void InvariantChecker::check_solver(sim::Time now, const LinkList& failed) {
   const topo::AsGraph& graph = network_->graph();
   const bgp::PathTable& paths = network_->paths();
   const bgp::RoutingTree tree =
       bgp::StableRouteSolver(graph).solve_without_links(
-          network_->destination(), network_->failed_links());
+          network_->destination(), failed);
   for (NodeId n = 0; n < graph.node_count(); ++n) {
     const bool reachable = tree.reachable(n);
     if (reachable != network_->has_route(n)) {
@@ -344,7 +379,8 @@ void InvariantChecker::check_solver(sim::Time now) {
 
 std::uint64_t InvariantChecker::memory_bytes() const {
   return vector_bytes(shadow_) + vector_bytes(on_path_) +
-         hash_map_bytes(tunnel_bad_since_) + hash_map_bytes(tunnel_reported_);
+         vector_bytes(verified_) + hash_map_bytes(tunnel_bad_since_) +
+         hash_map_bytes(tunnel_reported_);
 }
 
 }  // namespace miro::churn

@@ -29,12 +29,27 @@
 // event — the witness that makes a failing seed debuggable. Checks walk the
 // network's interned paths in place; a path is materialized only to
 // describe a violation.
+//
+// A checkpoint pays for what changed, not for the whole RIB again:
+//   - path-wellformed walks only best paths it has not yet verified. An
+//     interned path never changes, so one clean walk sets its PathId's bit
+//     for good (one bit per interned path); a malformed path is never
+//     marked and is reported at every checkpoint, as is a best path that
+//     does not start at its node;
+//   - forwarding-loop settles every node in one memoized next-hop pass: a
+//     walk stops at the first node already settled, at an origin, at a node
+//     without a route, or back on its own walk (a loop), and every node it
+//     crossed takes that outcome, so each node is walked once, not once per
+//     node upstream of it;
+//   - rib-export-consistency reads the peer's half-edge through the
+//     network's reverse index, and the failed links are listed once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bgp/session_bgp.hpp"
@@ -96,21 +111,22 @@ class InvariantChecker {
   const std::vector<ChurnViolation>& violations() const { return violations_; }
   const CheckerStats& stats() const { return stats_; }
 
-  /// Byte footprint of the shadow Adj-RIB-In, the path scratch and the
-  /// tunnel bookkeeping (capacity walk, deterministic) — the checker
-  /// mirrors every delivered path id; this makes that second copy visible
-  /// in the memory account table.
+  /// Byte footprint of the shadow Adj-RIB-In, the path scratch, the
+  /// verified-path bits and the tunnel bookkeeping (capacity walk,
+  /// deterministic) — the checker mirrors every delivered path id; this
+  /// makes that second copy visible in the memory account table.
   std::uint64_t memory_bytes() const;
 
  private:
   void add(const char* property, sim::Time now, std::string detail);
   void check_shadow(sim::Time now);
-  void check_failed_link_ribs(sim::Time now);
+  using LinkList = std::vector<std::pair<NodeId, NodeId>>;
+  void check_failed_link_ribs(sim::Time now, const LinkList& failed);
   void check_paths(sim::Time now);
   void check_tunnels(sim::Time now);
   void check_loops(sim::Time now);
   void check_export_consistency(sim::Time now);
-  void check_solver(sim::Time now);
+  void check_solver(sim::Time now, const LinkList& failed);
 
   bgp::SessionedBgpNetwork* network_;
   const core::TunnelMonitor* monitor_;
@@ -118,8 +134,12 @@ class InvariantChecker {
   /// Shadow Adj-RIB-In per half-edge n->m: the path m last delivered to n,
   /// rebuilt purely from delivered messages and session flushes.
   std::vector<bgp::PathId> shadow_;
-  /// Per node: on the best path being checked (path-wellformed scratch).
+  /// Per node: on the best path being checked (path-wellformed), then the
+  /// node's next-hop walk state (forwarding-loop); all zero between checks.
   std::vector<std::uint8_t> on_path_;
+  /// Bit `id` is set once interned path `id` walked clean
+  /// (path-wellformed).
+  std::vector<std::uint64_t> verified_;
   /// (responder << 32 | tunnel id) -> when its underlying route first went
   /// bad; erased on recovery.
   std::unordered_map<std::uint64_t, sim::Time> tunnel_bad_since_;

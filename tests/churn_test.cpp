@@ -14,9 +14,27 @@
 #include "scenarios.hpp"
 #include "topology/generator.hpp"
 
+namespace miro::bgp {
+
+// Forges RIB states the protocol never reaches, so the checker's tests can
+// show it flags them: `node`'s best path becomes `path`, interned as the
+// network interns its own best paths.
+struct SessionedBgpNetworkTestAccess {
+  static void set_best(SessionedBgpNetwork& network, NodeId node,
+                       const std::vector<NodeId>& path) {
+    PathId id = kNullPath;
+    for (auto hop = path.rbegin(); hop != path.rend(); ++hop)
+      id = network.intern_best(*hop, id, RouteClass::Customer);
+    network.best_[node] = id;
+  }
+};
+
+}  // namespace miro::bgp
+
 namespace miro::churn {
 namespace {
 
+using bgp::SessionedBgpNetworkTestAccess;
 using test::Figure31Topology;
 
 ChurnTraceConfig small_config(std::uint64_t seed = 7) {
@@ -508,6 +526,99 @@ TEST(InvariantChecker, FinalCheckFlagsNonQuiescence) {
   checker.final_check(scheduler.now());
   ASSERT_FALSE(checker.violations().empty());
   EXPECT_EQ(checker.violations()[0].property, "replay-quiescence");
+}
+
+
+/// The detail of each violation of `property`, in order.
+std::vector<std::string> details_of(const InvariantChecker& checker,
+                                    const std::string& property) {
+  std::vector<std::string> out;
+  for (const ChurnViolation& violation : checker.violations())
+    if (violation.property == property) out.push_back(violation.detail);
+  return out;
+}
+
+// With forged best paths b -> e -> b, every node whose next-hop walk runs
+// into that loop is reported once, in node order, with the walk that shows
+// it; a walk that strands at a node without a route is reported with the
+// hops up to it, including a walk that only reaches that node through
+// another stranded walk.
+TEST(InvariantChecker, FlagsEveryWalkIntoAForwardingLoopOrADeadEnd) {
+  Figure31Topology fig;  // a=0 b=1 c=2 d=3 e=4 f=5
+  {
+    sim::Scheduler scheduler;
+    bgp::SessionedBgpNetwork network(fig.graph, fig.f, scheduler);
+    InvariantChecker checker(network);
+    network.start();
+    scheduler.run_all();
+    // Well-formed paths whose next hops disagree: e's leads to b, b's to e.
+    SessionedBgpNetworkTestAccess::set_best(network, fig.e,
+                                            {fig.e, fig.b, fig.c, fig.f});
+    checker.check(scheduler.now());
+    EXPECT_EQ(details_of(checker, "forwarding-loop"),
+              (std::vector<std::string>{
+                  "next-hop walk from 0 does not terminate: 0-1-4-1-4-1-4-1",
+                  "next-hop walk from 1 does not terminate: 1-4-1-4-1-4-1-4",
+                  "next-hop walk from 3 does not terminate: 3-4-1-4-1-4-1-4",
+                  "next-hop walk from 4 does not terminate: 4-1-4-1-4-1-4-1",
+              }));
+    EXPECT_TRUE(details_of(checker, "path-wellformed").empty());
+  }
+  {
+    // With E-F down, D has no route; a's and b's forged paths lead to it.
+    sim::Scheduler scheduler;
+    bgp::SessionedBgpNetwork network(fig.graph, fig.f, scheduler);
+    InvariantChecker checker(network);
+    network.start();
+    scheduler.run_all();
+    network.fail_link(fig.e, fig.f);
+    checker.on_session_flush(fig.e, fig.f);
+    scheduler.run_all();
+    ASSERT_FALSE(network.has_route(fig.d));
+    SessionedBgpNetworkTestAccess::set_best(
+        network, fig.b, {fig.b, fig.a, fig.d, fig.e, fig.c, fig.f});
+    SessionedBgpNetworkTestAccess::set_best(network, fig.a,
+                                            {fig.a, fig.d, fig.e, fig.c,
+                                             fig.f});
+    checker.check(scheduler.now());
+    EXPECT_EQ(details_of(checker, "forwarding-loop"),
+              (std::vector<std::string>{
+                  "walk from 0 reaches 3 which has no route: 0-3",
+                  "walk from 1 reaches 3 which has no route: 1-0-3",
+              }));
+  }
+}
+
+// A malformed best path is reported at every checkpoint, not only the first
+// time its id is walked, and a verified path still fails as the best path of
+// a node it does not start at.
+TEST(InvariantChecker, ReportsAMalformedBestPathAtEveryCheckpoint) {
+  Figure31Topology fig;  // a=0 b=1 c=2 d=3 e=4 f=5
+  sim::Scheduler scheduler;
+  bgp::SessionedBgpNetwork network(fig.graph, fig.f, scheduler);
+  InvariantChecker checker(network);
+  network.start();
+  scheduler.run_all();
+  checker.check(scheduler.now());
+  ASSERT_TRUE(checker.violations().empty());
+  // a repeats itself, c walks the non-edge c-d, and d takes a's path.
+  SessionedBgpNetworkTestAccess::set_best(
+      network, fig.a, {fig.a, fig.b, fig.a, fig.d, fig.e, fig.f});
+  SessionedBgpNetworkTestAccess::set_best(network, fig.c,
+                                          {fig.c, fig.d, fig.e, fig.f});
+  SessionedBgpNetworkTestAccess::set_best(network, fig.d,
+                                          {fig.b, fig.e, fig.f});
+  const std::vector<std::string> once{
+      "node 0: best path repeats an AS or walks a non-edge: 0-1-0-3-4-5",
+      "node 2: best path repeats an AS or walks a non-edge: 2-3-4-5",
+      "node 3: best path does not start at the node: 1-4-5",
+  };
+  checker.check(scheduler.now());
+  EXPECT_EQ(details_of(checker, "path-wellformed"), once);
+  checker.check(scheduler.now() + 200);
+  std::vector<std::string> twice = once;
+  twice.insert(twice.end(), once.begin(), once.end());
+  EXPECT_EQ(details_of(checker, "path-wellformed"), twice);
 }
 
 }  // namespace
