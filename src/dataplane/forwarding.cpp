@@ -122,8 +122,16 @@ TraceResult AsLevelDataPlane::trace(Packet packet, NodeId origin_as,
                                     std::size_t max_hops) {
   TraceResult result;
   NodeId current = origin_as;
+  // The outer header's destination AS and its routing tree are looked up
+  // once per header: here and after each encapsulate or decapsulate. The
+  // tree is solved on the header's first plain forwarding hop.
+  std::optional<NodeId> dest = destination_as(packet.outer().destination);
+  const bgp::RoutingTree* tree = nullptr;
+  const auto new_header = [&] {
+    dest = destination_as(packet.outer().destination);
+    tree = nullptr;
+  };
   for (std::size_t hop = 0; hop < max_hops; ++hop) {
-    const auto dest = destination_as(packet.outer().destination);
     if (!dest) {
       result.hops.push_back({current, TraceHop::Action::Drop, std::nullopt});
       return result;
@@ -142,6 +150,7 @@ TraceResult AsLevelDataPlane::trace(Packet packet, NodeId origin_as,
         }
         const DownstreamEntry& entry = table->second.at(*tunnel_id);
         packet.decapsulate();
+        new_header();
         result.hops.push_back(
             {current, TraceHop::Action::Decapsulate, tunnel_id});
         current = entry.exit_neighbor;
@@ -168,6 +177,7 @@ TraceResult AsLevelDataPlane::trace(Packet packet, NodeId origin_as,
           packet.encapsulate(host_address(current),
                              host_address(target.responder),
                              target.tunnel_id);
+          new_header();
           result.hops.push_back(
               {current, TraceHop::Action::Encapsulate, target.tunnel_id});
           continue;  // re-evaluate forwarding with the new outer header
@@ -176,13 +186,13 @@ TraceResult AsLevelDataPlane::trace(Packet packet, NodeId origin_as,
     }
 
     // Plain destination-based forwarding along the stable BGP route.
-    const bgp::RoutingTree& tree = store_->tree(*dest);
-    if (!tree.reachable(current)) {
+    if (tree == nullptr) tree = &store_->tree(*dest);
+    if (!tree->reachable(current)) {
       result.hops.push_back({current, TraceHop::Action::Drop, std::nullopt});
       return result;
     }
     result.hops.push_back({current, TraceHop::Action::Forward, std::nullopt});
-    current = tree.next_hop(current);
+    current = tree->next_hop(current);
   }
   result.hops.push_back({current, TraceHop::Action::Drop, std::nullopt});
   return result;
