@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -213,6 +214,14 @@ ChurnTrace generate_churn_trace(const topo::AsGraph& graph,
           "generate_churn_trace: need 1 <= min_hold <= max_hold");
   require(config.duration > config.max_hold,
           "generate_churn_trace: duration must exceed max_hold");
+  // Start times are drawn as signed 64-bit integers.
+  if (config.duration >
+      static_cast<sim::Time>(std::numeric_limits<std::int64_t>::max())) {
+    throw Error("generate_churn_trace: duration " +
+                std::to_string(config.duration) + " exceeds " +
+                std::to_string(std::numeric_limits<std::int64_t>::max()) +
+                " ticks");
+  }
 
   std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId n = 0; n < graph.node_count(); ++n) {

@@ -96,6 +96,7 @@ struct ChurnTraceConfig {
 /// trace may hold fewer episodes than asked. The generated trace always ends
 /// clean — every link restored, prefix announced, no hijack active — so a
 /// replay can compare the final converged state against StableRouteSolver.
+/// Throws miro::Error for a duration above INT64_MAX.
 ChurnTrace generate_churn_trace(const topo::AsGraph& graph,
                                 NodeId destination,
                                 const ChurnTraceConfig& config);

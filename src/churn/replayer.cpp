@@ -15,9 +15,11 @@ namespace {
 /// Runaway guard over the whole replay (damping misconfiguration could
 /// otherwise oscillate forever).
 constexpr std::size_t kMaxSchedulerEvents = 20'000'000;
-/// Checkpoints fire every interval up to the last trace event, so a trace
-/// spanning more than this many is refused up front (one hostile time stamp
-/// would otherwise keep the checker busy for years).
+/// Checkpoints fire every interval up to the last trace event and on
+/// through the drain, so a trace, or a protocol timer left to drain (an
+/// MRAI or damping delay), lying more than this many checkpoints out is
+/// refused (one hostile time stamp would otherwise keep the checker busy
+/// for years).
 constexpr sim::Time kMaxCheckpoints = 1'000'000;
 
 void apply_event(bgp::SessionedBgpNetwork& network, InvariantChecker& checker,
@@ -188,6 +190,12 @@ ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
   // timers), still firing interim checkpoints while events remain.
   while (const std::optional<sim::Time> next =
              scheduler.next_event_within(kNever)) {
+    if (config.checkpoint_interval != 0 &&
+        *next / config.checkpoint_interval > kMaxCheckpoints) {
+      throw Error("replay_churn: a protocol timer at tick " +
+                  std::to_string(*next) + " lies more than " +
+                  std::to_string(kMaxCheckpoints) + " checkpoints out");
+    }
     drive_to(*next);
   }
   close_burst_if_quiet();

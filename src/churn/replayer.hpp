@@ -80,8 +80,9 @@ struct ReplayResult {
 };
 
 /// Replays `trace` (validated against `graph` first) and returns the full
-/// accounting. Throws miro::Error on an invalid trace, a trace spanning more
-/// than a million checkpoints, or a blown event budget.
+/// accounting. Throws miro::Error on an invalid trace, a trace or a
+/// draining protocol timer lying more than a million checkpoints out, or a
+/// blown event budget.
 ReplayResult replay_churn(const topo::AsGraph& graph, const ChurnTrace& trace,
                           const ReplayConfig& config = {});
 

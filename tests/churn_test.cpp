@@ -101,6 +101,24 @@ TEST(ChurnTrace, ValidateRejectsInconsistentScripts) {
   EXPECT_THROW(trace.validate(fig.graph), Error);  // out of order
 }
 
+// Start times are drawn as signed 64-bit integers, so a longer duration is
+// refused up front rather than wrapped into an empty draw range.
+TEST(ChurnTrace, GeneratorRefusesADurationBeyondInt64) {
+  Figure31Topology fig;
+  ChurnTraceConfig config = small_config();
+  config.duration = sim::Time{1} << 63;
+  try {
+    generate_churn_trace(fig.graph, fig.f, config);
+    FAIL() << "expected the duration to be refused";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("duration 9223372036854775808"),
+              std::string::npos)
+        << error.what();
+  }
+  config.duration = (sim::Time{1} << 63) - 1;
+  EXPECT_NO_THROW(generate_churn_trace(fig.graph, fig.f, config));
+}
+
 TEST(ChurnTrace, ParseRejectsNumbersOutsideTheirRange) {
   // Each would be undefined behaviour if cast unchecked.
   const std::string events = R"({"destination":5,"events":[{"t":)";
@@ -137,6 +155,32 @@ TEST(ChurnReplay, RefusesATraceSpanningTooManyCheckpoints) {
   const ReplayResult result = replay_churn(fig.graph, trace, config);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.checker.checkpoints, 2u);  // one interim, one final
+}
+
+// A drain whose protocol timer lies more than a million checkpoints out is
+// refused, naming the timer's tick, instead of firing a checkpoint every
+// interval on the way to it; within the bound the same drain runs.
+TEST(ChurnReplay, RefusesADrainSpanningTooManyCheckpoints) {
+  Figure31Topology fig;
+  ChurnTrace trace;
+  trace.destination = fig.f;
+  trace.events.push_back({10, ChurnEventKind::LinkDown, fig.e, fig.f});
+  trace.events.push_back({20, ChurnEventKind::LinkUp, fig.e, fig.f});
+  ReplayConfig config;
+  config.checkpoint_interval = 1;
+  config.defense.mrai = 2'000'000;  // start() arms the first at tick 2M
+  try {
+    replay_churn(fig.graph, trace, config);
+    FAIL() << "expected the drain to be refused";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("timer at tick 2000000 "),
+              std::string::npos)
+        << error.what();
+  }
+  config.checkpoint_interval = 1000;
+  const ReplayResult result = replay_churn(fig.graph, trace, config);
+  EXPECT_TRUE(result.ok());
+  EXPECT_GE(result.final_time, 2'000'000u);
 }
 
 TEST(ChurnReplay, Figure31TraceKeepsAllInvariants) {
