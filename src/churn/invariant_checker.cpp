@@ -157,6 +157,9 @@ void InvariantChecker::check_paths(sim::Time now) {
   const bgp::PathTable& paths = network_->paths();
   // Ids run to paths.size(); the bits only ever grow with the table.
   verified_.resize(paths.size() / 64 + 1, 0);
+  const auto verified = [&](bgp::PathId id) {
+    return ((verified_[id / 64] >> (id % 64)) & 1) != 0;
+  };
   for (NodeId n = 0; n < graph.node_count(); ++n) {
     const bgp::PathId best = network_->best_path(n);
     if (best == bgp::kNullPath) continue;
@@ -166,32 +169,36 @@ void InvariantChecker::check_paths(sim::Time now) {
           "node: " + path_string(paths, best));
       continue;
     }
-    const std::uint64_t bit = std::uint64_t{1} << (best % 64);
-    if ((verified_[best / 64] & bit) != 0) continue;
+    if (verified(best)) continue;
     // Walk the chain in place, marking each AS; the walk stops at the
-    // first repeat or non-edge, and a second walk clears the marks.
+    // first repeat or non-edge, and a second walk clears the marks. Inside
+    // a verified suffix the edges are known good, so only a repeat of an
+    // AS marked before it is left to find.
     bool bad = false;
+    bool trusted = false;
     bgp::PathId id = best;
     for (; id != bgp::kNullPath && !bad; id = paths.suffix(id)) {
+      trusted = trusted || verified(id);
       const NodeId hop = paths.head(id);
       const bgp::PathId rest = paths.suffix(id);
       if (hop >= graph.node_count() || on_path_[hop] != 0) {
         bad = true;
       } else {
         on_path_[hop] = 1;
-        bad = rest != bgp::kNullPath && !graph.has_edge(hop, paths.head(rest));
+        bad = !trusted && rest != bgp::kNullPath &&
+              !graph.has_edge(hop, paths.head(rest));
       }
     }
+    // Every suffix of a clean path is clean too.
     for (bgp::PathId c = best; c != id; c = paths.suffix(c)) {
       const NodeId hop = paths.head(c);
       if (hop < graph.node_count()) on_path_[hop] = 0;
+      if (!bad) verified_[c / 64] |= std::uint64_t{1} << (c % 64);
     }
     if (bad) {
       add("path-wellformed", now,
           "node " + std::to_string(n) + ": best path repeats an AS or walks "
           "a non-edge: " + path_string(paths, best));
-    } else {
-      verified_[best / 64] |= bit;
     }
   }
 }
