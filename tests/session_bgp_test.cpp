@@ -148,6 +148,24 @@ TEST(SessionBgp, InspectorsRejectOutOfRangeNodes) {
   EXPECT_EQ(h.network.damping_penalty_of(a, h.fig.f), 0.0);
 }
 
+// reverse(h) names the peer's half-edge: for n->m, the m->n where m keeps
+// what n advertised to it.
+TEST(SessionBgp, ReverseIsThePeersHalfEdge) {
+  const topo::AsGraph graph = topo::generate(topo::profile("gao2005", 0.15));
+  sim::Scheduler scheduler;
+  const SessionedBgpNetwork network(graph, 0, scheduler);
+  for (topo::NodeId n = 0; n < graph.node_count(); ++n) {
+    for (const topo::Neighbor& m : graph.neighbors(n)) {
+      ASSERT_EQ(network.reverse(graph.half_edge(n, m.node)),
+                graph.half_edge(m.node, n))
+          << n << "->" << m.node;
+    }
+  }
+  EXPECT_THROW(network.reverse(static_cast<SessionedBgpNetwork::HalfEdge>(
+                   graph.half_edge_count())),
+               Error);
+}
+
 // Asserts the network's converged state agrees with the stable solver on the
 // given graph and that the transient accounting has fully drained.
 void expect_converged_and_clean(const SessionedBgpNetwork& network,
