@@ -283,7 +283,7 @@ void InvariantChecker::check_loops(sim::Time now) {
       on_path_[cur] = outcome;
     }
   }
-  // Report in node order, with the witness walks of a walk per node.
+  // Report in node order, each with its witness walk.
   for (NodeId n = 0; n < count; ++n) {
     const std::uint8_t outcome = std::exchange(on_path_[n], kUnseen);
     if (outcome == kStrands) {

@@ -32,8 +32,10 @@
 //
 // A checkpoint pays for what changed, not for the whole RIB again:
 //   - path-wellformed walks only best paths it has not yet verified. An
-//     interned path never changes, so one clean walk sets its PathId's bit
-//     for good (one bit per interned path); a malformed path is never
+//     interned path never changes, so one clean walk sets the bits of its
+//     PathId and every suffix it crossed for good (one bit per interned
+//     path), and a walk that reaches a verified suffix checks no further
+//     edges, only repeats of the ASes before it. A malformed path is never
 //     marked and is reported at every checkpoint, as is a best path that
 //     does not start at its node;
 //   - forwarding-loop settles every node in one memoized next-hop pass: a
