@@ -224,6 +224,10 @@ class Scheduler {
   /// Ticks the wheel covers: an event due fewer than this many ticks after
   /// now() sits in the wheel, a later one in the heap tier.
   static constexpr Time kWheelTicks = 256;
+  // A power of two, so a tick's list index survives the clock's wrap-around
+  // arithmetic, and whole 64-bit occupancy words.
+  static_assert((kWheelTicks & (kWheelTicks - 1)) == 0 &&
+                kWheelTicks % 64 == 0);
   static constexpr std::size_t kOccupancyWords = kWheelTicks / 64;
   /// A free slot's sequence; no event is ever numbered this high.
   static constexpr std::uint64_t kVacant = ~std::uint64_t{0};
@@ -290,7 +294,8 @@ class Scheduler {
   Time now_ = 0;
   std::uint64_t next_sequence_ = 0;
   /// Tick t's list lives at t % kWheelTicks; the window [now, now +
-  /// kWheelTicks) holds one tick per list, so a list never mixes ticks.
+  /// kWheelTicks), cut off at the top of the clock, holds one tick per
+  /// list, so a list never mixes ticks.
   std::array<Tick, kWheelTicks> wheel_;
   /// Bit t % kWheelTicks is set while tick t's list is non-empty.
   std::array<std::uint64_t, kOccupancyWords> occupied_{};
