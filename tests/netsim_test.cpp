@@ -937,7 +937,9 @@ struct SchedulerHarness {
   }
   /// How often a callback cancels: 0.1 to 0.85 by seed, so some scripts
   /// leave the wheel holding only cancelled events.
-  double cancel_rate() const { return 0.1 + 0.25 * static_cast<double>(seed % 4); }
+  double cancel_rate() const {
+    return 0.1 + 0.25 * static_cast<double>(seed % 4);
+  }
   /// run_all's count, or its runaway diagnostic.
   std::string run_all(std::size_t budget) {
     try {
