@@ -101,8 +101,9 @@ TEST(ChurnTrace, ValidateRejectsInconsistentScripts) {
   EXPECT_THROW(trace.validate(fig.graph), Error);  // out of order
 }
 
-// Start times are drawn as signed 64-bit integers, so a longer duration is
-// refused up front rather than wrapped into an empty draw range.
+// Start times are drawn as signed 64-bit integers, so a duration above
+// INT64_MAX is refused up front; far enough past it, the draw range would
+// wrap and come out empty.
 TEST(ChurnTrace, GeneratorRefusesADurationBeyondInt64) {
   Figure31Topology fig;
   ChurnTraceConfig config = small_config();
