@@ -41,16 +41,10 @@ SessionedBgpNetwork::SessionedBgpNetwork(const AsGraph& graph,
     damping_.resize(graph.half_edge_count());
   }
   if (defense_.mrai != 0) mrai_.resize(graph.half_edge_count());
-  // Neighbor lists ascend by node id and n ascends here, so each m meets
-  // its neighbors n in list order: one cursor per node walks m's half-edges
-  // m->n without a search.
-  std::vector<HalfEdge> cursor(graph.node_count());
-  for (NodeId m = 0; m < graph.node_count(); ++m)
-    cursor[m] = graph.first_half_edge(m);
   for (NodeId n = 0; n < graph.node_count(); ++n) {
     HalfEdge h = graph.first_half_edge(n);
     for (const topo::Neighbor& m : graph.neighbors(n))
-      reverse_[h++] = cursor[m.node]++;
+      reverse_[h++] = graph.half_edge(m.node, n);
   }
   origin_[destination_] = 1;
   origin_count_ = 1;
